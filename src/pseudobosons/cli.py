@@ -13,7 +13,6 @@ status: 0 all checks pass, 1 check failures (report still written),
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -63,6 +62,7 @@ BLOCKED_BY = {
     "ladder": "conditions",
     "eigen": "conditions",
     "hsusy": "conditions",
+    "hamiltonian_crosscheck": "conditions",
 }
 
 
@@ -81,7 +81,7 @@ class RunConfig:
     tolerances: dict
     seed: int
     out_dir: Path
-    jobs: int
+    jobs: int  # validated for compatibility; checks run in one thread
     bicoherent: dict
 
     @property
@@ -220,12 +220,7 @@ def build_model(spec: dict) -> model_mod.PBModel:
         params = {}
         for key, val in spec.items():
             value = _parse_scalar(val)
-            if key == "theta":
-                params[key] = _real(value, "theta")
-            elif key == "k" and name == "constant_alpha":
-                params[key] = value
-            else:
-                params[key] = value
+            params[key] = _real(value, "theta") if key == "theta" else value
         try:
             return model_mod.build_builtin(name, **params)
         except (model_mod.ModelError, TypeError) as exc:
@@ -335,17 +330,18 @@ def _check_hsusy(m, cfg):
 
 
 def _check_hamiltonian_crosscheck(m, cfg):
-    grid = cfg.grid
+    """The model's own H and H^dag coefficients against the printed
+    operators of the builtin it claims to be."""
     if m.name in ("example1", "example2"):
-        dev = spectral.builtin_hamiltonian_crosscheck(m.name, grid=grid)
+        printed, k = m.name, 1.0
     elif (m.flavor.kind == "constant_alpha"
           and m.flavor.alpha_a == 1.0 and m.flavor.alpha_b == 1.0
           and m.flavor.k.imag == 0.0):
-        dev = spectral.builtin_hamiltonian_crosscheck(
-            "constant_k", k=m.flavor.k.real, grid=grid)
+        printed, k = "constant_k", m.flavor.k.real
     else:
         return None, {"note": "no printed coefficients for this model"}
-    return dev, {}
+    return spectral.printed_hamiltonian_crosscheck(
+        m, printed, k=k, grid=cfg.grid), {}
 
 
 CHECK_FUNCS: dict[str, Callable] = {
@@ -368,7 +364,7 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
     echo = _model_echo(m)
     selected = [c for c in CHECK_ORDER if c in cfg.checks]
     outcome: dict[str, str] = {}
-    records: dict[str, CheckRecord] = {}
+    records: list[CheckRecord] = []
 
     def digest_for(name):
         return _digest({
@@ -391,44 +387,23 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
         return CheckRecord(name, digest_for(name), float(metric), tol,
                            verdict, detail)
 
-    pending = list(selected)
-    while pending:
-        ready = [
-            name for name in pending
-            if BLOCKED_BY.get(name) not in pending  # prerequisite resolved
-        ]
-        runnable, blocked = [], []
-        for name in ready:
-            pre = BLOCKED_BY.get(name)
-            if pre is not None and outcome.get(pre) in ("fail", "blocked",
-                                                        "error"):
-                blocked.append(name)
-            else:
-                runnable.append(name)
-        for name in blocked:
-            records[name] = CheckRecord(
-                name, digest_for(name), None, cfg.tolerances[name], "blocked",
-                {"blocked_by": BLOCKED_BY[name]})
-            outcome[name] = "blocked"
-        if runnable:
-            if cfg.jobs > 1 and len(runnable) > 1:
-                with concurrent.futures.ThreadPoolExecutor(cfg.jobs) as pool:
-                    for name, rec in zip(runnable,
-                                         pool.map(run_one, runnable)):
-                        records[name] = rec
-                        outcome[name] = rec.verdict
-            else:
-                for name in runnable:
-                    rec = run_one(name)
-                    records[name] = rec
-                    outcome[name] = rec.verdict
-        pending = [n for n in pending if n not in records]
+    # one pass: every prerequisite comes earlier in CHECK_ORDER
+    for name in selected:
+        pre = BLOCKED_BY.get(name)
+        if pre is not None and outcome.get(pre) in ("fail", "blocked",
+                                                    "error"):
+            rec = CheckRecord(name, digest_for(name), None,
+                              cfg.tolerances[name], "blocked",
+                              {"blocked_by": pre})
+        else:
+            rec = run_one(name)
+        records.append(rec)
+        outcome[name] = rec.verdict
 
-    ordered = [records[name] for name in selected]
-    bad = any(r.verdict in ("fail", "blocked", "error") for r in ordered)
+    bad = any(r.verdict in ("fail", "blocked", "error") for r in records)
     return VerificationReport(
         model=echo,
-        records=ordered,
+        records=records,
         overall="fail" if bad else "pass",
         timing_seconds=time.perf_counter() - start,
     )
@@ -647,7 +622,7 @@ def main(argv=None) -> int:
                         help="multiply every tolerance by this factor")
     parser.add_argument("--jobs", type=int,
                         default=int(_env("JOBS") or 0) or None,
-                        help="parallel workers for independent checks")
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     if not args.config:

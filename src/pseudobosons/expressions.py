@@ -3,9 +3,9 @@
 The four coefficient functions of a ladder-operator model are small
 closed-form expressions of one real variable.  This module provides the
 expression trees, a recursive-descent parser for the documented grammar,
-a printer whose output reparses to a structurally identical tree, and two
-evaluators: an exact jet evaluator (values plus derivatives) and a
-vectorized pointwise evaluator for quadrature grids.
+a printer whose output reparses to a structurally identical tree, and one
+evaluator: exact jets (values plus derivatives) at a point or batched
+over a whole grid, with plain values as the order-0 jet.
 
 Grammar (whitespace insensitive)::
 
@@ -31,6 +31,7 @@ import numpy as np
 
 from .jets import (
     Jet,
+    JetError,
     jet_cosh,
     jet_exp,
     jet_powi,
@@ -79,49 +80,32 @@ class ExpressionDomainError(ExpressionError):
         self.x = x
 
 
+def _first_zero(x, u: Jet) -> float:
+    """The first point of x where the jet u has a zero value."""
+    bad = np.ravel(u.coeffs[0] == 0)
+    return float(np.ravel(x)[np.argmax(bad)])
+
+
 class FunctionExpr:
-    """Base expression node."""
+    """Base expression node.
+
+    Each node has one evaluator, ``eval_jet(x, order)``, for a float or a
+    float array x; values and first derivatives are its orders 0 and 1.
+    """
 
     __slots__ = ()
 
-    def eval_jet(self, x: float, order: int) -> Jet:
+    def eval_jet(self, x, order: int) -> Jet:
         raise NotImplementedError
 
     def eval_values(self, xs) -> np.ndarray:
-        """Vectorized values on a float array (falls back to per-point jets
-        for subtrees the fast path cannot handle)."""
-        xs = np.asarray(xs, dtype=float)
-        try:
-            out = self._values(xs)
-        except NotImplementedError:
-            out = np.array(
-                [self.eval_jet(float(x), 0).value for x in np.ravel(xs)],
-                dtype=np.complex128,
-            ).reshape(xs.shape)
-        return np.broadcast_to(out, xs.shape).astype(np.complex128)
+        """Values on a float array: the order-0 jet."""
+        return self.eval_jet(np.asarray(xs, dtype=float), 0).value
 
     def eval_dual(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (values, first derivative) via forward-mode rules;
-        per-point jets for subtrees without a fast path."""
-        xs = np.asarray(xs, dtype=float)
-        try:
-            v, d = self._dual(xs)
-        except NotImplementedError:
-            pairs = [self.eval_jet(float(x), 1) for x in np.ravel(xs)]
-            v = np.array([p.value for p in pairs],
-                         dtype=np.complex128).reshape(xs.shape)
-            d = np.array([p.derivative(1) for p in pairs],
-                         dtype=np.complex128).reshape(xs.shape)
-            return v, d
-        shape = xs.shape
-        return (np.broadcast_to(v, shape).astype(np.complex128),
-                np.broadcast_to(d, shape).astype(np.complex128))
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _dual(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        """(values, first derivative) on a float array: the order-1 jet."""
+        j = self.eval_jet(np.asarray(xs, dtype=float), 1)
+        return j.value, j.derivative(1)
 
     def __call__(self, xs):
         return self.eval_values(xs)
@@ -136,26 +120,12 @@ class Const(FunctionExpr):
     def eval_jet(self, x, order):
         return Jet.constant(self.value, x, order)
 
-    def _values(self, xs):
-        return np.full(xs.shape, self.value, dtype=np.complex128)
-
-    def _dual(self, xs):
-        zero = np.zeros(xs.shape, dtype=np.complex128)
-        return np.full(xs.shape, self.value, dtype=np.complex128), zero
-
 
 class Var(FunctionExpr):
     __slots__ = ()
 
     def eval_jet(self, x, order):
         return Jet.variable(x, order)
-
-    def _values(self, xs):
-        return xs.astype(np.complex128)
-
-    def _dual(self, xs):
-        return (xs.astype(np.complex128),
-                np.ones(xs.shape, dtype=np.complex128))
 
 
 class BinOp(FunctionExpr):
@@ -177,37 +147,11 @@ class BinOp(FunctionExpr):
             return a - b
         if self.op == "*":
             return a * b
-        if b.value == 0:
-            raise ExpressionDomainError("division by zero", self.right, x)
-        return a / b
-
-    def _values(self, xs):
-        a = self.left.eval_values(xs)
-        b = self.right.eval_values(xs)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if np.any(b == 0):
-            x_bad = float(xs[np.nonzero(b == 0)[0][0]]) if xs.ndim else float(xs)
-            raise ExpressionDomainError("division by zero", self.right, x_bad)
-        return a / b
-
-    def _dual(self, xs):
-        a, da = self.left.eval_dual(xs)
-        b, db = self.right.eval_dual(xs)
-        if self.op == "+":
-            return a + b, da + db
-        if self.op == "-":
-            return a - b, da - db
-        if self.op == "*":
-            return a * b, da * b + a * db
-        if np.any(b == 0):
-            x_bad = float(xs[np.nonzero(b == 0)[0][0]]) if xs.ndim else float(xs)
-            raise ExpressionDomainError("division by zero", self.right, x_bad)
-        return a / b, (da * b - a * db) / (b * b)
+        try:
+            return a / b
+        except JetError:
+            raise ExpressionDomainError("division by zero", self.right,
+                                        _first_zero(x, b)) from None
 
 
 class Pow(FunctionExpr):
@@ -219,29 +163,12 @@ class Pow(FunctionExpr):
 
     def eval_jet(self, x, order):
         u = self.base_expr.eval_jet(x, order)
-        if self.exponent < 0 and u.value == 0:
+        try:
+            return jet_powi(u, self.exponent)
+        except JetError:
             raise ExpressionDomainError("zero raised to a negative power",
-                                        self.base_expr, x)
-        return jet_powi(u, self.exponent)
-
-    def _values(self, xs):
-        u = self.base_expr.eval_values(xs)
-        if self.exponent < 0 and np.any(u == 0):
-            x_bad = float(xs[np.nonzero(u == 0)[0][0]]) if xs.ndim else float(xs)
-            raise ExpressionDomainError("zero raised to a negative power",
-                                        self.base_expr, x_bad)
-        return u ** self.exponent
-
-    def _dual(self, xs):
-        u, du = self.base_expr.eval_dual(xs)
-        k = self.exponent
-        if k < 0 and np.any(u == 0):
-            x_bad = float(xs[np.nonzero(u == 0)[0][0]]) if xs.ndim else float(xs)
-            raise ExpressionDomainError("zero raised to a negative power",
-                                        self.base_expr, x_bad)
-        if k == 0:
-            return np.ones_like(u), np.zeros_like(u)
-        return u ** k, k * u ** (k - 1) * du
+                                        self.base_expr,
+                                        _first_zero(x, u)) from None
 
 
 _JET_CALLS = {
@@ -250,14 +177,6 @@ _JET_CALLS = {
     "cosh": jet_cosh,
     "tanh": jet_tanh,
     "sqrt": jet_sqrt,
-}
-
-_VEC_CALLS = {
-    "exp": np.exp,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "sqrt": lambda v: np.sqrt(v.astype(np.complex128)),
 }
 
 
@@ -272,27 +191,11 @@ class Call(FunctionExpr):
 
     def eval_jet(self, x, order):
         u = self.arg.eval_jet(x, order)
-        if self.func == "sqrt" and u.value == 0:
-            raise ExpressionDomainError("sqrt at a zero", self.arg, x)
-        return _JET_CALLS[self.func](u)
-
-    def _values(self, xs):
-        return _VEC_CALLS[self.func](self.arg.eval_values(xs))
-
-    def _dual(self, xs):
-        u, du = self.arg.eval_dual(xs)
-        if self.func == "exp":
-            v = np.exp(u)
-            return v, v * du
-        if self.func == "sinh":
-            return np.sinh(u), np.cosh(u) * du
-        if self.func == "cosh":
-            return np.cosh(u), np.sinh(u) * du
-        if self.func == "tanh":
-            v = np.tanh(u)
-            return v, (1.0 - v * v) * du
-        v = np.sqrt(u.astype(np.complex128))
-        return v, du / (2.0 * v)
+        try:
+            return _JET_CALLS[self.func](u)
+        except JetError:  # only sqrt can fail: a zero of its argument
+            raise ExpressionDomainError("sqrt at a zero", self.arg,
+                                        _first_zero(x, u)) from None
 
 
 class Deriv(FunctionExpr):
@@ -305,8 +208,6 @@ class Deriv(FunctionExpr):
 
     def eval_jet(self, x, order):
         return self.arg.eval_jet(x, order + 1).deriv()
-
-    # no vectorized fast path: falls back to per-point jets
 
 
 class Antideriv(FunctionExpr):
@@ -351,19 +252,12 @@ class Antideriv(FunctionExpr):
         return v
 
     def eval_jet(self, x, order):
-        v = self.value_at(x)
+        xs = np.asarray(x, dtype=float)
+        v = np.array([self.value_at(t) for t in xs.flat],
+                     dtype=np.complex128).reshape(xs.shape)
         if order == 0:
-            return Jet(x, [v])
+            return Jet(x, v[np.newaxis])
         return self.arg.eval_jet(x, order - 1).antideriv(v)
-
-    def _values(self, xs):
-        flat = np.ravel(xs)
-        out = np.array([self.value_at(float(x)) for x in flat],
-                       dtype=np.complex128)
-        return out.reshape(np.asarray(xs).shape)
-
-    def _dual(self, xs):
-        return self._values(xs), self.arg.eval_values(xs)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Truncated univariate Taylor ("jet") arithmetic.
 
 A jet stores the Taylor coefficients of a function at a real base point,
-c_k = f^(k)(x) / k!, up to a fixed truncation order.  All derivative
-propagation in this package happens through jets: applying a first-order
-ladder operator consumes exactly one order, applying a second-order
-Hamiltonian consumes two, and the state recursions consume one order per
-level.  Truncation is exact: retained coefficients never depend on the
-discarded ones.
+c_k = f^(k)(x) / k!, up to a fixed truncation order.  The base may also be
+a float array: the coefficients then stack along axis 0, one column per
+point, so a whole grid goes through one pass of the same recurrences, and
+each column rounds exactly like the scalar jet at that point.
+
+All derivative propagation in this package happens through jets:
+applying a first-order ladder operator consumes exactly one order,
+applying a second-order Hamiltonian consumes two, and the state
+recursions consume one order per level.  Truncation is exact: retained
+coefficients never depend on the discarded ones.
 
 Coefficients are complex throughout; real models simply carry zero
 imaginary parts.  Conjugating a jet coefficient-wise yields the jet of
@@ -71,29 +75,44 @@ def _check_order(order: int) -> int:
 
 
 class Jet:
-    """Taylor coefficients c_0..c_order of a function at a real base point."""
+    """Taylor coefficients c_0..c_order of a function at a real base point,
+    or at every point of a float array at once.
+
+    A scalar base carries coefficients of shape ``(order+1,)``; an array
+    base of shape ``S`` carries ``(order+1, *S)``, and every operation
+    works along axis 0 with the same recurrences.
+    """
 
     __slots__ = ("base", "coeffs")
 
-    def __init__(self, base: float, coeffs):
-        self.base = float(base)
+    def __init__(self, base, coeffs):
+        base = np.asarray(base, dtype=float)
+        shape = base.shape
+        self.base = base if shape else float(base)
         c = np.asarray(coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.size == 0:
-            raise JetError("coefficients must be a nonempty 1-d sequence")
-        _check_order(c.size - 1)
+        if c.ndim != 1 + len(shape) or c.shape[1:] != shape \
+                or c.shape[0] == 0:
+            raise JetError(
+                f"coefficients must have shape (order+1, *{shape}), "
+                f"not {c.shape}"
+            )
+        if c.shape[0] > _MAX_ORDER + 1:
+            _check_order(c.shape[0] - 1)  # raises the capacity error
         self.coeffs = c
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value: complex, base: float, order: int) -> "Jet":
-        c = np.zeros(_check_order(order) + 1, dtype=np.complex128)
+    def constant(cls, value: complex, base, order: int) -> "Jet":
+        c = np.zeros((_check_order(order) + 1,) + np.shape(base),
+                     dtype=np.complex128)
         c[0] = value
         return cls(base, c)
 
     @classmethod
-    def variable(cls, base: float, order: int) -> "Jet":
-        c = np.zeros(_check_order(order) + 1, dtype=np.complex128)
+    def variable(cls, base, order: int) -> "Jet":
+        c = np.zeros((_check_order(order) + 1,) + np.shape(base),
+                     dtype=np.complex128)
         c[0] = base
         if order >= 1:
             c[1] = 1.0
@@ -103,17 +122,20 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[0] - 1
 
     @property
-    def value(self) -> complex:
-        return complex(self.coeffs[0])
+    def value(self):
+        """f(base): a complex for a scalar base, an array for an array."""
+        c0 = self.coeffs[0]
+        return complex(c0) if self.coeffs.ndim == 1 else c0
 
-    def derivative(self, k: int = 1) -> complex:
+    def derivative(self, k: int = 1):
         """k-th derivative value, f^(k)(base) = k! * c_k."""
         if k > self.order:
             raise JetError(f"jet of order {self.order} has no derivative {k}")
-        return complex(self.coeffs[k]) * math.factorial(k)
+        ck = self.coeffs[k] * float(math.factorial(k))
+        return complex(ck) if self.coeffs.ndim == 1 else ck
 
     def __repr__(self) -> str:
         return f"Jet(base={self.base!r}, coeffs={self.coeffs.tolist()!r})"
@@ -129,15 +151,16 @@ class Jet:
         """Jet of f' at the same base point, one order lower."""
         if self.order == 0:
             raise JetError("insufficient jet order for a derivative")
-        k = np.arange(1, self.order + 1)
-        return Jet(self.base, self.coeffs[1:] * k)
+        tail = self.coeffs[1:]
+        return Jet(self.base, tail * _ramp(1, tail))
 
-    def antideriv(self, value_at_base: complex) -> "Jet":
+    def antideriv(self, value_at_base) -> "Jet":
         """Jet of an antiderivative F with F(base) = value_at_base."""
         _check_order(self.order + 1)
-        c = np.empty(self.order + 2, dtype=np.complex128)
+        c = np.empty((self.order + 2,) + self.coeffs.shape[1:],
+                     dtype=np.complex128)
         c[0] = value_at_base
-        c[1:] = self.coeffs / np.arange(1, self.order + 2)
+        c[1:] = self.coeffs / _ramp(1, self.coeffs)
         return Jet(self.base, c)
 
     def conjugate(self) -> "Jet":
@@ -146,26 +169,25 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.base != self.base:
-                raise JetError(
-                    f"mismatched base points: {self.base} vs {other.base}"
-                )
-            if other.order != self.order:
-                raise JetError(
-                    f"mismatched orders: {self.order} vs {other.order}"
-                )
-            return other
-        if isinstance(other, (int, float, complex, np.number)):
-            return Jet.constant(complex(other), self.base, self.order)
-        return NotImplemented
+    def _check(self, other: "Jet") -> None:
+        if not _same_base(self.base, other.base):
+            raise JetError(
+                f"mismatched base points: {self.base} vs {other.base}"
+            )
+        if other.order != self.order:
+            raise JetError(
+                f"mismatched orders: {self.order} vs {other.order}"
+            )
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.base, self.coeffs + o.coeffs)
+        if isinstance(other, _NUMBER):
+            c = self.coeffs.copy()
+            c[0] += other
+            return Jet(self.base, c)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        self._check(other)
+        return Jet(self.base, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
@@ -173,52 +195,87 @@ class Jet:
         return Jet(self.base, -self.coeffs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.base, self.coeffs - o.coeffs)
+        if isinstance(other, _NUMBER):
+            return self + (-other)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        self._check(other)
+        return Jet(self.base, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Jet(self.base, o.coeffs - self.coeffs)
+        if isinstance(other, _NUMBER):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
+        if isinstance(other, _NUMBER):
             return Jet(self.base, self.coeffs * complex(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        conv = np.convolve(self.coeffs, o.coeffs)[: self.order + 1]
-        return Jet(self.base, conv)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        self._check(other)
+        return Jet(self.base, _mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
+        if isinstance(other, _NUMBER):
             return Jet(self.base, self.coeffs / complex(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return _div(self, o)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        self._check(other)
+        return _div(self, other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return _div(o, self)
+        if isinstance(other, _NUMBER):
+            return _div(Jet.constant(other, self.base, self.order), self)
+        return NotImplemented
+
+
+_NUMBER = (int, float, complex, np.number)
+
+
+def _same_base(a, b) -> bool:
+    if a is b:
+        return True
+    if type(a) is float and type(b) is float:
+        return a == b
+    return np.shape(a) == np.shape(b) and bool(np.all(np.equal(a, b)))
+
+
+def _ramp(start: int, c: np.ndarray) -> np.ndarray:
+    """start, start+1, ... along axis 0, shaped to broadcast against c."""
+    k = np.arange(start, start + c.shape[0], dtype=float)
+    return k.reshape((-1,) + (1,) * (c.ndim - 1))
+
+
+def _dot0(a: np.ndarray, b: np.ndarray):
+    """sum_i a[i] b[i] along axis 0, added strictly in order: cumsum (not
+    sum, which pairs terms differently for 1-d input) makes a scalar jet
+    and each column of a batched one round identically."""
+    if a.shape[0] == 0:
+        return 0.0
+    return np.cumsum(a * b, axis=0)[-1]
+
+
+def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product c_k = sum_j a_j b_(k-j) along axis 0,
+    accumulated in j order for scalar and batched jets alike."""
+    n = a.shape[0]
+    out = a[0] * b
+    for j in range(1, n):
+        out[j:] += a[j] * b[: n - j]
+    return out
 
 
 def _div(a: Jet, b: Jet) -> Jet:
-    if b.coeffs[0] == 0:
+    b0 = b.coeffs[0]
+    if np.any(b0 == 0):
         raise JetError("division by a jet with zero constant term")
-    n = a.order
-    out = np.empty(n + 1, dtype=np.complex128)
-    out[0] = a.coeffs[0] / b.coeffs[0]
-    for k in range(1, n + 1):
-        acc = a.coeffs[k] - np.dot(b.coeffs[1 : k + 1], out[k - 1 :: -1][:k])
-        out[k] = acc / b.coeffs[0]
+    out = np.empty_like(a.coeffs)
+    out[0] = a.coeffs[0] / b0
+    for k in range(1, a.order + 1):
+        acc = a.coeffs[k] - _dot0(b.coeffs[1 : k + 1], out[k - 1 :: -1])
+        out[k] = acc / b0
     return Jet(a.base, out)
 
 
@@ -229,51 +286,75 @@ def _div(a: Jet, b: Jet) -> Jet:
 # retained coefficients.
 
 
+# At order 0 each function is just its value, with no recurrence.
+
+
+def _rate(u: Jet) -> np.ndarray:
+    """k c_k, the coefficients that drive the recurrences through u'."""
+    return _ramp(0, u.coeffs) * u.coeffs
+
+
 def jet_exp(u: Jet) -> Jet:
-    n = u.order
-    f = np.zeros(n + 1, dtype=np.complex128)
+    if not u.order:
+        return Jet(u.base, np.exp(u.coeffs))
+    f = np.empty_like(u.coeffs)
     f[0] = np.exp(u.coeffs[0])
-    ku = np.arange(n + 1) * u.coeffs
-    for k in range(1, n + 1):
-        f[k] = np.dot(ku[1 : k + 1], f[:k][::-1]) / k
+    ku = _rate(u)
+    for k in range(1, u.order + 1):
+        f[k] = _dot0(ku[1 : k + 1], f[k - 1 :: -1]) / k
     return Jet(u.base, f)
 
 
-def _jet_sinh_cosh(u: Jet) -> tuple[Jet, Jet]:
-    n = u.order
-    s = np.zeros(n + 1, dtype=np.complex128)
-    c = np.zeros(n + 1, dtype=np.complex128)
+def _sinh_cosh(u: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of sinh(u) and cosh(u), whose recurrences feed each
+    other."""
+    s = np.empty_like(u.coeffs)
+    c = np.empty_like(u.coeffs)
     s[0] = np.sinh(u.coeffs[0])
     c[0] = np.cosh(u.coeffs[0])
-    ku = np.arange(n + 1) * u.coeffs
-    for k in range(1, n + 1):
-        s[k] = np.dot(ku[1 : k + 1], c[:k][::-1]) / k
-        c[k] = np.dot(ku[1 : k + 1], s[:k][::-1]) / k
-    return Jet(u.base, s), Jet(u.base, c)
+    ku = _rate(u)
+    for k in range(1, u.order + 1):
+        s[k] = _dot0(ku[1 : k + 1], c[k - 1 :: -1]) / k
+        c[k] = _dot0(ku[1 : k + 1], s[k - 1 :: -1]) / k
+    return s, c
 
 
 def jet_sinh(u: Jet) -> Jet:
-    return _jet_sinh_cosh(u)[0]
+    if not u.order:
+        return Jet(u.base, np.sinh(u.coeffs))
+    return Jet(u.base, _sinh_cosh(u)[0])
 
 
 def jet_cosh(u: Jet) -> Jet:
-    return _jet_sinh_cosh(u)[1]
+    if not u.order:
+        return Jet(u.base, np.cosh(u.coeffs))
+    return Jet(u.base, _sinh_cosh(u)[1])
 
 
 def jet_tanh(u: Jet) -> Jet:
-    s, c = _jet_sinh_cosh(u)
-    return s / c
+    """t = tanh(u) from t' = (1 - t^2) u', with w = 1 - t^2 carried along
+    as its own series; finite wherever tanh(u_0) is (no sinh/cosh
+    overflow)."""
+    if not u.order:
+        return Jet(u.base, np.tanh(u.coeffs))
+    t = np.empty_like(u.coeffs)
+    w = np.empty_like(u.coeffs)
+    t[0] = np.tanh(u.coeffs[0])
+    w[0] = 1.0 - t[0] * t[0]
+    ku = _rate(u)
+    for k in range(1, u.order + 1):
+        t[k] = _dot0(ku[1 : k + 1], w[k - 1 :: -1]) / k
+        w[k] = -_dot0(t[: k + 1], t[k::-1])
+    return Jet(u.base, t)
 
 
 def jet_sqrt(u: Jet) -> Jet:
-    if u.coeffs[0] == 0:
+    if np.any(u.coeffs[0] == 0):
         raise JetError("sqrt of a jet with zero constant term")
-    n = u.order
-    r = np.zeros(n + 1, dtype=np.complex128)
+    r = np.empty_like(u.coeffs)
     r[0] = np.sqrt(u.coeffs[0] + 0j)  # principal branch
-    for k in range(1, n + 1):
-        acc = u.coeffs[k] - np.dot(r[1:k], r[k - 1 : 0 : -1])
-        r[k] = acc / (2 * r[0])
+    for k in range(1, u.order + 1):
+        r[k] = (u.coeffs[k] - _dot0(r[1:k], r[k - 1 : 0 : -1])) / (2 * r[0])
     return Jet(u.base, r)
 
 
@@ -281,16 +362,16 @@ def jet_powi(u: Jet, k: int) -> Jet:
     """Integer power by binary exponentiation; negative k via reciprocal."""
     k = int(k)
     if k < 0:
-        return jet_powi(Jet.constant(1.0, u.base, u.order) / u, -k)
-    result = Jet.constant(1.0, u.base, u.order)
+        return jet_powi(1.0 / u, -k)
+    result = None
     square = u
     while k:
         if k & 1:
-            result = result * square
+            result = square if result is None else result * square
         k >>= 1
         if k:
             square = square * square
-    return result
+    return Jet.constant(1.0, u.base, u.order) if result is None else result
 
 
 def jet_hermite(u: Jet, n: int) -> Jet:
@@ -352,13 +433,14 @@ def jet_binary(kind: str, a: Jet, b: Jet) -> Jet:
     raise JetError(f"unknown binary operation {kind!r}")
 
 
-def jet_lift(expr, x: float, order: int):
-    """Exact Taylor coefficients of a coefficient expression at x.
+def jet_lift(expr, x, order: int):
+    """Exact Taylor coefficients of a coefficient expression at x (a float
+    or an array of points).
 
     ``expr`` is any object exposing ``eval_jet(x, order)``; in practice a
     parsed expression tree (see :mod:`pseudobosons.expressions`).
     """
-    return expr.eval_jet(float(x), _check_order(order))
+    return expr.eval_jet(x, _check_order(order))
 
 
 def sqrt_factorial(n: int) -> float:

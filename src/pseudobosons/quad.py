@@ -283,14 +283,17 @@ class TestFunction:
                        * (-2.0 * ti / (u * u)) / self.width)
         return out
 
-    def jet(self, x: float, order: int) -> Jet:
-        t0 = (x - self.center) / self.width
-        if abs(t0) >= 1.0 - 1e-14:
-            return Jet.constant(0.0, x, order)
-        t = (Jet.variable(x, order) - self.center) * (1.0 / self.width)
+    def jet(self, x, order: int) -> Jet:
+        """Jet at a point or at every point of an array; the coefficients
+        are exactly 0 outside the open support."""
+        xs = np.asarray(x, dtype=float)
+        inside = np.abs((xs - self.center) / self.width) < 1.0 - 1e-14
+        # evaluate outside points at the center, then zero them
+        safe = np.where(inside, xs, self.center)
+        t = (Jet.variable(safe, order) - self.center) * (1.0 / self.width)
         u = 1.0 - jet_powi(t, 2)
-        g = jet_exp(-(Jet.constant(1.0, x, order) / u))
-        return g * self.amplitude
+        g = jet_exp(-(1.0 / u)) * self.amplitude
+        return Jet(x, np.where(inside, g.coeffs, 0.0))
 
     def l2_norm(self) -> float:
         lo, hi = self.support

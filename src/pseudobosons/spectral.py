@@ -38,6 +38,7 @@ __all__ = [
     "apply_hamiltonian",
     "eigen_residual",
     "hsusy_shift_check",
+    "printed_hamiltonian_crosscheck",
     "builtin_hamiltonian_crosscheck",
     "PRINTED_HAMILTONIANS",
 ]
@@ -56,11 +57,7 @@ class HamiltonianCoeffs:
 
     def values(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
-        out = []
-        for fn in (self.c2, self.c1, self.c0):
-            out.append(np.array([fn(float(x), 0).value for x in xs.ravel()],
-                                dtype=np.complex128).reshape(xs.shape))
-        return tuple(out)
+        return tuple(fn(xs, 0).value for fn in (self.c2, self.c1, self.c0))
 
 
 def hamiltonian_coeffs(m: PBModel, side: str) -> HamiltonianCoeffs:
@@ -109,17 +106,27 @@ def hamiltonian_coeffs(m: PBModel, side: str) -> HamiltonianCoeffs:
     raise ModelError(f"side must be 'H' or 'H_dag', not {side!r}")
 
 
-def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x: float) -> complex:
-    """-c2 f'' + c1 f' + c0 f at x; agrees with composing the two ladder
-    factors (b after a, or a^dag after b^dag)."""
-    coeffs = hamiltonian_coeffs(m, side)
+def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x) -> complex:
+    """-c2 f'' + c1 f' + c0 f at x (a point or an array); agrees with
+    composing the two ladder factors (b after a, or a^dag after b^dag)."""
+    c2, c1, c0 = hamiltonian_coeffs(m, side).values(x)
     fj = f(x, 2)
-    return (-coeffs.c2(x, 0).value * fj.derivative(2)
-            + coeffs.c1(x, 0).value * fj.derivative(1)
-            + coeffs.c0(x, 0).value * fj.value)
+    return -c2 * fj.derivative(2) + c1 * fj.derivative(1) + c0 * fj.value
 
 
 _TAIL_FLOOR = 1e-250  # below this |state| the residual is 0/0 noise
+
+
+def _relative_sup(residual, state, n: int) -> float:
+    """sup |residual| / sup |state|, with the points where |state| is
+    below the tail floor counted as 0 (their residual may not be
+    finite)."""
+    mag = np.abs(state)
+    res = np.where(mag < _TAIL_FLOOR, 0.0, np.abs(residual))
+    sup = float(np.max(mag))
+    if sup == 0.0:
+        raise ModelError(f"state level {n} vanished on the whole grid")
+    return float(np.max(res)) / sup
 
 
 def eigen_residual(m: PBModel, side: str, n: int, grid) -> float:
@@ -128,22 +135,12 @@ def eigen_residual(m: PBModel, side: str, n: int, grid) -> float:
     side), over the effective support of the state."""
     grid = np.asarray(grid, dtype=float)
     fam = StateFamily(m, "phi" if side == "H" else "psi", max_n=n)
-    coeffs = hamiltonian_coeffs(m, side)
-    res = np.zeros(grid.size)
-    mag = np.zeros(grid.size)
-    for i, x in enumerate(grid):
-        fj = fam.jet(n, float(x), 2)
-        mag[i] = abs(fj.value)
-        if mag[i] < _TAIL_FLOOR:
-            continue
-        h_val = (-coeffs.c2(float(x), 0).value * fj.derivative(2)
-                 + coeffs.c1(float(x), 0).value * fj.derivative(1)
-                 + coeffs.c0(float(x), 0).value * fj.value)
-        res[i] = abs(h_val - n * fj.value)
-    sup = float(np.max(mag))
-    if sup == 0.0:
-        raise ModelError(f"state level {n} vanished on the whole grid")
-    return float(np.max(res)) / sup
+    fj = fam.jet(n, grid, 2)
+    c2, c1, c0 = hamiltonian_coeffs(m, side).values(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_val = (-c2 * fj.derivative(2) + c1 * fj.derivative(1)
+                 + c0 * fj.value)
+        return _relative_sup(h_val - n * fj.value, fj.value, n)
 
 
 def hsusy_shift_check(m: PBModel, n: int, grid) -> float:
@@ -156,18 +153,10 @@ def hsusy_shift_check(m: PBModel, n: int, grid) -> float:
     def b_src(xx, oo):
         return apply_ladder(m, "b", src, xx, oo)
 
-    res = np.zeros(grid.size)
-    mag = np.zeros(grid.size)
-    for i, x in enumerate(grid):
-        mag[i] = abs(fam.jet(n, float(x), 0).value)
-        if mag[i] < _TAIL_FLOOR:
-            continue
-        val = apply_ladder(m, "a", b_src, float(x), 0).value
-        res[i] = abs(val - (n + 1) * fam.jet(n, float(x), 0).value)
-    sup = float(np.max(mag))
-    if sup == 0.0:
-        raise ModelError(f"state level {n} vanished on the whole grid")
-    return float(np.max(res)) / sup
+    phi_n = fam.jet(n, grid, 0).value
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = apply_ladder(m, "a", b_src, grid, 0).value
+        return _relative_sup(val - (n + 1) * phi_n, phi_n, n)
 
 
 # ----------------------------------------------------------------------
@@ -229,30 +218,42 @@ def _printed_example2():
 PRINTED_HAMILTONIANS = ("example1", "example2", "constant_k")
 
 
-def builtin_hamiltonian_crosscheck(name: str, *, k: float = 1.0,
+def _printed_forms(name: str, k: float):
+    if name == "constant_k":
+        return _printed_constant_k(k)
+    if name == "example1":
+        return _printed_example1()
+    if name == "example2":
+        return _printed_example2()
+    raise ModelError(
+        f"no printed Hamiltonian for {name!r}; known: {PRINTED_HAMILTONIANS}"
+    )
+
+
+def printed_hamiltonian_crosscheck(m: PBModel, name: str, *, k: float = 1.0,
                                    grid=None) -> float:
     """Maximum pointwise deviation, over all six coefficients of H and
-    H^dag, between the explicitly printed operators and the ones derived
-    from the coefficient formulas."""
+    H^dag, between the printed operators ``name`` (with parameter ``k`` for
+    constant_k) and the ones derived from the coefficients of model m."""
+    printed_h, printed_hdag = _printed_forms(name, k)
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 241)
     grid = np.asarray(grid, dtype=float)
-    if name == "constant_k":
-        m = build_builtin("constant_alpha", alpha_a=1.0, alpha_b=1.0, k=k)
-        printed_h, printed_hdag = _printed_constant_k(k)
-    elif name == "example1":
-        m = build_builtin("example1")
-        printed_h, printed_hdag = _printed_example1()
-    elif name == "example2":
-        m = build_builtin("example2")
-        printed_h, printed_hdag = _printed_example2()
-    else:
-        raise ModelError(
-            f"no printed Hamiltonian for {name!r}; known: {PRINTED_HAMILTONIANS}"
-        )
     worst = 0.0
     for side, printed in (("H", printed_h), ("H_dag", printed_hdag)):
         derived = hamiltonian_coeffs(m, side).values(grid)
         for got, want in zip(derived, printed(grid)):
             worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
+
+
+def builtin_hamiltonian_crosscheck(name: str, *, k: float = 1.0,
+                                   grid=None) -> float:
+    """:func:`printed_hamiltonian_crosscheck` on the builtin model that
+    the printed operators ``name`` describe."""
+    _printed_forms(name, k)  # reject unknown names before building
+    if name == "constant_k":
+        m = build_builtin("constant_alpha", alpha_a=1.0, alpha_b=1.0, k=k)
+    else:
+        m = build_builtin(name)
+    return printed_hamiltonian_crosscheck(m, name, k=k, grid=grid)

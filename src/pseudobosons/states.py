@@ -219,7 +219,8 @@ class StateFamily:
         if not 0 <= n <= self.max_n:
             raise ModelError(f"n = {n} outside 0..max_n = {self.max_n}")
 
-    def jet(self, n: int, x: float, order: int) -> Jet:
+    def jet(self, n: int, x, order: int) -> Jet:
+        """Jet of the n-th state at a point or at every point of an array."""
         self._check_n(n)
         if _has_closed_form(self.model):
             poly = pi_sigma_closed(self.model, self._poly_side, n, x, order)
@@ -271,12 +272,7 @@ class StateFamily:
 
             return values
 
-        def values(xs):
-            xs = np.asarray(xs, dtype=float)
-            return np.array([self.jet(n, float(x), 0).value for x in xs.ravel()],
-                            dtype=np.complex128).reshape(xs.shape)
-
-        return values
+        return lambda xs: self.jet(n, np.asarray(xs, dtype=float), 0).value
 
     def values(self, n: int, xs) -> np.ndarray:
         return self.values_fn(n)(np.asarray(xs, dtype=float))
@@ -357,19 +353,15 @@ def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n: int,
     m = phi_fam.model
 
     def sup_residual(fam, op, target_scale):
-        src = fam.jet_fn(n)
-        tgt_n = n + 1 if target_scale == "up" else n - 1
-        scale = math.sqrt(n + 1) if target_scale == "up" else math.sqrt(max(n, 0))
-        res = np.empty(grid.size)
-        ref = np.empty(grid.size)
-        for i, x in enumerate(grid):
-            applied = apply_ladder(m, op, src, x, 0).value
-            if tgt_n < 0:
-                target = 0.0
-            else:
-                target = scale * fam.jet(tgt_n, x, 0).value
-            res[i] = abs(applied - target)
-            ref[i] = abs(fam.jet(n, x, 0).value)
+        applied = apply_ladder(m, op, fam.jet_fn(n), grid, 0).value
+        if target_scale == "up":
+            target = math.sqrt(n + 1) * fam.jet(n + 1, grid, 0).value
+        elif n > 0:
+            target = math.sqrt(n) * fam.jet(n - 1, grid, 0).value
+        else:
+            target = 0.0
+        res = np.abs(applied - target)
+        ref = np.abs(fam.jet(n, grid, 0).value)
         return float(np.max(res) / max(np.max(ref), 1e-300))
 
     return LadderResiduals(

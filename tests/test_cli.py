@@ -6,6 +6,8 @@ import pytest
 
 from pseudobosons import StateFamily, build_builtin, fix_normalization
 from pseudobosons.cli import (
+    BLOCKED_BY,
+    CHECK_ORDER,
     ConfigError,
     build_model,
     cmd_check,
@@ -144,6 +146,11 @@ class TestCmdCheck:
         r2 = cmd_check(cfg2).to_json(include_timing=False)
         assert r1 == r2
 
+    def test_prerequisites_come_first(self):
+        # cmd_check resolves blocking in one pass over CHECK_ORDER
+        for name, pre in BLOCKED_BY.items():
+            assert CHECK_ORDER.index(pre) < CHECK_ORDER.index(name)
+
     def test_parallel_jobs_same_report(self, tmp_path):
         body = EX2_CONFIG.format(out=tmp_path / "out")
         seq = cmd_check(load_config(write_config(tmp_path, body, "s.ini")))
@@ -151,6 +158,24 @@ class TestCmdCheck:
                                     jobs_override=4))
         assert seq.to_json(include_timing=False) == \
             par.to_json(include_timing=False)
+
+
+    def test_crosscheck_evaluates_the_users_model(self, tmp_path):
+        # named like the builtin, but beta_b is wrong: the cross-check
+        # must compare this model's own coefficients, not the builtin's
+        body = ("[model]\nname = example1\n"
+                "alpha_a = 1/(1+x^2)\nbeta_a = x + x^3/3\n"
+                "alpha_b = 1/(1+x^2)\nbeta_b = 5*x\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 61\n"
+                "[run]\nchecks = {checks}\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        alone = cmd_check(load_config(write_config(
+            tmp_path, body.format(checks="hamiltonian_crosscheck"), "a.ini")))
+        assert [r.verdict for r in alone.records] == ["fail"]
+        both = cmd_check(load_config(write_config(
+            tmp_path, body.format(checks="conditions hamiltonian_crosscheck"),
+            "b.ini")))
+        assert [r.verdict for r in both.records] == ["fail", "blocked"]
 
 
 class TestExitCodes:

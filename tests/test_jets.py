@@ -65,6 +65,18 @@ class TestExamples:
                            atol=1e-15)
 
 
+class TestTanhSaturation:
+    @pytest.mark.parametrize("x", [800.0, -800.0])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_tanh_far_out(self, x, order):
+        # sinh and cosh overflow here; tanh itself is +-1 with flat slope
+        tree = parse_expr("tanh(x)")
+        want = np.zeros(order + 1)
+        want[0] = math.copysign(1.0, x)
+        assert np.array_equal(tree.eval_jet(x, order).coeffs, want)
+        assert tree.eval_values(np.array([x]))[0] == want[0]
+
+
 class TestErrors:
     def test_mismatched_base(self):
         with pytest.raises(JetError, match="base"):
