@@ -140,14 +140,14 @@ def moment_check(radial_density: Callable[[np.ndarray], np.ndarray],
     if radius is None:
         radius = convergence_radius(profile)
     upper = None if math.isinf(radius) else radius
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        val = integrate_line(
-            lambda r, _k=k: radial_density(r) * r ** (2 * _k),
-            0.0, upper, tol=tol, rtol=tol,
-        ).value
-        out[k] = val.real - profile.alpha_factorial_sq(k) / (2.0 * math.pi)
-    return out
+    ks = np.arange(k_max + 1)
+    moments = integrate_line(
+        lambda r: np.asarray(radial_density(r))[..., None]
+        * r[:, None] ** (2 * ks),
+        0.0, upper, tol=tol, rtol=tol,
+    ).value
+    return moments.real - np.array(
+        [profile.alpha_factorial_sq(k) for k in ks]) / (2.0 * math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -211,17 +211,17 @@ def _flavor_overlap_bound(m: PBModel, side: str,
 
 
 def _transform_norms(m: PBModel, g) -> dict:
-    norms = {}
     if isinstance(m.flavor, ProportionalFlavor) and m.rho is not None \
             and hasattr(g, "support"):
-        lo, hi = quad.transform_support(m, g)
-        for sign in ("plus", "minus"):
-            val = integrate_line(
-                lambda s, _s=sign: np.abs(quad.transform_pm(m, g, _s, s)) ** 2,
-                lo, hi,
-            ).value
-            norms[sign] = math.sqrt(val.real)
-    return norms
+        signs = ("plus", "minus")
+        vals = integrate_line(
+            lambda s: np.abs(np.stack(
+                [quad.transform_pm(m, g, sign, s) for sign in signs],
+                axis=-1)) ** 2,
+            *quad.transform_support(m, g),
+        ).value
+        return {sign: math.sqrt(v.real) for sign, v in zip(signs, vals)}
+    return {}
 
 
 class PairingSeries:
@@ -312,27 +312,29 @@ class EigenRelationResult:
     relative_psi: float
 
 
-def eigen_relation_residual(m: PBModel, z: complex, g: TestFunction,
-                            *, max_terms: int = 60) -> EigenRelationResult:
+def eigen_relation_residual(m: PBModel, z, g: TestFunction,
+                            *, max_terms: int = 60):
+    """Residuals at one z, or a list of them for a sequence of z; the
+    four pairing series are built once per call."""
     m.ensure_normalized()
-    z = complex(z)
-    results = {}
-    for side, op in (("phi", "a_dag"), ("psi", "b")):
-        plain = PairingSeries(m, g, side, state_in_bra=False,
-                              max_terms=max_terms)
-        moved = PairingSeries(m, TransformedTestFunction(m, op, g), side,
-                              state_in_bra=False, max_terms=max_terms)
-        # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>
-        lhs = moved.eval(z, conjugate_z=False)
-        rhs = z * plain.eval(z, conjugate_z=False)
-        results[side] = (lhs - rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return EigenRelationResult(
-        z=z,
-        residual_phi=results["phi"][0],
-        residual_psi=results["psi"][0],
-        relative_phi=results["phi"][1],
-        relative_psi=results["psi"][1],
-    )
+    series = [(PairingSeries(m, g, side, state_in_bra=False,
+                             max_terms=max_terms),
+               PairingSeries(m, TransformedTestFunction(m, op, g), side,
+                             state_in_bra=False, max_terms=max_terms))
+              for side, op in (("phi", "a_dag"), ("psi", "b"))]
+
+    def at(z: complex) -> EigenRelationResult:
+        z = complex(z)
+        res = []
+        for plain, moved in series:
+            # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>
+            lhs = moved.eval(z, conjugate_z=False)
+            rhs = z * plain.eval(z, conjugate_z=False)
+            res.append((lhs - rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)))
+        (r_phi, rel_phi), (r_psi, rel_psi) = res
+        return EigenRelationResult(z, r_phi, r_psi, rel_phi, rel_psi)
+
+    return at(z) if np.ndim(z) == 0 else [at(zz) for zz in z]
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +360,14 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
                            n_theta: Optional[int] = None,
                            *, max_terms: int = 60,
                            trace_radii: Optional[Sequence[float]] = None,
+                           g_series: Optional[tuple] = None,
                            ) -> ResolutionResult:
     """(1/pi) * integral over |z| <= R of <f, Phi(z)><Psi(z), g> (and the
     swapped ordering) against the Lebesgue area measure, compared with
     <f, g>.
+
+    ``g_series`` optionally passes prebuilt (<phi_n, g>, <psi_n, g>)
+    series (``state_in_bra=True``, ``max_terms`` terms) to reuse.
 
     Measure bookkeeping: for alpha_n = sqrt(n) the norm factor is
     N(r)^2 = exp(-r^2), and the radial measure dlambda(r) =
@@ -377,15 +383,18 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
         n_theta = 2 * max_terms + 3
     f_phi = PairingSeries(m, f, "phi", state_in_bra=False, max_terms=max_terms)
     f_psi = PairingSeries(m, f, "psi", state_in_bra=False, max_terms=max_terms)
-    g_phi = PairingSeries(m, g, "phi", state_in_bra=True, max_terms=max_terms)
-    g_psi = PairingSeries(m, g, "psi", state_in_bra=True, max_terms=max_terms)
+    g_phi, g_psi = g_series or [
+        PairingSeries(m, g, side, state_in_bra=True, max_terms=max_terms)
+        for side in ("phi", "psi")]
+    if g_phi.max_terms != max_terms or g_psi.max_terms != max_terms:
+        raise ValueError("g_series must have max_terms terms")
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    w_theta = 2.0 * math.pi / n_theta
 
     def integral(radius: float, ordering: str) -> complex:
-        nodes, weights = np.polynomial.legendre.leggauss(n_r)
         r = 0.5 * radius * (nodes + 1.0)
         wr = 0.5 * radius * weights
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        w_theta = 2.0 * math.pi / n_theta
         z = r[:, None] * np.exp(1j * theta[None, :])
         if ordering == "phi_psi":
             bra, ket = f_phi, g_psi
@@ -402,8 +411,10 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
         [R * (i + 1) / 6.0 for i in range(6)]
     trace = [(rr, integral(rr, "phi_psi"), integral(rr, "psi_phi"))
              for rr in radii]
-    v_pp = integral(R, "phi_psi")
-    v_pf = integral(R, "psi_phi")
+    if radii and radii[-1] == R:  # the same rule at the same radius
+        v_pp, v_pf = trace[-1][1:]
+    else:
+        v_pp, v_pf = integral(R, "phi_psi"), integral(R, "psi_phi")
 
     # diagonal-term mass outside |z| <= R: the angular integral kills all
     # cross terms, so the truncated disc misses sum_n a_n b_n Q(n+1, R^2)

@@ -301,8 +301,12 @@ def _check_normalization(m, cfg):
 def _check_biorthonormality(m, cfg):
     if m.norm_product is None:
         states.fix_normalization(m)
-    _, dev = quad.biorthonormality_matrix(m, cfg.n_max)
-    return dev, {"matrix_size": cfg.n_max + 1}
+    _, dev, res = quad.biorthonormality_matrix(m, cfg.n_max,
+                                               return_integral=True)
+    return dev, {"matrix_size": cfg.n_max + 1,
+                 "max_abs_error_estimate":
+                     float(np.max(res.abs_error_estimate)),
+                 "quad_panels": res.panels_used}
 
 
 def _check_ladder(m, cfg):
@@ -435,8 +439,7 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
         fam = states.StateFamily(m, side, max_n=cfg.n_max)
         cols = [xs.astype(float)]
         header = ["x"]
-        for n in range(cfg.n_max + 1):
-            vals = fam.values(n, xs)
+        for n, vals in enumerate(fam.values_all(xs)):
             cols.extend([vals.real, vals.imag])
             header.extend([f"{side}{n}_re", f"{side}{n}_im"])
         path = cfg.out_dir / f"states_{side}.csv"
@@ -503,8 +506,8 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
     worst_eigen = 0.0
     rows = []
-    for z in z_grid:
-        res = bc.eigen_relation_residual(m, z, g, max_terms=p["max_terms"])
+    eigen = bc.eigen_relation_residual(m, z_grid, g, max_terms=p["max_terms"])
+    for z, res in zip(z_grid, eigen):
         if abs(z) > 0:
             worst_eigen = max(worst_eigen, res.relative_phi, res.relative_psi)
         rows.append((z.real, z.imag, abs(res.residual_phi),
@@ -517,7 +520,8 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
     resolution = bc.resolution_of_identity(
         m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
-        n_theta=p["angular_nodes"], max_terms=p["max_terms"])
+        n_theta=p["angular_nodes"], max_terms=p["max_terms"],
+        g_series=(phi_series, psi_series))
     ref = resolution.reference
     rows = [
         (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,
@@ -547,7 +551,8 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
                           resolution.deviation_psi_phi)
             <= p["tolerance_resolution"] else "fail",
             {"radius": p["resolution_radius"],
-             "reference_re": ref.real, "reference_im": ref.imag},
+             "reference_re": ref.real, "reference_im": ref.imag,
+             "tail_estimate": resolution.tail_estimate},
         ),
     ]
     bad = any(r.verdict != "pass" for r in records)

@@ -61,6 +61,8 @@ class RhoError(Exception):
 
 @dataclass
 class IntegralResult:
+    """Scalar value and error, or (M,) arrays for an (npts, M) integrand."""
+
     value: complex
     abs_error_estimate: float
     panels_used: int
@@ -102,14 +104,20 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss nodes sit at the odd Kronrod slots
 
 def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
     """Kronrod and Gauss sums, error estimates, and the Kronrod sum of |f|
-    (the roundoff witness) for a batch of panels."""
+    (the roundoff witness) for a batch of panels: shape (panels,) for a
+    scalar integrand, (panels, M) for one returning (npts, M)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
-    kron = (vals @ _WGK) * half
-    gauss = (vals[:, _GAUSS_IDX] @ _WG) * half
-    kabs = (np.abs(vals) @ _WGK) * half
+    vals = np.asarray(f(xs.ravel()), dtype=np.complex128)
+    if vals.ndim == 1:  # the fast path of scalar integrands
+        vals = vals.reshape(xs.shape)
+        sums = (vals @ _WGK, vals[:, _GAUSS_IDX] @ _WG, np.abs(vals) @ _WGK)
+    else:  # (npts, M): sum along the node axis
+        vals = vals.reshape(xs.shape + vals.shape[1:])
+        half = half[:, None]
+        sums = (_WGK @ vals, _WG @ vals[:, _GAUSS_IDX], _WGK @ np.abs(vals))
+    kron, gauss, kabs = (s * half for s in sums)
     diff = np.abs(kron - gauss)
     # QUADPACK-style sharpened estimate once the rule starts converging
     err = np.where(diff < 5e-3, (200.0 * diff) ** 1.5, diff)
@@ -153,6 +161,12 @@ def _truncate_side(probe, tol: float, sign: int) -> float:
     )
 
 
+def _result(value, err, panels: int, bounds) -> IntegralResult:
+    if np.ndim(value):  # already complex / float arrays
+        return IntegralResult(value, err, panels, bounds)
+    return IntegralResult(complex(value), float(err), panels, bounds)
+
+
 def integrate_line(
     f: Callable[[np.ndarray], np.ndarray],
     a: Optional[float] = None,
@@ -165,11 +179,18 @@ def integrate_line(
 ) -> IntegralResult:
     """Adaptive line integral of a vectorized integrand.
 
+    ``f`` maps npts points to npts values, or to an (npts, M) array of M
+    integrands that share one set of panels (vector-valued quadrature,
+    Shampine, J. Comput. Appl. Math. 211 (2008)); ``value`` and
+    ``abs_error_estimate`` then have shape (M,).
+
     ``a``/``b`` may be None or infinite; such ends are truncated using
     ``envelope`` (a nonnegative decay bound on |f|) or, if no envelope is
-    given, the sampled magnitude of ``f`` itself.  Panels are accepted
-    once their error estimate is below max(tol, rtol * |integral|),
-    apportioned by width.
+    given, the largest sampled magnitude of ``f`` itself.  Component j is
+    accepted once its error estimate is below
+    max(tol, rtol * |I_j|, 50 eps * integral of |f_j|), apportioned to
+    panels by width.  A panel is kept only when every component meets its
+    share, so no component is integrated more loosely than on its own.
     """
     def probe(x: float) -> float:
         if envelope is not None:
@@ -181,7 +202,9 @@ def integrate_line(
     a_eff = _truncate_side(probe, tol, -1) if lo_inf else float(a)
     b_eff = _truncate_side(probe, tol, +1) if hi_inf else float(b)
     if a_eff == b_eff:
-        return IntegralResult(0.0 + 0.0j, 0.0, 0, (a_eff, b_eff))
+        shape = np.shape(f(np.array([a_eff])))[1:]
+        return _result(np.zeros(shape, dtype=np.complex128), np.zeros(shape),
+                       0, (a_eff, b_eff))
     if a_eff > b_eff:
         res = integrate_line(f, b_eff, a_eff, tol=tol, rtol=rtol,
                              envelope=envelope, max_panels=max_panels)
@@ -206,29 +229,32 @@ def integrate_line(
                 best_value=done_val, error_estimate=done_err,
             )
         kron, err, kabs = _panel_sums(f, lo, hi)
-        # acceptance level: requested tolerances, but never below the
-        # roundoff floor of the absolute-value mass in play
-        scale = max(tol, rtol * abs(done_val + kron.sum()),
-                    50.0 * eps * (done_abs + kabs.sum()))
-        if done_err + err.sum() <= scale:  # global budget already met
-            return IntegralResult(complex(done_val + kron.sum()),
-                                  float(done_err + err.sum()),
-                                  total_panels, (a_eff, b_eff))
-        ok = err <= scale * (hi - lo) / width_total
-        done_val += kron[ok].sum()
-        done_err += err[ok].sum()
-        done_abs += kabs[ok].sum()
-        if np.all(ok):
-            return IntegralResult(complex(done_val), float(done_err),
-                                  total_panels, (a_eff, b_eff))
+        val = done_val + kron.sum(axis=0)
+        val_err = done_err + err.sum(axis=0)
+        # acceptance level per component: requested tolerances, but never
+        # below the roundoff floor of the absolute-value mass in play; the
+        # builtin max keeps the scalar path as fast as it was
+        vmax = max if kron.ndim == 1 else np.maximum
+        scale = vmax(vmax(tol, rtol * abs(val)),
+                     50.0 * eps * (done_abs + kabs.sum(axis=0)))
+        if (val_err <= scale).all():  # global budget already met
+            return _result(val, val_err, total_panels, (a_eff, b_eff))
+        share = scale * (hi - lo)[:, None] / width_total
+        ok = (err.reshape(lo.size, -1) <= share).all(axis=1)
+        done_val = done_val + kron[ok].sum(axis=0)
+        done_err = done_err + err[ok].sum(axis=0)
+        done_abs = done_abs + kabs[ok].sum(axis=0)
+        if ok.all():
+            return _result(done_val, done_err, total_panels, (a_eff, b_eff))
         lo_bad, hi_bad = lo[~ok], hi[~ok]
         mid = 0.5 * (lo_bad + hi_bad)
         lo = np.concatenate([lo_bad, mid])
         hi = np.concatenate([mid, hi_bad])
-    best = complex(done_val + kron[~ok].sum())
+    best = _result(done_val + kron[~ok].sum(axis=0),
+                   done_err + err[~ok].sum(axis=0), total_panels, None)
     raise QuadratureError(
         "adaptive refinement failed to converge",
-        best_value=best, error_estimate=float(done_err + err[~ok].sum()),
+        best_value=best.value, error_estimate=best.abs_error_estimate,
     )
 
 
@@ -310,16 +336,17 @@ class TestFunction:
 # Hermite helpers and oscillator eigenfunctions
 # ----------------------------------------------------------------------
 
-def hermite_value(n: int, y):
-    """H_n(y) for scalar or array y (complex-safe three-term recurrence)."""
+def hermite_value(n, y):
+    """H_n(y) for scalar or array y (complex-safe three-term recurrence).
+
+    ``n`` is one level, or a 1-D array of levels whose values are stacked
+    along a new first axis; each row is bitwise the single-level result.
+    """
     y = np.asarray(y, dtype=np.complex128)
-    h_prev = np.ones_like(y)
-    if n == 0:
-        return h_prev
-    h = 2.0 * y
-    for k in range(1, n):
-        h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
-    return h
+    rows = [np.ones_like(y), 2.0 * y]
+    for k in range(1, int(np.max(n))):
+        rows.append(2.0 * y * rows[k] - 2.0 * k * rows[k - 1])
+    return rows[n] if np.ndim(n) == 0 else np.stack([rows[k] for k in n])
 
 
 def oscillator_en(n: int, s):
@@ -464,30 +491,32 @@ def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
 def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
                    tol: float = 1e-12) -> np.ndarray:
     """Vector of compatibility forms between a compactly supported test
-    function and the first n_max+1 family members.
+    function and the first n_max+1 family members, computed as one
+    vector-valued integral over all levels on the support of ``h``; each
+    level keeps the absolute tolerance ``tol`` of its own integral.
 
     state_in_bra=True gives <state_n, h>; False gives <h, state_n>.
     """
     from .states import StateFamily  # deferred to avoid an import cycle
 
     fam = StateFamily(m, side, max_n=n_max)
-    lo, hi = h.support
-    out = np.empty(n_max + 1, dtype=np.complex128)
-    hv = h.values
-    for n in range(n_max + 1):
-        sv = fam.values_fn(n)
+
+    def integrand(xs):
+        states, hv = fam.values_all(xs), h.values(xs)
         if state_in_bra:
-            integrand = lambda xs: np.conj(sv(xs)) * hv(xs)
-        else:
-            integrand = lambda xs: np.conj(hv(xs)) * sv(xs)
-        out[n] = integrate_line(integrand, lo, hi, tol=tol).value
-    return out
+            return (np.conj(states) * hv).T
+        return (np.conj(hv) * states).T
+
+    return integrate_line(integrand, *h.support, tol=tol).value
 
 
-def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12):
+def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
+                            return_integral: bool = False):
     """(N+1) x (N+1) Gram matrix G[m, n] = <psi_m, phi_n> and its maximum
-    deviation from the identity.  Requires the normalization product to
-    have been fixed."""
+    deviation from the identity, as one vector-valued integral whose
+    entries each keep the absolute tolerance ``tol``; ``return_integral``
+    appends its IntegralResult (per-entry error estimates, panels).
+    Requires the normalization product to have been fixed."""
     from .states import StateFamily, pair_envelope
 
     if m.norm_product is None:
@@ -496,18 +525,16 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12):
         )
     phi = StateFamily(m, "phi", max_n=N)
     psi = StateFamily(m, "psi", max_n=N)
-    G = np.empty((N + 1, N + 1), dtype=np.complex128)
-    env = pair_envelope(m, 2 * N)
-    for mi in range(N + 1):
-        pv = psi.values_fn(mi)
-        for ni in range(N + 1):
-            fv = phi.values_fn(ni)
-            G[mi, ni] = integrate_line(
-                lambda xs: np.conj(pv(xs)) * fv(xs),
-                None, None, tol=tol, envelope=env,
-            ).value
+
+    def integrand(xs):
+        gram = np.conj(psi.values_all(xs))[:, None] * phi.values_all(xs)[None]
+        return gram.reshape(-1, xs.size).T
+
+    res = integrate_line(integrand, None, None, tol=tol,
+                         envelope=pair_envelope(m, 2 * N))
+    G = res.value.reshape(N + 1, N + 1)
     dev = float(np.max(np.abs(G - np.eye(N + 1))))
-    return G, dev
+    return (G, dev, res) if return_integral else (G, dev)
 
 
 # ----------------------------------------------------------------------

@@ -137,6 +137,33 @@ def _principal_power_sqrt(base: complex, n: int) -> complex:
     return cmath.sqrt(base ** n)
 
 
+def _closed_form(m: PBModel, side: str):
+    """Parameters of the Hermite closed forms pi_n / sigma_n =
+    pref(n) H_n(scale * t) as (pref, k, scale), with t = x + k for
+    constant-alpha models and t = rho(x) (k None) for proportional ones."""
+    flavor = m.flavor
+    if not _has_closed_form(m):
+        raise ModelError(
+            f"no closed form for flavor {flavor.kind!r}; use pi_sigma_recursive"
+        )
+    if side not in ("pi", "sigma"):
+        raise ModelError(f"side must be 'pi' or 'sigma', not {side!r}")
+    if isinstance(flavor, ConstantAlphaFlavor):
+        if side == "pi":
+            aa, ab, k = flavor.alpha_a, flavor.alpha_b, flavor.k
+        else:
+            aa = flavor.alpha_b.conjugate()
+            ab = flavor.alpha_a.conjugate()
+            k = flavor.k.conjugate()
+        return (lambda n: _principal_power_sqrt(ab / (2.0 * aa), n),
+                k, 1.0 / cmath.sqrt(2.0 * aa * ab))
+    if m.rho is None:
+        raise ModelError("proportional model lacks a rho expression")
+    c = flavor.ratio
+    return (lambda n: (2.0 * c) ** (-0.5 * n) if side == "pi"
+            else (0.5 * c) ** (0.5 * n)), None, 1.0 / math.sqrt(2.0 * c)
+
+
 def pi_sigma_closed(m: PBModel, side: str, n: int, x: float,
                     order: int) -> Jet:
     """Hermite closed forms.
@@ -151,32 +178,9 @@ def pi_sigma_closed(m: PBModel, side: str, n: int, x: float,
     Complex square roots are principal.  Only these flavors carry
     closed forms; anything else must use the recursive evaluator.
     """
-    flavor = m.flavor
-    if isinstance(flavor, ConstantAlphaFlavor):
-        if side == "pi":
-            aa, ab, k = flavor.alpha_a, flavor.alpha_b, flavor.k
-        elif side == "sigma":
-            aa = flavor.alpha_b.conjugate()
-            ab = flavor.alpha_a.conjugate()
-            k = flavor.k.conjugate()
-        else:
-            raise ModelError(f"side must be 'pi' or 'sigma', not {side!r}")
-        pref = _principal_power_sqrt(ab / (2.0 * aa), n)
-        scale = 1.0 / cmath.sqrt(2.0 * aa * ab)
-        arg = (Jet.variable(x, order) + k) * scale
-        return jet_hermite(arg, n) * pref
-    if isinstance(flavor, ProportionalFlavor):
-        if side not in ("pi", "sigma"):
-            raise ModelError(f"side must be 'pi' or 'sigma', not {side!r}")
-        if m.rho is None:
-            raise ModelError("proportional model lacks a rho expression")
-        c = flavor.ratio
-        w = m.rho.eval_jet(x, order) * (1.0 / math.sqrt(2.0 * c))
-        pref = (2.0 * c) ** (-0.5 * n) if side == "pi" else (0.5 * c) ** (0.5 * n)
-        return jet_hermite(w, n) * pref
-    raise ModelError(
-        f"no closed form for flavor {flavor.kind!r}; use pi_sigma_recursive"
-    )
+    pref, k, scale = _closed_form(m, side)
+    t = m.rho.eval_jet(x, order) if k is None else Jet.variable(x, order) + k
+    return jet_hermite(t * scale, n) * pref(n)
 
 
 def _has_closed_form(m: PBModel) -> bool:
@@ -234,45 +238,30 @@ class StateFamily:
         return lambda x, order: self.jet(n, x, order)
 
     def values_fn(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized pointwise evaluator (closed form when available)."""
+        """Vectorized pointwise evaluator of level n (one row of
+        :meth:`values_all`)."""
         self._check_n(n)
+        return lambda xs: self._levels([n], xs)[0]
+
+    def values_all(self, xs) -> np.ndarray:
+        """(max_n + 1, npts) values of every level on the points ``xs``."""
+        return self._levels(range(self.max_n + 1), xs)
+
+    def _levels(self, ns, xs) -> np.ndarray:
+        """Stacked values of the levels ``ns``: one Hermite recurrence for
+        all of them in the closed-form flavors, per-level jets otherwise."""
+        xs = np.asarray(xs, dtype=float)
         m = self.model
-        norm = self.normalization / sqrt_factorial(n)
-        flavor = m.flavor
-        if isinstance(flavor, ConstantAlphaFlavor):
-            if self.side == "phi":
-                aa, ab, k = flavor.alpha_a, flavor.alpha_b, flavor.k
-            else:
-                aa = flavor.alpha_b.conjugate()
-                ab = flavor.alpha_a.conjugate()
-                k = flavor.k.conjugate()
-            pref = norm * _principal_power_sqrt(ab / (2.0 * aa), n)
-            scale = 1.0 / cmath.sqrt(2.0 * aa * ab)
-            vac = (m.phi_vacuum_values if self.side == "phi"
-                   else m.psi_vacuum_values)
-
-            def values(xs, _pref=pref, _scale=scale, _k=k, _vac=vac):
-                xs = np.asarray(xs, dtype=float)
-                return (_pref * hermite_value(n, (xs + _k) * _scale)
-                        * _vac(xs))
-
-            return values
-        if isinstance(flavor, ProportionalFlavor) and m.rho is not None:
-            c = flavor.ratio
-            pref = norm * ((2.0 * c) ** (-0.5 * n) if self.side == "phi"
-                           else (0.5 * c) ** (0.5 * n))
-            scale = 1.0 / math.sqrt(2.0 * c)
-            vac = (m.phi_vacuum_values if self.side == "phi"
-                   else m.psi_vacuum_values)
-
-            def values(xs, _pref=pref, _scale=scale, _vac=vac):
-                xs = np.asarray(xs, dtype=float)
-                w = quad.rho_values(self.model, xs) * _scale
-                return _pref * hermite_value(n, w) * _vac(xs)
-
-            return values
-
-        return lambda xs: self.jet(n, np.asarray(xs, dtype=float), 0).value
+        if not _has_closed_form(m):
+            return np.stack([self.jet(n, xs, 0).value for n in ns])
+        pref, k, scale = _closed_form(m, self._poly_side)
+        t = quad.rho_values(m, xs) if k is None else xs + k
+        vac = (m.phi_vacuum_values if self.side == "phi"
+               else m.psi_vacuum_values)(xs)
+        norm = np.array([self.normalization / sqrt_factorial(n) * pref(n)
+                         for n in ns])
+        return (norm.reshape((-1,) + (1,) * xs.ndim)
+                * hermite_value(ns, t * scale) * vac)
 
     def values(self, n: int, xs) -> np.ndarray:
         return self.values_fn(n)(np.asarray(xs, dtype=float))

@@ -1,0 +1,227 @@
+"""Vector-valued quadrature over all levels: the integrator on (npts, M)
+integrands, the stacked Hermite/state levels built on it, the Gram matrix
+and overlaps computed as one integral, and pairing series built once per
+command."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pseudobosons import (
+    biorthonormality_matrix,
+    eigen_relation_residual,
+    fix_normalization,
+    from_expressions,
+    resolution_of_identity,
+)
+from pseudobosons import bicoherent
+from pseudobosons.bicoherent import PairingSeries
+from pseudobosons.cli import cmd_bicoherent, cmd_check, load_config
+from pseudobosons.quad import (
+    QuadratureError,
+    TestFunction,
+    compatibility_form,
+    hermite_value,
+    integrate_line,
+    state_overlaps,
+)
+from pseudobosons.states import StateFamily
+
+DEMO_INI = Path(__file__).resolve().parents[1] / "demos" / "example_run.ini"
+
+
+def _raw_example1():
+    m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                         "-2*x/(1+x^2)^2", name="raw_rational")
+    fix_normalization(m)
+    return m
+
+
+class TestVectorIntegrator:
+    @settings(max_examples=40, deadline=None)
+    @given(center=st.floats(-1.0, 1.0), width=st.floats(0.4, 2.0),
+           shift=st.floats(-1.0, 1.0), scale=st.floats(0.5, 2.0),
+           levels=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+           phase=st.floats(0.0, 2.0 * math.pi))
+    def test_equals_stack_of_scalar_integrals(self, center, width, shift,
+                                              scale, levels, phase):
+        bump = TestFunction(center, width, amplitude=np.exp(1j * phase))
+
+        def level(n, xs):
+            return bump.values(xs) * hermite_value(n, (xs - shift) * scale)
+
+        lo, hi = bump.support
+        vec = integrate_line(
+            lambda xs: np.stack([level(n, xs) for n in levels], axis=-1),
+            lo, hi)
+        assert vec.value.shape == vec.abs_error_estimate.shape \
+            == (len(levels),)
+        eps = np.finfo(float).eps
+        for j, n in enumerate(levels):
+            one = integrate_line(lambda xs, _n=n: level(_n, xs), lo, hi)
+            mass = integrate_line(lambda xs, _n=n: np.abs(level(_n, xs)),
+                                  lo, hi).value.real
+            # each one's acceptance level: the absolute tol or the
+            # roundoff floor 50 eps * mass, whichever is larger
+            level_tol = max(1e-12, 50.0 * eps * mass)
+            assert abs(vec.value[j] - one.value) <= (
+                vec.abs_error_estimate[j] + one.abs_error_estimate
+                + 2.0 * level_tol)
+
+    def test_each_component_meets_its_own_tolerance(self):
+        # the small component needs more panels than the large one; with
+        # one acceptance level shared by both, the large component's
+        # roundoff floor (~2e-8) would let the small one stop early
+        c = 1e-14 / math.sqrt(math.pi)
+
+        def f(xs):
+            gauss = np.exp(-xs * xs)
+            return np.stack([1e6 * gauss,
+                             (np.cos(20.0 * xs + 0.3) + c) * gauss], axis=-1)
+
+        res = integrate_line(f, -6.0, 6.0, tol=1e-12)
+        small = 1e-14 + math.sqrt(math.pi) * math.exp(-100.0) * math.cos(0.3)
+        assert res.abs_error_estimate[1] <= 1e-12
+        assert abs(res.value[1] - small) <= 1e-12
+        assert abs(res.value[0] - 1e6 * math.sqrt(math.pi)) <= 1e-6
+
+    def test_vector_shapes_on_every_return_path(self):
+        def f(xs):
+            return np.stack([np.exp(-xs * xs), xs * np.exp(-xs * xs)], -1)
+
+        fwd = integrate_line(f, -1.0, 2.0)
+        back = integrate_line(f, 2.0, -1.0)
+        assert np.array_equal(back.value, -fwd.value)
+        empty = integrate_line(f, 0.5, 0.5)
+        assert empty.value.shape == empty.abs_error_estimate.shape == (2,)
+        assert not np.any(empty.value)
+        with pytest.raises(QuadratureError) as err:
+            integrate_line(
+                lambda xs: np.stack([np.cos(50 / (xs + 2.0001)),
+                                     np.ones_like(xs)], -1),
+                -2.0, 2.0, max_panels=200)
+        assert np.shape(err.value.best_value) == (2,)
+
+
+class TestLevels:
+    def test_hermite_rows_bitwise(self):
+        y = np.linspace(-3.0, 3.0, 31) * (1.0 + 0.3j)
+        rows = hermite_value(np.arange(13), y)
+        assert rows.shape == (13, 31)
+        for n in range(13):
+            assert np.array_equal(rows[n], hermite_value(n, y))
+        assert np.array_equal(hermite_value([4, 1], y.real),
+                              np.stack([hermite_value(4, y.real),
+                                        hermite_value(1, y.real)]))
+
+    @pytest.mark.parametrize("name", ["shifted", "swanson", "example2",
+                                      "raw"])
+    def test_values_all_rows(self, request, name):
+        m = _raw_example1() if name == "raw" else \
+            request.getfixturevalue(name)
+        xs = np.linspace(-2.5, 2.5, 23)
+        for side in ("phi", "psi"):
+            fam = StateFamily(m, side, max_n=6)
+            rows = fam.values_all(xs)
+            assert rows.shape == (7, xs.size)
+            for n in range(7):
+                assert np.array_equal(rows[n], fam.values_fn(n)(xs))
+                jet = fam.jet(n, xs, 0).value
+                assert np.max(np.abs(rows[n] - jet)) <= \
+                    1e-12 * np.max(np.abs(jet))
+
+
+class TestOverlapsAndGram:
+    def test_state_overlaps_match_compatibility_forms(self, example2,
+                                                      shifted):
+        h = TestFunction(0.3, 0.9)
+        for m in (example2, shifted):
+            for side in ("phi", "psi"):
+                fam = StateFamily(m, side, max_n=10)
+                bra = state_overlaps(m, h, side, 10, state_in_bra=True)
+                ket = state_overlaps(m, h, side, 10, state_in_bra=False)
+                for n in range(11):
+                    want_bra = compatibility_form(m, fam.values_fn(n), h)
+                    want_ket = compatibility_form(m, h, fam.values_fn(n))
+                    assert abs(bra[n] - want_bra.value) <= 1e-12
+                    assert abs(ket[n] - want_ket.value) <= 1e-12
+
+    def test_general_flavor_gram_matches_builtin(self, example1):
+        G_raw, dev_raw, res = biorthonormality_matrix(
+            _raw_example1(), 4, return_integral=True)
+        G_builtin, _ = biorthonormality_matrix(example1, 4)
+        assert dev_raw <= 1e-8
+        assert np.max(np.abs(G_raw - G_builtin)) <= 1e-8
+        assert res.abs_error_estimate.shape == (25,)
+        assert res.panels_used > 0
+
+    def test_check_reports_gram_error_and_panels(self, tmp_path):
+        cfg = load_config(DEMO_INI, out_override=tmp_path)
+        rec = next(r for r in cmd_check(cfg).records
+                   if r.name == "biorthonormality")
+        assert 0.0 < rec.detail["max_abs_error_estimate"] <= 1e-8
+        assert rec.detail["quad_panels"] > 0
+
+
+class TestSeriesBuiltOnce:
+    def test_cmd_bicoherent_builds_eight_series(self, tmp_path, monkeypatch):
+        built = []
+        init = PairingSeries.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairingSeries, "__init__", counting_init)
+        cfg = load_config(DEMO_INI, out_override=tmp_path)
+        for _ in range(2):
+            built.clear()
+            report = cmd_bicoherent(cfg)[0]
+            assert sorted(built) == ["phi"] * 4 + ["psi"] * 4
+            assert report.overall == "pass"
+        rec = report.records[1]
+        assert rec.name == "bicoherent_resolution"
+        assert 0.0 <= rec.detail["tail_estimate"] < 1e-10
+
+    def test_eigen_relations_over_a_sequence(self, example2):
+        g = TestFunction(0.0, 1.0)
+        zs = [0.5 - 0.2j, 1.0 + 1.0j]
+        many = eigen_relation_residual(example2, zs, g, max_terms=40)
+        assert isinstance(many, list) and len(many) == 2
+        for z, res in zip(zs, many):
+            assert res == eigen_relation_residual(example2, z, g,
+                                                  max_terms=40)
+
+    def test_resolution_reuses_prebuilt_g_series(self, example2):
+        f, g = TestFunction(0.2, 0.8), TestFunction(0.0, 1.0)
+        series = tuple(PairingSeries(example2, g, side, state_in_bra=True,
+                                     max_terms=40) for side in ("phi", "psi"))
+        fresh = resolution_of_identity(example2, f, g, R=5.0, n_r=48,
+                                       max_terms=40)
+        reused = resolution_of_identity(example2, f, g, R=5.0, n_r=48,
+                                        max_terms=40, g_series=series)
+        assert reused == fresh
+        assert fresh.trace[-1][1:] == (fresh.value_phi_psi,
+                                       fresh.value_psi_phi)
+        with pytest.raises(ValueError, match="max_terms"):
+            resolution_of_identity(example2, f, g, max_terms=30,
+                                   g_series=series)
+
+    def test_moment_check_is_one_integral(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate_line(*args, **kwargs)
+
+        monkeypatch.setattr(bicoherent, "integrate_line", counting)
+        prof = bicoherent.GrowthProfile.pseudo_bosonic()
+        devs = bicoherent.moment_check(
+            lambda r: r * np.exp(-r * r) / math.pi, prof, 12)
+        assert len(calls) == 1
+        for k, dev in enumerate(devs):
+            ref = math.factorial(k) / (2 * math.pi)
+            assert abs(dev) <= 1e-13 * max(1.0, ref)
