@@ -2,7 +2,9 @@
 
 The expression grammar covers rational arithmetic, integer powers,
 exp/sinh/cosh/tanh/sqrt, the imaginary unit, and antideriv(e) for
-antiderivatives evaluated by cumulative quadrature.  An equal-alpha model
+antiderivatives vanishing at 0, evaluated by one vector-valued quadrature
+over the segments between the requested points and 0; a value depends
+only on the points requested, not on earlier calls.  An equal-alpha model
 needs only alpha(x); everything else (rho, the vacua, the closed forms)
 is derived.
 """

@@ -303,7 +303,8 @@ def weak_pairing(q: WeakStateQuery, g) -> complex:
 @dataclass
 class EigenRelationResult:
     """Residuals of <a^dag g, Phi(z)> = z <g, Phi(z)> and
-    <b g, Psi(z)> = z <g, Psi(z)>."""
+    <b g, Psi(z)> = z <g, Psi(z)>; a relative residual is nan where its
+    right-hand side is exactly 0, as at z = 0."""
 
     z: complex
     residual_phi: complex
@@ -330,7 +331,8 @@ def eigen_relation_residual(m: PBModel, z, g: TestFunction,
             # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>
             lhs = moved.eval(z, conjugate_z=False)
             rhs = z * plain.eval(z, conjugate_z=False)
-            res.append((lhs - rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)))
+            res.append((lhs - rhs,
+                        abs(lhs - rhs) / abs(rhs) if rhs != 0 else math.nan))
         (r_phi, rel_phi), (r_psi, rel_psi) = res
         return EigenRelationResult(z, r_phi, r_psi, rel_phi, rel_psi)
 

@@ -508,8 +508,12 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     rows = []
     eigen = bc.eigen_relation_residual(m, z_grid, g, max_terms=p["max_terms"])
     for z, res in zip(z_grid, eigen):
-        if abs(z) > 0:
-            worst_eigen = max(worst_eigen, res.relative_phi, res.relative_psi)
+        # where the right-hand side vanishes (z = 0) the relative residual
+        # is nan and the absolute one stands in for it
+        for rel, resid in ((res.relative_phi, res.residual_phi),
+                           (res.relative_psi, res.residual_psi)):
+            worst_eigen = max(worst_eigen,
+                              abs(resid) if np.isnan(rel) else rel)
         rows.append((z.real, z.imag, abs(res.residual_phi),
                      abs(res.residual_psi), res.relative_phi,
                      res.relative_psi))

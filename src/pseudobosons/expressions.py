@@ -25,8 +25,6 @@ another.
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from .jets import (
@@ -211,50 +209,57 @@ class Deriv(FunctionExpr):
 
 
 class Antideriv(FunctionExpr):
-    """Antiderivative with value 0 at x = 0, evaluated by cumulative
-    adaptive quadrature.
+    """Antiderivative with value 0 at x = 0, evaluated by adaptive
+    quadrature.
 
-    Scalar values are cached as monotone anchors so that repeated
-    evaluations (state generation, root finding on rho) only ever pay for
-    short incremental integrals.  The anchor table is grown while a model
-    is being set up and is read-only afterwards.
+    Each call builds its own table: the sorted unique points together
+    with 0 cut the line into segments, all of them are integrated in one
+    vector-valued quadrature, and cumulative sums run outward from 0.  No
+    state is kept between calls, so a value depends only on the set of
+    points requested with it, not on their order, on duplicates or on
+    earlier calls.
     """
 
-    __slots__ = ("arg", "_anchor_x", "_anchor_v")
+    __slots__ = ("arg",)
 
     def __init__(self, arg: FunctionExpr):
         self.arg = arg
-        self._anchor_x = [0.0]
-        self._anchor_v = [0.0 + 0.0j]
 
-    def _integrand(self, xs):
-        return self.arg.eval_values(xs)
+    def value_at(self, x):
+        """Values at a float (a complex) or at every point of an array."""
+        from . import quad  # deferred: quad imports nothing back
 
-    def value_at(self, x: float) -> complex:
-        from .quad import integrate_line  # deferred: quad imports nothing back
-
-        x = float(x)
-        i = bisect.bisect_left(self._anchor_x, x)
-        if i < len(self._anchor_x) and self._anchor_x[i] == x:
-            return self._anchor_v[i]
-        # nearest existing anchor
-        candidates = []
-        if i > 0:
-            candidates.append(i - 1)
-        if i < len(self._anchor_x):
-            candidates.append(i)
-        j = min(candidates, key=lambda k: abs(self._anchor_x[k] - x))
-        a, va = self._anchor_x[j], self._anchor_v[j]
-        inc = integrate_line(self._integrand, a, x, tol=1e-13).value
-        v = va + inc
-        self._anchor_x.insert(i, x)
-        self._anchor_v.insert(i, v)
-        return v
+        xs = np.asarray(x, dtype=float)
+        finite = np.isfinite(xs)
+        if not finite.all():
+            raise ExpressionDomainError("non-finite point", self,
+                                        float(xs[~finite].flat[0]))
+        knots, where = np.unique(np.append(xs.ravel(), 0.0),
+                                 return_inverse=True)
+        lo, width = knots[:-1], np.diff(knots)
+        values = np.zeros(knots.size, dtype=np.complex128)
+        if lo.size:
+            # segment k is t -> lo_k + width_k t on [0, 1]
+            try:
+                inc = quad.integrate_line(
+                    lambda t: self.arg.eval_values(lo + width * t[:, None])
+                    * width, 0.0, 1.0, tol=1e-13).value
+            except quad.QuadratureError as exc:
+                k = int(np.argmax(np.broadcast_to(exc.error_estimate,
+                                                  lo.shape)))
+                # the requested end of the worst segment: away from 0
+                bad = knots[k + 1] if knots[k] >= 0.0 else knots[k]
+                raise ExpressionDomainError(
+                    f"antiderivative does not converge ({exc})", self,
+                    float(bad)) from exc
+            zero = int(np.searchsorted(knots, 0.0))
+            values[zero + 1:] = np.cumsum(inc[zero:])
+            values[:zero] = -np.cumsum(inc[:zero][::-1])[::-1]
+        out = values[where[:-1]].reshape(xs.shape)
+        return complex(out) if xs.ndim == 0 else out
 
     def eval_jet(self, x, order):
-        xs = np.asarray(x, dtype=float)
-        v = np.array([self.value_at(t) for t in xs.flat],
-                     dtype=np.complex128).reshape(xs.shape)
+        v = np.asarray(self.value_at(x))
         if order == 0:
             return Jet(x, v[np.newaxis])
         return self.arg.eval_jet(x, order - 1).antideriv(v)

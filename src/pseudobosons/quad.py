@@ -2,11 +2,11 @@
 
 Everything that integrates lives here: an adaptive Gauss-Kronrod line
 integrator over finite or truncated-infinite intervals, compactly
-supported bump test functions, harmonic-oscillator eigenfunctions, the
-cumulative antiderivative rho and its monotone inverse, the compatibility
-form <f, g> = integral of conj(f) g, biorthonormality matrices, the
-plus/minus transforms that map test functions to the oscillator picture,
-and quasi-basis partial sums.
+supported bump test functions, harmonic-oscillator eigenfunctions, rho
+(an ``antideriv`` expression unless a closed form is registered) and its
+monotone inverse, the compatibility form <f, g> = integral of conj(f) g,
+biorthonormality matrices, the plus/minus transforms that map test
+functions to the oscillator picture, and quasi-basis partial sums.
 
 The integrator uses a 15-point Kronrod rule nested over 7-point Gauss
 panels.  Infinite domains are truncated where the supplied decay envelope
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .jets import Jet, jet_exp, jet_powi
 
@@ -382,13 +381,16 @@ def _require_rho(m):
     return m.rho
 
 
-def rho_eval(m, x: float) -> float:
-    """rho(x) via the registered closed form or cumulative quadrature."""
-    expr = _require_rho(m)
-    v = complex(expr.eval_values(np.array([float(x)]))[0])
-    if abs(v.imag) > 1e-10 * (1.0 + abs(v.real)):
+def _real_rho(m, xs: np.ndarray) -> np.ndarray:
+    v = _require_rho(m).eval_values(xs)
+    if np.any(np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real))):
         raise RhoError("rho evaluated to a non-real value; alpha must be real")
     return v.real
+
+
+def rho_eval(m, x: float) -> float:
+    """rho(x) via the registered closed form or one batched quadrature."""
+    return float(_real_rho(m, np.array([float(x)]))[0])
 
 
 def rho_values(m, xs) -> np.ndarray:
@@ -396,54 +398,68 @@ def rho_values(m, xs) -> np.ndarray:
     return np.real(expr.eval_values(np.asarray(xs, dtype=float)))
 
 
-def _rho_slope(m, x: float) -> float:
-    # rho'(x) = 1/alpha_b(x); also the monotonicity witness
-    ab = complex(m.alpha_b.eval_values(np.array([float(x)]))[0])
-    if abs(ab.imag) > 1e-12 * (1 + abs(ab)) or ab.real <= 0.0:
+def _rho_slope(m, xs: np.ndarray) -> np.ndarray:
+    # rho' = 1/alpha_b; also the monotonicity witness
+    ab = m.alpha_b.eval_values(xs)
+    bad = (np.abs(ab.imag) > 1e-12 * (1 + np.abs(ab))) | (ab.real <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise RhoError(
-            f"non-monotonic rho: alpha_b({x}) = {ab} is not real positive"
+            f"non-monotonic rho: alpha_b({xs[i]}) = {ab[i]} is not real positive"
         )
     return 1.0 / ab.real
 
 
+def _solve_rho(m, s: np.ndarray, tol_scale: float) -> np.ndarray:
+    """Solve rho(x) = s for every entry of the 1-D array s at once to
+    |rho(x) - s| <= tol_scale * (1 + |s|): Newton steps with one batched
+    evaluation of rho each, from the registered inverse when there is one,
+    else from 0 inside a dyadic bracket [-L, L] of every target, with
+    bisection whenever a step would leave a point's bracket."""
+    tol = tol_scale * (1.0 + np.abs(s))
+    lo = np.full(s.shape, -np.inf)
+    hi = np.full(s.shape, np.inf)
+    if m.rho_inverse is not None:
+        x = np.asarray(m.rho_inverse(s), dtype=float)
+    else:
+        ends = np.array([-1.0, 1.0])
+        for _ in range(80):
+            r = _real_rho(m, ends)
+            if np.all(r[0] <= s) and np.all(s <= r[1]):
+                break
+            ends *= 2.0
+        else:
+            raise RhoError(f"could not bracket rho(x) = s for s in "
+                           f"[{s.min()}, {s.max()}]")
+        _rho_slope(m, ends)  # monotonicity witnesses at both bracket ends
+        lo[:], hi[:] = ends
+        x = np.zeros(s.shape)
+    for _ in range(100):
+        r = _real_rho(m, x) - s
+        done = np.abs(r) <= tol
+        if done.all():
+            return x
+        lo = np.where(r < 0.0, x, lo)
+        hi = np.where(r > 0.0, x, hi)
+        step = x - r / _rho_slope(m, x)
+        inside = (lo < step) & (step < hi)
+        x = np.where(done, x, np.where(inside, step, 0.5 * (lo + hi)))
+    bad = s[np.argmax(~done)]
+    raise RhoError(f"rho inversion did not reach tolerance at s = {bad}")
+
+
 def rho_invert(m, s: float, *, tol_scale: float = 1e-12) -> float:
     """Solve rho(x) = s to |rho(x) - s| <= tol_scale * (1 + |s|)."""
-    s = float(s)
-    tol = tol_scale * (1.0 + abs(s))
-    if m.rho_inverse is not None:
-        x = float(m.rho_inverse(s))
-    else:
-        _require_rho(m)
-        lo, hi = -1.0, 1.0
-        for _ in range(80):
-            if rho_eval(m, lo) <= s:
-                break
-            lo *= 2.0
-        else:
-            raise RhoError(f"could not bracket rho(x) = {s} from below")
-        for _ in range(80):
-            if rho_eval(m, hi) >= s:
-                break
-            hi *= 2.0
-        else:
-            raise RhoError(f"could not bracket rho(x) = {s} from above")
-        _rho_slope(m, lo)  # monotonicity witnesses at both bracket ends
-        _rho_slope(m, hi)
-        x = optimize.brentq(lambda t: rho_eval(m, t) - s, lo, hi,
-                            xtol=1e-13, rtol=8.9e-16)
-    for _ in range(4):
-        r = rho_eval(m, x) - s
-        if abs(r) <= tol:
-            return x
-        x -= r / _rho_slope(m, x)
-    raise RhoError(f"rho inversion did not reach tolerance at s = {s}")
+    return float(_solve_rho(m, np.array([float(s)]), tol_scale)[0])
 
 
 def rho_invert_values(m, ss) -> np.ndarray:
+    """rho^-1 on an array: the registered inverse, else every point solved
+    at once to the tolerance of :func:`rho_invert`."""
     ss = np.asarray(ss, dtype=float)
     if m.rho_inverse is not None:
         return np.asarray(m.rho_inverse(ss), dtype=float)
-    return np.array([rho_invert(m, s) for s in ss.ravel()]).reshape(ss.shape)
+    return _solve_rho(m, ss.ravel(), 1e-12).reshape(ss.shape)
 
 
 # ----------------------------------------------------------------------

@@ -249,11 +249,28 @@ class StateFamily:
 
     def _levels(self, ns, xs) -> np.ndarray:
         """Stacked values of the levels ``ns``: one Hermite recurrence for
-        all of them in the closed-form flavors, per-level jets otherwise."""
+        all of them in the closed-form flavors, one pi/sigma recursion
+        otherwise.  Level k of that recursion, run to the top level, has
+        the same low-order Taylor coefficients as a recursion stopped at
+        k, so each row is bitwise ``jet(n, xs, 0).value``."""
         xs = np.asarray(xs, dtype=float)
         m = self.model
         if not _has_closed_form(m):
-            return np.stack([self.jet(n, xs, 0).value for n in ns])
+            top = max(ns)
+            poly = Jet.constant(1.0, xs, top)
+            polys = [poly]
+            if top:
+                lead, damp = _recursion_coefficients(m, self._poly_side, xs,
+                                                     top - 1)
+            for p in range(top - 1, -1, -1):
+                poly = (lead.truncate(p) * poly.truncate(p)
+                        - damp.truncate(p) * poly.deriv().truncate(p))
+                polys.append(poly)
+            vac = vacuum(m, self.side, xs, 0)
+            return np.stack([
+                (polys[n].truncate(0) * vac
+                 * (self.normalization / sqrt_factorial(n))).value
+                for n in ns])
         pref, k, scale = _closed_form(m, self._poly_side)
         t = quad.rho_values(m, xs) if k is None else xs + k
         vac = (m.phi_vacuum_values if self.side == "phi"

@@ -191,6 +191,9 @@ class TestEigenRelations:
         # at z = 0 the relation reduces to <a^dag g, phi_0> = <g, a phi_0> = 0
         assert abs(res.residual_phi) < 1e-13
         assert abs(res.residual_psi) < 1e-13
+        # the right-hand sides vanish exactly: no relative residual
+        assert math.isnan(res.relative_phi)
+        assert math.isnan(res.relative_psi)
 
     def test_example2_complex_point(self, example2):
         g = TestFunction(0.0, 1.0)

@@ -299,6 +299,37 @@ class TestCmdBicoherent:
         doc = json.loads((out / "bicoherent_report.json").read_text())
         assert doc["overall"] == "pass"
 
+    def test_z_zero_row_and_report_metric(self, tmp_path):
+        body = ("[model]\nbuiltin = example2\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 41\n"
+                "[run]\nn_max = 3\n"
+                "[bicoherent]\n"
+                "z_re = -1 1 3\n"
+                "z_im = -1 1 3\n"
+                "resolution_radius = 5.0\n"
+                "max_terms = 40\n"
+                "radial_nodes = 48\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["bicoherent", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        eigen = (out / "eigen_relations.csv").read_text().splitlines()
+        assert len(eigen) == 1 + 9
+        rows = [[float(v) for v in line.split(",")] for line in eigen[1:]]
+        at_zero = [r for r in rows if r[0] == 0.0 and r[1] == 0.0]
+        assert len(at_zero) == 1
+        assert all(math.isnan(v) for v in at_zero[0][4:6])
+        # the worst metric takes the absolute residuals where the relative
+        # ones are undefined, so the z = 0 row is covered
+        want = max(max(a if math.isnan(rel) else rel
+                       for a, rel in ((r[2], r[4]), (r[3], r[5])))
+                   for r in rows)
+        doc = json.loads((out / "bicoherent_report.json").read_text())
+        record = {c["name"]: c for c in doc["checks"]}[
+            "bicoherent_eigen_relations"]
+        assert record["metric"] == want
+        assert record["metric"] >= max(at_zero[0][2:4])
+
 
 class TestCmdHamiltonian:
     def test_crosscheck_and_table(self, tmp_path, capsys):

@@ -133,9 +133,40 @@ class TestEvaluation:
     def test_antideriv_against_closed_form(self):
         # antideriv(1/(1+x^2)) = arctan(x), constant fixed by F(0) = 0
         tree = parse_expr("antideriv(1/(1+x^2))")
-        xs = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+        xs = np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 40.0, -40.0, 2.0, -1.0])
         got = tree.eval_values(xs)
         assert np.allclose(got, np.arctan(xs), atol=1e-12)
+
+    def test_antideriv_depends_only_on_the_point_set(self):
+        src = "antideriv(1/(1+x^2))"
+        alone = parse_expr(src).value_at(3.0)
+        tree = parse_expr(src)
+        tree.eval_values(np.linspace(-5.0, 7.0, 13))  # other grids first
+        tree.eval_jet(np.array([0.25, -2.5]), 3)
+        assert tree.value_at(3.0) == alone
+        on_grid = parse_expr(src).eval_values(np.array([-1.0, 0.5, 3.0, 2.0]))
+        shuffled = tree.eval_values(np.array([3.0, -1.0, 3.0, 2.0, 0.5, -1.0]))
+        assert np.array_equal(shuffled, on_grid[[2, 0, 2, 3, 1, 0]])
+        assert abs(alone - np.arctan(3.0)) <= 1e-12
+
+    def test_antideriv_nonconvergent_segment_names_the_point(self):
+        from pseudobosons.quad import QuadratureError
+
+        tree = parse_expr("antideriv(1/x)")
+        with pytest.raises(ExpressionDomainError) as err:
+            tree.value_at(1.0)
+        assert err.value.x == 1.0
+        assert "antideriv(1/x)" in str(err.value)
+        assert isinstance(err.value.__cause__, QuadratureError)
+        assert err.value.__cause__.best_value is not None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_antideriv_rejects_non_finite_points(self, bad):
+        tree = parse_expr("antideriv(1/(1+x^2))")
+        with pytest.raises(ExpressionDomainError, match="non-finite") as err:
+            tree.eval_values(np.array([0.5, bad]))
+        assert err.value.node is tree
+        assert np.array_equal(err.value.x, bad, equal_nan=True)
 
     def test_antideriv_jet_coefficients(self):
         import math

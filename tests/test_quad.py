@@ -93,6 +93,16 @@ class TestRho:
             xa = rho_invert(m, s)
             assert abs(rho_eval(m, xa) - s) <= 1e-12 * (1 + abs(s))
 
+    def test_numeric_inverse_on_arrays(self, example1):
+        m = proportional_model("1/(1+x^2)")
+        s = np.array([[-5.0, 0.3], [4.0, 0.3], [0.0, 60.0]])
+        xs = rho_invert_values(m, s)
+        assert xs.shape == s.shape
+        assert np.allclose(xs, rho_invert_values(example1, s), atol=1e-12)
+        got = np.array([rho_eval(m, x) for x in xs.ravel()]).reshape(s.shape)
+        assert np.all(np.abs(got - s) <= 1e-12 * (1 + np.abs(s)))
+        assert rho_invert_values(m, np.array([])).shape == (0,)
+
     def test_no_rho_for_general_models(self):
         from pseudobosons import from_expressions
 
