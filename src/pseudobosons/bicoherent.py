@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import quad
-from .jets import sqrt_factorial
-from .model import ModelError, PBModel, ProportionalFlavor
+from .jets import Jet, sqrt_factorial
+from .model import ModelError, PBModel, ProportionalFlavor, apply_ladder
 from .quad import TestFunction, integrate_line
 
 __all__ = [
@@ -183,17 +183,11 @@ class TransformedTestFunction:
         self.support = g.support
 
     def values(self, xs) -> np.ndarray:
+        # the order-1 jet of g from its value and derivative routines,
+        # which are cheaper on quadrature nodes than TestFunction.jet
         xs = np.asarray(xs, dtype=float)
-        gv = self.g.values(xs)
-        gd = self.g.deriv_values(xs)
-        m = self.model
-        if self.which == "a_dag":
-            av, ad = m.alpha_a.eval_dual(xs)
-            bv = m.beta_a.eval_values(xs)
-            return (-np.conj(ad) * gv - np.conj(av) * gd + np.conj(bv) * gv)
-        av, ad = m.alpha_b.eval_dual(xs)
-        bv = m.beta_b.eval_values(xs)
-        return -ad * gv - av * gd + bv * gv
+        gj = Jet(xs, np.stack([self.g.values(xs), self.g.deriv_values(xs)]))
+        return apply_ladder(self.model, self.which, lambda *_: gj, xs, 0).value
 
     __call__ = values
 

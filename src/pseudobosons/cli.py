@@ -127,6 +127,24 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _record(name: str, digest: str, metric, tol: float,
+            detail: dict) -> CheckRecord:
+    """A computed check: skipped without a metric, else pass or fail."""
+    if metric is None:
+        return CheckRecord(name, digest, None, tol, "skipped", detail)
+    metric = float(metric)
+    return CheckRecord(name, digest, metric, tol,
+                       "pass" if metric <= tol else "fail", detail)
+
+
+def _report(echo: dict, records: list, start: float) -> VerificationReport:
+    """The report of one command: it fails if any record failed, was
+    blocked or raised."""
+    bad = any(r.verdict in ("fail", "blocked", "error") for r in records)
+    return VerificationReport(echo, records, "fail" if bad else "pass",
+                              time.perf_counter() - start)
+
+
 # ----------------------------------------------------------------------
 # Config parsing
 # ----------------------------------------------------------------------
@@ -177,6 +195,8 @@ def load_config(path: Path, *, out_override=None, tol_scale: float = 1.0,
 
     run = cp["run"] if "run" in cp else {}
     n_max = int(run.get("n_max", 10))
+    if n_max < 0:
+        raise ConfigError("run n_max must be >= 0")
     seed = int(run.get("seed", 20240901))
     jobs = int(run.get("jobs", 1))
     raw_checks = run.get("checks", " ".join(CHECK_ORDER))
@@ -280,12 +300,15 @@ def _check_conditions(m, cfg):
                          "residual2_max": rep.max_abs2}
 
 
+def _worst(residuals) -> float:
+    """The largest residual, nan if any is nan: a residual that could not
+    be computed fails its check instead of being skipped over."""
+    return float(np.max(list(residuals)))
+
+
 def _check_commutator(m, cfg):
-    worst = 0.0
-    for bump in _random_bumps(cfg):
-        stats = model_mod.commutator_residual(m, bump.jet, cfg.grid)
-        worst = max(worst, stats.sup_abs)
-    return worst, {"bumps": 5}
+    return _worst(model_mod.commutator_residual(m, bump.jet, cfg.grid).sup_abs
+                  for bump in _random_bumps(cfg)), {"bumps": 5}
 
 
 def _check_normalization(m, cfg):
@@ -310,27 +333,23 @@ def _check_biorthonormality(m, cfg):
 
 
 def _check_ladder(m, cfg):
+    if cfg.n_max < 1:  # the relations of level n reach level n + 1
+        return None, {"note": "the ladder check needs n_max >= 1"}
     phi = states.StateFamily(m, "phi", max_n=cfg.n_max)
     psi = states.StateFamily(m, "psi", max_n=cfg.n_max)
-    worst = 0.0
-    for n in range(cfg.n_max):
-        worst = max(worst, states.verify_ladder(phi, psi, n, cfg.grid).max)
-    return worst, {"levels": cfg.n_max}
+    return _worst(states.verify_ladder(phi, psi, n, cfg.grid).max
+                  for n in range(cfg.n_max)), {"levels": cfg.n_max}
 
 
 def _check_eigen(m, cfg):
-    worst = 0.0
-    for n in range(cfg.n_max + 1):
-        worst = max(worst, spectral.eigen_residual(m, "H", n, cfg.grid))
-        worst = max(worst, spectral.eigen_residual(m, "H_dag", n, cfg.grid))
+    worst = _worst(spectral.eigen_residual(m, side, n, cfg.grid)
+                   for n in range(cfg.n_max + 1) for side in ("H", "H_dag"))
     return worst, {"levels": cfg.n_max + 1}
 
 
 def _check_hsusy(m, cfg):
-    worst = 0.0
-    for n in range(cfg.n_max + 1):
-        worst = max(worst, spectral.hsusy_shift_check(m, n, cfg.grid))
-    return worst, {"levels": cfg.n_max + 1}
+    return _worst(spectral.hsusy_shift_check(m, n, cfg.grid)
+                  for n in range(cfg.n_max + 1)), {"levels": cfg.n_max + 1}
 
 
 def _check_hamiltonian_crosscheck(m, cfg):
@@ -384,12 +403,7 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
         except Exception as exc:  # report the failure, keep going
             return CheckRecord(name, digest_for(name), None, tol, "error",
                                {"error": f"{type(exc).__name__}: {exc}"})
-        if metric is None:
-            return CheckRecord(name, digest_for(name), None, tol, "skipped",
-                               detail)
-        verdict = "pass" if metric <= tol else "fail"
-        return CheckRecord(name, digest_for(name), float(metric), tol,
-                           verdict, detail)
+        return _record(name, digest_for(name), metric, tol, detail)
 
     # one pass: every prerequisite comes earlier in CHECK_ORDER
     for name in selected:
@@ -403,14 +417,7 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
             rec = run_one(name)
         records.append(rec)
         outcome[name] = rec.verdict
-
-    bad = any(r.verdict in ("fail", "blocked", "error") for r in records)
-    return VerificationReport(
-        model=echo,
-        records=records,
-        overall="fail" if bad else "pass",
-        timing_seconds=time.perf_counter() - start,
-    )
+    return _report(echo, records, start)
 
 
 # ----------------------------------------------------------------------
@@ -454,6 +461,8 @@ def _bicoherent_params(cfg: RunConfig) -> dict:
         raw = bico.get(key, default).split()
         if len(raw) != 3:
             raise ConfigError(f"bicoherent {key} needs 'lo hi count'")
+        if int(raw[2]) < 1:
+            raise ConfigError(f"bicoherent {key} count must be >= 1")
         return float(raw[0]), float(raw[1]), int(raw[2])
     return {
         "z_re": triple("z_re", "-1.4 1.4 3"),
@@ -475,10 +484,10 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     """Weak-pairing tables over a z-grid, eigen-relation residuals, and
     the resolution-of-identity comparison with its radius trace."""
     start = time.perf_counter()
+    p = _bicoherent_params(cfg)
     m = build_model(cfg.model_spec)
     states.fix_normalization(m)
     echo = _model_echo(m)
-    p = _bicoherent_params(cfg)
     g = quad.TestFunction(center=p["bump_center"], width=p["bump_width"])
     f = quad.TestFunction(center=p["bump2_center"], width=p["bump2_width"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -504,19 +513,16 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
                rows)
     paths.append(path)
 
-    worst_eigen = 0.0
-    rows = []
     eigen = bc.eigen_relation_residual(m, z_grid, g, max_terms=p["max_terms"])
-    for z, res in zip(z_grid, eigen):
-        # where the right-hand side vanishes (z = 0) the relative residual
-        # is nan and the absolute one stands in for it
+    # where the right-hand side vanishes (z = 0) the relative residual is
+    # nan and the absolute one stands in for it
+    worst_eigen = _worst(
+        abs(resid) if np.isnan(rel) else rel for res in eigen
         for rel, resid in ((res.relative_phi, res.residual_phi),
-                           (res.relative_psi, res.residual_psi)):
-            worst_eigen = max(worst_eigen,
-                              abs(resid) if np.isnan(rel) else rel)
-        rows.append((z.real, z.imag, abs(res.residual_phi),
-                     abs(res.residual_psi), res.relative_phi,
-                     res.relative_psi))
+                           (res.relative_psi, res.residual_psi)))
+    rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
+             res.relative_phi, res.relative_psi)
+            for z, res in zip(z_grid, eigen)]
     path = cfg.out_dir / "eigen_relations.csv"
     _write_csv(path, ["z_re", "z_im", "abs_phi", "abs_psi",
                       "rel_phi", "rel_psi"], rows)
@@ -539,33 +545,21 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     paths.append(path)
 
     records = [
-        CheckRecord(
-            "bicoherent_eigen_relations",
-            _digest({"model": echo, "z": [[z.real, z.imag] for z in z_grid]}),
-            worst_eigen, p["tolerance_eigen"],
-            "pass" if worst_eigen <= p["tolerance_eigen"] else "fail",
-            {"z_points": len(z_grid)},
-        ),
-        CheckRecord(
-            "bicoherent_resolution",
-            _digest({"model": echo, "R": p["resolution_radius"]}),
-            max(resolution.deviation_phi_psi, resolution.deviation_psi_phi),
-            p["tolerance_resolution"],
-            "pass" if max(resolution.deviation_phi_psi,
-                          resolution.deviation_psi_phi)
-            <= p["tolerance_resolution"] else "fail",
-            {"radius": p["resolution_radius"],
-             "reference_re": ref.real, "reference_im": ref.imag,
-             "tail_estimate": resolution.tail_estimate},
-        ),
+        _record("bicoherent_eigen_relations",
+                _digest({"model": echo,
+                         "z": [[z.real, z.imag] for z in z_grid]}),
+                worst_eigen, p["tolerance_eigen"],
+                {"z_points": len(z_grid)}),
+        _record("bicoherent_resolution",
+                _digest({"model": echo, "R": p["resolution_radius"]}),
+                _worst((resolution.deviation_phi_psi,
+                        resolution.deviation_psi_phi)),
+                p["tolerance_resolution"],
+                {"radius": p["resolution_radius"],
+                 "reference_re": ref.real, "reference_im": ref.imag,
+                 "tail_estimate": resolution.tail_estimate}),
     ]
-    bad = any(r.verdict != "pass" for r in records)
-    report = VerificationReport(
-        model=echo, records=records,
-        overall="fail" if bad else "pass",
-        timing_seconds=time.perf_counter() - start,
-    )
-    return report, paths
+    return _report(echo, records, start), paths
 
 
 def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
@@ -588,26 +582,22 @@ def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     _write_csv(path, header, zip(*cols))
 
     metric, detail = _check_hamiltonian_crosscheck(m, cfg)
-    tol = cfg.tolerances["hamiltonian_crosscheck"]
-    if metric is None:
-        rec = CheckRecord("hamiltonian_crosscheck", _digest(echo), None, tol,
-                          "skipped", detail)
-        overall = "pass"
-    else:
-        verdict = "pass" if metric <= tol else "fail"
-        rec = CheckRecord("hamiltonian_crosscheck", _digest(echo),
-                          float(metric), tol, verdict, detail)
-        overall = verdict
-    report = VerificationReport(
-        model=echo, records=[rec], overall=overall,
-        timing_seconds=time.perf_counter() - start,
-    )
-    return report, [path]
+    rec = _record("hamiltonian_crosscheck", _digest(echo), metric,
+                  cfg.tolerances["hamiltonian_crosscheck"], detail)
+    return _report(echo, [rec], start), [path]
 
 
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
+
+# command -> (runner returning the report and its tables, report file)
+REPORTING_COMMANDS = {
+    "check": (lambda cfg: (cmd_check(cfg), []), "report.json"),
+    "bicoherent": (cmd_bicoherent, "bicoherent_report.json"),
+    "hamiltonian": (cmd_hamiltonian, "hamiltonian_report.json"),
+}
+
 
 def _env(name: str) -> Optional[str]:
     return os.environ.get(ENV_PREFIX + name)
@@ -642,32 +632,20 @@ def main(argv=None) -> int:
         cfg = load_config(Path(args.config), out_override=args.out,
                           tol_scale=args.tol_scale,
                           jobs_override=args.jobs)
-        if args.command == "check":
-            report = cmd_check(cfg)
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            out = cfg.out_dir / "report.json"
-            out.write_text(report.to_json(), encoding="utf-8")
-            print(f"wrote {out}")
-            for r in report.records:
-                metric = "-" if r.metric is None else f"{r.metric:.3e}"
-                print(f"  {r.name:<24} {r.verdict:<8} metric={metric}")
-            return 0 if report.overall == "pass" else 1
         if args.command == "states":
             for path in cmd_states(cfg):
                 print(f"wrote {path}")
             return 0
-        if args.command == "bicoherent":
-            report, paths = cmd_bicoherent(cfg)
-            out = cfg.out_dir / "bicoherent_report.json"
-            out.write_text(report.to_json(), encoding="utf-8")
-            for path in paths + [out]:
-                print(f"wrote {path}")
-            return 0 if report.overall == "pass" else 1
-        report, paths = cmd_hamiltonian(cfg)
-        out = cfg.out_dir / "hamiltonian_report.json"
+        run, report_name = REPORTING_COMMANDS[args.command]
+        report, paths = run(cfg)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        out = cfg.out_dir / report_name
         out.write_text(report.to_json(), encoding="utf-8")
         for path in paths + [out]:
             print(f"wrote {path}")
+        for r in report.records:
+            metric = "-" if r.metric is None else f"{r.metric:.3e}"
+            print(f"  {r.name:<24} {r.verdict:<8} metric={metric}")
         return 0 if report.overall == "pass" else 1
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)

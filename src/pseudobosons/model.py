@@ -26,7 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from functools import partialmethod
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -40,6 +41,9 @@ __all__ = [
     "ConstantAlphaFlavor",
     "ProportionalFlavor",
     "PBModel",
+    "LadderOp",
+    "LADDER_OPS",
+    "VACUUM_KILLER",
     "ConditionReport",
     "CommutatorStats",
     "parse_expr",
@@ -88,6 +92,27 @@ class ProportionalFlavor:
 Flavor = Union[GeneralFlavor, ConstantAlphaFlavor, ProportionalFlavor]
 
 
+class LadderOp(NamedTuple):
+    """One of the four operators: its coefficient pair ('a' or 'b'),
+    whether it has the raising form -(alpha f)' + beta f rather than the
+    lowering form alpha f' + beta f, and whether the pair is conjugated."""
+
+    pair: str
+    raising: bool
+    conjugated: bool
+
+
+LADDER_OPS = {
+    "a": LadderOp("a", False, False),
+    "b": LadderOp("b", True, False),
+    "a_dag": LadderOp("a", True, True),
+    "b_dag": LadderOp("b", False, True),
+}
+
+# the operator whose kernel is each side's vacuum
+VACUUM_KILLER = {"phi": "a", "psi": "b_dag"}
+
+
 @dataclass
 class PBModel:
     """The four coefficient functions plus registered derived data."""
@@ -103,10 +128,6 @@ class PBModel:
     vacuum_phi: Optional[FunctionExpr] = None
     vacuum_psi: Optional[FunctionExpr] = None
     norm_product: Optional[complex] = None  # conj(N_psi) * N_phi once fixed
-    _phi_vac_generic: Optional[FunctionExpr] = field(
-        default=None, repr=False, compare=False)
-    _psi_vac_generic: Optional[FunctionExpr] = field(
-        default=None, repr=False, compare=False)
 
     # -- coefficient access --------------------------------------------
 
@@ -123,51 +144,37 @@ class PBModel:
                 + self.alpha_b.eval_jet(x, order) * self.beta_a.eval_jet(x, order))
 
     def theta_values(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return (self.alpha_a.eval_values(xs) * self.beta_b.eval_values(xs)
-                + self.alpha_b.eval_values(xs) * self.beta_a.eval_values(xs))
+        return self.theta_jet(np.asarray(xs, dtype=float), 0).value
 
     # -- vacua -----------------------------------------------------------
-    #
-    # phi_0 = N_phi exp(-antideriv(beta_a / alpha_a))
-    # psi_0 = N_psi exp(-antideriv(conj(beta_b) / conj(alpha_b)))
-    #        = N_psi conj(exp(-antideriv(beta_b / alpha_b)))
-    #
-    # Built-ins register explicit closed forms (vacuum_psi is stored
-    # already conjugated, i.e. it evaluates to psi_0 directly); otherwise
-    # the antiderivative is evaluated numerically with its constant fixed
-    # by F(0) = 0.
 
-    def _generic_vacuum(self, side: str) -> FunctionExpr:
-        if side == "phi":
-            if self._phi_vac_generic is None:
-                ratio = ex.BinOp("/", self.beta_a, self.alpha_a)
-                self._phi_vac_generic = ex.Call(
-                    "exp", ex.BinOp("-", ex.Const(0.0), ex.Antideriv(ratio)))
-            return self._phi_vac_generic
-        if self._psi_vac_generic is None:
-            ratio = ex.BinOp("/", self.beta_b, self.alpha_b)
-            self._psi_vac_generic = ex.Call(
-                "exp", ex.BinOp("-", ex.Const(0.0), ex.Antideriv(ratio)))
-        return self._psi_vac_generic
+    def vacuum_jet(self, side: str, x, order: int) -> Jet:
+        """Jet of the unnormalized vacuum of ``side``: the kernel of its
+        annihilating operator (a for phi, b^dag for psi).
 
-    def phi_vacuum_jet(self, x: float, order: int) -> Jet:
-        expr = self.vacuum_phi or self._generic_vacuum("phi")
-        return expr.eval_jet(x, order)
+        Built-ins register explicit closed forms (vacuum_psi evaluates to
+        psi_0 directly).  Otherwise both annihilators have the lowering
+        form alpha f' + beta f, whose kernel is exp(-antideriv(beta/alpha))
+        with the constant fixed by F(0) = 0; the conjugated pair of b^dag
+        conjugates the result, since x is real."""
+        if side not in VACUUM_KILLER:
+            raise ModelError(f"side must be 'phi' or 'psi', not {side!r}")
+        closed = self.vacuum_phi if side == "phi" else self.vacuum_psi
+        if closed is not None:
+            return closed.eval_jet(x, order)
+        op = LADDER_OPS[VACUUM_KILLER[side]]
+        ratio = ex.BinOp("/", self.coefficient("beta_" + op.pair),
+                         self.coefficient("alpha_" + op.pair))
+        vac = _exp_of_neg(ex.Antideriv(ratio)).eval_jet(x, order)
+        return vac.conjugate() if op.conjugated else vac
 
-    def psi_vacuum_jet(self, x: float, order: int) -> Jet:
-        if self.vacuum_psi is not None:
-            return self.vacuum_psi.eval_jet(x, order)
-        return self._generic_vacuum("psi").eval_jet(x, order).conjugate()
+    def vacuum_values(self, side: str, xs) -> np.ndarray:
+        return self.vacuum_jet(side, np.asarray(xs, dtype=float), 0).value
 
-    def phi_vacuum_values(self, xs) -> np.ndarray:
-        expr = self.vacuum_phi or self._generic_vacuum("phi")
-        return expr.eval_values(xs)
-
-    def psi_vacuum_values(self, xs) -> np.ndarray:
-        if self.vacuum_psi is not None:
-            return self.vacuum_psi.eval_values(xs)
-        return np.conj(self._generic_vacuum("psi").eval_values(xs))
+    phi_vacuum_jet = partialmethod(vacuum_jet, "phi")
+    psi_vacuum_jet = partialmethod(vacuum_jet, "psi")
+    phi_vacuum_values = partialmethod(vacuum_values, "phi")
+    psi_vacuum_values = partialmethod(vacuum_values, "psi")
 
     def ensure_normalized(self) -> complex:
         if self.norm_product is None:
@@ -425,8 +432,8 @@ def check_pb_conditions(m: PBModel, grid, tol: float = 1e-10) -> ConditionReport
 
 
 def apply_ladder(m: PBModel, which: str, f, x, order: int) -> Jet:
-    """Apply one of the four operators to a jet-valued function at a point
-    or at every point of an array.
+    """Apply one of the four operators of :data:`LADDER_OPS` to a
+    jet-valued function at a point or at every point of an array.
 
     ``f`` is a callable (x, order) -> Jet; one derivative order is
     consumed, so ``f`` is evaluated at order + 1.
@@ -436,24 +443,17 @@ def apply_ladder(m: PBModel, which: str, f, x, order: int) -> Jet:
         a_dag: -(conj(alpha_a) f)' + conj(beta_a) f
         b_dag: conj(alpha_b) f' + conj(beta_b) f
     """
+    try:
+        op = LADDER_OPS[which]
+    except KeyError:
+        raise ModelError(f"unknown ladder operator {which!r}") from None
     fj = f(x, order + 1)
-    if which == "a":
-        aa = m.alpha_a.eval_jet(x, order)
-        ba = m.beta_a.eval_jet(x, order)
-        return aa * fj.deriv() + ba * fj.truncate(order)
-    if which == "b":
-        ab = m.alpha_b.eval_jet(x, order + 1)
-        bb = m.beta_b.eval_jet(x, order)
-        return -((ab * fj).deriv()) + bb * fj.truncate(order)
-    if which == "a_dag":
-        aa = m.alpha_a.eval_jet(x, order + 1).conjugate()
-        ba = m.beta_a.eval_jet(x, order).conjugate()
-        return -((aa * fj).deriv()) + ba * fj.truncate(order)
-    if which == "b_dag":
-        ab = m.alpha_b.eval_jet(x, order).conjugate()
-        bb = m.beta_b.eval_jet(x, order).conjugate()
-        return ab * fj.deriv() + bb * fj.truncate(order)
-    raise ModelError(f"unknown ladder operator {which!r}")
+    alpha = m.coefficient("alpha_" + op.pair).eval_jet(x, order + op.raising)
+    beta = m.coefficient("beta_" + op.pair).eval_jet(x, order)
+    if op.conjugated:
+        alpha, beta = alpha.conjugate(), beta.conjugate()
+    lead = -((alpha * fj).deriv()) if op.raising else alpha * fj.deriv()
+    return lead + beta * fj.truncate(order)
 
 
 @dataclass
@@ -468,13 +468,10 @@ def commutator_residual(m: PBModel, f, grid) -> CommutatorStats:
     given as a jet-valued callable that accepts arrays."""
     grid = np.asarray(grid, dtype=float)
 
-    def bf(xx, oo):
-        return apply_ladder(m, "b", f, xx, oo)
+    def product(outer, inner):
+        return apply_ladder(
+            m, outer, lambda xx, oo: apply_ladder(m, inner, f, xx, oo),
+            grid, 0).value
 
-    def af(xx, oo):
-        return apply_ladder(m, "a", f, xx, oo)
-
-    ab_val = apply_ladder(m, "a", bf, grid, 0).value
-    ba_val = apply_ladder(m, "b", af, grid, 0).value
-    res = np.abs(ab_val - ba_val - f(grid, 0).value)
+    res = np.abs(product("a", "b") - product("b", "a") - f(grid, 0).value)
     return CommutatorStats(grid, res, float(np.max(res)))

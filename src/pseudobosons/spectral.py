@@ -5,17 +5,24 @@ Both factorizations are second-order differential operators
     H      = -k2(x) d^2/dx^2 + k1(x) d/dx + k0(x)
     H^dag  = -q2(x) d^2/dx^2 + q1(x) d/dx + q0(x)
 
-with coefficients assembled from the model's coefficient functions by jet
-arithmetic at each evaluation point (no symbolic expansion, which would
-swell badly for rational alphas):
+with coefficients assembled by jet arithmetic from order-1 jets of the
+model's coefficient functions (no symbolic expansion, which would swell
+badly for rational alphas).  H takes the pairs (p, q) = (a, b) in
 
     k2 = alpha_a alpha_b
-    k1 = alpha_a beta_b - alpha_b beta_a - 2 alpha_a alpha_b'
-    k0 = beta_a beta_b - (beta_a alpha_b)'
+    k1 = alpha_p beta_q - alpha_q beta_p - 2 alpha_p alpha_q'
+    k0 = beta_a beta_b - (beta_p alpha_q)'
+
+and H^dag is the same formula with the pairs swapped, (p, q) = (b, a),
+then conjugated:
 
     q2 = conj(alpha_a alpha_b)
     q1 = conj(alpha_b beta_a - alpha_a beta_b - 2 alpha_b alpha_a')
     q0 = conj(beta_a beta_b - (beta_b alpha_a)')
+
+k1 and q1 are the printed forms: composing the ladder factors of
+:data:`model.LADDER_OPS` instead adds alpha_a alpha_b' - alpha_a' alpha_b,
+the residual of the first coefficient condition, to k1.
 
 phi_n are eigenfunctions of H and psi_n of H^dag, with eigenvalue n; the
 partner product ab acts on phi_n with eigenvalue n + 1.
@@ -48,68 +55,40 @@ JetFn = Callable[[float, int], Jet]
 
 @dataclass
 class HamiltonianCoeffs:
-    """Jet-backed coefficient evaluators for one side."""
+    """The coefficients (c2, c1, c0) of H or H^dag."""
 
+    model: PBModel
     side: str  # 'H' | 'H_dag'
-    c2: JetFn
-    c1: JetFn
-    c0: JetFn
+
+    def __post_init__(self):
+        if self.side not in ("H", "H_dag"):
+            raise ModelError(f"side must be 'H' or 'H_dag', not {self.side!r}")
 
     def values(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
-        return tuple(fn(xs, 0).value for fn in (self.c2, self.c1, self.c0))
+        aa, ba, ab, bb = (self.model.coefficient(name).eval_jet(xs, 1)
+                          for name in ("alpha_a", "beta_a", "alpha_b",
+                                       "beta_b"))
+        # the pairs (p, q) of the formula: (a, b) for H, (b, a) for H^dag
+        ap, bp, aq, bq = ((aa, ba, ab, bb) if self.side == "H"
+                          else (ab, bb, aa, ba))
+        # the symmetric products keep the operand order (a, b) on both
+        # sides: numpy's complex product is not bitwise commutative
+        coeffs = (aa.value * ab.value,
+                  ap.value * bq.value - aq.value * bp.value
+                  - 2.0 * ap.value * aq.derivative(1),
+                  ba.value * bb.value - (bp * aq).derivative(1))
+        return tuple(c if self.side == "H" else np.conj(c) for c in coeffs)
 
 
-def hamiltonian_coeffs(m: PBModel, side: str) -> HamiltonianCoeffs:
-    if side == "H":
-        def c2(x, order):
-            return (m.alpha_a.eval_jet(x, order)
-                    * m.alpha_b.eval_jet(x, order))
-
-        def c1(x, order):
-            aa = m.alpha_a.eval_jet(x, order)
-            ab1 = m.alpha_b.eval_jet(x, order + 1)
-            return (aa * m.beta_b.eval_jet(x, order)
-                    - ab1.truncate(order) * m.beta_a.eval_jet(x, order)
-                    - 2.0 * aa * ab1.deriv())
-
-        def c0(x, order):
-            prod = (m.beta_a.eval_jet(x, order + 1)
-                    * m.alpha_b.eval_jet(x, order + 1))
-            return (m.beta_a.eval_jet(x, order) * m.beta_b.eval_jet(x, order)
-                    - prod.deriv())
-
-        return HamiltonianCoeffs("H", c2, c1, c0)
-
-    if side == "H_dag":
-        def q2(x, order):
-            return (m.alpha_a.eval_jet(x, order)
-                    * m.alpha_b.eval_jet(x, order)).conjugate()
-
-        def q1(x, order):
-            ab = m.alpha_b.eval_jet(x, order)
-            aa1 = m.alpha_a.eval_jet(x, order + 1)
-            inner = (ab * m.beta_a.eval_jet(x, order)
-                     - aa1.truncate(order) * m.beta_b.eval_jet(x, order)
-                     - 2.0 * ab * aa1.deriv())
-            return inner.conjugate()
-
-        def q0(x, order):
-            prod = (m.beta_b.eval_jet(x, order + 1)
-                    * m.alpha_a.eval_jet(x, order + 1))
-            inner = (m.beta_a.eval_jet(x, order) * m.beta_b.eval_jet(x, order)
-                     - prod.deriv())
-            return inner.conjugate()
-
-        return HamiltonianCoeffs("H_dag", q2, q1, q0)
-
-    raise ModelError(f"side must be 'H' or 'H_dag', not {side!r}")
+hamiltonian_coeffs = HamiltonianCoeffs
 
 
 def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x) -> complex:
     """-c2 f'' + c1 f' + c0 f at x (a point or an array); agrees with
-    composing the two ladder factors (b after a, or a^dag after b^dag)."""
-    c2, c1, c0 = hamiltonian_coeffs(m, side).values(x)
+    composing the two ladder factors (b after a, or a^dag after b^dag)
+    when the first coefficient condition holds."""
+    c2, c1, c0 = HamiltonianCoeffs(m, side).values(x)
     fj = f(x, 2)
     return -c2 * fj.derivative(2) + c1 * fj.derivative(1) + c0 * fj.value
 
@@ -136,10 +115,8 @@ def eigen_residual(m: PBModel, side: str, n: int, grid) -> float:
     grid = np.asarray(grid, dtype=float)
     fam = StateFamily(m, "phi" if side == "H" else "psi", max_n=n)
     fj = fam.jet(n, grid, 2)
-    c2, c1, c0 = hamiltonian_coeffs(m, side).values(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        h_val = (-c2 * fj.derivative(2) + c1 * fj.derivative(1)
-                 + c0 * fj.value)
+        h_val = apply_hamiltonian(m, side, lambda *_: fj, grid)
         return _relative_sup(h_val - n * fj.value, fj.value, n)
 
 
@@ -147,16 +124,15 @@ def hsusy_shift_check(m: PBModel, n: int, grid) -> float:
     """Relative sup residual of (a b) phi_n = (n + 1) phi_n, the partner
     product whose spectrum is shifted up by one unit."""
     grid = np.asarray(grid, dtype=float)
-    fam = StateFamily(m, "phi", max_n=n)
-    src = fam.jet_fn(n)
+    # level n once, as the operand and as the reference
+    here = StateFamily(m, "phi", max_n=n).jet(n, grid, 2)
 
-    def b_src(xx, oo):
-        return apply_ladder(m, "b", src, xx, oo)
+    def b_here(xx, oo):
+        return apply_ladder(m, "b", lambda *_: here, xx, oo)
 
-    phi_n = fam.jet(n, grid, 0).value
     with np.errstate(over="ignore", invalid="ignore"):
-        val = apply_ladder(m, "a", b_src, grid, 0).value
-        return _relative_sup(val - (n + 1) * phi_n, phi_n, n)
+        val = apply_ladder(m, "a", b_here, grid, 0).value
+        return _relative_sup(val - (n + 1) * here.value, here.value, n)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +217,7 @@ def printed_hamiltonian_crosscheck(m: PBModel, name: str, *, k: float = 1.0,
     grid = np.asarray(grid, dtype=float)
     worst = 0.0
     for side, printed in (("H", printed_h), ("H_dag", printed_hdag)):
-        derived = hamiltonian_coeffs(m, side).values(grid)
+        derived = HamiltonianCoeffs(m, side).values(grid)
         for got, want in zip(derived, printed(grid)):
             worst = max(worst, float(np.max(np.abs(got - want))))
     return worst

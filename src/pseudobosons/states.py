@@ -58,11 +58,7 @@ __all__ = [
 def vacuum(m: PBModel, side: str, x: float, order: int) -> Jet:
     """Jet of the unnormalized vacuum: phi side solves a phi_0 = 0, psi
     side solves b^dag psi_0 = 0."""
-    if side == "phi":
-        return m.phi_vacuum_jet(x, order)
-    if side == "psi":
-        return m.psi_vacuum_jet(x, order)
-    raise ModelError(f"side must be 'phi' or 'psi', not {side!r}")
+    return m.vacuum_jet(side, x, order)
 
 
 # ----------------------------------------------------------------------
@@ -85,31 +81,27 @@ def _recursion_coefficients(m: PBModel, side: str, x: float,
     the per-level derivative in the recursion amplifies such residue
     factorially by the time it reaches the value slot.
     """
+    # sigma is pi with the pairs a and b swapped, then conjugated
     flavor = m.flavor
     if isinstance(flavor, ConstantAlphaFlavor):
-        if side == "pi":
-            lead = (Jet.variable(x, order) + flavor.k) / flavor.alpha_a
-            damp = Jet.constant(flavor.alpha_b, x, order)
-        else:
-            lead = ((Jet.variable(x, order) + flavor.k.conjugate())
-                    / flavor.alpha_b.conjugate())
-            damp = Jet.constant(flavor.alpha_a.conjugate(), x, order)
-        return lead, damp
+        ax, ay, k = flavor.alpha_a, flavor.alpha_b, flavor.k
+        if side == "sigma":
+            ax, ay, k = ay.conjugate(), ax.conjugate(), k.conjugate()
+        return (Jet.variable(x, order) + k) / ax, Jet.constant(ay, x, order)
     if isinstance(flavor, ProportionalFlavor) and m.rho is not None:
         rho = m.rho.eval_jet(x, order)
         ab = m.alpha_b.eval_jet(x, order)
         if side == "pi":
             return rho * (1.0 / flavor.ratio), ab
         return rho, ab * flavor.ratio  # real alpha: conjugation is a no-op
-    if side == "pi":
-        ab = m.alpha_b.eval_jet(x, order + 1)
-        lead = (m.theta_jet(x, order) / m.alpha_a.eval_jet(x, order)
-                - ab.deriv())
-        return lead, ab.truncate(order)
-    aa = m.alpha_a.eval_jet(x, order + 1)
-    lead = (m.theta_jet(x, order) / m.alpha_b.eval_jet(x, order)
-            - aa.deriv()).conjugate()
-    return lead, aa.truncate(order).conjugate()
+    x_pair, y_pair = ("a", "b") if side == "pi" else ("b", "a")
+    ay = m.coefficient("alpha_" + y_pair).eval_jet(x, order + 1)
+    lead = (m.theta_jet(x, order)
+            / m.coefficient("alpha_" + x_pair).eval_jet(x, order) - ay.deriv())
+    damp = ay.truncate(order)
+    if side == "sigma":
+        lead, damp = lead.conjugate(), damp.conjugate()
+    return lead, damp
 
 
 def pi_sigma_recursive(m: PBModel, side: str, n: int, x: float,
@@ -149,12 +141,9 @@ def _closed_form(m: PBModel, side: str):
     if side not in ("pi", "sigma"):
         raise ModelError(f"side must be 'pi' or 'sigma', not {side!r}")
     if isinstance(flavor, ConstantAlphaFlavor):
-        if side == "pi":
-            aa, ab, k = flavor.alpha_a, flavor.alpha_b, flavor.k
-        else:
-            aa = flavor.alpha_b.conjugate()
-            ab = flavor.alpha_a.conjugate()
-            k = flavor.k.conjugate()
+        aa, ab, k = flavor.alpha_a, flavor.alpha_b, flavor.k
+        if side == "sigma":  # the pairs swapped, then conjugated
+            aa, ab, k = ab.conjugate(), aa.conjugate(), k.conjugate()
         return (lambda n: _principal_power_sqrt(ab / (2.0 * aa), n),
                 k, 1.0 / cmath.sqrt(2.0 * aa * ab))
     if m.rho is None:
@@ -273,8 +262,7 @@ class StateFamily:
                 for n in ns])
         pref, k, scale = _closed_form(m, self._poly_side)
         t = quad.rho_values(m, xs) if k is None else xs + k
-        vac = (m.phi_vacuum_values if self.side == "phi"
-               else m.psi_vacuum_values)(xs)
+        vac = m.vacuum_values(self.side, xs)
         norm = np.array([self.normalization / sqrt_factorial(n) * pref(n)
                          for n in ns])
         return (norm.reshape((-1,) + (1,) * xs.ndim)
@@ -349,8 +337,9 @@ class LadderResiduals:
 
     @property
     def max(self) -> float:
-        return max(self.raise_phi, self.lower_phi,
-                   self.raise_psi, self.lower_psi)
+        """The largest residual, nan if any is nan."""
+        return float(np.max([self.raise_phi, self.lower_phi,
+                             self.raise_psi, self.lower_psi]))
 
 
 def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n: int,
@@ -358,21 +347,16 @@ def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n: int,
     grid = np.asarray(grid, dtype=float)
     m = phi_fam.model
 
-    def sup_residual(fam, op, target_scale):
-        applied = apply_ladder(m, op, fam.jet_fn(n), grid, 0).value
-        if target_scale == "up":
-            target = math.sqrt(n + 1) * fam.jet(n + 1, grid, 0).value
-        elif n > 0:
-            target = math.sqrt(n) * fam.jet(n - 1, grid, 0).value
-        else:
-            target = 0.0
-        res = np.abs(applied - target)
-        ref = np.abs(fam.jet(n, grid, 0).value)
-        return float(np.max(res) / max(np.max(ref), 1e-300))
+    def residuals(fam, raising, lowering):
+        # level n once, as the operand of both operators and as the scale
+        here = fam.jet(n, grid, 1)
+        scale = max(np.max(np.abs(here.value)), 1e-300)
+        up = math.sqrt(n + 1) * fam.jet(n + 1, grid, 0).value
+        down = math.sqrt(n) * fam.jet(n - 1, grid, 0).value if n > 0 else 0.0
+        return [float(np.max(np.abs(
+            apply_ladder(m, op, lambda *_: here, grid, 0).value - target))
+            / scale) for op, target in ((raising, up), (lowering, down))]
 
-    return LadderResiduals(
-        raise_phi=sup_residual(phi_fam, "b", "up"),
-        lower_phi=sup_residual(phi_fam, "a", "down"),
-        raise_psi=sup_residual(psi_fam, "a_dag", "up"),
-        lower_psi=sup_residual(psi_fam, "b_dag", "down"),
-    )
+    raise_phi, lower_phi = residuals(phi_fam, "b", "a")
+    raise_psi, lower_psi = residuals(psi_fam, "a_dag", "b_dag")
+    return LadderResiduals(raise_phi, lower_phi, raise_psi, lower_psi)

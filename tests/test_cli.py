@@ -74,6 +74,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="points"):
             load_config(cfg)
 
+    def test_negative_n_max_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n"
+                                     "[run]\nn_max = -1\n")
+        with pytest.raises(ConfigError, match="n_max"):
+            load_config(cfg)
+
     def test_tolerance_validation(self, tmp_path):
         cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n"
                                      "[tolerances]\neigen = -1\n")
@@ -354,3 +360,58 @@ class TestCmdHamiltonian:
         doc = json.loads(
             (tmp_path / "out" / "hamiltonian_report.json").read_text())
         assert doc["checks"][0]["verdict"] == "skipped"
+
+
+class TestNoVacuousPass:
+    """A check passes only if it looked at the model."""
+
+    def test_ladder_skipped_without_a_level_pair(self, tmp_path):
+        body = ("[model]\nbuiltin = example2\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 41\n"
+                "[run]\nn_max = 0\nchecks = conditions ladder eigen\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        report = cmd_check(load_config(write_config(tmp_path, body)))
+        rec = {r.name: r for r in report.records}["ladder"]
+        assert rec.verdict == "skipped"
+        assert rec.metric is None
+        assert "n_max >= 1" in rec.detail["note"]
+        assert report.overall == "pass"
+
+    @pytest.mark.parametrize("key, value", [("z_re", "-1 1 0"),
+                                            ("z_im", "-1 1 -2")])
+    def test_empty_z_grid_is_a_config_error(self, tmp_path, capsys, key,
+                                            value):
+        body = ("[model]\nbuiltin = example2\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 41\n"
+                f"[bicoherent]\n{key} = {value}\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["bicoherent", "--config", str(cfg)]) == 2
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "bicoherent_report.json").exists()
+
+    def test_nan_residuals_fail(self, tmp_path):
+        # example2's states over/underflow far out, so every ladder, eigen
+        # and partner-product residual is nan; none may read as 0
+        body = ("[model]\nbuiltin = example2\n"
+                "[grid]\nlo = -720\nhi = 720\npoints = 41\n"
+                "[run]\nn_max = 2\nchecks = ladder eigen hsusy\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        with np.errstate(all="ignore"):
+            report = cmd_check(load_config(write_config(tmp_path, body)))
+        assert [r.verdict for r in report.records] == ["fail"] * 3
+        assert all(math.isnan(r.metric) for r in report.records)
+        assert report.overall == "fail"
+
+
+class TestReports:
+    def test_every_command_prints_its_records(self, tmp_path, capsys):
+        body = ("[model]\nbuiltin = swanson\ntheta = 0.3\n"
+                "[grid]\nlo = -2\nhi = 2\npoints = 11\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["hamiltonian", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [
+            f"wrote {tmp_path / 'out' / 'hamiltonian_report.json'}",
+            "  hamiltonian_crosscheck   skipped  metric=-"]

@@ -166,3 +166,62 @@ class TestCommutator:
         stats = commutator_residual(example1, zero.eval_jet,
                                     np.linspace(-2, 2, 11))
         assert stats.sup_abs == 0.0
+
+
+# complex coefficients as raw expressions: the shifted oscillator with
+# complex shifts, and one with complex, varying alphas (not
+# pseudo-bosonic, which the operator and vacuum definitions do not need)
+COMPLEX_RAW = {
+    "shifted": ("0.7071067811865476", "0.7071067811865476*x + 0.3+0.2*i",
+                "0.7071067811865476", "0.7071067811865476*x - 0.1+0.4*i"),
+    "complex_alphas": ("(0.6+0.3*i)/(1+x^2)", "x + 0.1*i",
+                       "(0.5-0.2*i)*cosh(x/2)", "0.4*x - 0.3*i"),
+}
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("name", sorted(COMPLEX_RAW))
+    def test_four_operators_match_their_definitions(self, name):
+        m = from_expressions(*COMPLEX_RAW[name])
+        xs = np.linspace(-2.0, 2.0, 9)
+        g = TestFunction(0.1, 2.5)
+        gj = g.jet(xs, 1)
+        f, df = gj.value, gj.derivative(1)
+        aa, daa = m.alpha_a.eval_dual(xs)
+        ab, dab = m.alpha_b.eval_dual(xs)
+        ba, bb = m.beta_a.eval_values(xs), m.beta_b.eval_values(xs)
+        want = {
+            "a": aa * df + ba * f,
+            "b": -(dab * f + ab * df) + bb * f,
+            "a_dag": -(np.conj(daa) * f + np.conj(aa) * df) + np.conj(ba) * f,
+            "b_dag": np.conj(ab) * df + np.conj(bb) * f,
+        }
+        for op, value in want.items():
+            got = apply_ladder(m, op, g.jet, xs, 0).value
+            assert np.allclose(got, value, rtol=1e-14, atol=1e-14), op
+
+    def test_vacuum_evaluation_leaves_the_model_unchanged(self):
+        m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                             "-2*x/(1+x^2)^2")
+        before = dict(vars(m))
+        xs = np.linspace(-2.0, 2.0, 5)
+        m.phi_vacuum_values(xs)
+        m.psi_vacuum_values(xs)
+        m.psi_vacuum_jet(0.3, 2)
+        assert vars(m) == before
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_RAW))
+    def test_generic_vacua_are_annihilated(self, name):
+        # phi_0 by a and psi_0 by b^dag, whose pair is conjugated
+        m = from_expressions(*COMPLEX_RAW[name])
+        xs = np.linspace(-3.0, 3.0, 61)
+        for values, jet, op in ((m.phi_vacuum_values, m.phi_vacuum_jet, "a"),
+                                (m.psi_vacuum_values, m.psi_vacuum_jet,
+                                 "b_dag")):
+            killed = apply_ladder(m, op, jet, xs, 0).value
+            assert np.max(np.abs(killed)) <= 1e-12 * np.max(
+                np.abs(values(xs))), op
+
+    def test_unknown_vacuum_side(self, bosonic):
+        with pytest.raises(ModelError, match="side"):
+            bosonic.vacuum_jet("chi", 0.0, 0)

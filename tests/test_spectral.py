@@ -145,3 +145,18 @@ class TestPrintedCrosschecks:
     def test_unknown_name(self):
         with pytest.raises(ModelError, match="printed"):
             builtin_hamiltonian_crosscheck("bosonic")
+
+
+class TestSwappedPairs:
+    def test_h_dag_is_h_of_the_swapped_model_conjugated(self):
+        from pseudobosons import from_expressions
+
+        coeffs = ("(0.6+0.3*i)/(1+x^2)", "x + 0.1*i*x^2", "0.5-0.2*i",
+                  "0.4*x - 0.3*i + sinh(x)/5")
+        m = from_expressions(*coeffs)
+        swapped = from_expressions(coeffs[2], coeffs[3], coeffs[0], coeffs[1])
+        xs = np.linspace(-2.0, 2.0, 41)
+        got = hamiltonian_coeffs(m, "H_dag").values(xs)
+        want = hamiltonian_coeffs(swapped, "H").values(xs)
+        for g, w in zip(got, want):
+            assert np.allclose(g, np.conj(w), rtol=1e-14, atol=1e-14)

@@ -219,3 +219,29 @@ class TestLadderRelations:
         psi = StateFamily(bosonic, "psi", max_n=7)
         res = verify_ladder(phi, psi, 5, np.linspace(-4, 4, 81))
         assert res.max <= 1e-10
+
+
+class TestLadderEvaluations:
+    def test_each_level_is_evaluated_once_per_family(self, monkeypatch):
+        from pseudobosons import from_expressions
+
+        m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                             "-2*x/(1+x^2)^2")
+        fix_normalization(m)
+        phi = StateFamily(m, "phi", max_n=3)
+        psi = StateFamily(m, "psi", max_n=3)
+        grid = np.linspace(-2.0, 2.0, 21)
+        calls = []
+        jet = StateFamily.jet
+
+        def counted(self, n, x, order):
+            calls.append((self.side, n, order))
+            return jet(self, n, x, order)
+
+        monkeypatch.setattr(StateFamily, "jet", counted)
+        res = verify_ladder(phi, psi, 2, grid)
+        assert sorted(calls) == sorted(
+            (side, n, order) for side in ("phi", "psi")
+            for n, order in ((2, 1), (3, 0), (1, 0)))
+        monkeypatch.undo()
+        assert res.max < 1e-8
