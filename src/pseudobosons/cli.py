@@ -239,7 +239,11 @@ def build_model(spec: dict) -> model_mod.PBModel:
         name = spec.pop("builtin").strip()
         params = {}
         for key, val in spec.items():
-            value = _parse_scalar(val)
+            try:
+                value = _parse_scalar(val)
+            except ex.ExpressionError as exc:
+                raise ConfigError(
+                    f"bad [model] parameter {key} = {val!r}: {exc}") from exc
             params[key] = _real(value, "theta") if key == "theta" else value
         try:
             return model_mod.build_builtin(name, **params)

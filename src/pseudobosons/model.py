@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expressions as ex
 from .expressions import FunctionExpr, parse_expr
-from .jets import Jet
+from .jets import Jet, JetError
 
 __all__ = [
     "ModelError",
@@ -128,6 +128,21 @@ class PBModel:
     vacuum_phi: Optional[FunctionExpr] = None
     vacuum_psi: Optional[FunctionExpr] = None
     norm_product: Optional[complex] = None  # conj(N_psi) * N_phi once fixed
+    kappa: dict = field(init=False, repr=False)  # side -> (damp * lead')(0)
+
+    def __post_init__(self):
+        # The pi/sigma recursions p_n = u p_{n-1} - d p_{n-1}' have
+        # d u' = kappa constant wherever the coefficient conditions hold.
+        # It is read once, at x = 0, the anchor of the vacua and of
+        # Antideriv; nan where the coefficients cannot be evaluated there.
+        self.kappa = {}
+        for side in ("pi", "sigma"):
+            try:
+                self.kappa[side] = complex(
+                    self.damp_jet(side, 0.0, 0).value
+                    * self.lead_jet(side, 0.0, 1).derivative(1))
+            except (JetError, ex.ExpressionError):
+                self.kappa[side] = complex("nan")
 
     # -- coefficient access --------------------------------------------
 
@@ -146,11 +161,53 @@ class PBModel:
     def theta_values(self, xs) -> np.ndarray:
         return self.theta_jet(np.asarray(xs, dtype=float), 0).value
 
+    # -- coefficients of the pi/sigma recursions --------------------------
+
+    def lead_jet(self, side: str, x, order: int) -> Jet:
+        """Jet of the lead u of the recursion of ``side`` at the given order:
+
+            pi side:    u = theta/alpha_a - alpha_b'
+            sigma side: u = conj(theta/alpha_b - alpha_a')
+
+        For constant-alpha and proportional flavors the expression is
+        simplified through the flavor's defining constraints (theta = x + k,
+        respectively beta_a = rho and beta_b = alpha_b') before evaluation.
+        The simplification matters to the recursion: the raw quotient leaves
+        eps-size residue in Taylor coefficients that are exactly zero, and
+        the per-level derivative amplifies such residue factorially by the
+        time it reaches the value slot.  The Hermite closed form needs u
+        only to the requested order, where the residue stays at eps.
+        """
+        # sigma is pi with the pairs a and b swapped, then conjugated
+        flavor = self.flavor
+        if isinstance(flavor, ConstantAlphaFlavor):
+            ax, k = flavor.alpha_a, flavor.k
+            if side == "sigma":
+                ax, k = flavor.alpha_b.conjugate(), k.conjugate()
+            return (Jet.variable(x, order) + k) / ax
+        if isinstance(flavor, ProportionalFlavor) and self.rho is not None:
+            rho = self.rho.eval_jet(x, order)
+            # real alpha: conjugation is a no-op
+            return rho * (1.0 / flavor.ratio) if side == "pi" else rho
+        x_pair, y_pair = ("a", "b") if side == "pi" else ("b", "a")
+        ay = self.coefficient("alpha_" + y_pair).eval_jet(x, order + 1)
+        lead = (self.theta_jet(x, order)
+                / self.coefficient("alpha_" + x_pair).eval_jet(x, order)
+                - ay.deriv())
+        return lead.conjugate() if side == "sigma" else lead
+
+    def damp_jet(self, side: str, x, order: int) -> Jet:
+        """Jet of the damp d of the recursion of ``side``: alpha_b on the
+        pi side, conj(alpha_a) on the sigma side."""
+        damp = self.coefficient("alpha_b" if side == "pi" else "alpha_a") \
+            .eval_jet(x, order)
+        return damp.conjugate() if side == "sigma" else damp
+
     # -- vacua -----------------------------------------------------------
 
-    def vacuum_jet(self, side: str, x, order: int) -> Jet:
-        """Jet of the unnormalized vacuum of ``side``: the kernel of its
-        annihilating operator (a for phi, b^dag for psi).
+    def _vacuum(self, side: str) -> tuple[FunctionExpr, bool]:
+        """The unnormalized vacuum of ``side`` as (expression, conjugated):
+        the kernel of its annihilating operator (a for phi, b^dag for psi).
 
         Built-ins register explicit closed forms (vacuum_psi evaluates to
         psi_0 directly).  Otherwise both annihilators have the lowering
@@ -161,15 +218,21 @@ class PBModel:
             raise ModelError(f"side must be 'phi' or 'psi', not {side!r}")
         closed = self.vacuum_phi if side == "phi" else self.vacuum_psi
         if closed is not None:
-            return closed.eval_jet(x, order)
+            return closed, False
         op = LADDER_OPS[VACUUM_KILLER[side]]
         ratio = ex.BinOp("/", self.coefficient("beta_" + op.pair),
                          self.coefficient("alpha_" + op.pair))
-        vac = _exp_of_neg(ex.Antideriv(ratio)).eval_jet(x, order)
-        return vac.conjugate() if op.conjugated else vac
+        return _exp_of_neg(ex.Antideriv(ratio)), op.conjugated
+
+    def vacuum_jet(self, side: str, x, order: int) -> Jet:
+        expr, conjugated = self._vacuum(side)
+        vac = expr.eval_jet(x, order)
+        return vac.conjugate() if conjugated else vac
 
     def vacuum_values(self, side: str, xs) -> np.ndarray:
-        return self.vacuum_jet(side, np.asarray(xs, dtype=float), 0).value
+        expr, conjugated = self._vacuum(side)
+        vals = expr.eval_values(xs)
+        return np.conj(vals) if conjugated else vals
 
     phi_vacuum_jet = partialmethod(vacuum_jet, "phi")
     psi_vacuum_jet = partialmethod(vacuum_jet, "psi")

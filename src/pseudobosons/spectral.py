@@ -37,7 +37,7 @@ import numpy as np
 
 from .jets import Jet
 from .model import ModelError, PBModel, apply_ladder, build_builtin
-from .states import StateFamily
+from .states import StateFamily, _relative_sup
 
 __all__ = [
     "HamiltonianCoeffs",
@@ -91,21 +91,6 @@ def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x) -> complex:
     c2, c1, c0 = HamiltonianCoeffs(m, side).values(x)
     fj = f(x, 2)
     return -c2 * fj.derivative(2) + c1 * fj.derivative(1) + c0 * fj.value
-
-
-_TAIL_FLOOR = 1e-250  # below this |state| the residual is 0/0 noise
-
-
-def _relative_sup(residual, state, n: int) -> float:
-    """sup |residual| / sup |state|, with the points where |state| is
-    below the tail floor counted as 0 (their residual may not be
-    finite)."""
-    mag = np.abs(state)
-    res = np.where(mag < _TAIL_FLOOR, 0.0, np.abs(residual))
-    sup = float(np.max(mag))
-    if sup == 0.0:
-        raise ModelError(f"state level {n} vanished on the whole grid")
-    return float(np.max(res)) / sup
 
 
 def eigen_residual(m: PBModel, side: str, n: int, grid) -> float:

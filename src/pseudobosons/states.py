@@ -12,10 +12,21 @@ by theta = alpha_a beta_b + alpha_b beta_a:
     sigma_n = conj(theta/alpha_b - alpha_a') sigma_{n-1}
               - conj(alpha_a) sigma_{n-1}'
 
-with pi_0 = sigma_0 = 1.  For constant-alpha and proportional-alpha
-models both sequences collapse to Hermite polynomials of a rescaled
-argument; the recursive and closed-form evaluators are kept as
-independent code paths and their agreement is part of the test suite.
+with pi_0 = sigma_0 = 1.  Write each as u p_{n-1} - d p_{n-1}' (lead u,
+damp d).  On every model that passes the two coefficient conditions,
+d u' = kappa is constant (1/c on the pi side, conj(c) on the sigma side,
+with alpha_a = c alpha_b), and induction on H_{n+1} = 2y H_n - H_n' gives
+one Hermite closed form
+
+    p_n = s^n H_n(u / (2s)),     s = sqrt(kappa / 2),
+
+for both sides and every flavor (any square root: the form is even in
+s).  kappa is a model constant: ``PBModel`` reads it once, when it is
+built, at x = 0, the point where the vacua and ``Antideriv`` are
+anchored, so s is a plain number and no square root is taken per point.
+The families are evaluated from this form; :func:`pi_sigma_recursive`
+runs the recursion itself, i.e. b^n phi_0, as the independent reference
+route.
 
 Note the sigma_n sequence multiplies psi_0 (not phi_0): the recursion is
 exactly what repeated application of a^dag to psi_0 produces, which the
@@ -27,19 +38,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import quad
 from .jets import Jet, jet_hermite, sqrt_factorial
-from .model import (
-    ConstantAlphaFlavor,
-    ModelError,
-    PBModel,
-    ProportionalFlavor,
-    apply_ladder,
-)
+from .model import ModelError, PBModel, apply_ladder
 from .quad import compatibility_form, hermite_value
 
 __all__ = [
@@ -65,45 +70,6 @@ def vacuum(m: PBModel, side: str, x: float, order: int) -> Jet:
 # pi_n / sigma_n
 # ----------------------------------------------------------------------
 
-def _recursion_coefficients(m: PBModel, side: str, x: float,
-                            order: int) -> tuple[Jet, Jet]:
-    """Jets of the two recursion coefficients at the given order:
-
-        pi side:    lead = theta/alpha_a - alpha_b',  damp = alpha_b
-        sigma side: lead = conj(theta/alpha_b - alpha_a'),
-                    damp = conj(alpha_a)
-
-    For constant-alpha and proportional flavors these expressions are
-    simplified through the flavor's defining constraints (theta = x + k,
-    respectively beta_a = rho and beta_b = alpha_b') before evaluation.
-    The simplification matters numerically: the raw quotient leaves
-    eps-size residue in Taylor coefficients that are exactly zero, and
-    the per-level derivative in the recursion amplifies such residue
-    factorially by the time it reaches the value slot.
-    """
-    # sigma is pi with the pairs a and b swapped, then conjugated
-    flavor = m.flavor
-    if isinstance(flavor, ConstantAlphaFlavor):
-        ax, ay, k = flavor.alpha_a, flavor.alpha_b, flavor.k
-        if side == "sigma":
-            ax, ay, k = ay.conjugate(), ax.conjugate(), k.conjugate()
-        return (Jet.variable(x, order) + k) / ax, Jet.constant(ay, x, order)
-    if isinstance(flavor, ProportionalFlavor) and m.rho is not None:
-        rho = m.rho.eval_jet(x, order)
-        ab = m.alpha_b.eval_jet(x, order)
-        if side == "pi":
-            return rho * (1.0 / flavor.ratio), ab
-        return rho, ab * flavor.ratio  # real alpha: conjugation is a no-op
-    x_pair, y_pair = ("a", "b") if side == "pi" else ("b", "a")
-    ay = m.coefficient("alpha_" + y_pair).eval_jet(x, order + 1)
-    lead = (m.theta_jet(x, order)
-            / m.coefficient("alpha_" + x_pair).eval_jet(x, order) - ay.deriv())
-    damp = ay.truncate(order)
-    if side == "sigma":
-        lead, damp = lead.conjugate(), damp.conjugate()
-    return lead, damp
-
-
 def pi_sigma_recursive(m: PBModel, side: str, n: int, x: float,
                        order: int) -> Jet:
     """Recursive evaluation; level k is computed at order (order + n - k),
@@ -116,7 +82,7 @@ def pi_sigma_recursive(m: PBModel, side: str, n: int, x: float,
     out = Jet.constant(1.0, x, top)
     if n == 0:
         return out
-    lead, damp = _recursion_coefficients(m, side, x, top - 1)
+    lead, damp = m.lead_jet(side, x, top - 1), m.damp_jet(side, x, top - 1)
     for k in range(1, n + 1):
         p = top - k
         out = (lead.truncate(p) * out.truncate(p)
@@ -124,56 +90,34 @@ def pi_sigma_recursive(m: PBModel, side: str, n: int, x: float,
     return out
 
 
-def _principal_power_sqrt(base: complex, n: int) -> complex:
-    """sqrt(base**n) with the principal square root."""
-    return cmath.sqrt(base ** n)
-
-
-def _closed_form(m: PBModel, side: str):
-    """Parameters of the Hermite closed forms pi_n / sigma_n =
-    pref(n) H_n(scale * t) as (pref, k, scale), with t = x + k for
-    constant-alpha models and t = rho(x) (k None) for proportional ones."""
-    flavor = m.flavor
-    if not _has_closed_form(m):
-        raise ModelError(
-            f"no closed form for flavor {flavor.kind!r}; use pi_sigma_recursive"
-        )
+def _hermite_scale(m: PBModel, side: str) -> complex:
+    """s = sqrt(kappa / 2) of the closed form, from the model's kappa."""
     if side not in ("pi", "sigma"):
         raise ModelError(f"side must be 'pi' or 'sigma', not {side!r}")
-    if isinstance(flavor, ConstantAlphaFlavor):
-        aa, ab, k = flavor.alpha_a, flavor.alpha_b, flavor.k
-        if side == "sigma":  # the pairs swapped, then conjugated
-            aa, ab, k = ab.conjugate(), aa.conjugate(), k.conjugate()
-        return (lambda n: _principal_power_sqrt(ab / (2.0 * aa), n),
-                k, 1.0 / cmath.sqrt(2.0 * aa * ab))
-    if m.rho is None:
-        raise ModelError("proportional model lacks a rho expression")
-    c = flavor.ratio
-    return (lambda n: (2.0 * c) ** (-0.5 * n) if side == "pi"
-            else (0.5 * c) ** (0.5 * n)), None, 1.0 / math.sqrt(2.0 * c)
+    kappa = m.kappa[side]
+    if kappa == 0 or not cmath.isfinite(kappa):
+        raise ModelError(
+            f"{side} closed form: kappa = (damp * lead')(0) = {kappa}; it "
+            "must be finite and nonzero, with both alphas nonzero and "
+            "regular at x = 0")
+    return cmath.sqrt(0.5 * kappa)
 
 
 def pi_sigma_closed(m: PBModel, side: str, n: int, x: float,
                     order: int) -> Jet:
-    """Hermite closed forms.
+    """Hermite closed form p_n = s^n H_n(u / (2s)), s = sqrt(kappa / 2),
+    with u the lead coefficient of the recursion and kappa = d u' its
+    constant product with the damp, read from the model (see the module
+    docstring).  It reduces to
 
-    constant_alpha:   pi_n    = sqrt((alpha_b/(2 alpha_a))^n)
-                                 * H_n((x+k)/sqrt(2 alpha_a alpha_b))
-                      sigma_n = sqrt((conj(alpha_a)/(2 conj(alpha_b)))^n)
-                                 * H_n((x+conj(k))/sqrt(2 conj(alpha_a alpha_b)))
-    proportional c:   pi_n    = (2c)^(-n/2) H_n(rho(x)/sqrt(2c))
-                      sigma_n = (c/2)^(+n/2) H_n(rho(x)/sqrt(2c))
+    constant_alpha:   u = (x+k)/alpha_a,  kappa = alpha_b/alpha_a
+    proportional c:   u = rho/c,          kappa = 1/c     (pi side)
 
-    Complex square roots are principal.  Only these flavors carry
-    closed forms; anything else must use the recursive evaluator.
+    and holds wherever the coefficient conditions do; a kappa of 0 or
+    one that is not finite is a ModelError.
     """
-    pref, k, scale = _closed_form(m, side)
-    t = m.rho.eval_jet(x, order) if k is None else Jet.variable(x, order) + k
-    return jet_hermite(t * scale, n) * pref(n)
-
-
-def _has_closed_form(m: PBModel) -> bool:
-    return isinstance(m.flavor, (ConstantAlphaFlavor, ProportionalFlavor))
+    s = _hermite_scale(m, side)
+    return jet_hermite(m.lead_jet(side, x, order) * (0.5 / s), n) * s ** n
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +130,8 @@ class StateFamily:
 
     The phi side carries normalization N_phi = 1; the psi side carries
     N_psi = conj(norm_product) once the model's normalization has been
-    fixed, so that conj(N_psi) N_phi equals the stored product.
+    fixed, so that conj(N_psi) N_phi equals the stored product.  Levels
+    come from the Hermite closed form.
     """
 
     model: PBModel
@@ -215,10 +160,7 @@ class StateFamily:
     def jet(self, n: int, x, order: int) -> Jet:
         """Jet of the n-th state at a point or at every point of an array."""
         self._check_n(n)
-        if _has_closed_form(self.model):
-            poly = pi_sigma_closed(self.model, self._poly_side, n, x, order)
-        else:
-            poly = pi_sigma_recursive(self.model, self._poly_side, n, x, order)
+        poly = pi_sigma_closed(self.model, self._poly_side, n, x, order)
         vac = vacuum(self.model, self.side, x, order)
         return poly * vac * (self.normalization / sqrt_factorial(n))
 
@@ -237,36 +179,18 @@ class StateFamily:
         return self._levels(range(self.max_n + 1), xs)
 
     def _levels(self, ns, xs) -> np.ndarray:
-        """Stacked values of the levels ``ns``: one Hermite recurrence for
-        all of them in the closed-form flavors, one pi/sigma recursion
-        otherwise.  Level k of that recursion, run to the top level, has
-        the same low-order Taylor coefficients as a recursion stopped at
-        k, so each row is bitwise ``jet(n, xs, 0).value``."""
+        """Stacked values of the levels ``ns`` from one Hermite recurrence;
+        each row is bitwise ``jet(n, xs, 0).value``, whose operations it
+        repeats in the same order."""
         xs = np.asarray(xs, dtype=float)
-        m = self.model
-        if not _has_closed_form(m):
-            top = max(ns)
-            poly = Jet.constant(1.0, xs, top)
-            polys = [poly]
-            if top:
-                lead, damp = _recursion_coefficients(m, self._poly_side, xs,
-                                                     top - 1)
-            for p in range(top - 1, -1, -1):
-                poly = (lead.truncate(p) * poly.truncate(p)
-                        - damp.truncate(p) * poly.deriv().truncate(p))
-                polys.append(poly)
-            vac = vacuum(m, self.side, xs, 0)
-            return np.stack([
-                (polys[n].truncate(0) * vac
-                 * (self.normalization / sqrt_factorial(n))).value
-                for n in ns])
-        pref, k, scale = _closed_form(m, self._poly_side)
-        t = quad.rho_values(m, xs) if k is None else xs + k
-        vac = m.vacuum_values(self.side, xs)
-        norm = np.array([self.normalization / sqrt_factorial(n) * pref(n)
-                         for n in ns])
-        return (norm.reshape((-1,) + (1,) * xs.ndim)
-                * hermite_value(ns, t * scale) * vac)
+        s = _hermite_scale(self.model, self._poly_side)
+        y = self.model.lead_jet(self._poly_side, xs, 0).value * (0.5 / s)
+        vac = self.model.vacuum_values(self.side, xs)
+        shape = (-1,) + (1,) * xs.ndim
+        pref = np.array([s ** n for n in ns]).reshape(shape)
+        norm = np.array([self.normalization / sqrt_factorial(n)
+                         for n in ns]).reshape(shape)
+        return hermite_value(ns, y) * pref * vac * norm
 
     def values(self, n: int, xs) -> np.ndarray:
         return self.values_fn(n)(np.asarray(xs, dtype=float))
@@ -282,22 +206,17 @@ def eval_state(fam: StateFamily, n: int, x: float, order: int) -> Jet:
 # Normalization and envelopes
 # ----------------------------------------------------------------------
 
-def pair_envelope(m: PBModel, degree: int) -> Optional[Callable[[float], float]]:
+def pair_envelope(m: PBModel, degree: int) -> Callable[[float], float]:
     """Decay envelope for |psi_m(x) phi_n(x)|-type integrands with
-    m + n <= degree; None when the model has no closed-form structure to
-    exploit (the integrator then samples the integrand itself)."""
-    if not _has_closed_form(m):
-        return None
-    flavor = m.flavor
+    m + n <= degree: |phi_0 psi_0| max(1, 2|y|)^degree at the Hermite
+    argument y = u/(2s), whose modulus is the same on both sides."""
+    s = _hermite_scale(m, "pi")
 
     def envelope(x: float) -> float:
         xs = np.array([float(x)])
         base = abs(complex(m.phi_vacuum_values(xs)[0])
                    * complex(m.psi_vacuum_values(xs)[0]))
-        if isinstance(flavor, ConstantAlphaFlavor):
-            y = (x + flavor.k) / cmath.sqrt(2.0 * flavor.alpha_a * flavor.alpha_b)
-        else:
-            y = quad.rho_values(m, xs)[0] / math.sqrt(2.0 * flavor.ratio)
+        y = complex(m.lead_jet("pi", xs, 0).value[0]) * (0.5 / s)
         return base * max(1.0, 2.0 * abs(y)) ** degree
 
     return envelope
@@ -342,6 +261,23 @@ class LadderResiduals:
                              self.raise_psi, self.lower_psi]))
 
 
+_TAIL_FLOOR = 1e-250  # below this |state| the residual is 0/0 noise
+
+
+def _relative_sup(residual, state, n: int) -> float:
+    """sup |residual| / sup |state|, with the points where |state| is
+    below the tail floor counted as 0 (their residual may not be
+    finite).  A state below the floor on the whole grid leaves nothing to
+    compare and is a ModelError."""
+    mag = np.abs(state)
+    res = np.where(mag < _TAIL_FLOOR, 0.0, np.abs(residual))
+    sup = float(np.max(mag))
+    if sup < _TAIL_FLOOR:
+        raise ModelError(f"state level {n} vanished on the whole grid "
+                         f"(sup |state| = {sup:.3g})")
+    return float(np.max(res)) / sup
+
+
 def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n: int,
                   grid) -> LadderResiduals:
     grid = np.asarray(grid, dtype=float)
@@ -350,12 +286,11 @@ def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n: int,
     def residuals(fam, raising, lowering):
         # level n once, as the operand of both operators and as the scale
         here = fam.jet(n, grid, 1)
-        scale = max(np.max(np.abs(here.value)), 1e-300)
         up = math.sqrt(n + 1) * fam.jet(n + 1, grid, 0).value
         down = math.sqrt(n) * fam.jet(n - 1, grid, 0).value if n > 0 else 0.0
-        return [float(np.max(np.abs(
-            apply_ladder(m, op, lambda *_: here, grid, 0).value - target))
-            / scale) for op, target in ((raising, up), (lowering, down))]
+        return [_relative_sup(
+            apply_ladder(m, op, lambda *_: here, grid, 0).value - target,
+            here.value, n) for op, target in ((raising, up), (lowering, down))]
 
     raise_phi, lower_phi = residuals(phi_fam, "b", "a")
     raise_psi, lower_psi = residuals(psi_fam, "a_dag", "b_dag")

@@ -6,13 +6,15 @@ method that is no longer defined on its class, would otherwise break the
 benchmark only when the benchmark runs.
 """
 
+import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudobosons import bicoherent, model, spectral, states
+from pseudobosons import bicoherent, cli, model, spectral, states
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +27,25 @@ def tracer_cls():
     finally:
         sys.path.remove(str(BENCH))
     return tracer.Tracer
+
+
+@pytest.fixture
+def bench_run():
+    """``bench/run.py`` as a module, with ``bench/`` on the path for the
+    modules it imports when it runs; its import-time changes to the
+    environment are undone."""
+    environ = dict(os.environ)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run",
+                                                      BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        sys.path.remove(str(BENCH))
+        os.environ.clear()
+        os.environ.update(environ)
 
 
 def _bindings():
@@ -54,3 +75,24 @@ def test_install_traces_the_layers_and_restore_undoes_it(tracer_cls):
     finally:
         t.restore()
     assert all(b is o for b, o in zip(_bindings(), originals))
+
+
+@pytest.mark.parametrize("workload", ["demo_check", "demo_bicoherent",
+                                      "general_check"])
+def test_workload_records_every_expected_boundary(bench_run, tracer_cls,
+                                                  tmp_path, workload):
+    # the traced benchmark gates each workload on these boundaries, so a
+    # dropped one fails here too, not only under --trace 1
+    from workloads import WORKLOADS
+
+    runner = bench_run.Runner(cli, WORKLOADS[workload], 13, tmp_path)
+    t = tracer_cls()
+    try:
+        t.install()
+        runner.command(t.command)
+    finally:
+        t.restore()
+    assert runner.failed == []
+    missing = [name for name in bench_run.EXPECTED_BOUNDARIES[workload]
+               if t.counts[name] == 0]
+    assert missing == []

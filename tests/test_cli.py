@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudobosons import StateFamily, build_builtin, fix_normalization
+from pseudobosons import StateFamily, build_builtin, fix_normalization, jets
 from pseudobosons.cli import (
     BLOCKED_BY,
     CHECK_ORDER,
@@ -201,6 +203,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "[model]\nbuiltin = nosuch\n")
         assert main(["check", "--config", str(cfg)]) == 2
 
+    def test_malformed_builtin_parameter_exit_two(self, tmp_path, capsys):
+        body = ("[model]\nbuiltin = constant_alpha\n"
+                "alpha_a = 0.7+0.2j\nalpha_b = 1.1\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        with pytest.raises(ConfigError, match="alpha_a = '0.7\\+0.2j'"):
+            build_model(load_config(cfg).model_spec)
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert "alpha_a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_two(self, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOBOSONS_CONFIG", raising=False)
         assert main(["check"]) == 2
@@ -390,6 +403,18 @@ class TestNoVacuousPass:
         assert "count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "bicoherent_report.json").exists()
 
+    def test_ladder_errors_where_every_state_vanishes(self, tmp_path):
+        # bosonic states underflow to 0 on [40, 50]: no relation was seen
+        body = ("[model]\nbuiltin = bosonic\n"
+                "[grid]\nlo = 40\nhi = 50\npoints = 41\n"
+                "[run]\nn_max = 2\nchecks = ladder eigen hsusy\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        report = cmd_check(load_config(write_config(tmp_path, body)))
+        for rec in report.records:
+            assert rec.verdict == "error", rec
+            assert "vanished on the whole grid" in rec.detail["error"]
+        assert report.overall == "fail"
+
     def test_nan_residuals_fail(self, tmp_path):
         # example2's states over/underflow far out, so every ladder, eigen
         # and partner-product residual is nan; none may read as 0
@@ -415,3 +440,56 @@ class TestReports:
         assert out[-2:] == [
             f"wrote {tmp_path / 'out' / 'hamiltonian_report.json'}",
             "  hamiltonian_crosscheck   skipped  metric=-"]
+
+
+DEMO_INI = Path(__file__).resolve().parents[1] / "demos" / "example_run.ini"
+
+
+def _demo_config(tmp_path, *, raw: bool, n_max: int = 8):
+    """The demo config, with its commented raw-expression model (example1
+    as a general-flavor model) enabled when ``raw``."""
+    body = DEMO_INI.read_text(encoding="utf-8")
+    body = body.replace("n_max = 8", f"n_max = {n_max}")
+    if raw:
+        body = body.replace("builtin = example2\n", "")
+        body = re.sub(r"^# (alpha_[ab]|beta_[ab]) ", r"\1 ", body,
+                      flags=re.M)
+    return write_config(tmp_path, body, name=f"raw{n_max}.ini" if raw
+                        else "demo.ini")
+
+
+class TestUnifiedClosedForm:
+    """Every model that passes the conditions gets its levels from one
+    Hermite closed form."""
+
+    def test_complex_constant_alpha_ladder(self, tmp_path):
+        body = ("[model]\nbuiltin = constant_alpha\n"
+                "alpha_a = 0.7+0.2*i\nalpha_b = 1.1-0.3*i\nk = 0.4\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 101\n"
+                "[run]\nn_max = 8\nchecks = conditions ladder eigen\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        report = cmd_check(load_config(write_config(tmp_path, body)))
+        assert [r.verdict for r in report.records] == ["pass"] * 3
+
+    def test_raw_example1_check_at_level_20(self, tmp_path):
+        report = cmd_check(load_config(_demo_config(tmp_path, raw=True,
+                                                    n_max=20)))
+        assert report.overall == "pass"
+        assert report.model["flavor"] == "general"
+
+    def test_every_command_within_jet_order_3(self, tmp_path, capsys):
+        # no CLI path needs jets above order 3, the general flavor at 40
+        # levels included
+        configs = [_demo_config(tmp_path, raw=True, n_max=40),
+                   _demo_config(tmp_path, raw=False)]
+        old = jets.get_max_order()
+        jets.set_max_order(3)
+        try:
+            for cfg in configs:
+                for command in ("check", "states", "hamiltonian",
+                                "bicoherent"):
+                    out = tmp_path / f"{cfg.stem}-{command}"
+                    assert main([command, "--config", str(cfg), "--out",
+                                 str(out)]) == 0, (cfg.name, command)
+        finally:
+            jets.set_max_order(old)

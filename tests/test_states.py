@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from pseudobosons import (
     build_builtin,
     eval_state,
     fix_normalization,
+    from_expressions,
     pi_sigma_closed,
     pi_sigma_recursive,
     proportional_model,
@@ -78,6 +80,30 @@ class TestRecursion:
             pi_sigma_recursive(example1, "pi", get_max_order() + 1, 0.0, 0)
 
 
+def _unified_models():
+    """Models off the two flavors with closed forms of their own: a
+    complex constant_alpha whose alphas differ, and example1 after the
+    gauge transform beta_a - alpha_a w', beta_b + alpha_b w' with
+    w = x^2/10, which changes only the vacua."""
+    return {
+        "complex_constant_alpha": build_builtin(
+            "constant_alpha", alpha_a=0.7 + 0.2j, alpha_b=1.1 - 0.3j, k=0.4),
+        "gauged_example1": from_expressions(
+            "1/(1+x^2)", "x + x^3/3 - x/(5*(1+x^2))", "1/(1+x^2)",
+            "-2*x/(1+x^2)^2 + x/(5*(1+x^2))"),
+    }
+
+
+def _assert_closed_matches_recursion(m, name, xs):
+    for side in ("pi", "sigma"):
+        for n in (1, 4, 8):
+            for x in xs:
+                rec = pi_sigma_recursive(m, side, n, float(x), 0).value
+                clo = pi_sigma_closed(m, side, n, float(x), 0).value
+                assert abs(rec - clo) <= 1e-9 * (1 + abs(clo)), \
+                    (name, side, n, x)
+
+
 class TestClosedForms:
     def test_example2_level_three(self, example2):
         for x in (-1.1, 0.3, 1.9):
@@ -96,23 +122,51 @@ class TestClosedForms:
     def test_level_zero_is_one(self, example2):
         assert pi_sigma_closed(example2, "sigma", 0, 1.2, 0).value == 1.0
 
-    def test_unsupported_flavor_directs_to_recursion(self):
-        from pseudobosons import from_expressions
-
+    def test_general_flavor_closed_matches_recursion(self):
+        # u = x and kappa = 1: pi_n is the probabilists' Hermite He_n(x)
         m = from_expressions("1", "x", "1", "0")
-        with pytest.raises(ModelError, match="pi_sigma_recursive"):
-            pi_sigma_closed(m, "pi", 1, 0.0, 0)
+        for x in (-2.0, 0.7):
+            assert abs(pi_sigma_closed(m, "pi", 1, x, 0).value - x) < 1e-15
+        _assert_closed_matches_recursion(m, "general", np.linspace(-3, 3, 11))
 
     def test_recursion_closed_agreement(self, all_builtins):
         xs = np.linspace(-3.0, 3.0, 11)
+        for name, m in {**all_builtins, **_unified_models()}.items():
+            _assert_closed_matches_recursion(m, name, xs)
+
+    def test_raw_example1_matches_builtin(self, example1):
+        # the general flavor's lead theta/alpha_a - alpha_b' is rho
+        raw = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                               "-2*x/(1+x^2)^2")
+        xs = np.linspace(-3.0, 3.0, 13)
+        for side in ("pi", "sigma"):
+            for n in range(31):
+                want = pi_sigma_closed(example1, side, n, xs, 2).coeffs
+                got = pi_sigma_closed(raw, side, n, xs, 2).coeffs
+                scale = np.max(np.abs(want), axis=0)
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (side, n)
+
+    @pytest.mark.parametrize("coeffs, zero", [
+        (("1", "0", "1", "0"), True),  # u = -alpha_b' = 0
+        (("x", "1", "x", "0"), False),  # alpha_a(0) = 0: a pole in u
+    ])
+    def test_kappa_is_a_typed_error(self, coeffs, zero):
+        m = from_expressions(*coeffs)
+        assert (m.kappa["pi"] == 0) if zero else cmath.isnan(m.kappa["pi"])
+        with pytest.raises(ModelError, match="finite and nonzero"):
+            pi_sigma_closed(m, "pi", 2, 0.5, 0)
+        with pytest.raises(ModelError, match="finite and nonzero"):
+            StateFamily(m, "phi", max_n=2).values_all(np.array([0.5]))
+
+    def test_kappa_is_the_flavor_constant(self, all_builtins):
+        # kappa = 1/c on the pi side and conj(c) on the sigma side, with
+        # alpha_a = c alpha_b
         for name, m in all_builtins.items():
-            for side in ("pi", "sigma"):
-                for n in (1, 4, 8):
-                    for x in xs:
-                        rec = pi_sigma_recursive(m, side, n, float(x), 0).value
-                        clo = pi_sigma_closed(m, side, n, float(x), 0).value
-                        assert abs(rec - clo) <= 1e-9 * (1 + abs(clo)), \
-                            (name, side, n, x)
+            c = complex(m.alpha_a.eval_values(np.array([0.7]))[0]
+                        / m.alpha_b.eval_values(np.array([0.7]))[0])
+            assert abs(m.kappa["pi"] - 1 / c) <= 1e-15 / abs(c), name
+            assert abs(m.kappa["sigma"] - c.conjugate()) <= 1e-15 * abs(c), \
+                name
 
     def test_hermite_induction_step(self, constant_alpha):
         # the inductive identity behind the closed form:
