@@ -8,6 +8,9 @@ but for compactly supported smooth f, g the partial sums
 converge to <f, g>, in either ordering.  The mechanism is a change of
 variables that maps every pairing onto harmonic-oscillator coefficients;
 the transform identities below are the computable core of that proof.
+They need no special flavor: rho = c u comes from the model's own
+recursion lead, so example1 given as raw expressions, or gauge-transformed
+(beta_a - alpha_a w', beta_b + alpha_b w', w = x^2/10), obeys them too.
 """
 
 import numpy as np
@@ -25,10 +28,18 @@ from pseudobosons.quad import (
 f = pb.TestFunction(center=0.0, width=1.2)
 g = pb.TestFunction(center=0.3, width=1.0)
 
+models = {name: pb.build_builtin(name) for name in ("example1", "example2")}
+models["raw example1"] = pb.from_expressions(
+    "1/(1+x^2)", "x + x^3/3", "1/(1+x^2)", "-2*x/(1+x^2)^2")
+models["gauged example1"] = pb.from_expressions(
+    "1/(1+x^2)", "x + x^3/3 - x/(5*(1+x^2))", "1/(1+x^2)",
+    "-2*x/(1+x^2)^2 + x/(5*(1+x^2))")
+for m in models.values():
+    pb.fix_normalization(m)
+
 print("== partial-sum convergence |S_N - <f,g>| ==")
 for name in ("example1", "example2"):
-    m = pb.build_builtin(name)
-    pb.fix_normalization(m)
+    m = models[name]
     for ordering in ("phi_psi", "psi_phi"):
         r = pb.quasi_basis_sum(m, f, g, 40, ordering)
         devs = np.abs(r.partial_sums - r.reference)
@@ -37,9 +48,7 @@ for name in ("example1", "example2"):
 
 print()
 print("== transform identities onto the oscillator basis ==")
-for name in ("example1", "example2"):
-    m = pb.build_builtin(name)
-    pb.fix_normalization(m)
+for name, m in models.items():
     k_phi, k_psi, c = transform_identity_factors(m)
     lo, hi = transform_support(m, f)
     direct = state_overlaps(m, f, "phi", 5, state_in_bra=False)
@@ -53,9 +62,7 @@ for name in ("example1", "example2"):
 
 print()
 print("== the paired transform collapses to the plain pairing ==")
-for name in ("example1", "example2"):
-    m = pb.build_builtin(name)
-    pb.fix_normalization(m)
+for name, m in models.items():
     r = pb.quasi_basis_sum(m, f, g, 5, "phi_psi")
     print(f"  {name}: <f_plus, g_minus> = {r.transform_pair_value.real:+.10f}"
           f"  expected {r.transform_pair_expected.real:+.10f}")

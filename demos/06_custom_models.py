@@ -5,8 +5,9 @@ exp/sinh/cosh/tanh/sqrt, the imaginary unit, and antideriv(e) for
 antiderivatives vanishing at 0, evaluated by one vector-valued quadrature
 over the segments between the requested points and 0; a value depends
 only on the points requested, not on earlier calls.  An equal-alpha model
-needs only alpha(x); everything else (rho, the vacua, the closed forms)
-is derived.
+needs only alpha(x); the vacua and the closed forms are derived from it,
+and so is rho = c u, the scaled lead of the pi recursion, for this model
+and for any other whose rho is real.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ print("== equal-alpha model from alpha(x) = 1/(1 + x^2), all numeric ==")
 m = pb.proportional_model("1/(1+x^2)", name="rational")
 rep = pb.check_pb_conditions(m, np.linspace(-3, 3, 101))
 print(f"  conditions: {rep.verdict} (max residual {rep.max_abs:.2e})")
-print(f"  rho(1) by cumulative quadrature: {pb.rho_eval(m, 1.0):.15f}"
+print(f"  rho(1) = c u(1), u = antideriv(1/alpha) by quadrature: "
+      f"{pb.rho_eval(m, 1.0):.15f}"
       f"  (closed form 4/3 = {4/3:.15f})")
 print(f"  rho^-1(4/3) by safeguarded root finding: "
       f"{pb.rho_invert(m, 4/3):.15f}")
@@ -48,7 +50,8 @@ rep = pb.check_pb_conditions(mg, np.linspace(-2.5, 2.5, 81))
 print(f"  conditions: {rep.verdict}")
 pb.fix_normalization(mg)
 G, dev = pb.biorthonormality_matrix(mg, 3)
-print(f"  biorthonormality via generic vacua + recursion: dev {dev:.2e}")
+print(f"  biorthonormality via generic vacua + Hermite closed form: "
+      f"dev {dev:.2e}")
 
 print()
 print("== parse errors carry positions ==")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import quad
 from .jets import Jet, sqrt_factorial
-from .model import ModelError, PBModel, ProportionalFlavor, apply_ladder
+from .model import ModelError, PBModel, apply_ladder
 from .quad import TestFunction, integrate_line
 
 __all__ = [
@@ -192,39 +192,30 @@ class TransformedTestFunction:
     __call__ = values
 
 
-def _flavor_overlap_bound(m: PBModel, side: str,
-                          g_norms: dict) -> Optional[Callable[[int], float]]:
-    """|<state_n, g>| bound as a function of n, from the transform
-    identities, when the flavor supports them."""
-    if isinstance(m.flavor, ProportionalFlavor) and m.rho is not None:
+def _overlap_bound(m: PBModel, h, side: str
+                   ) -> Optional[Callable[[int], float]]:
+    """|<state_n, h>| <= |K| c^(-+n/2) ||h_(+-)|| as a function of n, by
+    Cauchy-Schwarz in the transform identities: plus for phi, minus for
+    psi.  None where rho is not real."""
+    sign, power = ("plus", -0.5) if side == "phi" else ("minus", 0.5)
+    try:
         k_phi, k_psi, c = quad.transform_identity_factors(m)
-        if side == "phi":
-            return lambda n: abs(k_phi) * c ** (-0.5 * n) * g_norms["plus"]
-        return lambda n: abs(k_psi) * c ** (0.5 * n) * g_norms["minus"]
-    return None
-
-
-def _transform_norms(m: PBModel, g) -> dict:
-    if isinstance(m.flavor, ProportionalFlavor) and m.rho is not None \
-            and hasattr(g, "support"):
-        signs = ("plus", "minus")
-        vals = integrate_line(
-            lambda s: np.abs(np.stack(
-                [quad.transform_pm(m, g, sign, s) for sign in signs],
-                axis=-1)) ** 2,
-            *quad.transform_support(m, g),
-        ).value
-        return {sign: math.sqrt(v.real) for sign, v in zip(signs, vals)}
-    return {}
+        norm_sq = integrate_line(
+            lambda s: np.abs(quad.transform_pm(m, h, sign, s)) ** 2,
+            *quad.transform_support(m, h)).value
+    except quad.RhoError:
+        return None
+    scale = abs(k_phi if side == "phi" else k_psi) * math.sqrt(norm_sq.real)
+    return lambda n: scale * c ** (power * n)
 
 
 class PairingSeries:
     """Cached coefficient vector <state_n, h> (or <h, state_n>) for one
     test function, evaluated lazily as a coherent series at any z.
 
-    The truncation budget must absorb the tail: for proportional models
-    the transform-identity bounds certify it, otherwise the computed
-    coefficients are extrapolated geometrically.
+    The truncation budget must absorb the tail: wherever rho is real the
+    transform-identity bounds certify it; otherwise (swanson, complex
+    shifts or alphas) the coefficients are extrapolated geometrically.
     """
 
     def __init__(self, m: PBModel, h, side: str, *, state_in_bra: bool,
@@ -236,7 +227,7 @@ class PairingSeries:
                                           state_in_bra=state_in_bra, tol=tol)
         self._scaled = self.coeffs / np.array(
             [sqrt_factorial(n) for n in range(max_terms + 1)])
-        self._bound = _flavor_overlap_bound(m, side, _transform_norms(m, h))
+        self._bound = _overlap_bound(m, h, side)
 
     def _tail_bound(self, z_abs: float) -> float:
         n0 = self.max_terms + 1
@@ -348,7 +339,7 @@ class ResolutionResult:
     n_radial: int
     n_angular: int
     trace: list  # rows (R, value_phi_psi, value_psi_phi)
-    tail_estimate: float = 0.0  # bound on the mass outside |z| <= R
+    tail_estimate: float = 0.0  # mass outside |z| <= R, worse ordering
 
 
 def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
@@ -387,15 +378,13 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     w_theta = 2.0 * math.pi / n_theta
+    pairs = {"phi_psi": (f_phi, g_psi), "psi_phi": (f_psi, g_phi)}
 
     def integral(radius: float, ordering: str) -> complex:
         r = 0.5 * radius * (nodes + 1.0)
         wr = 0.5 * radius * weights
         z = r[:, None] * np.exp(1j * theta[None, :])
-        if ordering == "phi_psi":
-            bra, ket = f_phi, g_psi
-        else:
-            bra, ket = f_psi, g_phi
+        bra, ket = pairs[ordering]
         # <f, X(z)> is analytic in z, <Y(z), g> in conj(z)
         p1 = np.polynomial.polynomial.polyval(z, bra._scaled)
         p2 = np.polynomial.polynomial.polyval(np.conj(z), ket._scaled)
@@ -414,13 +403,15 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
 
     # diagonal-term mass outside |z| <= R: the angular integral kills all
     # cross terms, so the truncated disc misses sum_n a_n b_n Q(n+1, R^2)
-    # with Q the regularized upper incomplete gamma
+    # with Q the regularized upper incomplete gamma; the worse ordering
+    # bounds both
     from scipy import special
 
     ns = np.arange(max_terms + 1)
-    diag = np.abs(f_phi.coeffs) * np.abs(g_psi.coeffs) / np.array(
+    outside = special.gammaincc(ns + 1.0, R * R) / np.array(
         [sqrt_factorial(n) ** 2 for n in ns])
-    tail = float(np.dot(diag, special.gammaincc(ns + 1.0, R * R)))
+    tail = max(float(np.dot(np.abs(bra.coeffs) * np.abs(ket.coeffs), outside))
+               for bra, ket in pairs.values())
     if tail > 0.01 * (1.0 + abs(reference)):
         import warnings
 

@@ -137,6 +137,18 @@ def _record(name: str, digest: str, metric, tol: float,
                        "pass" if metric <= tol else "fail", detail)
 
 
+def _guarded_record(name: str, digest: str, tol: float,
+                    compute: Callable[[], tuple]) -> CheckRecord:
+    """The record of ``compute() -> (metric, detail)``; an exception becomes
+    an ``error`` record carrying ``Type: message`` and the command goes on."""
+    try:
+        metric, detail = compute()
+    except Exception as exc:  # report the failure, keep going
+        return CheckRecord(name, digest, None, tol, "error",
+                           {"error": f"{type(exc).__name__}: {exc}"})
+    return _record(name, digest, metric, tol, detail)
+
+
 def _report(echo: dict, records: list, start: float) -> VerificationReport:
     """The report of one command: it fails if any record failed, was
     blocked or raised."""
@@ -400,15 +412,6 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
             "tolerance": cfg.tolerances[name],
         })
 
-    def run_one(name):
-        tol = cfg.tolerances[name]
-        try:
-            metric, detail = CHECK_FUNCS[name](m, cfg)
-        except Exception as exc:  # report the failure, keep going
-            return CheckRecord(name, digest_for(name), None, tol, "error",
-                               {"error": f"{type(exc).__name__}: {exc}"})
-        return _record(name, digest_for(name), metric, tol, detail)
-
     # one pass: every prerequisite comes earlier in CHECK_ORDER
     for name in selected:
         pre = BLOCKED_BY.get(name)
@@ -418,7 +421,9 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
                               cfg.tolerances[name], "blocked",
                               {"blocked_by": pre})
         else:
-            rec = run_one(name)
+            rec = _guarded_record(name, digest_for(name),
+                                  cfg.tolerances[name],
+                                  lambda: CHECK_FUNCS[name](m, cfg))
         records.append(rec)
         outcome[name] = rec.verdict
     return _report(echo, records, start)
@@ -432,11 +437,12 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: list, rows) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
 def cmd_states(cfg: RunConfig) -> list[Path]:
@@ -453,9 +459,8 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
         for n, vals in enumerate(fam.values_all(xs)):
             cols.extend([vals.real, vals.imag])
             header.extend([f"{side}{n}_re", f"{side}{n}_im"])
-        path = cfg.out_dir / f"states_{side}.csv"
-        _write_csv(path, header, zip(*cols))
-        paths.append(path)
+        paths.append(_write_csv(cfg.out_dir / f"states_{side}.csv", header,
+                                zip(*cols)))
     return paths
 
 
@@ -503,65 +508,67 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
               for a in np.linspace(re_lo, re_hi, re_n)
               for b in np.linspace(im_lo, im_hi, im_n)]
 
-    phi_series = bc.PairingSeries(m, g, "phi", state_in_bra=True,
-                                  max_terms=p["max_terms"])
-    psi_series = bc.PairingSeries(m, g, "psi", state_in_bra=True,
-                                  max_terms=p["max_terms"])
-    rows = []
-    for z in z_grid:
-        vp = phi_series.eval(z, conjugate_z=True)
-        vs = psi_series.eval(z, conjugate_z=True)
-        rows.append((z.real, z.imag, vp.real, vp.imag, vs.real, vs.imag))
-    path = cfg.out_dir / "pairings.csv"
-    _write_csv(path, ["z_re", "z_im", "phi_re", "phi_im", "psi_re", "psi_im"],
-               rows)
-    paths.append(path)
+    g_series = []  # <phi_n, g>, <psi_n, g>: built once, shared
 
-    eigen = bc.eigen_relation_residual(m, z_grid, g, max_terms=p["max_terms"])
-    # where the right-hand side vanishes (z = 0) the relative residual is
-    # nan and the absolute one stands in for it
-    worst_eigen = _worst(
-        abs(resid) if np.isnan(rel) else rel for res in eigen
-        for rel, resid in ((res.relative_phi, res.residual_phi),
-                           (res.relative_psi, res.residual_psi)))
-    rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
-             res.relative_phi, res.relative_psi)
-            for z, res in zip(z_grid, eigen)]
-    path = cfg.out_dir / "eigen_relations.csv"
-    _write_csv(path, ["z_re", "z_im", "abs_phi", "abs_psi",
-                      "rel_phi", "rel_psi"], rows)
-    paths.append(path)
+    def z_grid_tables():
+        g_series[:] = [bc.PairingSeries(m, g, side, state_in_bra=True,
+                                        max_terms=p["max_terms"])
+                       for side in ("phi", "psi")]
+        rows = []
+        for z in z_grid:
+            vp, vs = (series.eval(z, conjugate_z=True) for series in g_series)
+            rows.append((z.real, z.imag, vp.real, vp.imag, vs.real, vs.imag))
+        paths.append(_write_csv(cfg.out_dir / "pairings.csv",
+                                ["z_re", "z_im", "phi_re", "phi_im",
+                                 "psi_re", "psi_im"], rows))
 
-    resolution = bc.resolution_of_identity(
-        m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
-        n_theta=p["angular_nodes"], max_terms=p["max_terms"],
-        g_series=(phi_series, psi_series))
-    ref = resolution.reference
-    rows = [
-        (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,
-         abs(vpp - ref), abs(vpf - ref))
-        for rr, vpp, vpf in resolution.trace
-    ]
-    path = cfg.out_dir / "resolution.csv"
-    _write_csv(path, ["radius", "phi_psi_re", "phi_psi_im", "psi_phi_re",
-                      "psi_phi_im", "reference_re", "reference_im",
-                      "deviation_phi_psi", "deviation_psi_phi"], rows)
-    paths.append(path)
+        eigen = bc.eigen_relation_residual(m, z_grid, g,
+                                           max_terms=p["max_terms"])
+        # where the right-hand side vanishes (z = 0) the relative residual
+        # is nan and the absolute one stands in for it
+        worst_eigen = _worst(
+            abs(resid) if np.isnan(rel) else rel for res in eigen
+            for rel, resid in ((res.relative_phi, res.residual_phi),
+                               (res.relative_psi, res.residual_psi)))
+        rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
+                 res.relative_phi, res.relative_psi)
+                for z, res in zip(z_grid, eigen)]
+        paths.append(_write_csv(cfg.out_dir / "eigen_relations.csv",
+                                ["z_re", "z_im", "abs_phi", "abs_psi",
+                                 "rel_phi", "rel_psi"], rows))
+        return worst_eigen, {"z_points": len(z_grid)}
 
-    records = [
-        _record("bicoherent_eigen_relations",
-                _digest({"model": echo,
-                         "z": [[z.real, z.imag] for z in z_grid]}),
-                worst_eigen, p["tolerance_eigen"],
-                {"z_points": len(z_grid)}),
-        _record("bicoherent_resolution",
-                _digest({"model": echo, "R": p["resolution_radius"]}),
-                _worst((resolution.deviation_phi_psi,
+    def resolution_record():
+        resolution = bc.resolution_of_identity(
+            m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
+            n_theta=p["angular_nodes"], max_terms=p["max_terms"],
+            g_series=tuple(g_series) or None)
+        ref = resolution.reference
+        rows = [
+            (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,
+             abs(vpp - ref), abs(vpf - ref))
+            for rr, vpp, vpf in resolution.trace
+        ]
+        paths.append(_write_csv(
+            cfg.out_dir / "resolution.csv",
+            ["radius", "phi_psi_re", "phi_psi_im", "psi_phi_re", "psi_phi_im",
+             "reference_re", "reference_im", "deviation_phi_psi",
+             "deviation_psi_phi"], rows))
+        return (_worst((resolution.deviation_phi_psi,
                         resolution.deviation_psi_phi)),
-                p["tolerance_resolution"],
                 {"radius": p["resolution_radius"],
                  "reference_re": ref.real, "reference_im": ref.imag,
-                 "tail_estimate": resolution.tail_estimate}),
+                 "tail_estimate": resolution.tail_estimate})
+
+    # the pairing table and eigen relations share the z-grid tail checks
+    records = [
+        _guarded_record("bicoherent_eigen_relations",
+                        _digest({"model": echo,
+                                 "z": [[z.real, z.imag] for z in z_grid]}),
+                        p["tolerance_eigen"], z_grid_tables),
+        _guarded_record("bicoherent_resolution",
+                        _digest({"model": echo, "R": p["resolution_radius"]}),
+                        p["tolerance_resolution"], resolution_record),
     ]
     return _report(echo, records, start), paths
 
@@ -582,8 +589,7 @@ def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
         for tag, arr in zip(tags, vals):
             cols.extend([arr.real, arr.imag])
             header.extend([f"{tag}_re", f"{tag}_im"])
-    path = cfg.out_dir / "hamiltonian.csv"
-    _write_csv(path, header, zip(*cols))
+    path = _write_csv(cfg.out_dir / "hamiltonian.csv", header, zip(*cols))
 
     metric, detail = _check_hamiltonian_crosscheck(m, cfg)
     rec = _record("hamiltonian_crosscheck", _digest(echo), metric,

@@ -80,7 +80,7 @@ class ConstantAlphaFlavor:
 class ProportionalFlavor:
     """alpha_a = ratio * alpha_b with real alpha_b, beta_a = rho =
     antideriv(1/alpha_b) and beta_b = alpha_b'.  ratio == 1 is the
-    equal-alpha case."""
+    equal-alpha case.  Only :meth:`PBModel.lead_jet` reads it (u = rho/c)."""
 
     ratio: float
 
@@ -115,7 +115,8 @@ VACUUM_KILLER = {"phi": "a", "psi": "b_dag"}
 
 @dataclass
 class PBModel:
-    """The four coefficient functions plus registered derived data."""
+    """The four coefficient functions plus registered derived data: closed
+    vacua and an exact rho inverse (rho = c u itself is always derived)."""
 
     alpha_a: FunctionExpr
     beta_a: FunctionExpr
@@ -123,7 +124,6 @@ class PBModel:
     beta_b: FunctionExpr
     flavor: Flavor = field(default_factory=GeneralFlavor)
     name: str = "custom"
-    rho: Optional[FunctionExpr] = None
     rho_inverse: Optional[Callable] = None  # maps a rho value back to x
     vacuum_phi: Optional[FunctionExpr] = None
     vacuum_psi: Optional[FunctionExpr] = None
@@ -171,7 +171,8 @@ class PBModel:
 
         For constant-alpha and proportional flavors the expression is
         simplified through the flavor's defining constraints (theta = x + k,
-        respectively beta_a = rho and beta_b = alpha_b') before evaluation.
+        respectively beta_a = antideriv(1/alpha_b) and beta_b = alpha_b')
+        before evaluation.
         The simplification matters to the recursion: the raw quotient leaves
         eps-size residue in Taylor coefficients that are exactly zero, and
         the per-level derivative amplifies such residue factorially by the
@@ -185,8 +186,8 @@ class PBModel:
             if side == "sigma":
                 ax, k = flavor.alpha_b.conjugate(), k.conjugate()
             return (Jet.variable(x, order) + k) / ax
-        if isinstance(flavor, ProportionalFlavor) and self.rho is not None:
-            rho = self.rho.eval_jet(x, order)
+        if isinstance(flavor, ProportionalFlavor):
+            rho = self.beta_a.eval_jet(x, order)
             # real alpha: conjugation is a no-op
             return rho * (1.0 / flavor.ratio) if side == "pi" else rho
         x_pair, y_pair = ("a", "b") if side == "pi" else ("b", "a")
@@ -341,15 +342,13 @@ def build_builtin(name: str, **params) -> PBModel:
 
     if name == "example1":
         _check_no_extra(name, params)
-        rho = parse_expr("x + x^3/3")
         return PBModel(
             alpha_a=parse_expr("1/(1+x^2)"),
-            beta_a=rho,
+            beta_a=parse_expr("x + x^3/3"),
             alpha_b=parse_expr("1/(1+x^2)"),
             beta_b=parse_expr("-2*x/(1+x^2)^2"),
             flavor=ProportionalFlavor(1.0),
             name="example1",
-            rho=rho,
             rho_inverse=_example1_rho_inverse,
             vacuum_phi=parse_expr("exp(-(x + x^3/3)^2/2)"),
             vacuum_psi=parse_expr("1 + x^2"),
@@ -357,15 +356,13 @@ def build_builtin(name: str, **params) -> PBModel:
 
     if name == "example2":
         _check_no_extra(name, params)
-        rho = parse_expr("2*sinh(x)")
         return PBModel(
             alpha_a=parse_expr("1/cosh(x)"),
-            beta_a=rho,
+            beta_a=parse_expr("2*sinh(x)"),
             alpha_b=parse_expr("1/(2*cosh(x))"),
             beta_b=parse_expr("-sinh(x)/(2*cosh(x)^2)"),
             flavor=ProportionalFlavor(2.0),
             name="example2",
-            rho=rho,
             rho_inverse=lambda u: np.arcsinh(np.asarray(u, dtype=float) / 2.0),
             vacuum_phi=parse_expr("exp(-cosh(x)^2)"),
             vacuum_psi=parse_expr("2*cosh(x)"),
@@ -446,7 +443,7 @@ def proportional_model(alpha_b, *, ratio: float = 1.0,
     return PBModel(
         alpha_a=aa, beta_a=rho, alpha_b=ab, beta_b=ex.Deriv(ab),
         flavor=ProportionalFlavor(ratio), name=name,
-        rho=rho, vacuum_phi=vac_phi, vacuum_psi=vac_psi,
+        vacuum_phi=vac_phi, vacuum_psi=vac_psi,
     )
 
 

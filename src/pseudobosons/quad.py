@@ -3,10 +3,14 @@
 Everything that integrates lives here: an adaptive Gauss-Kronrod line
 integrator over finite or truncated-infinite intervals, compactly
 supported bump test functions, harmonic-oscillator eigenfunctions, rho
-(an ``antideriv`` expression unless a closed form is registered) and its
-monotone inverse, the compatibility form <f, g> = integral of conj(f) g,
-biorthonormality matrices, the plus/minus transforms that map test
-functions to the oscillator picture, and quasi-basis partial sums.
+and its monotone inverse, the compatibility form <f, g> = integral of
+conj(f) g, biorthonormality matrices, the plus/minus transforms that map
+test functions to the oscillator picture, and quasi-basis partial sums.
+
+rho is derived, not registered: rho = c u, with u the lead of the pi
+recursion and c = 1/kappa_pi, so rho' = 1/alpha_b and rho/sqrt(2c) is the
+Hermite argument of both families.  Where c or rho is not real (swanson,
+complex shifts or alphas) there are no transforms, and RhoError says so.
 
 The integrator uses a 15-point Kronrod rule nested over 7-point Gauss
 panels.  Infinite domains are truncated where the supplied decay envelope
@@ -17,6 +21,7 @@ cheap.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -372,30 +377,29 @@ def oscillator_en(n: int, s):
 # rho and its inverse
 # ----------------------------------------------------------------------
 
-def _require_rho(m):
-    if m.rho is None:
+def _rho_scale(m) -> float:
+    """c = 1/kappa_pi = alpha_a/alpha_b, which must be real and positive
+    for rho to be real."""
+    kappa = m.kappa["pi"]
+    if not (cmath.isfinite(kappa) and kappa.real > 0.0
+            and abs(kappa.imag) <= 1e-12 * kappa.real):
         raise RhoError(
-            f"model {m.name!r} has no rho: only equal-alpha / proportional "
-            "models define rho = antideriv(1/alpha_b)"
-        )
-    return m.rho
+            f"model {m.name!r} has no real rho: c = 1/kappa_pi needs "
+            f"kappa_pi = {kappa} real and positive")
+    return 1.0 / kappa.real
 
 
 def _real_rho(m, xs: np.ndarray) -> np.ndarray:
-    v = _require_rho(m).eval_values(xs)
+    """rho = c u at the points xs, u the lead of the pi recursion."""
+    v = _rho_scale(m) * m.lead_jet("pi", xs, 0).value
     if np.any(np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real))):
-        raise RhoError("rho evaluated to a non-real value; alpha must be real")
+        raise RhoError(f"model {m.name!r}: rho evaluated to a non-real value")
     return v.real
 
 
 def rho_eval(m, x: float) -> float:
-    """rho(x) via the registered closed form or one batched quadrature."""
+    """rho(x) = c u(x), the scaled lead of the pi recursion."""
     return float(_real_rho(m, np.array([float(x)]))[0])
-
-
-def rho_values(m, xs) -> np.ndarray:
-    expr = _require_rho(m)
-    return np.real(expr.eval_values(np.asarray(xs, dtype=float)))
 
 
 def _rho_slope(m, xs: np.ndarray) -> np.ndarray:
@@ -557,47 +561,51 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
 # Transforms to the oscillator picture
 # ----------------------------------------------------------------------
 
-def _proportional_ratio(m) -> float:
-    flavor = m.flavor
-    ratio = getattr(flavor, "ratio", None)
-    if ratio is None:
-        raise RhoError(
-            f"transforms are defined only for equal-alpha / proportional "
-            f"models, not flavor {flavor!r}"
-        )
-    return float(ratio)
+def _vacuum_ratio(m, sign: str, x: np.ndarray, s: np.ndarray,
+                  c: float) -> np.ndarray:
+    """R_phi e^{-s^2/2} (plus) or R_psi e^{+s^2/2} (minus) at the points x,
+    not yet normalized: R_phi = phi_0 e^{y^2}, y = rho/sqrt(2c), and
+    R_psi = conj(psi_0) alpha_b.  The plus side takes one exp, so that an
+    underflowing phi_0 never meets an overflowing e^{y^2}."""
+    if sign == "minus":
+        return (np.conj(m.psi_vacuum_values(x)) * m.alpha_b.eval_values(x)
+                * np.exp(0.5 * s * s))
+    if sign == "plus":
+        y = _real_rho(m, x) / math.sqrt(2.0 * c)
+        return m.phi_vacuum_values(x) * np.exp(y * y - 0.5 * s * s)
+    raise ValueError("sign must be 'plus' or 'minus'")
 
 
 def transform_pm(m, h, sign: str, s) -> np.ndarray:
     """The minus/plus transforms of a test function.
 
-    With c the ratio alpha_a / alpha_b and x(s) = rho^{-1}(sqrt(2c) s):
+    With y = rho/sqrt(2c) the Hermite argument and x = x(s) the point
+    where y = s:
 
-        h_minus(s) = h(x(s)) exp(+s^2/2)
-        h_plus(s)  = h(x(s)) alpha_a(x(s)) exp(-s^2/2)
+        h_minus(s) = h(x) R_psi(x) exp(+s^2/2)
+        h_plus(s)  = h(x) conj(alpha_a(x) R_phi(x)) exp(-s^2/2)
 
-    For the equal-alpha case (c = 1) these are the standard transforms;
-    for the proportional sinh-model (c = 2) the plus factor
-    alpha_a(x(s)) = 1/sqrt(1+s^2) reproduces the bracketed variants.
+    The vacuum ratios R_phi = phi_0 e^{y^2} and R_psi = conj(psi_0) alpha_b,
+    each divided by its value at x = 0, carry the gauge of the vacua.  Both
+    are 1 on the proportional builtins, where these are the standard
+    transforms (for the sinh model, c = 2, alpha_a(x) = 1/sqrt(1+s^2)).
     """
-    c = _proportional_ratio(m)
+    c = _rho_scale(m)
     s = np.asarray(s, dtype=float)
     x = rho_invert_values(m, math.sqrt(2.0 * c) * s)
-    hv = _as_values_fn(h)(x)
-    if sign == "minus":
-        return hv * np.exp(0.5 * s * s)
+    # one batch with the anchor x = 0, where s = 0 leaves the bare ratio
+    r = _vacuum_ratio(m, sign, np.append(x, 0.0), np.append(s, 0.0), c)
+    r = (r[:-1] / r[-1]).reshape(x.shape)
     if sign == "plus":
-        aa = m.alpha_a.eval_values(x)
-        return hv * aa * np.exp(-0.5 * s * s)
-    raise ValueError("sign must be 'plus' or 'minus'")
+        r = np.conj(m.alpha_a.eval_values(x) * r)
+    return _as_values_fn(h)(x) * r
 
 
 def transform_support(m, h) -> tuple[float, float]:
     """Support of the transformed test function on the s axis."""
-    c = _proportional_ratio(m)
-    lo, hi = h.support
-    scale = 1.0 / math.sqrt(2.0 * c)
-    return (rho_eval(m, lo) * scale, rho_eval(m, hi) * scale)
+    lo, hi = _real_rho(m, np.array(h.support))
+    scale = 1.0 / math.sqrt(2.0 * _rho_scale(m))
+    return (lo * scale, hi * scale)
 
 
 def transform_identity_factors(m) -> tuple[complex, complex, float]:
@@ -608,23 +616,22 @@ def transform_identity_factors(m) -> tuple[complex, complex, float]:
         <psi_n, g> = K_psi * c^(+n/2) * <e_n, g_minus>
         <f_plus, g_minus> = sqrt(c/2) * <f, g>
 
-    Returns (K_phi, K_psi, c).  K_phi absorbs the normalization constant
-    and the vacuum's multiplicative convention (phi_0(x) may differ from
-    exp(-rho^2/(2c)) by a constant, e.g. 1/e for the sinh model).
+    Returns (K_phi, K_psi, c); each K carries a normalization constant and
+    a vacuum ratio at x = 0 (1/e for phi on the sinh model).  The third
+    identity holds as R_phi R_psi = 1: the conditions make the
+    log-derivative of phi_0 conj(psi_0) alpha_b e^{y^2} vanish.
     """
-    c = _proportional_ratio(m)
     from .states import StateFamily
 
+    c = _rho_scale(m)
     n_phi, n_psi = StateFamily(m, "phi").normalization, \
         StateFamily(m, "psi").normalization
-    # vacuum constant relative to exp(-rho(x)^2 / (2c)); rho(0) need not
-    # vanish for user-registered rho, so evaluate the ratio explicitly
-    x0 = np.array([0.0])
-    vac0 = complex(m.phi_vacuum_values(x0)[0])
-    r0 = rho_values(m, x0)[0]
-    vac_const = vac0 / math.exp(-r0 * r0 / (2.0 * c))
-    k_phi = n_phi * vac_const * math.pi ** 0.25 * math.sqrt(2.0 / c)
-    k_psi = np.conj(n_psi) * math.pi ** 0.25 * math.sqrt(2.0 * c)
+    x0 = np.zeros(1)
+    _rho_slope(m, x0)  # RhoError unless rho is real and increasing at 0
+    r_phi0, r_psi0 = (complex(_vacuum_ratio(m, sign, x0, x0, c)[0])
+                      for sign in ("plus", "minus"))
+    k_phi = n_phi * r_phi0 * math.pi ** 0.25 * math.sqrt(2.0 / c)
+    k_psi = np.conj(n_psi) * r_psi0 * math.pi ** 0.25 * math.sqrt(2.0 * c)
     return complex(k_phi), complex(k_psi), c
 
 
@@ -645,8 +652,8 @@ def quasi_basis_sum(m, f, g, N: int, ordering: str = "phi_psi",
     the final deviation |S_N - <f, g>|.
 
     ordering 'phi_psi' sums <f, phi_n><psi_n, g>; 'psi_phi' swaps the
-    roles.  For equal-alpha / proportional models the transform-identity
-    cross-check <f_plus, g_minus> = sqrt(c/2) <f, g> is evaluated too.
+    roles.  Wherever rho is real the transform-identity cross-check
+    <f_plus, g_minus> = sqrt(c/2) <f, g> is evaluated too.
     """
     if m.norm_product is None:
         raise QuadratureError(
@@ -670,22 +677,18 @@ def quasi_basis_sum(m, f, g, N: int, ordering: str = "phi_psi",
         reference=complex(reference),
         deviation=float(abs(partial[-1] - reference)),
     )
-    ratio = getattr(m.flavor, "ratio", None)
-    if ratio is not None:
-        c = float(ratio)
+    try:
+        c = _rho_scale(m)
         lo_f, hi_f = transform_support(m, f)
         lo_g, hi_g = transform_support(m, g)
         lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
-        if lo < hi:
-            pair = integrate_line(
-                lambda s: np.conj(transform_pm(m, f, "plus", s))
-                * transform_pm(m, g, "minus", s),
-                lo, hi, tol=tol,
-            ).value
-        else:
-            pair = 0.0 + 0.0j
-        result.transform_pair_value = complex(pair)
-        result.transform_pair_expected = complex(
-            math.sqrt(c / 2.0) * reference
-        )
+        pair = integrate_line(
+            lambda s: np.conj(transform_pm(m, f, "plus", s))
+            * transform_pm(m, g, "minus", s),
+            lo, hi, tol=tol,
+        ).value if lo < hi else 0.0
+    except RhoError:  # no real, monotone rho: the cross-check does not apply
+        return result
+    result.transform_pair_value = complex(pair)
+    result.transform_pair_expected = complex(math.sqrt(c / 2.0) * reference)
     return result

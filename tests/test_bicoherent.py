@@ -10,11 +10,17 @@ from pseudobosons import (
     coherent_norm,
     convergence_radius,
     eigen_relation_residual,
+    fix_normalization,
+    from_expressions,
     moment_check,
     resolution_of_identity,
     weak_pairing,
 )
-from pseudobosons.bicoherent import PairingSeries, TransformedTestFunction
+from pseudobosons.bicoherent import (
+    PairingSeries,
+    TransformedTestFunction,
+    _overlap_bound,
+)
 from pseudobosons.jets import sqrt_factorial
 from pseudobosons.quad import (
     TestFunction,
@@ -174,6 +180,24 @@ class TestTailBounds:
             assert abs(psi_overlaps[n]) <= abs(k_psi) * c ** (0.5 * n) \
                 * norm_minus * (1 + 1e-12)
 
+    def test_bound_soundness_wherever_rho_is_real(self, bosonic):
+        # the same certificate on models off the proportional flavor: the
+        # oscillator and example1 gauge-transformed by a complex w
+        gauged = from_expressions(
+            "1/(1+x^2)", "x + x^3/3 - (0.2+0.1*i)*x/(1+x^2)", "1/(1+x^2)",
+            "-2*x/(1+x^2)^2 + (0.2+0.1*i)*x/(1+x^2)")
+        fix_normalization(gauged)
+        g = TestFunction(0.2, 1.0)
+        for m in (bosonic, gauged):
+            for side in ("phi", "psi"):
+                bound = _overlap_bound(m, g, side)
+                overlaps = state_overlaps(m, g, side, 20, state_in_bra=True)
+                for n in range(21):
+                    assert abs(overlaps[n]) <= bound(n) * (1 + 1e-12)
+
+    def test_no_real_rho_falls_back(self, swanson):
+        assert _overlap_bound(swanson, TestFunction(), "phi") is None
+
     def test_budget_exceeded_raises(self, example2):
         g = TestFunction(0.0, 1.0)
         series = PairingSeries(example2, g, "psi", state_in_bra=True,
@@ -246,6 +270,23 @@ class TestResolution:
         fine = resolution_of_identity(example2, f, f, R=3.0, max_terms=30,
                                       n_theta=126, trace_radii=[3.0])
         assert abs(base.value_phi_psi - fine.value_phi_psi) <= 1e-12
+
+    def test_tail_estimate_covers_both_orderings(self, example2):
+        # the bicoherent demo config: there the psi_phi diagonal tail is
+        # the larger one
+        f, g = TestFunction(0.2, 0.8), TestFunction(0.0, 1.0)
+        r = resolution_of_identity(example2, f, g, R=6.0)
+        ns = np.arange(61)
+        q = sp.gammaincc(ns + 1.0, 36.0) / sp.factorial(ns)
+
+        def tail(bra, ket):
+            a = state_overlaps(example2, f, bra, 60, state_in_bra=False)
+            b = state_overlaps(example2, g, ket, 60, state_in_bra=True)
+            return float(np.sum(np.abs(a) * np.abs(b) * q))
+
+        phi_psi, psi_phi = tail("phi", "psi"), tail("psi", "phi")
+        assert psi_phi > phi_psi
+        assert abs(r.tail_estimate - psi_phi) <= 1e-12 * psi_phi
 
     def test_trace_radii_recorded(self, example1):
         f = TestFunction(0.0, 1.0)

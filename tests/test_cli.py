@@ -12,6 +12,7 @@ from pseudobosons.cli import (
     CHECK_ORDER,
     ConfigError,
     build_model,
+    cmd_bicoherent,
     cmd_check,
     cmd_states,
     load_config,
@@ -349,6 +350,27 @@ class TestCmdBicoherent:
         assert record["metric"] == want
         assert record["metric"] >= max(at_zero[0][2:4])
 
+    def test_tail_error_is_a_record(self, tmp_path, capsys):
+        # |z| up to 4.95 is beyond what 60 terms certify on the demo model:
+        # the z-grid record says so, and the resolution still runs
+        body = DEMO_INI.read_text(encoding="utf-8").replace(
+            "-1.4 1.4 3", "-3.5 3.5 3")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["bicoherent", "--config", str(cfg), "--out",
+                     str(out)]) == 1
+        doc = json.loads((out / "bicoherent_report.json").read_text())
+        records = {c["name"]: c for c in doc["checks"]}
+        eigen = records["bicoherent_eigen_relations"]
+        assert eigen["verdict"] == "error" and eigen["metric"] is None
+        assert eigen["detail"]["error"].startswith(
+            "ModelError: non-convergent pairing tail")
+        assert records["bicoherent_resolution"]["verdict"] == "pass"
+        assert doc["overall"] == "fail"
+        assert (out / "resolution.csv").exists()
+        assert not (out / "pairings.csv").exists()
+        assert "bicoherent_eigen_relations error" in capsys.readouterr().out
+
 
 class TestCmdHamiltonian:
     def test_crosscheck_and_table(self, tmp_path, capsys):
@@ -476,6 +498,18 @@ class TestUnifiedClosedForm:
                                                     n_max=20)))
         assert report.overall == "pass"
         assert report.model["flavor"] == "general"
+
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_bicoherent_wide_z_grid(self, tmp_path, raw):
+        # |z| up to 2.83: the transform bounds certify the pairing tails of
+        # example1 given as raw expressions and of the oscillator
+        body = _demo_config(tmp_path, raw=raw).read_text(encoding="utf-8")
+        body = body.replace("-1.4 1.4 3", "-2.0 2.0 3").replace(
+            "builtin = example2", "builtin = bosonic")
+        cfg = write_config(tmp_path, body, name="wide.ini")
+        report, _ = cmd_bicoherent(load_config(cfg, out_override=tmp_path))
+        assert [r.verdict for r in report.records] == ["pass", "pass"]
+        assert report.model["name"] == ("custom" if raw else "bosonic")
 
     def test_every_command_within_jet_order_3(self, tmp_path, capsys):
         # no CLI path needs jets above order 3, the general flavor at 40

@@ -12,6 +12,8 @@ from pseudobosons import (
     biorthonormality_matrix,
     build_builtin,
     compatibility_form,
+    fix_normalization,
+    from_expressions,
     integrate_line,
     oscillator_en,
     proportional_model,
@@ -27,6 +29,27 @@ from pseudobosons.quad import (
     transform_identity_factors,
     transform_support,
 )
+from test_states import _unified_models
+
+
+@pytest.fixture(scope="module")
+def real_rho_models(bosonic, constant_alpha):
+    """Models off the proportional flavor whose rho = c u is real:
+    bosonic, constant_alpha(1, 0.5, 0.7), example1 as raw expressions,
+    and example1 after the gauge transform beta_a - alpha_a w',
+    beta_b + alpha_b w' with w = x^2/10 and with the complex
+    w = (0.1 + 0.05 i) x^2."""
+    models = {
+        "raw_example1": from_expressions(
+            "1/(1+x^2)", "x + x^3/3", "1/(1+x^2)", "-2*x/(1+x^2)^2"),
+        "gauged_example1": _unified_models()["gauged_example1"],
+        "complex_gauged_example1": from_expressions(
+            "1/(1+x^2)", "x + x^3/3 - (0.2+0.1*i)*x/(1+x^2)", "1/(1+x^2)",
+            "-2*x/(1+x^2)^2 + (0.2+0.1*i)*x/(1+x^2)"),
+    }
+    for m in models.values():
+        fix_normalization(m)
+    return {"bosonic": bosonic, "constant_alpha": constant_alpha, **models}
 
 
 class TestIntegrateLine:
@@ -103,12 +126,15 @@ class TestRho:
         assert np.all(np.abs(got - s) <= 1e-12 * (1 + np.abs(s)))
         assert rho_invert_values(m, np.array([])).shape == (0,)
 
-    def test_no_rho_for_general_models(self):
-        from pseudobosons import from_expressions
-
+    def test_general_model_rho_is_derived(self):
+        # rho = c u from the lead u = theta/alpha_a - alpha_b' = x, c = 1
         m = from_expressions("1", "x", "1", "0")
-        with pytest.raises(RhoError, match="no rho"):
-            rho_eval(m, 0.5)
+        for x in (-2.5, 0.0, 0.5, 3.0):
+            assert rho_eval(m, x) == x
+
+    def test_swanson_rho_is_not_real(self, swanson):
+        with pytest.raises(RhoError, match="non-real"):
+            rho_eval(swanson, 0.5)
 
     def test_nonmonotonic_alpha_refused(self):
         with pytest.raises(Exception, match="real positive"):
@@ -245,13 +271,22 @@ class TestTransforms:
         assert np.allclose(plus, minus * np.exp(-s * s) / np.sqrt(1 + s * s),
                            rtol=1e-12, atol=1e-300)
 
-    def test_unsupported_flavor(self, bosonic):
-        with pytest.raises(Exception, match="proportional"):
-            transform_pm(bosonic, TestFunction(), "plus", np.array([0.0]))
+    @pytest.mark.parametrize("name, params", [
+        ("swanson", {"theta": 0.3}),
+        ("constant_alpha", {"alpha_a": 0.7 + 0.2j, "alpha_b": 1.1 - 0.3j}),
+    ], ids=["swanson", "complex_constant_alpha"])
+    def test_no_real_rho_raises(self, name, params):
+        m = build_builtin(name, **params)
+        for sign in ("plus", "minus"):
+            with pytest.raises(RhoError):
+                transform_pm(m, TestFunction(), sign, np.array([0.0]))
+        with pytest.raises(RhoError):
+            transform_identity_factors(m)
 
-    def test_transform_identities_to_level_eight(self, example1, example2):
+    def test_transform_identities_to_level_eight(self, example1, example2,
+                                                 real_rho_models):
         f = TestFunction(0.1, 1.0)
-        for m in (example1, example2):
+        for m in (example1, example2, *real_rho_models.values()):
             k_phi, k_psi, c = transform_identity_factors(m)
             lo, hi = transform_support(m, f)
             direct_phi = state_overlaps(m, f, "phi", 8, state_in_bra=False)
@@ -306,10 +341,11 @@ class TestQuasiBasis:
         assert r1.deviation <= 1e-4
         assert r2.deviation <= 1e-4
 
-    def test_transform_pair_identity(self, example1, example2):
+    def test_transform_pair_identity(self, example1, example2,
+                                     real_rho_models):
         f = TestFunction(0.0, 1.0)
         g = TestFunction(0.3, 0.9)
-        for m in (example1, example2):
+        for m in (example1, example2, *real_rho_models.values()):
             r = quasi_basis_sum(m, f, g, 5, "phi_psi")
             assert abs(r.transform_pair_value
                        - r.transform_pair_expected) <= 1e-9
