@@ -30,15 +30,17 @@ print("== eigenvalue residuals sup|(H - n) phi_n| / sup|phi_n| ==")
 pb.fix_normalization(m1)
 m2 = pb.build_builtin("example2")
 pb.fix_normalization(m2)
+levels = (0, 5, 12)  # a sequence of levels: one family evaluation each
 for name, m, grid in (("example1", m1, np.linspace(-4, 4, 161)),
                       ("example2", m2, np.linspace(-3, 3, 161))):
-    for n in (0, 5, 12):
-        r_h = pb.eigen_residual(m, "H", n, grid)
-        r_d = pb.eigen_residual(m, "H_dag", n, grid)
-        print(f"  {name} n={n:<2}  H: {r_h:.2e}   H^dag: {r_d:.2e}")
+    r_h = pb.eigen_residual(m, "H", levels, grid)
+    r_d = pb.eigen_residual(m, "H_dag", levels, grid)
+    for n, rh, rd in zip(levels, r_h, r_d):
+        print(f"  {name} n={n:<2}  H: {rh:.2e}   H^dag: {rd:.2e}")
 
 print()
 print("== partner product (a b) phi_n = (n + 1) phi_n ==")
-for n in (0, 3, 7):
-    r = pb.hsusy_shift_check(m2, n, np.linspace(-3, 3, 121))
+levels = (0, 3, 7)
+for n, r in zip(levels, pb.hsusy_shift_check(m2, levels,
+                                             np.linspace(-3, 3, 121))):
     print(f"  example2 n={n}: residual {r:.2e}")

@@ -353,19 +353,21 @@ def _check_ladder(m, cfg):
         return None, {"note": "the ladder check needs n_max >= 1"}
     phi = states.StateFamily(m, "phi", max_n=cfg.n_max)
     psi = states.StateFamily(m, "psi", max_n=cfg.n_max)
-    return _worst(states.verify_ladder(phi, psi, n, cfg.grid).max
-                  for n in range(cfg.n_max)), {"levels": cfg.n_max}
+    return _worst(res.max for res in states.verify_ladder(
+        phi, psi, range(cfg.n_max), cfg.grid)), {"levels": cfg.n_max}
 
 
 def _check_eigen(m, cfg):
-    worst = _worst(spectral.eigen_residual(m, side, n, cfg.grid)
-                   for n in range(cfg.n_max + 1) for side in ("H", "H_dag"))
+    levels = range(cfg.n_max + 1)
+    worst = _worst(r for side in ("H", "H_dag")
+                   for r in spectral.eigen_residual(m, side, levels, cfg.grid))
     return worst, {"levels": cfg.n_max + 1}
 
 
 def _check_hsusy(m, cfg):
-    return _worst(spectral.hsusy_shift_check(m, n, cfg.grid)
-                  for n in range(cfg.n_max + 1)), {"levels": cfg.n_max + 1}
+    return _worst(spectral.hsusy_shift_check(m, range(cfg.n_max + 1),
+                                             cfg.grid)), \
+        {"levels": cfg.n_max + 1}
 
 
 def _check_hamiltonian_crosscheck(m, cfg):
@@ -613,6 +615,16 @@ def _env(name: str) -> Optional[str]:
     return os.environ.get(ENV_PREFIX + name)
 
 
+def _console_reason(r: CheckRecord) -> str:
+    """Why an error or blocked record has no metric, for its console
+    line; the report carries the same text in its detail."""
+    if r.verdict == "error":
+        return f"  {r.detail['error']}"
+    if r.verdict == "blocked":
+        return f"  blocked_by={r.detail['blocked_by']}"
+    return ""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pseudobosons",
@@ -655,7 +667,8 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         for r in report.records:
             metric = "-" if r.metric is None else f"{r.metric:.3e}"
-            print(f"  {r.name:<24} {r.verdict:<8} metric={metric}")
+            print(f"  {r.name:<24} {r.verdict:<8} metric={metric}"
+                  + _console_reason(r))
         return 0 if report.overall == "pass" else 1
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)

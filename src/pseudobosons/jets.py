@@ -374,23 +374,28 @@ def jet_powi(u: Jet, k: int) -> Jet:
     return Jet.constant(1.0, u.base, u.order) if result is None else result
 
 
-def jet_hermite(u: Jet, n: int) -> Jet:
+def jet_hermite(u: Jet, n):
     """Jet of H_n(u) via the three-term recurrence
     H_{k+1}(y) = 2 y H_k(y) - 2 k H_{k-1}(y).
 
     The recurrence is used instead of expanded monomial coefficients to
-    avoid catastrophic cancellation at moderate degree.
+    avoid catastrophic cancellation at moderate degree.  ``n`` is one
+    degree, or a sequence of degrees: one recurrence then serves them all
+    and the list of their jets is returned, each bitwise the single-degree
+    result.
     """
-    if n < 0:
+    ns = [int(k) for k in np.ravel(n)]
+    if any(k < 0 for k in ns):
         raise JetError("Hermite degree must be nonnegative")
-    h_prev = Jet.constant(1.0, u.base, u.order)
-    if n == 0:
-        return h_prev
-    two_u = u * 2.0
-    h = two_u
-    for k in range(1, n):
-        h, h_prev = two_u * h - (2.0 * k) * h_prev, h
-    return h
+    rows = [Jet.constant(1.0, u.base, u.order)]
+    top = max(ns, default=0)
+    if top:
+        two_u = u * 2.0
+        rows.append(two_u)
+        for k in range(1, top):
+            rows.append(two_u * rows[k] - (2.0 * k) * rows[k - 1])
+    out = [rows[k] for k in ns]
+    return out[0] if np.ndim(n) == 0 else out
 
 
 _COMPOSE = {

@@ -151,15 +151,28 @@ def _seed_breakpoints(a: float, b: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _truncate_side(probe, tol: float, sign: int) -> float:
-    """Smallest dyadic L with probe(sign*L) < tol/10 and negligible
-    estimated tail mass probe(sign*L) * L."""
+def _truncate(probe, tol: float, signs: tuple) -> dict:
+    """For each open side (sign -1 or +1), the smallest dyadic L with
+    probe < tol/10 at sign*L and sign*1.31L and negligible estimated tail
+    mass probe * L; returns {sign: sign*L}.  ``probe`` maps an array of
+    points to an array of magnitudes, and each doubling probes every side
+    still open in one call."""
+    cuts = {}
     L = 1.0
     for _ in range(60):
-        m = max(probe(sign * L), probe(sign * 1.31 * L))
-        if m < tol / 10.0 and m * L < tol / 3.0:
-            return sign * L
+        open_signs = [s for s in signs if s not in cuts]
+        if not open_signs:
+            return cuts
+        pts = np.array([s * f * L for s in open_signs for f in (1.0, 1.31)])
+        at_l, at_far = np.reshape(probe(pts), (-1, 2)).T
+        # the larger of the two, read as Python's max(at_l, at_far)
+        mag = np.where(at_far > at_l, at_far, at_l)
+        for s, worst in zip(open_signs, mag):
+            if worst < tol / 10.0 and worst * L < tol / 3.0:
+                cuts[s] = s * L
         L *= 2.0
+    if len(cuts) == len(signs):
+        return cuts
     raise QuadratureError(
         "envelope non-integrable: no admissible truncation point found"
     )
@@ -178,7 +191,7 @@ def integrate_line(
     *,
     tol: float = 1e-12,
     rtol: float = 0.0,
-    envelope: Optional[Callable[[float], float]] = None,
+    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     max_panels: int = 10_000,
 ) -> IntegralResult:
     """Adaptive line integral of a vectorized integrand.
@@ -189,22 +202,25 @@ def integrate_line(
     ``abs_error_estimate`` then have shape (M,).
 
     ``a``/``b`` may be None or infinite; such ends are truncated using
-    ``envelope`` (a nonnegative decay bound on |f|) or, if no envelope is
-    given, the largest sampled magnitude of ``f`` itself.  Component j is
+    ``envelope``, which maps an array of points to a nonnegative decay
+    bound on |f| at each, or, if no envelope is given, the largest
+    magnitude of the components of ``f`` at each sampled point.  Both open
+    ends are probed together, one call per doubling.  Component j is
     accepted once its error estimate is below
     max(tol, rtol * |I_j|, 50 eps * integral of |f_j|), apportioned to
     panels by width.  A panel is kept only when every component meets its
     share, so no component is integrated more loosely than on its own.
     """
-    def probe(x: float) -> float:
+    def probe(xs: np.ndarray) -> np.ndarray:
         if envelope is not None:
-            return float(abs(envelope(x)))
-        return float(np.max(np.abs(f(np.array([x])))))
+            return np.abs(envelope(xs))
+        return np.abs(f(xs)).reshape(xs.size, -1).max(axis=1)
 
     lo_inf = a is None or math.isinf(a)
     hi_inf = b is None or math.isinf(b)
-    a_eff = _truncate_side(probe, tol, -1) if lo_inf else float(a)
-    b_eff = _truncate_side(probe, tol, +1) if hi_inf else float(b)
+    cuts = _truncate(probe, tol, (-1,) * lo_inf + (+1,) * hi_inf)
+    a_eff = cuts[-1] if lo_inf else float(a)
+    b_eff = cuts[+1] if hi_inf else float(b)
     if a_eff == b_eff:
         shape = np.shape(f(np.array([a_eff])))[1:]
         return _result(np.zeros(shape, dtype=np.complex128), np.zeros(shape),

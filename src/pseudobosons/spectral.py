@@ -84,40 +84,59 @@ class HamiltonianCoeffs:
 hamiltonian_coeffs = HamiltonianCoeffs
 
 
+def _hamiltonian_on(coeffs, fj: Jet):
+    """-c2 f'' + c1 f' + c0 f from the coefficients and an order-2 jet."""
+    c2, c1, c0 = coeffs
+    return -c2 * fj.derivative(2) + c1 * fj.derivative(1) + c0 * fj.value
+
+
 def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x) -> complex:
     """-c2 f'' + c1 f' + c0 f at x (a point or an array); agrees with
     composing the two ladder factors (b after a, or a^dag after b^dag)
     when the first coefficient condition holds."""
-    c2, c1, c0 = HamiltonianCoeffs(m, side).values(x)
-    fj = f(x, 2)
-    return -c2 * fj.derivative(2) + c1 * fj.derivative(1) + c0 * fj.value
+    return _hamiltonian_on(HamiltonianCoeffs(m, side).values(x), f(x, 2))
 
 
-def eigen_residual(m: PBModel, side: str, n: int, grid) -> float:
+def eigen_residual(m: PBModel, side: str, n, grid):
     """Relative sup-norm residual of the eigenvalue equation at level n:
     sup |(H - n) phi_n| / sup |phi_n| (psi_n and H^dag on the dagger
-    side), over the effective support of the state."""
+    side), over the effective support of the state.
+
+    ``n`` may be a sequence of levels: the family is then evaluated once
+    for all of them, the coefficients of H are read once, and the list of
+    their residuals is returned, each equal to the single-level one."""
     grid = np.asarray(grid, dtype=float)
-    fam = StateFamily(m, "phi" if side == "H" else "psi", max_n=n)
-    fj = fam.jet(n, grid, 2)
+    ns = [int(k) for k in np.ravel(n)]
+    fjs = StateFamily(m, "phi" if side == "H" else "psi",
+                      max_n=max(ns, default=0)).jet(ns, grid, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        h_val = apply_hamiltonian(m, side, lambda *_: fj, grid)
-        return _relative_sup(h_val - n * fj.value, fj.value, n)
+        coeffs = HamiltonianCoeffs(m, side).values(grid)
+        out = [_relative_sup(_hamiltonian_on(coeffs, fj) - k * fj.value,
+                             fj.value, k) for k, fj in zip(ns, fjs)]
+    return out[0] if np.ndim(n) == 0 else out
 
 
-def hsusy_shift_check(m: PBModel, n: int, grid) -> float:
+def hsusy_shift_check(m: PBModel, n, grid):
     """Relative sup residual of (a b) phi_n = (n + 1) phi_n, the partner
-    product whose spectrum is shifted up by one unit."""
+    product whose spectrum is shifted up by one unit.
+
+    ``n`` may be a sequence of levels, evaluated in one family call; the
+    list of their residuals is returned, each equal to the single-level
+    one."""
     grid = np.asarray(grid, dtype=float)
-    # level n once, as the operand and as the reference
-    here = StateFamily(m, "phi", max_n=n).jet(n, grid, 2)
-
-    def b_here(xx, oo):
-        return apply_ladder(m, "b", lambda *_: here, xx, oo)
-
+    ns = [int(k) for k in np.ravel(n)]
+    # level k once, as the operand and as the reference
+    heres = StateFamily(m, "phi", max_n=max(ns, default=0)).jet(ns, grid, 2)
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        val = apply_ladder(m, "a", b_here, grid, 0).value
-        return _relative_sup(val - (n + 1) * here.value, here.value, n)
+        for k, here in zip(ns, heres):
+            def b_here(xx, oo, here=here):
+                return apply_ladder(m, "b", lambda *_: here, xx, oo)
+
+            val = apply_ladder(m, "a", b_here, grid, 0).value
+            out.append(_relative_sup(val - (k + 1) * here.value,
+                                     here.value, k))
+    return out[0] if np.ndim(n) == 0 else out
 
 
 # ----------------------------------------------------------------------

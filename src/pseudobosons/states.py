@@ -103,8 +103,7 @@ def _hermite_scale(m: PBModel, side: str) -> complex:
     return cmath.sqrt(0.5 * kappa)
 
 
-def pi_sigma_closed(m: PBModel, side: str, n: int, x: float,
-                    order: int) -> Jet:
+def pi_sigma_closed(m: PBModel, side: str, n, x: float, order: int):
     """Hermite closed form p_n = s^n H_n(u / (2s)), s = sqrt(kappa / 2),
     with u the lead coefficient of the recursion and kappa = d u' its
     constant product with the damp, read from the model (see the module
@@ -114,10 +113,15 @@ def pi_sigma_closed(m: PBModel, side: str, n: int, x: float,
     proportional c:   u = rho/c,          kappa = 1/c     (pi side)
 
     and holds wherever the coefficient conditions do; a kappa of 0 or
-    one that is not finite is a ModelError.
+    one that is not finite is a ModelError.  ``n`` may be a sequence of
+    levels, which share one lead jet and one Hermite recurrence; the list
+    of their jets is returned, each bitwise the single-level result.
     """
     s = _hermite_scale(m, side)
-    return jet_hermite(m.lead_jet(side, x, order) * (0.5 / s), n) * s ** n
+    ns = [int(k) for k in np.ravel(n)]
+    hermite = jet_hermite(m.lead_jet(side, x, order) * (0.5 / s), ns)
+    out = [h * s ** k for h, k in zip(hermite, ns)]
+    return out[0] if np.ndim(n) == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +161,20 @@ class StateFamily:
         if not 0 <= n <= self.max_n:
             raise ModelError(f"n = {n} outside 0..max_n = {self.max_n}")
 
-    def jet(self, n: int, x, order: int) -> Jet:
-        """Jet of the n-th state at a point or at every point of an array."""
-        self._check_n(n)
-        poly = pi_sigma_closed(self.model, self._poly_side, n, x, order)
+    def jet(self, n, x, order: int):
+        """Jet of the n-th state at a point or at every point of an array.
+
+        ``n`` may be a sequence of levels: one vacuum jet, one lead jet and
+        one Hermite recurrence then serve them all, and the list of their
+        jets is returned, each bitwise the single-level result."""
+        ns = [int(k) for k in np.ravel(n)]
+        for k in ns:
+            self._check_n(k)
+        polys = pi_sigma_closed(self.model, self._poly_side, ns, x, order)
         vac = vacuum(self.model, self.side, x, order)
-        return poly * vac * (self.normalization / sqrt_factorial(n))
+        out = [poly * vac * (self.normalization / sqrt_factorial(k))
+               for poly, k in zip(polys, ns)]
+        return out[0] if np.ndim(n) == 0 else out
 
     def jet_fn(self, n: int) -> Callable[[float, int], Jet]:
         self._check_n(n)
@@ -206,18 +218,26 @@ def eval_state(fam: StateFamily, n: int, x: float, order: int) -> Jet:
 # Normalization and envelopes
 # ----------------------------------------------------------------------
 
-def pair_envelope(m: PBModel, degree: int) -> Callable[[float], float]:
+def pair_envelope(m: PBModel, degree: int) -> Callable:
     """Decay envelope for |psi_m(x) phi_n(x)|-type integrands with
     m + n <= degree: |phi_0 psi_0| max(1, 2|y|)^degree at the Hermite
-    argument y = u/(2s), whose modulus is the same on both sides."""
+    argument y = u/(2s), whose modulus is the same on both sides.
+
+    It maps an array of points to an array of bounds, formed in log space,
+    log|phi_0| + log|psi_0| + degree log max(1, 2|y|), and exponentiated
+    once: a high degree can neither overflow the power nor meet an
+    underflowed vacuum as inf * 0."""
     s = _hermite_scale(m, "pi")
 
-    def envelope(x: float) -> float:
-        xs = np.array([float(x)])
-        base = abs(complex(m.phi_vacuum_values(xs)[0])
-                   * complex(m.psi_vacuum_values(xs)[0]))
-        y = complex(m.lead_jet("pi", xs, 0).value[0]) * (0.5 / s)
-        return base * max(1.0, 2.0 * abs(y)) ** degree
+    def envelope(xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(divide="ignore"):  # a vacuum that underflows to 0
+            log_env = (np.log(np.abs(m.phi_vacuum_values(xs)))
+                       + np.log(np.abs(m.psi_vacuum_values(xs))))
+            if degree:
+                y = m.lead_jet("pi", xs, 0).value * (0.5 / s)
+                log_env += degree * np.log(np.maximum(1.0, 2.0 * np.abs(y)))
+        return np.exp(log_env)
 
     return envelope
 
@@ -278,20 +298,32 @@ def _relative_sup(residual, state, n: int) -> float:
     return float(np.max(res)) / sup
 
 
-def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n: int,
-                  grid) -> LadderResiduals:
+def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid):
+    """The :class:`LadderResiduals` of level ``n`` on the grid.
+
+    ``n`` may be a sequence of levels: each family is then evaluated once,
+    at order 1, on every level n-1..n+1 the relations reach, and the list
+    of their residuals is returned, each equal to the single-level one."""
     grid = np.asarray(grid, dtype=float)
     m = phi_fam.model
+    ns = [int(k) for k in np.ravel(n)]
+    reach = sorted({j for k in ns for j in (k - 1, k, k + 1) if j >= 0})
 
     def residuals(fam, raising, lowering):
-        # level n once, as the operand of both operators and as the scale
-        here = fam.jet(n, grid, 1)
-        up = math.sqrt(n + 1) * fam.jet(n + 1, grid, 0).value
-        down = math.sqrt(n) * fam.jet(n - 1, grid, 0).value if n > 0 else 0.0
-        return [_relative_sup(
-            apply_ladder(m, op, lambda *_: here, grid, 0).value - target,
-            here.value, n) for op, target in ((raising, up), (lowering, down))]
+        jets = dict(zip(reach, fam.jet(reach, grid, 1)))
+        out = []
+        for k in ns:
+            # level k once, as the operand of both operators and as the scale
+            here = jets[k]
+            up = math.sqrt(k + 1) * jets[k + 1].value
+            down = math.sqrt(k) * jets[k - 1].value if k > 0 else 0.0
+            out.append([_relative_sup(
+                apply_ladder(m, op, lambda *_: here, grid, 0).value - target,
+                here.value, k)
+                for op, target in ((raising, up), (lowering, down))])
+        return out
 
-    raise_phi, lower_phi = residuals(phi_fam, "b", "a")
-    raise_psi, lower_psi = residuals(psi_fam, "a_dag", "b_dag")
-    return LadderResiduals(raise_phi, lower_phi, raise_psi, lower_psi)
+    out = [LadderResiduals(*phi, *psi) for phi, psi in
+           zip(residuals(phi_fam, "b", "a"),
+               residuals(psi_fam, "a_dag", "b_dag"))]
+    return out[0] if np.ndim(n) == 0 else out

@@ -463,6 +463,59 @@ class TestReports:
             f"wrote {tmp_path / 'out' / 'hamiltonian_report.json'}",
             "  hamiltonian_crosscheck   skipped  metric=-"]
 
+    def test_error_and_blocked_lines_say_why(self, tmp_path, capsys):
+        vanishing = ("[model]\nbuiltin = bosonic\n"
+                     "[grid]\nlo = 40\nhi = 50\npoints = 41\n"
+                     "[run]\nn_max = 2\nchecks = ladder\n"
+                     f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, vanishing)
+        assert main(["check", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "  ladder                   error    metric=-  ModelError: "
+            "state level 0 vanished on the whole grid (sup |state| = 0)")
+        cfg = write_config(tmp_path, BROKEN_CONFIG.format(
+            out=tmp_path / "out"), name="broken.ini")
+        assert main(["check", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "  commutator               blocked  metric=-  "
+            "blocked_by=conditions",
+            "  eigen                    blocked  metric=-  "
+            "blocked_by=conditions"]
+
+
+class TestWorkDone:
+    """Guards against a return of per-level and per-point re-evaluation
+    on a general-flavor model (example1 as raw expressions)."""
+
+    def test_raw_model_check_evaluates_each_family_once(self, tmp_path,
+                                                        monkeypatch):
+        from pseudobosons import expressions
+
+        body = ("[model]\nalpha_a = 1/(1+x^2)\nbeta_a = x + x^3/3\n"
+                "alpha_b = 1/(1+x^2)\nbeta_b = -2*x/(1+x^2)^2\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 101\n"
+                "[run]\nn_max = 4\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        points, jet_calls = [], []
+        value_at, jet = expressions.Antideriv.value_at, StateFamily.jet
+
+        def counted_value_at(self, x):
+            points.append(np.size(x))
+            return value_at(self, x)
+
+        def counted_jet(self, n, x, order):
+            jet_calls.append((self.side, order))
+            return jet(self, n, x, order)
+
+        monkeypatch.setattr(expressions.Antideriv, "value_at",
+                            counted_value_at)
+        monkeypatch.setattr(StateFamily, "jet", counted_jet)
+        report = cmd_check(load_config(write_config(tmp_path, body)))
+        monkeypatch.undo()
+        assert report.overall == "pass"
+        assert points and min(points) > 1  # no one-point probe
+        assert len(jet_calls) <= 5
+
 
 DEMO_INI = Path(__file__).resolve().parents[1] / "demos" / "example_run.ini"
 

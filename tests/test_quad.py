@@ -223,6 +223,104 @@ class TestBiorthonormality:
         assert abs(lhs - pref * hh) < 1e-9
 
 
+class TestHighDegreeEnvelope:
+    """The pair envelope in log space: a degree that overflowed the power
+    (a bare OverflowError) truncates where the Gram matrix needs it."""
+
+    @pytest.mark.parametrize("name, N, bounds", [("bosonic", 100, 32.0),
+                                                 ("example1", 80, 8.0)])
+    def test_gram_envelope_truncates(self, all_builtins, name, N, bounds):
+        from pseudobosons.states import pair_envelope
+
+        r = integrate_line(lambda xs: np.zeros_like(xs), None, None,
+                           envelope=pair_envelope(all_builtins[name], 2 * N))
+        assert r.truncation_bounds == (-bounds, bounds)
+
+    def test_bosonic_envelope_values(self, bosonic):
+        # phi_0 = psi_0 = exp(-x^2/2) and y = x on the oscillator
+        from pseudobosons.states import pair_envelope
+
+        xs = np.array([-21.0, -0.3, 0.0, 0.4, 5.0, 16.0, 41.9, 100.0])
+        got = pair_envelope(bosonic, 200)(xs)
+        want = np.exp(-xs * xs
+                      + 200 * np.log(np.maximum(1.0, 2.0 * np.abs(xs))))
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_example1_gram_past_the_old_overflow(self, example1):
+        # max(1, 2|y|)^120 overflowed at the truncation probe x = 10.48
+        G, dev = biorthonormality_matrix(example1, 60)
+        assert dev <= 1e-8
+
+
+def _scalar_cut(probe, tol, sign):
+    """One side probed one point at a time by the truncation rule of
+    integrate_line: the reference for the batched probes."""
+    L = 1.0
+    for _ in range(60):
+        worst = max(probe(sign * L), probe(sign * 1.31 * L))
+        if worst < tol / 10.0 and worst * L < tol / 3.0:
+            return sign * L
+        L *= 2.0
+    raise AssertionError("no cut point")
+
+
+class TestBatchedTruncation:
+    """Both open sides probed in one call per doubling cut where
+    one-sided scalar probing does."""
+
+    def _envelopes(self, all_builtins, raw_example1):
+        from pseudobosons.states import pair_envelope
+
+        envs = {f"{name}_{deg}": pair_envelope(m, deg)
+                for name, m in all_builtins.items() for deg in (0, 7, 40)}
+        envs["raw_example1_9"] = pair_envelope(raw_example1, 9)
+        # sides that cut at different points
+        envs["lopsided"] = lambda xs: np.exp(
+            -np.abs(xs) * np.where(xs < 0.0, 0.02, 3.0))
+        # below tol/10 from |x| = 4 on, where only the tail-mass rule cuts
+        envs["flat_tail"] = lambda xs: (1e-10 * np.exp(-xs * xs)
+                                        + 9e-14 * np.exp(-np.abs(xs) / 1e3))
+        return envs
+
+    def test_envelope_path(self, all_builtins, real_rho_models):
+        for name, env in self._envelopes(
+                all_builtins, real_rho_models["raw_example1"]).items():
+            def probe(x, env=env):
+                return float(abs(env(np.array([x]))[0]))
+
+            for tol in (1e-12, 1e-8):
+                want = tuple(_scalar_cut(probe, tol, sign) for sign in (-1, 1))
+                r = integrate_line(lambda xs: np.zeros_like(xs), None, None,
+                                   tol=tol, envelope=env)
+                assert r.truncation_bounds == want, (name, tol)
+
+    @pytest.mark.parametrize("a, b", [(None, None), (-np.inf, 0.5),
+                                      (-0.5, None)])
+    def test_fallback_path_vector_valued(self, a, b):
+        def f(xs):
+            return np.stack([np.exp(-xs * xs),
+                             np.exp(-0.02 * (xs - 3.0) ** 2),
+                             1e-3j / (1.0 + xs ** 8)], axis=-1)
+
+        def probe(x):
+            return float(np.max(np.abs(f(np.array([x])))))
+
+        r = integrate_line(f, a, b)
+        want = (_scalar_cut(probe, 1e-12, -1) if a is None or np.isinf(a)
+                else a,
+                _scalar_cut(probe, 1e-12, 1) if b is None else b)
+        assert r.truncation_bounds == want
+        assert r.value.shape == (3,)
+
+    def test_one_divergent_side_is_refused(self):
+        # integrable to the left, 1/(1 + x) to the right
+        with pytest.raises(QuadratureError, match="non-integrable"):
+            integrate_line(
+                lambda xs: np.where(xs < 0.0, np.exp(-xs * xs),
+                                    1.0 / (1.0 + np.abs(xs))), None, None)
+
+
 class TestOscillator:
     def test_ground_state_at_zero(self):
         assert abs(oscillator_en(0, 0.0) - math.pi ** -0.25) < 1e-15

@@ -289,13 +289,76 @@ class TestLadderEvaluations:
         jet = StateFamily.jet
 
         def counted(self, n, x, order):
-            calls.append((self.side, n, order))
+            calls.append((self.side, list(np.ravel(n)), order))
             return jet(self, n, x, order)
 
         monkeypatch.setattr(StateFamily, "jet", counted)
-        res = verify_ladder(phi, psi, 2, grid)
-        assert sorted(calls) == sorted(
-            (side, n, order) for side in ("phi", "psi")
-            for n, order in ((2, 1), (3, 0), (1, 0)))
+        res = verify_ladder(phi, psi, range(3), grid)
+        # one call per family covers every level the relations reach
+        assert sorted(calls) == [("phi", [0, 1, 2, 3], 1),
+                                 ("psi", [0, 1, 2, 3], 1)]
         monkeypatch.undo()
-        assert res.max < 1e-8
+        assert max(r.max for r in res) < 1e-8
+
+
+def _sequence_models(all_builtins):
+    raw = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                           "-2*x/(1+x^2)^2")
+    fix_normalization(raw)
+    gauged = _unified_models()["gauged_example1"]
+    fix_normalization(gauged)
+    return {**all_builtins, "raw_example1": raw, "gauged_example1": gauged}
+
+
+class TestLevelSequences:
+    """A sequence of levels is one evaluation whose rows are bitwise the
+    single-level results."""
+
+    def test_jets_equal_single_level_jets(self, all_builtins):
+        from pseudobosons.jets import jet_hermite
+
+        xs = np.linspace(-2.5, 2.5, 17)
+        levels = [0, 1, 2, 3, 5, 8]
+        for name, m in _sequence_models(all_builtins).items():
+            for side in ("phi", "psi"):
+                fam = StateFamily(m, side, max_n=8)
+                poly = "pi" if side == "phi" else "sigma"
+                for order in (0, 1, 2):
+                    u = m.lead_jet(poly, xs, order)
+                    for k, h in zip(levels, jet_hermite(u, levels)):
+                        assert np.array_equal(
+                            h.coeffs, jet_hermite(u, k).coeffs), \
+                            (name, side, order, k)
+                    for k, j in zip(levels, fam.jet(levels, xs, order)):
+                        assert np.array_equal(
+                            j.coeffs, fam.jet(k, xs, order).coeffs), \
+                            (name, side, order, k)
+
+    def test_single_level_returns_a_jet(self, example1):
+        from pseudobosons.jets import Jet, jet_hermite
+
+        fam = StateFamily(example1, "phi", max_n=3)
+        assert isinstance(fam.jet(2, 0.3, 1), Jet)
+        assert isinstance(jet_hermite(Jet.variable(0.3, 1), 2), Jet)
+        assert fam.jet([], np.zeros(3), 1) == []
+
+    def test_sequence_levels_are_range_checked(self, example1):
+        fam = StateFamily(example1, "phi", max_n=3)
+        with pytest.raises(ModelError, match="max_n"):
+            fam.jet(range(5), np.zeros(3), 0)
+
+    def test_residuals_equal_single_level_calls(self, all_builtins):
+        from pseudobosons import eigen_residual, hsusy_shift_check
+
+        grid = np.linspace(-3.0, 3.0, 41)
+        for name, m in _sequence_models(all_builtins).items():
+            phi = StateFamily(m, "phi", max_n=5)
+            psi = StateFamily(m, "psi", max_n=5)
+            assert verify_ladder(phi, psi, range(5), grid) == [
+                verify_ladder(phi, psi, n, grid) for n in range(5)], name
+            for side in ("H", "H_dag"):
+                assert eigen_residual(m, side, range(6), grid) == [
+                    eigen_residual(m, side, n, grid) for n in range(6)], \
+                    (name, side)
+            assert hsusy_shift_check(m, range(6), grid) == [
+                hsusy_shift_check(m, n, grid) for n in range(6)], name
