@@ -289,7 +289,8 @@ def weak_pairing(q: WeakStateQuery, g) -> complex:
 class EigenRelationResult:
     """Residuals of <a^dag g, Phi(z)> = z <g, Phi(z)> and
     <b g, Psi(z)> = z <g, Psi(z)>; a relative residual is nan where its
-    right-hand side is exactly 0, as at z = 0."""
+    right-hand side is exactly 0, as at z = 0, and both residuals of a
+    side are nan where its pairing tails cannot be certified at z."""
 
     z: complex
     residual_phi: complex
@@ -301,7 +302,10 @@ class EigenRelationResult:
 def eigen_relation_residual(m: PBModel, z, g: TestFunction,
                             *, max_terms: int = 60):
     """Residuals at one z, or a list of them for a sequence of z; the
-    four pairing series are built once per call."""
+    four pairing series are built once per call.  Each z and each side
+    stands on its own: a side whose pairing tails ``max_terms`` terms
+    cannot certify at z reads nan there, and the other entries are
+    unaffected."""
     m.ensure_normalized()
     series = [(PairingSeries(m, g, side, state_in_bra=False,
                              max_terms=max_terms),
@@ -314,8 +318,12 @@ def eigen_relation_residual(m: PBModel, z, g: TestFunction,
         res = []
         for plain, moved in series:
             # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>
-            lhs = moved.eval(z, conjugate_z=False)
-            rhs = z * plain.eval(z, conjugate_z=False)
+            try:
+                lhs = moved.eval(z, conjugate_z=False)
+                rhs = z * plain.eval(z, conjugate_z=False)
+            except ModelError:  # the tail of this side is not certified
+                res.append((complex(math.nan, math.nan), math.nan))
+                continue
             res.append((lhs - rhs,
                         abs(lhs - rhs) / abs(rhs) if rhs != 0 else math.nan))
         (r_phi, rel_phi), (r_psi, rel_psi) = res
@@ -342,6 +350,19 @@ class ResolutionResult:
     tail_estimate: float = 0.0  # mass outside |z| <= R, worse ordering
 
 
+def _upper_gamma_q(n_max: int, x: float) -> np.ndarray:
+    """Q(n+1, x) for n = 0..n_max: the regularized upper incomplete gamma
+    function at integer order, e^{-x} sum_{k<=n} x^k / k!, summed
+    cumulatively in log space so that no term overflows or underflows
+    before the sum is formed."""
+    if x == 0.0:
+        return np.ones(n_max + 1)
+    ks = np.arange(n_max + 1)
+    log_terms = ks * math.log(x) - x - np.array(
+        [math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    return np.exp(np.logaddexp.accumulate(log_terms))
+
+
 def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
                            R: float = 6.0, n_r: int = 96,
                            n_theta: Optional[int] = None,
@@ -364,10 +385,26 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     (1/pi) r dr dtheta used here: each pairing already carries one factor
     exp(-r^2/2), and the two of them together supply exactly the
     N(r)^2 that the weighted measure divides out.
+
+    The disc rule is ``n_r`` Gauss-Legendre radii times the ``n_theta``
+    equispaced angles, and its angular sum is done exactly (discrete
+    Parseval).  The pairings are sum_m a_m z^m and sum_n b_n conj(z)^n,
+    and the equispaced sum of e^{i(m-n)theta} is n_theta where
+    m = n (mod n_theta) and 0 elsewhere.  So with A_k(r) and B_k(r) the
+    sums of a_m r^m and b_n r^n over each residue class k mod n_theta,
+    each radius contributes 2 sum_j w_j r_j e^{-r_j^2} sum_k A_k B_k:
+    the same rule as on the r x theta grid, aliased terms included, and
+    for the default n_theta = 2 max_terms + 3 only the diagonal m = n
+    remains.  The 1/sqrt(m!) of a_m and a factor e^{-r^2/2} per pairing
+    go into the powers, e^{-r^2/2} r^m / sqrt(m!), none of which exceeds
+    1.
     """
     m.ensure_normalized()
     if n_theta is None:
         n_theta = 2 * max_terms + 3
+    if n_r < 1 or n_theta < 1:
+        raise ValueError(f"the disc rule needs n_r >= 1 and n_theta >= 1, "
+                         f"not {n_r} and {n_theta}")
     f_phi = PairingSeries(m, f, "phi", state_in_bra=False, max_terms=max_terms)
     f_psi = PairingSeries(m, f, "psi", state_in_bra=False, max_terms=max_terms)
     g_phi, g_psi = g_series or [
@@ -376,20 +413,26 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     if g_phi.max_terms != max_terms or g_psi.max_terms != max_terms:
         raise ValueError("g_series must have max_terms terms")
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    w_theta = 2.0 * math.pi / n_theta
     pairs = {"phi_psi": (f_phi, g_psi), "psi_phi": (f_psi, g_phi)}
+    # pad the terms to whole periods of n_theta, to fold them by residue
+    periods = -(-(max_terms + 1) // n_theta)
+    pad = periods * n_theta - (max_terms + 1)
+    steps = np.sqrt(np.arange(1, max_terms + 1))
 
     def integral(radius: float, ordering: str) -> complex:
         r = 0.5 * radius * (nodes + 1.0)
         wr = 0.5 * radius * weights
-        z = r[:, None] * np.exp(1j * theta[None, :])
+        # e^{-r^2/2} r^m / sqrt(m!), one row per radius
+        powers = np.cumprod(np.hstack([np.exp(-0.5 * r * r)[:, None],
+                                       r[:, None] / steps]), axis=1)
         bra, ket = pairs[ordering]
-        # <f, X(z)> is analytic in z, <Y(z), g> in conj(z)
-        p1 = np.polynomial.polynomial.polyval(z, bra._scaled)
-        p2 = np.polynomial.polynomial.polyval(np.conj(z), ket._scaled)
-        integrand = p1 * p2 * np.exp(-(r * r))[:, None]
-        return complex((wr * r) @ integrand.sum(axis=1) * w_theta / math.pi)
+
+        def folded(coeffs):
+            terms = np.pad(powers * coeffs, ((0, 0), (0, pad)))
+            return terms.reshape(n_r, periods, n_theta).sum(axis=1)
+
+        per_radius = (folded(bra.coeffs) * folded(ket.coeffs)).sum(axis=1)
+        return complex(2.0 * ((wr * r) @ per_radius))
 
     reference = quad.compatibility_form(m, f, g).value
     radii = list(trace_radii) if trace_radii is not None else \
@@ -405,11 +448,8 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     # cross terms, so the truncated disc misses sum_n a_n b_n Q(n+1, R^2)
     # with Q the regularized upper incomplete gamma; the worse ordering
     # bounds both
-    from scipy import special
-
-    ns = np.arange(max_terms + 1)
-    outside = special.gammaincc(ns + 1.0, R * R) / np.array(
-        [sqrt_factorial(n) ** 2 for n in ns])
+    outside = _upper_gamma_q(max_terms, R * R) / np.array(
+        [sqrt_factorial(n) ** 2 for n in range(max_terms + 1)])
     tail = max(float(np.dot(np.abs(bra.coeffs) * np.abs(ket.coeffs), outside))
                for bra, ket in pairs.values())
     if tail > 0.01 * (1.0 + abs(reference)):

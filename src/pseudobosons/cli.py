@@ -323,8 +323,9 @@ def _worst(residuals) -> float:
 
 
 def _check_commutator(m, cfg):
-    return _worst(model_mod.commutator_residual(m, bump.jet, cfg.grid).sup_abs
-                  for bump in _random_bumps(cfg)), {"bumps": 5}
+    bumps = _random_bumps(cfg)
+    return _worst(stats.sup_abs for stats in model_mod.commutator_residual(
+        m, [bump.jet for bump in bumps], cfg.grid)), {"bumps": len(bumps)}
 
 
 def _check_normalization(m, cfg):
@@ -345,6 +346,7 @@ def _check_biorthonormality(m, cfg):
     return dev, {"matrix_size": cfg.n_max + 1,
                  "max_abs_error_estimate":
                      float(np.max(res.abs_error_estimate)),
+                 "max_entry_mass": float(np.max(res.abs_mass)),
                  "quad_panels": res.panels_used}
 
 
@@ -475,6 +477,12 @@ def _bicoherent_params(cfg: RunConfig) -> dict:
         if int(raw[2]) < 1:
             raise ConfigError(f"bicoherent {key} count must be >= 1")
         return float(raw[0]), float(raw[1]), int(raw[2])
+
+    def count(key, default, least):
+        value = int(bico.get(key, default))
+        if value < least:
+            raise ConfigError(f"bicoherent {key} count must be >= {least}")
+        return value
     return {
         "z_re": triple("z_re", "-1.4 1.4 3"),
         "z_im": triple("z_im", "-1.4 1.4 3"),
@@ -483,8 +491,8 @@ def _bicoherent_params(cfg: RunConfig) -> dict:
         "bump2_center": float(bico.get("bump2_center", 0.2)),
         "bump2_width": float(bico.get("bump2_width", 0.8)),
         "resolution_radius": float(bico.get("resolution_radius", 6.0)),
-        "radial_nodes": int(bico.get("radial_nodes", 96)),
-        "angular_nodes": int(bico.get("angular_nodes", 0)) or None,
+        "radial_nodes": count("radial_nodes", 96, 1),
+        "angular_nodes": count("angular_nodes", 0, 0) or None,  # 0: default
         "max_terms": int(bico.get("max_terms", 60)),
         "tolerance_eigen": float(bico.get("tolerance_eigen", 1e-8)),
         "tolerance_resolution": float(bico.get("tolerance_resolution", 1e-3)),
@@ -512,32 +520,50 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
     g_series = []  # <phi_n, g>, <psi_n, g>: built once, shared
 
+    def certified(series, z: complex) -> complex:
+        """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
+        try:
+            return series.eval(z, conjugate_z=True)
+        except model_mod.ModelError:
+            return complex(np.nan, np.nan)
+
     def z_grid_tables():
         g_series[:] = [bc.PairingSeries(m, g, side, state_in_bra=True,
                                         max_terms=p["max_terms"])
                        for side in ("phi", "psi")]
-        rows = []
-        for z in z_grid:
-            vp, vs = (series.eval(z, conjugate_z=True) for series in g_series)
-            rows.append((z.real, z.imag, vp.real, vp.imag, vs.real, vs.imag))
+        pairings = [[certified(series, z) for series in g_series]
+                    for z in z_grid]
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
                                 ["z_re", "z_im", "phi_re", "phi_im",
-                                 "psi_re", "psi_im"], rows))
+                                 "psi_re", "psi_im"],
+                                [(z.real, z.imag, vp.real, vp.imag, vs.real,
+                                  vs.imag)
+                                 for z, (vp, vs) in zip(z_grid, pairings)]))
 
         eigen = bc.eigen_relation_residual(m, z_grid, g,
                                            max_terms=p["max_terms"])
-        # where the right-hand side vanishes (z = 0) the relative residual
-        # is nan and the absolute one stands in for it
-        worst_eigen = _worst(
-            abs(resid) if np.isnan(rel) else rel for res in eigen
-            for rel, resid in ((res.relative_phi, res.residual_phi),
-                               (res.relative_psi, res.residual_psi)))
         rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
                  res.relative_phi, res.relative_psi)
                 for z, res in zip(z_grid, eigen)]
         paths.append(_write_csv(cfg.out_dir / "eigen_relations.csv",
                                 ["z_re", "z_im", "abs_phi", "abs_psi",
                                  "rel_phi", "rel_psi"], rows))
+        # every table row is written; the points a series could not
+        # certify carry nan and make the record an error
+        uncertified = [abs(z) for z, vals, row in zip(z_grid, pairings, rows)
+                       if np.isnan(vals).any() or np.isnan(row[2:4]).any()]
+        if uncertified:
+            raise model_mod.ModelError(
+                f"non-convergent pairing tail within {p['max_terms']} terms "
+                f"at {len(uncertified)} of {len(z_grid)} z points, the "
+                f"smallest at |z| = {min(uncertified):.3g}; their columns "
+                "are nan")
+        # where the right-hand side vanishes (z = 0) the relative residual
+        # is nan and the absolute one stands in for it
+        worst_eigen = _worst(
+            abs(resid) if np.isnan(rel) else rel for res in eigen
+            for rel, resid in ((res.relative_phi, res.residual_phi),
+                               (res.relative_psi, res.residual_psi)))
         return worst_eigen, {"z_points": len(z_grid)}
 
     def resolution_record():

@@ -491,7 +491,7 @@ def check_pb_conditions(m: PBModel, grid, tol: float = 1e-10) -> ConditionReport
                            passed=(m1 < tol and m2 < tol))
 
 
-def apply_ladder(m: PBModel, which: str, f, x, order: int) -> Jet:
+def apply_ladder(m: PBModel, which: str, f, x, order: int):
     """Apply one of the four operators of :data:`LADDER_OPS` to a
     jet-valued function at a point or at every point of an array.
 
@@ -502,18 +502,27 @@ def apply_ladder(m: PBModel, which: str, f, x, order: int) -> Jet:
         b:     -(alpha_b f)' + beta_b f
         a_dag: -(conj(alpha_a) f)' + conj(beta_a) f
         b_dag: conj(alpha_b) f' + conj(beta_b) f
+
+    ``f`` may also be a sequence of such callables: the jets of alpha and
+    beta are then evaluated once for all of them, and the list of their
+    results is returned, each bitwise the single-callable result.  A
+    single callable is the one-element case and returns a Jet.
     """
     try:
         op = LADDER_OPS[which]
     except KeyError:
         raise ModelError(f"unknown ladder operator {which!r}") from None
-    fj = f(x, order + 1)
+    fs = [f] if callable(f) else list(f)
     alpha = m.coefficient("alpha_" + op.pair).eval_jet(x, order + op.raising)
     beta = m.coefficient("beta_" + op.pair).eval_jet(x, order)
     if op.conjugated:
         alpha, beta = alpha.conjugate(), beta.conjugate()
-    lead = -((alpha * fj).deriv()) if op.raising else alpha * fj.deriv()
-    return lead + beta * fj.truncate(order)
+    out = []
+    for fn in fs:
+        fj = fn(x, order + 1)
+        lead = -((alpha * fj).deriv()) if op.raising else alpha * fj.deriv()
+        out.append(lead + beta * fj.truncate(order))
+    return out[0] if callable(f) else out
 
 
 @dataclass
@@ -523,15 +532,24 @@ class CommutatorStats:
     sup_abs: float
 
 
-def commutator_residual(m: PBModel, f, grid) -> CommutatorStats:
+def commutator_residual(m: PBModel, f, grid):
     """sup over the grid of |(ab - ba) f(x) - f(x)| for a C^2 function f
-    given as a jet-valued callable that accepts arrays."""
+    given as a jet-valued callable that accepts arrays.
+
+    ``f`` may also be a sequence of such callables: each of the four
+    operator applications is then one :func:`apply_ladder` call for all
+    of them, and the list of their stats is returned, each equal to the
+    single-callable one."""
     grid = np.asarray(grid, dtype=float)
+    fs = [f] if callable(f) else list(f)
 
     def product(outer, inner):
-        return apply_ladder(
-            m, outer, lambda xx, oo: apply_ladder(m, inner, f, xx, oo),
-            grid, 0).value
+        inners = apply_ladder(m, inner, fs, grid, 1)
+        return [j.value for j in apply_ladder(
+            m, outer, [lambda *_, j=j: j for j in inners], grid, 0)]
 
-    res = np.abs(product("a", "b") - product("b", "a") - f(grid, 0).value)
-    return CommutatorStats(grid, res, float(np.max(res)))
+    out = []
+    for ab, ba, fn in zip(product("a", "b"), product("b", "a"), fs):
+        res = np.abs(ab - ba - fn(grid, 0).value)
+        out.append(CommutatorStats(grid, res, float(np.max(res))))
+    return out[0] if callable(f) else out

@@ -65,12 +65,15 @@ class RhoError(Exception):
 
 @dataclass
 class IntegralResult:
-    """Scalar value and error, or (M,) arrays for an (npts, M) integrand."""
+    """Scalar value and error, or (M,) arrays for an (npts, M) integrand.
+    ``abs_mass`` is the accepted integral of |f| (per component), the
+    mass whose roundoff floor :func:`integrate_line` allows for."""
 
     value: complex
     abs_error_estimate: float
     panels_used: int
     truncation_bounds: tuple[float, float]
+    abs_mass: Optional[float] = None
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +181,11 @@ def _truncate(probe, tol: float, signs: tuple) -> dict:
     )
 
 
-def _result(value, err, panels: int, bounds) -> IntegralResult:
+def _result(value, err, panels: int, bounds, mass) -> IntegralResult:
     if np.ndim(value):  # already complex / float arrays
-        return IntegralResult(value, err, panels, bounds)
-    return IntegralResult(complex(value), float(err), panels, bounds)
+        return IntegralResult(value, err, panels, bounds, mass)
+    return IntegralResult(complex(value), float(err), panels, bounds,
+                          float(mass))
 
 
 def integrate_line(
@@ -224,12 +228,12 @@ def integrate_line(
     if a_eff == b_eff:
         shape = np.shape(f(np.array([a_eff])))[1:]
         return _result(np.zeros(shape, dtype=np.complex128), np.zeros(shape),
-                       0, (a_eff, b_eff))
+                       0, (a_eff, b_eff), np.zeros(shape))
     if a_eff > b_eff:
         res = integrate_line(f, b_eff, a_eff, tol=tol, rtol=rtol,
                              envelope=envelope, max_panels=max_panels)
         return IntegralResult(-res.value, res.abs_error_estimate,
-                              res.panels_used, (a_eff, b_eff))
+                              res.panels_used, (a_eff, b_eff), res.abs_mass)
 
     edges = _seed_breakpoints(a_eff, b_eff)
     lo = edges[:-1]
@@ -255,23 +259,25 @@ def integrate_line(
         # below the roundoff floor of the absolute-value mass in play; the
         # builtin max keeps the scalar path as fast as it was
         vmax = max if kron.ndim == 1 else np.maximum
-        scale = vmax(vmax(tol, rtol * abs(val)),
-                     50.0 * eps * (done_abs + kabs.sum(axis=0)))
+        mass = done_abs + kabs.sum(axis=0)
+        scale = vmax(vmax(tol, rtol * abs(val)), 50.0 * eps * mass)
         if (val_err <= scale).all():  # global budget already met
-            return _result(val, val_err, total_panels, (a_eff, b_eff))
+            return _result(val, val_err, total_panels, (a_eff, b_eff), mass)
         share = scale * (hi - lo)[:, None] / width_total
         ok = (err.reshape(lo.size, -1) <= share).all(axis=1)
         done_val = done_val + kron[ok].sum(axis=0)
         done_err = done_err + err[ok].sum(axis=0)
         done_abs = done_abs + kabs[ok].sum(axis=0)
         if ok.all():
-            return _result(done_val, done_err, total_panels, (a_eff, b_eff))
+            return _result(done_val, done_err, total_panels, (a_eff, b_eff),
+                           done_abs)
         lo_bad, hi_bad = lo[~ok], hi[~ok]
         mid = 0.5 * (lo_bad + hi_bad)
         lo = np.concatenate([lo_bad, mid])
         hi = np.concatenate([mid, hi_bad])
     best = _result(done_val + kron[~ok].sum(axis=0),
-                   done_err + err[~ok].sum(axis=0), total_panels, None)
+                   done_err + err[~ok].sum(axis=0), total_panels, None,
+                   done_abs + kabs[~ok].sum(axis=0))
     raise QuadratureError(
         "adaptive refinement failed to converge",
         best_value=best.value, error_estimate=best.abs_error_estimate,
@@ -520,7 +526,7 @@ def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
             a = max(s[0] for s in supports)
             b = min(s[1] for s in supports)
             if a >= b:
-                return IntegralResult(0.0 + 0.0j, 0.0, 0, (a, a))
+                return IntegralResult(0.0 + 0.0j, 0.0, 0, (a, a), 0.0)
     return integrate_line(integrand, a, b, tol=tol, envelope=envelope)
 
 

@@ -125,17 +125,16 @@ def hsusy_shift_check(m: PBModel, n, grid):
     one."""
     grid = np.asarray(grid, dtype=float)
     ns = [int(k) for k in np.ravel(n)]
-    # level k once, as the operand and as the reference
+    # level k once, as the operand and as the reference; each operator is
+    # one call for every level
     heres = StateFamily(m, "phi", max_n=max(ns, default=0)).jet(ns, grid, 2)
-    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, here in zip(ns, heres):
-            def b_here(xx, oo, here=here):
-                return apply_ladder(m, "b", lambda *_: here, xx, oo)
-
-            val = apply_ladder(m, "a", b_here, grid, 0).value
-            out.append(_relative_sup(val - (k + 1) * here.value,
-                                     here.value, k))
+        b_heres = apply_ladder(m, "b", [lambda *_, h=h: h for h in heres],
+                               grid, 1)
+        vals = apply_ladder(m, "a", [lambda *_, j=j: j for j in b_heres],
+                            grid, 0)
+        out = [_relative_sup(val.value - (k + 1) * here.value, here.value, k)
+               for k, here, val in zip(ns, heres, vals)]
     return out[0] if np.ndim(n) == 0 else out
 
 

@@ -311,16 +311,18 @@ def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid):
 
     def residuals(fam, raising, lowering):
         jets = dict(zip(reach, fam.jet(reach, grid, 1)))
+        # level k once, as the operand of both operators and as the scale;
+        # each operator is one call for every level
+        operands = [lambda *_, k=k: jets[k] for k in ns]
+        raised = apply_ladder(m, raising, operands, grid, 0)
+        lowered = apply_ladder(m, lowering, operands, grid, 0)
         out = []
-        for k in ns:
-            # level k once, as the operand of both operators and as the scale
-            here = jets[k]
-            up = math.sqrt(k + 1) * jets[k + 1].value
-            down = math.sqrt(k) * jets[k - 1].value if k > 0 else 0.0
-            out.append([_relative_sup(
-                apply_ladder(m, op, lambda *_: here, grid, 0).value - target,
-                here.value, k)
-                for op, target in ((raising, up), (lowering, down))])
+        for k, up, down in zip(ns, raised, lowered):
+            here = jets[k].value
+            want_up = math.sqrt(k + 1) * jets[k + 1].value
+            want_down = math.sqrt(k) * jets[k - 1].value if k > 0 else 0.0
+            out.append([_relative_sup(up.value - want_up, here, k),
+                        _relative_sup(down.value - want_down, here, k)])
         return out
 
     out = [LadderResiduals(*phi, *psi) for phi, psi in

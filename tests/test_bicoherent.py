@@ -20,6 +20,7 @@ from pseudobosons.bicoherent import (
     PairingSeries,
     TransformedTestFunction,
     _overlap_bound,
+    _upper_gamma_q,
 )
 from pseudobosons.jets import sqrt_factorial
 from pseudobosons.quad import (
@@ -315,3 +316,61 @@ class TestResolution:
                                        trace_radii=[6.0])
         assert not caught
         assert r.tail_estimate < 1e-10
+
+
+def _disc_by_polyval(m, f, g, radius, n_r, n_theta, max_terms, ordering):
+    """The resolution integral on the explicit r x theta node grid: both
+    pairings by Horner's rule at every node, then the product rule."""
+    bra_side, ket_side = ordering.split("_")
+    bra = PairingSeries(m, f, bra_side, state_in_bra=False,
+                        max_terms=max_terms)
+    ket = PairingSeries(m, g, ket_side, state_in_bra=True,
+                        max_terms=max_terms)
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    r = 0.5 * radius * (nodes + 1.0)
+    wr = 0.5 * radius * weights
+    z = r[:, None] * np.exp(1j * theta[None, :])
+    p1 = np.polynomial.polynomial.polyval(z, bra._scaled)
+    p2 = np.polynomial.polynomial.polyval(np.conj(z), ket._scaled)
+    integrand = p1 * p2 * np.exp(-(r * r))[:, None]
+    return complex((wr * r) @ integrand.sum(axis=1) * (2.0 / n_theta))
+
+
+class TestDiscreteParseval:
+    """The resolution disc is summed over angles exactly; the node grid
+    it stands for is the oracle."""
+
+    @pytest.mark.parametrize("model, n_theta, max_terms", [
+        ("example2", None, 60),   # default: 2 max_terms + 3, the diagonal
+        ("example2", 7, 20),      # aliased residue classes
+        ("swanson", None, 40),    # complex coefficients
+        ("swanson", 7, 20),
+    ])
+    def test_matches_the_node_grid(self, request, model, n_theta,
+                                   max_terms):
+        m = request.getfixturevalue(model)
+        f, g = TestFunction(0.2, 0.8), TestFunction(0.0, 1.0)
+        radii = [1.0, 3.0, 5.0]
+        r = resolution_of_identity(m, f, g, R=5.0, n_r=48, n_theta=n_theta,
+                                   max_terms=max_terms, trace_radii=radii)
+        for radius, v_pp, v_pf in r.trace:
+            for ordering, got in (("phi_psi", v_pp), ("psi_phi", v_pf)):
+                want = _disc_by_polyval(m, f, g, radius, 48, r.n_angular,
+                                        max_terms, ordering)
+                assert abs(got - want) <= 1e-13 * abs(want), \
+                    (radius, ordering)
+
+    def test_empty_angular_rule_is_rejected(self, example2):
+        f = TestFunction(0.0, 1.0)
+        with pytest.raises(ValueError, match="n_theta >= 1"):
+            resolution_of_identity(example2, f, f, n_theta=0)
+
+    def test_closed_form_q_matches_scipy(self):
+        ns = np.arange(201)
+        for radius in (0.5, 1.0, 3.0, 6.0, 12.0):
+            want = sp.gammaincc(ns + 1.0, radius * radius)
+            got = _upper_gamma_q(200, radius * radius)
+            live = want > 1e-300
+            assert np.all(np.abs(got[live] - want[live])
+                          <= 1e-12 * want[live]), radius

@@ -368,8 +368,48 @@ class TestCmdBicoherent:
         assert records["bicoherent_resolution"]["verdict"] == "pass"
         assert doc["overall"] == "fail"
         assert (out / "resolution.csv").exists()
-        assert not (out / "pairings.csv").exists()
         assert "bicoherent_eigen_relations error" in capsys.readouterr().out
+        # the psi-side series certify only z = 0, the phi-side ones every
+        # point: each z stands on its own, and every row is written
+        assert "at 8 of 9 z points" in eigen["detail"]["error"]
+        assert "smallest at |z| = 3.5" in eigen["detail"]["error"]
+        tables = {}
+        for name in ("pairings.csv", "eigen_relations.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert len(lines) == 1 + 9, name
+            tables[name] = [dict(zip(lines[0].split(","),
+                                     map(float, line.split(","))))
+                            for line in lines[1:]]
+        for row in tables["pairings.csv"]:
+            assert math.isfinite(row["phi_re"]) and math.isfinite(
+                row["phi_im"])
+            at_zero = row["z_re"] == 0.0 and row["z_im"] == 0.0
+            assert math.isnan(row["psi_re"]) != at_zero
+        for row in tables["eigen_relations.csv"]:
+            at_zero = row["z_re"] == 0.0 and row["z_im"] == 0.0
+            assert row["abs_phi"] <= 1e-12
+            # the relative residual is undefined only where z = 0
+            assert math.isnan(row["rel_phi"]) == at_zero
+            assert math.isnan(row["abs_psi"]) != at_zero
+
+
+class TestBiorthonormalityDetail:
+    def test_level_60_fail_reads_as_a_roundoff_floor(self, tmp_path):
+        # example2's (m, n) pair integrand is 2^((m-n)/2) times an
+        # orthonormal Hermite product: at n_max = 60 the Gram fail is
+        # cancellation at eps times the entry mass, and it stays a fail
+        body = _demo_config(tmp_path, raw=False, n_max=60).read_text(
+            encoding="utf-8")
+        body = re.sub(r"^checks = .*$",
+                      "checks = conditions normalization biorthonormality",
+                      body, flags=re.M)
+        report = cmd_check(load_config(write_config(tmp_path, body)))
+        rec = {r.name: r for r in report.records}["biorthonormality"]
+        assert rec.verdict == "fail"
+        assert 1e-8 < rec.metric < 1e-7
+        mass = rec.detail["max_entry_mass"]
+        assert mass >= 1e8
+        assert rec.metric < 50.0 * np.finfo(float).eps * mass
 
 
 class TestCmdHamiltonian:
@@ -424,6 +464,18 @@ class TestNoVacuousPass:
         assert main(["bicoherent", "--config", str(cfg)]) == 2
         assert "count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "bicoherent_report.json").exists()
+
+    @pytest.mark.parametrize("key, value, least", [("radial_nodes", "0", 1),
+                                                   ("angular_nodes", "-3", 0)])
+    def test_empty_disc_rule_is_a_config_error(self, tmp_path, capsys, key,
+                                               value, least):
+        # angular_nodes = 0 selects the default count
+        body = ("[model]\nbuiltin = example2\n"
+                f"[bicoherent]\n{key} = {value}\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["bicoherent", "--config", str(cfg)]) == 2
+        assert f"{key} count must be >= {least}" in capsys.readouterr().err
 
     def test_ladder_errors_where_every_state_vanishes(self, tmp_path):
         # bosonic states underflow to 0 on [40, 50]: no relation was seen
@@ -515,6 +567,59 @@ class TestWorkDone:
         assert report.overall == "pass"
         assert points and min(points) > 1  # no one-point probe
         assert len(jet_calls) <= 5
+
+    def test_demo_check_applies_ladder_operators_in_few_calls(
+            self, tmp_path, monkeypatch):
+        # one call per operator covers every level or bump: the coefficient
+        # jets of a pair are not re-evaluated per operand
+        from pseudobosons import bicoherent, model, spectral, states
+
+        calls = []
+        apply_ladder = model.apply_ladder
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return apply_ladder(*args, **kwargs)
+
+        for mod in (model, states, spectral, bicoherent):
+            monkeypatch.setattr(mod, "apply_ladder", counted)
+        report = cmd_check(load_config(_demo_config(tmp_path, raw=False)))
+        monkeypatch.undo()
+        assert report.overall == "pass"
+        assert 0 < len(calls) <= 10
+
+    def test_bicoherent_never_calls_polyval(self, tmp_path, monkeypatch):
+        # the resolution disc is summed over angles in closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("polyval called")
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyval", refuse)
+        report, _ = cmd_bicoherent(load_config(
+            _demo_config(tmp_path, raw=False), out_override=tmp_path))
+        assert [r.verdict for r in report.records] == ["pass", "pass"]
+
+    def test_bicoherent_runs_without_scipy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        script = (
+            "import sys\n"
+            "from pseudobosons.cli import main\n"
+            "code = main(['bicoherent', '--config', sys.argv[1], '--out', "
+            "sys.argv[2]])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+        cfg = _demo_config(tmp_path, raw=False)
+        done = subprocess.run([sys.executable, "-c", script, str(cfg),
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 DEMO_INI = Path(__file__).resolve().parents[1] / "demos" / "example_run.ini"

@@ -13,6 +13,8 @@ from pseudobosons import (
     from_expressions,
 )
 from pseudobosons.expressions import to_source
+from pseudobosons.jets import Jet
+from pseudobosons.model import LADDER_OPS
 from pseudobosons.quad import oscillator_en
 
 
@@ -225,3 +227,42 @@ class TestOperatorTable:
     def test_unknown_vacuum_side(self, bosonic):
         with pytest.raises(ModelError, match="side"):
             bosonic.vacuum_jet("chi", 0.0, 0)
+
+
+class TestOperandSequences:
+    """A sequence of operands is one call whose entries are bitwise the
+    single-operand results."""
+
+    MODELS = {
+        "example2": lambda: build_builtin("example2"),
+        "raw_example1": lambda: from_expressions(
+            "1/(1+x^2)", "x + x^3/3", "1/(1+x^2)", "-2*x/(1+x^2)^2"),
+        "complex_constant_alpha": lambda: build_builtin(
+            "constant_alpha", alpha_a=0.7 + 0.2j, alpha_b=1.1 - 0.3j, k=0.4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_apply_ladder_sequence_is_bitwise(self, name):
+        m = self.MODELS[name]()
+        xs = np.linspace(-2.0, 2.0, 17)
+        fs = [TestFunction(0.1, 2.5).jet, TestFunction(-0.4, 1.7).jet,
+              m.phi_vacuum_jet]
+        for op in LADDER_OPS:
+            for order in (0, 1):
+                many = apply_ladder(m, op, fs, xs, order)
+                assert isinstance(many, list) and len(many) == len(fs)
+                for f, got in zip(fs, many):
+                    one = apply_ladder(m, op, f, xs, order)
+                    assert isinstance(one, Jet)
+                    assert np.array_equal(got.coeffs, one.coeffs), \
+                        (op, order)
+
+    def test_commutator_sequence_is_a_list_of_single_calls(self, example2):
+        grid = np.linspace(-0.9, 1.5, 41)
+        fs = [TestFunction(0.3, 1.2).jet, TestFunction(-0.2, 0.9).jet]
+        many = commutator_residual(example2, fs, grid)
+        assert isinstance(many, list) and len(many) == 2
+        for f, got in zip(fs, many):
+            one = commutator_residual(example2, f, grid)
+            assert np.array_equal(got.residuals, one.residuals)
+            assert got.sup_abs == one.sup_abs
