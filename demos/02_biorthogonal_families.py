@@ -3,8 +3,8 @@
 phi_n = pi_n phi_0 / sqrt(n!) and psi_n = sigma_n psi_0 / sqrt(n!), with
 pi_n / sigma_n given both by a first-order recursion and by Hermite
 closed forms.  The two code paths are independent and must agree; the
-compatibility form <psi_m, phi_n> must be the identity matrix once the
-normalization product is fixed.
+compatibility form <psi_m, phi_n> must be the identity matrix, with the
+normalization product each model derives from its vacuum pairing.
 """
 
 import math
@@ -42,8 +42,8 @@ for name, m, closed in (
     ("example1", m1, 1 / math.sqrt(2 * math.pi)),
     ("example2", m2, math.e / (2 * math.sqrt(math.pi))),
 ):
-    value = pb.fix_normalization(m)
-    print(f"  {name}: {value.real:.12f}  (closed form {closed:.12f})")
+    print(f"  {name}: {m.norm_product.real:.12f}  "
+          f"(closed form {closed:.12f})")
 
 print()
 print("== biorthonormality matrix <psi_m, phi_n>, N = 8 ==")

@@ -27,9 +27,7 @@ for x, a, b, c in zip(xs, c2, c1, c0):
 
 print()
 print("== eigenvalue residuals sup|(H - n) phi_n| / sup|phi_n| ==")
-pb.fix_normalization(m1)
 m2 = pb.build_builtin("example2")
-pb.fix_normalization(m2)
 levels = (0, 5, 12)  # a sequence of levels: one family evaluation each
 for name, m, grid in (("example1", m1, np.linspace(-4, 4, 161)),
                       ("example2", m2, np.linspace(-3, 3, 161))):

@@ -34,8 +34,6 @@ models["raw example1"] = pb.from_expressions(
 models["gauged example1"] = pb.from_expressions(
     "1/(1+x^2)", "x + x^3/3 - x/(5*(1+x^2))", "1/(1+x^2)",
     "-2*x/(1+x^2)^2 + x/(5*(1+x^2))")
-for m in models.values():
-    pb.fix_normalization(m)
 
 print("== partial-sum convergence |S_N - <f,g>| ==")
 for name in ("example1", "example2"):

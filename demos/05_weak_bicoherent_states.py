@@ -29,7 +29,6 @@ g = pb.TestFunction(center=0.0, width=1.0)
 print()
 print("== weak pairings over a z-grid (sinh model) ==")
 m2 = pb.build_builtin("example2")
-pb.fix_normalization(m2)
 series = PairingSeries(m2, g, "phi", state_in_bra=True)
 for z in (0.0, 1.0, 1 + 1j, 2j):
     v = series.eval(complex(z), conjugate_z=True)
@@ -39,7 +38,6 @@ print()
 print("== weak eigen-relations <a+g, Phi(z)> = z <g, Phi(z)> ==")
 for name in ("example1", "example2"):
     m = pb.build_builtin(name)
-    pb.fix_normalization(m)
     for z in (0.7, 1 + 1j):
         res = pb.eigen_relation_residual(m, z, g)
         print(f"  {name} z={z}: rel_phi={res.relative_phi:.2e} "
@@ -49,7 +47,6 @@ print()
 print("== resolution of the identity, (1/pi) integral over |z| <= R ==")
 for name in ("example1", "example2"):
     m = pb.build_builtin(name)
-    pb.fix_normalization(m)
     r = pb.resolution_of_identity(m, g, g, R=6.0)
     print(f"  {name}: <f,f> = {r.reference.real:.8f}")
     for radius, vpp, vpf in r.trace:
@@ -59,7 +56,6 @@ for name in ("example1", "example2"):
 print()
 print("== bosonic sanity: everything collapses to classical formulas ==")
 mb = pb.build_builtin("bosonic")
-pb.fix_normalization(mb)
 res = pb.eigen_relation_residual(mb, 2.0, g)
 print(f"  coherent eigen-relation at z=2: {res.relative_phi:.2e}")
 v = pb.weak_pairing(WeakStateQuery(z=1.5, side="Phi", model=mb), g)

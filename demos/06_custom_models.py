@@ -32,7 +32,6 @@ print(f"  biorthonormality N=5: max |G - I| = {dev:.2e}")
 print()
 print("== proportional model alpha_a = 3 alpha_b, alpha_b = 1/(2 + x^2) ==")
 mp = pb.proportional_model("1/(2 + x^2)", ratio=3.0, name="ratio3")
-pb.fix_normalization(mp)
 rep = pb.check_pb_conditions(mp, np.linspace(-3, 3, 61))
 G, dev = pb.biorthonormality_matrix(mp, 4)
 print(f"  conditions: {rep.verdict}, biorthonormality dev {dev:.2e}")
@@ -48,7 +47,6 @@ mg = pb.from_expressions(
 )
 rep = pb.check_pb_conditions(mg, np.linspace(-2.5, 2.5, 81))
 print(f"  conditions: {rep.verdict}")
-pb.fix_normalization(mg)
 G, dev = pb.biorthonormality_matrix(mg, 3)
 print(f"  biorthonormality via generic vacua + Hermite closed form: "
       f"dev {dev:.2e}")

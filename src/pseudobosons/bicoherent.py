@@ -273,10 +273,8 @@ class PairingSeries:
 
 def weak_pairing(q: WeakStateQuery, g) -> complex:
     """<Phi(z), g> or <Psi(z), g> for a test function g in D(R)."""
-    m = q.model
-    m.ensure_normalized()
     side = "phi" if q.side == "Phi" else "psi"
-    series = PairingSeries(m, g, side, state_in_bra=True,
+    series = PairingSeries(q.model, g, side, state_in_bra=True,
                            max_terms=q.max_terms)
     return series.eval(q.z, conjugate_z=True, tail_tol=q.tail_tol)
 
@@ -306,7 +304,6 @@ def eigen_relation_residual(m: PBModel, z, g: TestFunction,
     stands on its own: a side whose pairing tails ``max_terms`` terms
     cannot certify at z reads nan there, and the other entries are
     unaffected."""
-    m.ensure_normalized()
     series = [(PairingSeries(m, g, side, state_in_bra=False,
                              max_terms=max_terms),
                PairingSeries(m, TransformedTestFunction(m, op, g), side,
@@ -399,7 +396,6 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     go into the powers, e^{-r^2/2} r^m / sqrt(m!), none of which exceeds
     1.
     """
-    m.ensure_normalized()
     if n_theta is None:
         n_theta = 2 * max_terms + 3
     if n_r < 1 or n_theta < 1:

@@ -81,7 +81,6 @@ class RunConfig:
     tolerances: dict
     seed: int
     out_dir: Path
-    jobs: int  # validated for compatibility; checks run in one thread
     bicoherent: dict
 
     @property
@@ -186,8 +185,18 @@ def _real(value: complex, what: str) -> float:
     return value.real
 
 
-def load_config(path: Path, *, out_override=None, tol_scale: float = 1.0,
-                jobs_override=None) -> RunConfig:
+def _number(values, key: str, default, kind=float):
+    """``values[key]`` (or ``default``) as ``kind``; a ConfigError if not."""
+    raw = values.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{key} = {raw!r} is not a valid {kind.__name__}") from None
+
+
+def load_config(path: Path, *, out_override=None,
+                tol_scale: float = 1.0) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cp.read(path)
     if not read:
@@ -197,20 +206,19 @@ def load_config(path: Path, *, out_override=None, tol_scale: float = 1.0,
     model_spec = dict(cp["model"])
 
     grid = cp["grid"] if "grid" in cp else {}
-    lo = float(grid.get("lo", -4.0))
-    hi = float(grid.get("hi", 4.0))
-    points = int(grid.get("points", 201))
+    lo = _number(grid, "lo", -4.0)
+    hi = _number(grid, "hi", 4.0)
+    points = _number(grid, "points", 201, int)
     if points < 2:
         raise ConfigError("grid points must be >= 2")
     if not lo < hi:
         raise ConfigError("grid lo must be < hi")
 
     run = cp["run"] if "run" in cp else {}
-    n_max = int(run.get("n_max", 10))
+    n_max = _number(run, "n_max", 10, int)
     if n_max < 0:
         raise ConfigError("run n_max must be >= 0")
-    seed = int(run.get("seed", 20240901))
-    jobs = int(run.get("jobs", 1))
+    seed = _number(run, "seed", 20240901, int)
     raw_checks = run.get("checks", " ".join(CHECK_ORDER))
     checks = [c for c in raw_checks.replace(",", " ").split() if c]
     unknown = [c for c in checks if c not in CHECK_ORDER]
@@ -219,10 +227,10 @@ def load_config(path: Path, *, out_override=None, tol_scale: float = 1.0,
 
     tolerances = dict(DEFAULT_TOLERANCES)
     if "tolerances" in cp:
-        for key, val in cp["tolerances"].items():
+        for key in cp["tolerances"]:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance key {key!r}")
-            tolerances[key] = float(val)
+            tolerances[key] = _number(cp["tolerances"], key, None)
     if tol_scale != 1.0:
         tolerances = {k: v * tol_scale for k, v in tolerances.items()}
     if any(v <= 0 for v in tolerances.values()):
@@ -233,15 +241,10 @@ def load_config(path: Path, *, out_override=None, tol_scale: float = 1.0,
 
     bico = dict(cp["bicoherent"]) if "bicoherent" in cp else {}
 
-    if jobs_override is not None:
-        jobs = int(jobs_override)
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-
     return RunConfig(
         model_spec=model_spec, n_max=n_max, grid_lo=lo, grid_hi=hi,
         grid_points=points, checks=checks, tolerances=tolerances, seed=seed,
-        out_dir=out_dir, jobs=jobs, bicoherent=bico,
+        out_dir=out_dir, bicoherent=bico,
     )
 
 
@@ -329,18 +332,16 @@ def _check_commutator(m, cfg):
 
 
 def _check_normalization(m, cfg):
-    value = states.fix_normalization(m)
-    res = quad.compatibility_form(
-        m, lambda xs: np.conj(value) * m.psi_vacuum_values(xs),
-        m.phi_vacuum_values, envelope=states.pair_envelope(m, 0))
-    metric = abs(res.value - 1.0)
-    return metric, {"norm_product_re": value.real,
-                    "norm_product_im": value.imag}
+    """The relative error estimate of the vacuum pairing <psi_0, phi_0>
+    that fixes the normalization product."""
+    value, res = m.norm_product, states.vacuum_pairing(m)
+    return res.abs_error_estimate / abs(res.value), {
+        "norm_product_re": value.real, "norm_product_im": value.imag,
+        "abs_error_estimate": float(res.abs_error_estimate),
+        "quad_panels": res.panels_used}
 
 
 def _check_biorthonormality(m, cfg):
-    if m.norm_product is None:
-        states.fix_normalization(m)
     _, dev, res = quad.biorthonormality_matrix(m, cfg.n_max,
                                                return_integral=True)
     return dev, {"matrix_size": cfg.n_max + 1,
@@ -452,7 +453,6 @@ def _write_csv(path: Path, header: list, rows) -> Path:
 def cmd_states(cfg: RunConfig) -> list[Path]:
     """Tabulate both families on the grid, one CSV per side."""
     m = build_model(cfg.model_spec)
-    states.fix_normalization(m)
     xs = cfg.grid
     paths = []
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -470,32 +470,45 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
 
 def _bicoherent_params(cfg: RunConfig) -> dict:
     bico = cfg.bicoherent
+
     def triple(key, default):
-        raw = bico.get(key, default).split()
-        if len(raw) != 3:
-            raise ConfigError(f"bicoherent {key} needs 'lo hi count'")
-        if int(raw[2]) < 1:
+        raw = bico.get(key, default)
+        try:
+            lo, hi, n = raw.split()
+            lo, hi, n = float(lo), float(hi), int(n)
+        except ValueError:
+            raise ConfigError(
+                f"bicoherent {key} = {raw!r} needs 'lo hi count'") from None
+        if n < 1:
             raise ConfigError(f"bicoherent {key} count must be >= 1")
-        return float(raw[0]), float(raw[1]), int(raw[2])
+        return lo, hi, n
 
     def count(key, default, least):
-        value = int(bico.get(key, default))
+        value = _number(bico, key, default, int)
         if value < least:
-            raise ConfigError(f"bicoherent {key} count must be >= {least}")
+            raise ConfigError(f"bicoherent {key} count must be >= {least}, "
+                              f"not {value}")
         return value
+
+    def width(key, default):
+        value = _number(bico, key, default)
+        if not value > 0:
+            raise ConfigError(f"bicoherent {key} = {value} must be > 0")
+        return value
+
     return {
         "z_re": triple("z_re", "-1.4 1.4 3"),
         "z_im": triple("z_im", "-1.4 1.4 3"),
-        "bump_center": float(bico.get("bump_center", 0.0)),
-        "bump_width": float(bico.get("bump_width", 1.0)),
-        "bump2_center": float(bico.get("bump2_center", 0.2)),
-        "bump2_width": float(bico.get("bump2_width", 0.8)),
-        "resolution_radius": float(bico.get("resolution_radius", 6.0)),
+        "bump_center": _number(bico, "bump_center", 0.0),
+        "bump_width": width("bump_width", 1.0),
+        "bump2_center": _number(bico, "bump2_center", 0.2),
+        "bump2_width": width("bump2_width", 0.8),
+        "resolution_radius": _number(bico, "resolution_radius", 6.0),
         "radial_nodes": count("radial_nodes", 96, 1),
         "angular_nodes": count("angular_nodes", 0, 0) or None,  # 0: default
-        "max_terms": int(bico.get("max_terms", 60)),
-        "tolerance_eigen": float(bico.get("tolerance_eigen", 1e-8)),
-        "tolerance_resolution": float(bico.get("tolerance_resolution", 1e-3)),
+        "max_terms": count("max_terms", 60, 0),
+        "tolerance_eigen": _number(bico, "tolerance_eigen", 1e-8),
+        "tolerance_resolution": _number(bico, "tolerance_resolution", 1e-3),
     }
 
 
@@ -505,7 +518,6 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     start = time.perf_counter()
     p = _bicoherent_params(cfg)
     m = build_model(cfg.model_spec)
-    states.fix_normalization(m)
     echo = _model_echo(m)
     g = quad.TestFunction(center=p["bump_center"], width=p["bump_width"])
     f = quad.TestFunction(center=p["bump2_center"], width=p["bump2_width"])
@@ -667,9 +679,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tol-scale", type=float,
                         default=float(_env("TOL_SCALE") or 1.0),
                         help="multiply every tolerance by this factor")
-    parser.add_argument("--jobs", type=int,
-                        default=int(_env("JOBS") or 0) or None,
-                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     if not args.config:
@@ -678,8 +687,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(Path(args.config), out_override=args.out,
-                          tol_scale=args.tol_scale,
-                          jobs_override=args.jobs)
+                          tol_scale=args.tol_scale)
         if args.command == "states":
             for path in cmd_states(cfg):
                 print(f"wrote {path}")

@@ -26,8 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partialmethod
-from typing import Callable, NamedTuple, Optional, Union
+from functools import cached_property, partialmethod
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -113,10 +114,13 @@ LADDER_OPS = {
 VACUUM_KILLER = {"phi": "a", "psi": "b_dag"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PBModel:
     """The four coefficient functions plus registered derived data: closed
-    vacua and an exact rho inverse (rho = c u itself is always derived)."""
+    vacua and an exact rho inverse (rho = c u itself is always derived).
+    A model is an immutable value: ``kappa`` and ``norm_product`` are
+    derived from its fields on first use, so building one integrates
+    nothing and no result depends on what ran before it."""
 
     alpha_a: FunctionExpr
     beta_a: FunctionExpr
@@ -127,22 +131,29 @@ class PBModel:
     rho_inverse: Optional[Callable] = None  # maps a rho value back to x
     vacuum_phi: Optional[FunctionExpr] = None
     vacuum_psi: Optional[FunctionExpr] = None
-    norm_product: Optional[complex] = None  # conj(N_psi) * N_phi once fixed
-    kappa: dict = field(init=False, repr=False)  # side -> (damp * lead')(0)
 
-    def __post_init__(self):
-        # The pi/sigma recursions p_n = u p_{n-1} - d p_{n-1}' have
-        # d u' = kappa constant wherever the coefficient conditions hold.
-        # It is read once, at x = 0, the anchor of the vacua and of
-        # Antideriv; nan where the coefficients cannot be evaluated there.
-        self.kappa = {}
+    @cached_property
+    def kappa(self) -> Mapping[str, complex]:
+        """side -> d u' of the recursion p_n = u p_{n-1} - d p_{n-1}', a
+        constant where the conditions hold, read at x = 0 (the anchor of the
+        vacua and of Antideriv); nan where it cannot be evaluated there."""
+        kappa = {}
         for side in ("pi", "sigma"):
             try:
-                self.kappa[side] = complex(
+                kappa[side] = complex(
                     self.damp_jet(side, 0.0, 0).value
                     * self.lead_jet(side, 0.0, 1).derivative(1))
             except (JetError, ex.ExpressionError):
-                self.kappa[side] = complex("nan")
+                kappa[side] = complex("nan")
+        return MappingProxyType(kappa)
+
+    @cached_property
+    def norm_product(self) -> complex:
+        """conj(N_psi) N_phi = 1/<psi_0, phi_0> (see fix_normalization);
+        a ModelError on every use where that pairing diverges."""
+        from . import states  # deferred: states imports this module
+
+        return states.fix_normalization(self)
 
     # -- coefficient access --------------------------------------------
 
@@ -239,13 +250,6 @@ class PBModel:
     psi_vacuum_jet = partialmethod(vacuum_jet, "psi")
     phi_vacuum_values = partialmethod(vacuum_values, "phi")
     psi_vacuum_values = partialmethod(vacuum_values, "psi")
-
-    def ensure_normalized(self) -> complex:
-        if self.norm_product is None:
-            raise ModelError(
-                "normalization not fixed: call states.fix_normalization"
-            )
-        return self.norm_product
 
 
 # ----------------------------------------------------------------------

@@ -557,14 +557,10 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
     """(N+1) x (N+1) Gram matrix G[m, n] = <psi_m, phi_n> and its maximum
     deviation from the identity, as one vector-valued integral whose
     entries each keep the absolute tolerance ``tol``; ``return_integral``
-    appends its IntegralResult (per-entry error estimates, panels).
-    Requires the normalization product to have been fixed."""
+    appends its IntegralResult (per-entry error estimates, panels).  The
+    psi side carries the model's normalization product."""
     from .states import StateFamily, pair_envelope
 
-    if m.norm_product is None:
-        raise QuadratureError(
-            "normalization not fixed: call fix_normalization(model) first"
-        )
     phi = StateFamily(m, "phi", max_n=N)
     psi = StateFamily(m, "psi", max_n=N)
 
@@ -643,17 +639,14 @@ def transform_identity_factors(m) -> tuple[complex, complex, float]:
     identity holds as R_phi R_psi = 1: the conditions make the
     log-derivative of phi_0 conj(psi_0) alpha_b e^{y^2} vanish.
     """
-    from .states import StateFamily
-
     c = _rho_scale(m)
-    n_phi, n_psi = StateFamily(m, "phi").normalization, \
-        StateFamily(m, "psi").normalization
     x0 = np.zeros(1)
     _rho_slope(m, x0)  # RhoError unless rho is real and increasing at 0
     r_phi0, r_psi0 = (complex(_vacuum_ratio(m, sign, x0, x0, c)[0])
                       for sign in ("plus", "minus"))
-    k_phi = n_phi * r_phi0 * math.pi ** 0.25 * math.sqrt(2.0 / c)
-    k_psi = np.conj(n_psi) * r_psi0 * math.pi ** 0.25 * math.sqrt(2.0 * c)
+    # N_phi = 1 and conj(N_psi) = norm_product
+    k_phi = r_phi0 * math.pi ** 0.25 * math.sqrt(2.0 / c)
+    k_psi = m.norm_product * r_psi0 * math.pi ** 0.25 * math.sqrt(2.0 * c)
     return complex(k_phi), complex(k_psi), c
 
 
@@ -677,10 +670,6 @@ def quasi_basis_sum(m, f, g, N: int, ordering: str = "phi_psi",
     roles.  Wherever rho is real the transform-identity cross-check
     <f_plus, g_minus> = sqrt(c/2) <f, g> is evaluated too.
     """
-    if m.norm_product is None:
-        raise QuadratureError(
-            "normalization not fixed: call fix_normalization(model) first"
-        )
     if ordering == "phi_psi":
         an = state_overlaps(m, f, "phi", N, state_in_bra=False, tol=tol)
         bn = state_overlaps(m, g, "psi", N, state_in_bra=True, tol=tol)

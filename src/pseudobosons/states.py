@@ -21,9 +21,9 @@ one Hermite closed form
     p_n = s^n H_n(u / (2s)),     s = sqrt(kappa / 2),
 
 for both sides and every flavor (any square root: the form is even in
-s).  kappa is a model constant: ``PBModel`` reads it once, when it is
-built, at x = 0, the point where the vacua and ``Antideriv`` are
-anchored, so s is a plain number and no square root is taken per point.
+s).  kappa is a model constant: ``PBModel`` reads it once, on first use,
+at x = 0, the point where the vacua and ``Antideriv`` are anchored, so s
+is a plain number and no square root is taken per point.
 The families are evaluated from this form; :func:`pi_sigma_recursive`
 runs the recursion itself, i.e. b^n phi_0, as the independent reference
 route.
@@ -54,6 +54,7 @@ __all__ = [
     "pi_sigma_recursive",
     "pi_sigma_closed",
     "eval_state",
+    "vacuum_pairing",
     "fix_normalization",
     "verify_ladder",
     "pair_envelope",
@@ -132,10 +133,10 @@ def pi_sigma_closed(m: PBModel, side: str, n, x: float, order: int):
 class StateFamily:
     """Lazily evaluated phi- or psi-side family.
 
-    The phi side carries normalization N_phi = 1; the psi side carries
-    N_psi = conj(norm_product) once the model's normalization has been
-    fixed, so that conj(N_psi) N_phi equals the stored product.  Levels
-    come from the Hermite closed form.
+    The phi side carries normalization N_phi = 1 and the psi side
+    N_psi = conj(model.norm_product), so that conj(N_psi) N_phi is the
+    model's normalization product.  Levels come from the Hermite closed
+    form.
     """
 
     model: PBModel
@@ -148,10 +149,8 @@ class StateFamily:
 
     @property
     def normalization(self) -> complex:
-        if self.side == "phi":
-            return 1.0 + 0.0j
-        prod = self.model.norm_product
-        return 1.0 + 0.0j if prod is None else complex(prod).conjugate()
+        return 1.0 + 0.0j if self.side == "phi" else \
+            complex(self.model.norm_product).conjugate()
 
     @property
     def _poly_side(self) -> str:
@@ -242,21 +241,24 @@ def pair_envelope(m: PBModel, degree: int) -> Callable:
     return envelope
 
 
-def fix_normalization(m: PBModel) -> complex:
-    """Fix conj(N_psi) * N_phi = 1 / <psi_0, phi_0> (computed with unit
-    constants) and store it on the model."""
+def vacuum_pairing(m: PBModel) -> quad.IntegralResult:
+    """<psi_0, phi_0> of the unnormalized vacua with its error estimate;
+    one that diverges (the vacua are not compatible) is a ModelError."""
     try:
-        res = compatibility_form(
-            m, m.psi_vacuum_values, m.phi_vacuum_values,
-            envelope=pair_envelope(m, 0),
-        )
+        return compatibility_form(m, m.psi_vacuum_values, m.phi_vacuum_values,
+                                  envelope=pair_envelope(m, 0))
     except quad.QuadratureError as exc:
         raise ModelError(f"vacuum pairing diverges: {exc}") from exc
-    overlap = res.value
+
+
+def fix_normalization(m: PBModel) -> complex:
+    """The normalization product conj(N_psi) * N_phi = 1 / <psi_0, phi_0>
+    (computed with unit constants).  It assigns nothing:
+    ``PBModel.norm_product`` is this value, derived on first use."""
+    overlap = vacuum_pairing(m).value
     if overlap == 0 or not np.isfinite(abs(overlap)):
         raise ModelError(f"vacuum pairing is degenerate: {overlap}")
-    m.norm_product = 1.0 / overlap
-    return m.norm_product
+    return 1.0 / overlap
 
 
 # ----------------------------------------------------------------------

@@ -1,43 +1,39 @@
 import numpy as np
 import pytest
 
-from pseudobosons import build_builtin, fix_normalization
+from pseudobosons import build_builtin
 
-
-def _normalized(name, **params):
-    m = build_builtin(name, **params)
-    fix_normalization(m)
-    return m
+# Models are immutable values, so one instance per session is safe to share.
 
 
 @pytest.fixture(scope="session")
 def example1():
-    return _normalized("example1")
+    return build_builtin("example1")
 
 
 @pytest.fixture(scope="session")
 def example2():
-    return _normalized("example2")
+    return build_builtin("example2")
 
 
 @pytest.fixture(scope="session")
 def bosonic():
-    return _normalized("bosonic")
+    return build_builtin("bosonic")
 
 
 @pytest.fixture(scope="session")
 def swanson():
-    return _normalized("swanson", theta=0.3)
+    return build_builtin("swanson", theta=0.3)
 
 
 @pytest.fixture(scope="session")
 def shifted():
-    return _normalized("shifted", alpha=0.15 + 0.1j, beta=0.2)
+    return build_builtin("shifted", alpha=0.15 + 0.1j, beta=0.2)
 
 
 @pytest.fixture(scope="session")
 def constant_alpha():
-    return _normalized("constant_alpha", alpha_a=1.0, alpha_b=0.5, k=0.7)
+    return build_builtin("constant_alpha", alpha_a=1.0, alpha_b=0.5, k=0.7)
 
 
 @pytest.fixture(scope="session")

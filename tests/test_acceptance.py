@@ -21,7 +21,6 @@ from pseudobosons import (
     commutator_residual,
     eigen_relation_residual,
     eigen_residual,
-    fix_normalization,
     hsusy_shift_check,
     moment_check,
     pi_sigma_closed,
@@ -82,7 +81,6 @@ def test_criterion_1_biorthonormality():
     worst_time = 0.0
     for name, want in expected.items():
         m = build_builtin(name)
-        fix_normalization(m)
         assert abs(m.norm_product - want) < 1e-12, name
         start = time.perf_counter()
         _, dev = biorthonormality_matrix(m, 10)
@@ -155,7 +153,6 @@ def test_criterion_5_eigenvalue_equations():
     worst_susy = 0.0
     for name, m in models.items():
         grid = _grid_for(name)
-        fix_normalization(m)
         for n in range(13):
             worst_eigen = max(worst_eigen,
                               eigen_residual(m, "H", n, grid),
@@ -168,8 +165,6 @@ def test_criterion_5_eigenvalue_equations():
 
 def test_criterion_6_quasi_basis():
     models = {n: build_builtin(n) for n in ("example1", "example2")}
-    for m in models.values():
-        fix_normalization(m)
     # bump distribution is a calibration choice (the identity is exact
     # only in the N -> infinity limit); the convergence trace is emitted
     # as evidence
@@ -215,8 +210,6 @@ def test_criterion_6_quasi_basis():
 
 def test_criterion_7_weak_bicoherent_states():
     models = {n: build_builtin(n) for n in ("example1", "example2")}
-    for m in models.values():
-        fix_normalization(m)
     g = TestFunction(0.0, 1.0)
 
     # eigen relations at 9 z-points with |z| <= 2
@@ -261,7 +254,6 @@ def test_criterion_7_weak_bicoherent_states():
 
     # classical coherent-state oracle on the bosonic builtin
     mb = build_builtin("bosonic")
-    fix_normalization(mb)
     z = 1.2 - 0.7j
     lo, hi = g.support
     classical = sum(

@@ -133,13 +133,26 @@ class TestWeakPairing:
         got = weak_pairing(WeakStateQuery(z=z, side="Phi", model=example2), g)
         assert abs(got - brute) <= 1e-10
 
-    def test_requires_normalization(self):
-        from pseudobosons import ModelError, build_builtin
+    def test_fresh_model_needs_no_fixing(self):
+        # the psi family carries the model's own normalization product
+        # from its first use: no call has to fix it beforehand
+        from pseudobosons import build_builtin
 
-        m = build_builtin("example1")
-        with pytest.raises(ModelError, match="normalization"):
-            weak_pairing(WeakStateQuery(z=0.0, side="Phi", model=m),
-                         TestFunction())
+        g = TestFunction(0.1, 1.0)
+
+        def results(m):
+            series = PairingSeries(m, g, "psi", state_in_bra=True,
+                                   max_terms=20)
+            return series.coeffs, [
+                weak_pairing(WeakStateQuery(z=0.5 - 0.2j, side=side,
+                                            model=m), g)
+                for side in ("Phi", "Psi")]
+
+        fresh = results(build_builtin("example2"))
+        m = build_builtin("example2")
+        fix_normalization(m)
+        for got, want in zip(fresh, results(m)):
+            np.testing.assert_array_equal(got, want)
 
     def test_bosonic_matches_classical_overlap(self, bosonic):
         # phi_n = pi^(1/4) e_n, so the weak pairing is pi^(1/4) times the
@@ -187,7 +200,6 @@ class TestTailBounds:
         gauged = from_expressions(
             "1/(1+x^2)", "x + x^3/3 - (0.2+0.1*i)*x/(1+x^2)", "1/(1+x^2)",
             "-2*x/(1+x^2)^2 + (0.2+0.1*i)*x/(1+x^2)")
-        fix_normalization(gauged)
         g = TestFunction(0.2, 1.0)
         for m in (bosonic, gauged):
             for side in ("phi", "psi"):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudobosons import StateFamily, build_builtin, fix_normalization, jets
+from pseudobosons import StateFamily, build_builtin, jets
 from pseudobosons.cli import (
     BLOCKED_BY,
     CHECK_ORDER,
@@ -160,13 +160,6 @@ class TestCmdCheck:
         for name, pre in BLOCKED_BY.items():
             assert CHECK_ORDER.index(pre) < CHECK_ORDER.index(name)
 
-    def test_parallel_jobs_same_report(self, tmp_path):
-        body = EX2_CONFIG.format(out=tmp_path / "out")
-        seq = cmd_check(load_config(write_config(tmp_path, body, "s.ini")))
-        par = cmd_check(load_config(write_config(tmp_path, body, "p.ini"),
-                                    jobs_override=4))
-        assert seq.to_json(include_timing=False) == \
-            par.to_json(include_timing=False)
 
 
     def test_crosscheck_evaluates_the_users_model(self, tmp_path):
@@ -258,9 +251,7 @@ class TestCmdStates:
                 phi_path.read_text().splitlines()[1:]]
         x0_row = rows[2]  # x = 0
         assert float(x0_row[0]) == 0.0
-        m = build_builtin("example2")
-        fix_normalization(m)
-        fam = StateFamily(m, "phi", max_n=3)
+        fam = StateFamily(build_builtin("example2"), "phi", max_n=3)
         for n in range(4):
             want = fam.jet(n, 0.0, 0).value
             got = complex(float(x0_row[1 + 2 * n]),
@@ -685,3 +676,105 @@ class TestUnifiedClosedForm:
                                  str(out)]) == 0, (cfg.name, command)
         finally:
             jets.set_max_order(old)
+
+
+class TestDerivedNormalization:
+    """The normalization product is derived from the vacua on first use,
+    so no result depends on which checks ran before it."""
+
+    def test_ladder_alone_matches_the_full_check(self, tmp_path):
+        body = _demo_config(tmp_path, raw=False).read_text(encoding="utf-8")
+        alone = write_config(tmp_path, re.sub(
+            r"^checks = .*$", "checks = ladder", body, flags=re.M), "l.ini")
+        ladder = {name: {r.name: r.metric for r in
+                         cmd_check(load_config(path)).records}["ladder"]
+                  for name, path in (("full", tmp_path / "demo.ini"),
+                                     ("alone", alone))}
+        assert ladder["alone"] == ladder["full"]
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_metric_is_the_pairing_error_estimate(self, tmp_path, raw):
+        from pseudobosons import quad, states
+
+        cfg = load_config(_demo_config(tmp_path, raw=raw))
+        rec = {r.name: r for r in cmd_check(cfg).records}["normalization"]
+        m = build_model(cfg.model_spec)
+        res = quad.compatibility_form(
+            m, m.psi_vacuum_values, m.phi_vacuum_values,
+            envelope=states.pair_envelope(m, 0))
+        assert rec.verdict == "pass"
+        assert rec.metric == res.abs_error_estimate / abs(res.value)
+        assert rec.metric > 0.0  # raw example1 read exactly 0 before
+        assert rec.detail["abs_error_estimate"] == res.abs_error_estimate
+        assert rec.detail["quad_panels"] == res.panels_used
+        assert complex(rec.detail["norm_product_re"],
+                       rec.detail["norm_product_im"]) == 1.0 / res.value
+
+    def test_check_runs_at_most_two_vacuum_pairings(self, tmp_path,
+                                                    monkeypatch):
+        from pseudobosons import states
+
+        calls = []
+        pairing = states.vacuum_pairing
+
+        def counted(m):
+            calls.append(m.name)
+            return pairing(m)
+
+        monkeypatch.setattr(states, "vacuum_pairing", counted)
+        report = cmd_check(load_config(_demo_config(tmp_path, raw=True)))
+        assert report.overall == "pass"
+        assert len(calls) == 2
+
+    INCOMPATIBLE = ("[model]\nbuiltin = constant_alpha\n"
+                    "alpha_a = 1\nalpha_b = 0-1\nk = 0\n"
+                    "[grid]\nlo = -3\nhi = 3\npoints = 101\n"
+                    "[run]\nn_max = 4\n")
+
+    def test_incompatible_vacua(self, tmp_path):
+        # phi_0 = exp(x^2/2) does not pair with psi_0 = 1: the psi-side
+        # checks cannot normalize their family and say so
+        cfg = load_config(write_config(tmp_path, self.INCOMPATIBLE))
+        with np.errstate(over="ignore"):
+            report = cmd_check(cfg)
+        verdicts = {r.name: r.verdict for r in report.records}
+        assert verdicts == {
+            "conditions": "pass", "commutator": "pass",
+            "normalization": "error", "biorthonormality": "blocked",
+            "ladder": "error", "eigen": "error", "hsusy": "pass",
+            "hamiltonian_crosscheck": "skipped"}
+        for r in report.records:
+            if r.verdict == "error":
+                assert "vacuum pairing diverges" in r.detail["error"], r.name
+        assert report.overall == "fail"
+
+    def test_incompatible_vacua_bicoherent_reports(self, tmp_path):
+        # the pairing error lands in the records of a written report
+        cfg = load_config(write_config(tmp_path, self.INCOMPATIBLE),
+                          out_override=tmp_path / "out")
+        with np.errstate(over="ignore"):
+            report, _ = cmd_bicoherent(cfg)
+        assert [r.verdict for r in report.records] == ["error", "error"]
+        assert all("vacuum pairing diverges" in r.detail["error"]
+                   for r in report.records)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "points", "many"),
+    ("run", "n_max", "eight"),
+    ("tolerances", "eigen", "tiny"),
+    ("bicoherent", "bump_width", "0"),
+    ("bicoherent", "bump2_width", "-1"),
+    ("bicoherent", "max_terms", "-3"),
+    ("bicoherent", "radial_nodes", "lots"),
+    ("bicoherent", "z_re", "-1 1 three"),
+])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
+                                           value):
+    body = (f"[model]\nbuiltin = example2\n[{section}]\n{key} = {value}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+    cfg = write_config(tmp_path, body)
+    assert main(["bicoherent", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and value in err, err
+    assert not (tmp_path / "out").exists()

@@ -1,10 +1,12 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
 from pseudobosons import (
     ModelError,
+    PBModel,
     TestFunction,
     apply_ladder,
     build_builtin,
@@ -12,7 +14,7 @@ from pseudobosons import (
     commutator_residual,
     from_expressions,
 )
-from pseudobosons.expressions import to_source
+from pseudobosons.expressions import Const, to_source
 from pseudobosons.jets import Jet
 from pseudobosons.model import LADDER_OPS
 from pseudobosons.quad import oscillator_en
@@ -227,6 +229,37 @@ class TestOperatorTable:
     def test_unknown_vacuum_side(self, bosonic):
         with pytest.raises(ModelError, match="side"):
             bosonic.vacuum_jet("chi", 0.0, 0)
+
+
+class TestImmutableModel:
+    """A model is a value: kappa and the normalization product are derived
+    from its fields on first use, and nothing can be assigned to it."""
+
+    def test_assignment_raises(self, example2):
+        for attr, value in (("name", "other"), ("alpha_a", Const(1.0)),
+                            ("norm_product", 1.0), ("kappa", {})):
+            with pytest.raises(FrozenInstanceError):
+                setattr(example2, attr, value)
+
+    def test_derived_values_are_not_fields(self):
+        names = {f.name for f in fields(PBModel)}
+        assert not names & {"norm_product", "kappa"}
+
+    def test_building_derives_nothing(self):
+        for m in (build_builtin("example2"), broken_model(),
+                  build_builtin("constant_alpha", alpha_a=1, alpha_b=-1)):
+            assert not {"kappa", "norm_product"} & set(vars(m))
+
+    def test_vacua_that_do_not_pair_build(self):
+        # phi_0 = exp(x^2/2) and psi_0 = 1 do not pair: the model builds
+        # and has its kappa, and only the normalization product is an
+        # error, on every use
+        m = build_builtin("constant_alpha", alpha_a=1, alpha_b=-1)
+        assert m.kappa["pi"] == -1
+        for _ in range(2):
+            with pytest.raises(ModelError, match="vacuum pairing diverges"), \
+                    np.errstate(over="ignore"):
+                m.norm_product
 
 
 class TestOperandSequences:

@@ -47,8 +47,6 @@ def real_rho_models(bosonic, constant_alpha):
             "1/(1+x^2)", "x + x^3/3 - (0.2+0.1*i)*x/(1+x^2)", "1/(1+x^2)",
             "-2*x/(1+x^2)^2 + (0.2+0.1*i)*x/(1+x^2)"),
     }
-    for m in models.values():
-        fix_normalization(m)
     return {"bosonic": bosonic, "constant_alpha": constant_alpha, **models}
 
 
@@ -187,10 +185,22 @@ class TestBiorthonormality:
         G, dev = biorthonormality_matrix(example2, 5)
         assert dev <= 1e-8
 
-    def test_requires_normalization(self):
-        m = build_builtin("example1")
-        with pytest.raises(QuadratureError, match="normalization"):
-            biorthonormality_matrix(m, 2)
+    def test_fresh_model_needs_no_fixing(self):
+        # the normalization product is derived on first use: every result
+        # on a fresh model is bitwise the one after fix_normalization
+        f, g = TestFunction(0.1, 1.0), TestFunction(-0.2, 0.9)
+
+        def results(m):
+            qb = quasi_basis_sum(m, f, g, 10)
+            return (*biorthonormality_matrix(m, 3),
+                    transform_identity_factors(m), qb.partial_sums,
+                    qb.transform_pair_value)
+
+        fresh = results(build_builtin("example2"))
+        m = build_builtin("example2")
+        fix_normalization(m)
+        for got, want in zip(fresh, results(m)):
+            np.testing.assert_array_equal(got, want)
 
     def test_complex_coefficient_models(self, swanson, shifted):
         # the sigma recursion conjugates coefficients; any sign slip shows

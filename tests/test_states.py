@@ -248,9 +248,14 @@ class TestNormalization:
         want = np.exp(1j * 0.3) / math.sqrt(math.pi)
         assert abs(swanson.norm_product - want) < 1e-12
 
+    def test_fix_normalization_assigns_nothing(self):
+        m = build_builtin("example2")
+        value = fix_normalization(m)
+        assert "norm_product" not in vars(m)
+        assert value == m.norm_product == fix_normalization(m)
+
     def test_numeric_proportional_matches_equal_alpha_formula(self):
         m = proportional_model("1/(1+x^2)")
-        fix_normalization(m)
         assert abs(m.norm_product - 1 / math.sqrt(2 * math.pi)) < 1e-11
 
 
@@ -281,7 +286,6 @@ class TestLadderEvaluations:
 
         m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
                              "-2*x/(1+x^2)^2")
-        fix_normalization(m)
         phi = StateFamily(m, "phi", max_n=3)
         psi = StateFamily(m, "psi", max_n=3)
         grid = np.linspace(-2.0, 2.0, 21)
@@ -304,9 +308,7 @@ class TestLadderEvaluations:
 def _sequence_models(all_builtins):
     raw = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
                            "-2*x/(1+x^2)^2")
-    fix_normalization(raw)
     gauged = _unified_models()["gauged_example1"]
-    fix_normalization(gauged)
     return {**all_builtins, "raw_example1": raw, "gauged_example1": gauged}
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from pseudobosons import (
     biorthonormality_matrix,
     eigen_relation_residual,
-    fix_normalization,
     from_expressions,
     resolution_of_identity,
 )
@@ -34,10 +33,8 @@ DEMO_INI = Path(__file__).resolve().parents[1] / "demos" / "example_run.ini"
 
 
 def _raw_example1():
-    m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
-                         "-2*x/(1+x^2)^2", name="raw_rational")
-    fix_normalization(m)
-    return m
+    return from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                            "-2*x/(1+x^2)^2", name="raw_rational")
 
 
 class TestVectorIntegrator:
