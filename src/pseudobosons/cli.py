@@ -6,8 +6,9 @@ residuals, resolution-of-identity comparison), ``hamiltonian``
 (coefficient tables plus printed-formula cross-checks).
 
 Configs are INI files; see the schema in the package README.  Exit
-status: 0 all checks pass, 1 check failures (report still written),
-2 config errors.
+status: 0 all checks pass, 1 check failures (report still written) or a
+``states`` table the model cannot give (the tables before it still
+written), 2 config errors.
 """
 
 from __future__ import annotations
@@ -333,7 +334,8 @@ def _check_commutator(m, cfg):
 
 def _check_normalization(m, cfg):
     """The relative error estimate of the vacuum pairing <psi_0, phi_0>
-    that fixes the normalization product."""
+    that fixes the normalization product, read from the model's stored
+    pairing: the check integrates nothing of its own."""
     value, res = m.norm_product, states.vacuum_pairing(m)
     return res.abs_error_estimate / abs(res.value), {
         "norm_product_re": value.real, "norm_product_im": value.imag,
@@ -451,16 +453,23 @@ def _write_csv(path: Path, header: list, rows) -> Path:
 
 
 def cmd_states(cfg: RunConfig) -> list[Path]:
-    """Tabulate both families on the grid, one CSV per side."""
+    """Tabulate both families on the grid, one CSV per side.  A side the
+    model cannot evaluate (the psi side of vacua that do not pair needs
+    their normalization) is a ModelError naming it, raised after the
+    tables of the sides before it are written."""
     m = build_model(cfg.model_spec)
     xs = cfg.grid
     paths = []
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for side in ("phi", "psi"):
         fam = states.StateFamily(m, side, max_n=cfg.n_max)
+        try:
+            rows = fam.values_all(xs)
+        except (model_mod.ModelError, ex.ExpressionError) as exc:
+            raise model_mod.ModelError(f"{side} side: {exc}") from exc
         cols = [xs.astype(float)]
         header = ["x"]
-        for n, vals in enumerate(fam.values_all(xs)):
+        for n, vals in enumerate(rows):
             cols.extend([vals.real, vals.imag])
             header.extend([f"{side}{n}_re", f"{side}{n}_im"])
         paths.append(_write_csv(cfg.out_dir / f"states_{side}.csv", header,
@@ -689,7 +698,12 @@ def main(argv=None) -> int:
         cfg = load_config(Path(args.config), out_override=args.out,
                           tol_scale=args.tol_scale)
         if args.command == "states":
-            for path in cmd_states(cfg):
+            try:
+                paths = cmd_states(cfg)
+            except model_mod.ModelError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            for path in paths:
                 print(f"wrote {path}")
             return 0
         run, report_name = REPORTING_COMMANDS[args.command]

@@ -214,7 +214,12 @@ class Antideriv(FunctionExpr):
 
     Each call builds its own table: the sorted unique points together
     with 0 cut the line into segments, all of them are integrated in one
-    vector-valued quadrature, and cumulative sums run outward from 0.  No
+    vector-valued quadrature, and cumulative sums run outward from 0.
+    Each segment is mapped to t in [0, 1], and the first pass is one
+    15-point Kronrod panel over [0, 1]; a panel is bisected only where
+    some segment misses its share of the tolerance.  The requested points
+    already cut the line, so splitting [0, 1] into dyadic seed panels
+    first would quadruple the evaluations of a smooth call.  No
     state is kept between calls, so a value depends only on the set of
     points requested with it, not on their order, on duplicates or on
     earlier calls.
@@ -243,7 +248,8 @@ class Antideriv(FunctionExpr):
             try:
                 inc = quad.integrate_line(
                     lambda t: self.arg.eval_values(lo + width * t[:, None])
-                    * width, 0.0, 1.0, tol=1e-13).value
+                    * width, 0.0, 1.0, tol=1e-13, _first_edges=(0.0, 1.0)
+                ).value
             except quad.QuadratureError as exc:
                 k = int(np.argmax(np.broadcast_to(exc.error_estimate,
                                                   lo.shape)))

@@ -118,9 +118,11 @@ VACUUM_KILLER = {"phi": "a", "psi": "b_dag"}
 class PBModel:
     """The four coefficient functions plus registered derived data: closed
     vacua and an exact rho inverse (rho = c u itself is always derived).
-    A model is an immutable value: ``kappa`` and ``norm_product`` are
-    derived from its fields on first use, so building one integrates
-    nothing and no result depends on what ran before it."""
+    A model is an immutable value: ``kappa``, ``pairing_outcome`` and
+    ``norm_product`` are derived from its fields on first use, so building
+    one integrates nothing and no result depends on what ran before it.
+    The vacuum pairing <psi_0, phi_0> is integrated at most once per
+    model, whether it converges or diverges."""
 
     alpha_a: FunctionExpr
     beta_a: FunctionExpr
@@ -148,9 +150,21 @@ class PBModel:
         return MappingProxyType(kappa)
 
     @cached_property
+    def pairing_outcome(self):
+        """The outcome of the vacuum pairing <psi_0, phi_0>: its
+        ``quad.IntegralResult``, or the ModelError saying that it diverges
+        (the vacua are not compatible).  The error is stored as a value,
+        because a cached_property caches no exception;
+        ``states.vacuum_pairing`` raises it on every read."""
+        from . import states  # deferred: states imports this module
+
+        return states.integrate_vacuum_pairing(self)
+
+    @cached_property
     def norm_product(self) -> complex:
-        """conj(N_psi) N_phi = 1/<psi_0, phi_0> (see fix_normalization);
-        a ModelError on every use where that pairing diverges."""
+        """conj(N_psi) N_phi = 1/<psi_0, phi_0> (see fix_normalization),
+        read from ``pairing_outcome``; where that pairing diverges, every
+        use re-raises its stored ModelError without integrating again."""
         from . import states  # deferred: states imports this module
 
         return states.fix_normalization(self)
@@ -245,6 +259,17 @@ class PBModel:
         expr, conjugated = self._vacuum(side)
         vals = expr.eval_values(xs)
         return np.conj(vals) if conjugated else vals
+
+    def log_abs_vacuum_values(self, side: str, xs) -> np.ndarray:
+        """log|vacuum| on a float array.  A vacuum exp(g) is never formed:
+        log|exp(g)| = Re g, so a vacuum beyond double range has a finite
+        log and no numpy overflow warning.  Another closed form that
+        vanishes reads -inf."""
+        expr, _ = self._vacuum(side)
+        if isinstance(expr, ex.Call) and expr.func == "exp":
+            return expr.arg.eval_values(xs).real
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(expr.eval_values(xs)))
 
     phi_vacuum_jet = partialmethod(vacuum_jet, "phi")
     psi_vacuum_jet = partialmethod(vacuum_jet, "psi")

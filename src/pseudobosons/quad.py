@@ -16,7 +16,9 @@ The integrator uses a 15-point Kronrod rule nested over 7-point Gauss
 panels.  Infinite domains are truncated where the supplied decay envelope
 (or, failing that, the sampled integrand) falls below tol/10 and the
 estimated tail mass is negligible; dyadic seed panels keep wide windows
-cheap.
+cheap.  A caller that has already cut the line into short segments (the
+vector integral of ``Antideriv``) starts each segment as one panel
+instead.
 """
 
 from __future__ import annotations
@@ -197,6 +199,7 @@ def integrate_line(
     rtol: float = 0.0,
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     max_panels: int = 10_000,
+    _first_edges: Optional[tuple] = None,
 ) -> IntegralResult:
     """Adaptive line integral of a vectorized integrand.
 
@@ -214,6 +217,14 @@ def integrate_line(
     max(tol, rtol * |I_j|, 50 eps * integral of |f_j|), apportioned to
     panels by width.  A panel is kept only when every component meets its
     share, so no component is integrated more loosely than on its own.
+
+    The first pass splits the interval at dyadic seeds (see
+    :func:`_seed_breakpoints`).  ``_first_edges``, an internal keyword for
+    callers that have already cut the line themselves, replaces those
+    seeds with the given ascending panel edges of a finite interval:
+    ``Antideriv`` passes ``(0, 1)``, so each of its segments starts as one
+    Kronrod panel, as QUADPACK's QAG does.  Refinement and acceptance are
+    the same either way.
     """
     def probe(xs: np.ndarray) -> np.ndarray:
         if envelope is not None:
@@ -231,11 +242,13 @@ def integrate_line(
                        0, (a_eff, b_eff), np.zeros(shape))
     if a_eff > b_eff:
         res = integrate_line(f, b_eff, a_eff, tol=tol, rtol=rtol,
-                             envelope=envelope, max_panels=max_panels)
+                             envelope=envelope, max_panels=max_panels,
+                             _first_edges=_first_edges)
         return IntegralResult(-res.value, res.abs_error_estimate,
                               res.panels_used, (a_eff, b_eff), res.abs_mass)
 
-    edges = _seed_breakpoints(a_eff, b_eff)
+    edges = (_seed_breakpoints(a_eff, b_eff) if _first_edges is None
+             else np.asarray(_first_edges, dtype=float))
     lo = edges[:-1]
     hi = edges[1:]
     width_total = b_eff - a_eff

@@ -223,38 +223,55 @@ def pair_envelope(m: PBModel, degree: int) -> Callable:
     argument y = u/(2s), whose modulus is the same on both sides.
 
     It maps an array of points to an array of bounds, formed in log space,
-    log|phi_0| + log|psi_0| + degree log max(1, 2|y|), and exponentiated
-    once: a high degree can neither overflow the power nor meet an
-    underflowed vacuum as inf * 0."""
+    log|phi_0| + log|psi_0| + degree log max(1, 2|y|) from the model's
+    log|vacuum|, and exponentiated once: a high degree can neither
+    overflow the power nor meet an underflowed vacuum as inf * 0, and a
+    growing vacuum (one that does not pair) reads inf without a warning."""
     s = _hermite_scale(m, "pi")
 
     def envelope(xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore"):  # a vacuum that underflows to 0
-            log_env = (np.log(np.abs(m.phi_vacuum_values(xs)))
-                       + np.log(np.abs(m.psi_vacuum_values(xs))))
-            if degree:
-                y = m.lead_jet("pi", xs, 0).value * (0.5 / s)
-                log_env += degree * np.log(np.maximum(1.0, 2.0 * np.abs(y)))
-        return np.exp(log_env)
+        log_env = (m.log_abs_vacuum_values("phi", xs)
+                   + m.log_abs_vacuum_values("psi", xs))
+        if degree:
+            y = m.lead_jet("pi", xs, 0).value * (0.5 / s)
+            log_env += degree * np.log(np.maximum(1.0, 2.0 * np.abs(y)))
+        with np.errstate(over="ignore"):  # beyond double range: inf
+            return np.exp(log_env)
 
     return envelope
 
 
-def vacuum_pairing(m: PBModel) -> quad.IntegralResult:
-    """<psi_0, phi_0> of the unnormalized vacua with its error estimate;
-    one that diverges (the vacua are not compatible) is a ModelError."""
+def integrate_vacuum_pairing(m: PBModel):
+    """Integrate <psi_0, phi_0> of the unnormalized vacua: the
+    IntegralResult, or, where the pairing diverges (the vacua are not
+    compatible), the ModelError saying so, returned and not raised.
+    ``PBModel.pairing_outcome`` stores this; everything else reads it
+    through :func:`vacuum_pairing`."""
     try:
         return compatibility_form(m, m.psi_vacuum_values, m.phi_vacuum_values,
                                   envelope=pair_envelope(m, 0))
     except quad.QuadratureError as exc:
-        raise ModelError(f"vacuum pairing diverges: {exc}") from exc
+        error = ModelError(f"vacuum pairing diverges: {exc}")
+        error.__cause__ = exc
+        return error
+
+
+def vacuum_pairing(m: PBModel) -> quad.IntegralResult:
+    """<psi_0, phi_0> of the unnormalized vacua with its error estimate,
+    integrated once per model (``PBModel.pairing_outcome``); one that
+    diverges re-raises the model's stored ModelError."""
+    outcome = m.pairing_outcome
+    if isinstance(outcome, ModelError):
+        raise outcome.with_traceback(None)
+    return outcome
 
 
 def fix_normalization(m: PBModel) -> complex:
     """The normalization product conj(N_psi) * N_phi = 1 / <psi_0, phi_0>
-    (computed with unit constants).  It assigns nothing:
-    ``PBModel.norm_product`` is this value, derived on first use."""
+    (computed with unit constants) from the model's stored vacuum
+    pairing.  It assigns nothing itself: the model derives its pairing on
+    first use, and ``PBModel.norm_product`` is this value."""
     overlap = vacuum_pairing(m).value
     if overlap == 0 or not np.isfinite(abs(overlap)):
         raise ModelError(f"vacuum pairing is degenerate: {overlap}")

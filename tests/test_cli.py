@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -710,21 +711,35 @@ class TestDerivedNormalization:
         assert complex(rec.detail["norm_product_re"],
                        rec.detail["norm_product_im"]) == 1.0 / res.value
 
-    def test_check_runs_at_most_two_vacuum_pairings(self, tmp_path,
+    @staticmethod
+    def _count_pairing_integrals(monkeypatch) -> list:
+        """Outcomes ('ok' or 'diverged') of every vacuum-pairing integral
+        run from now on."""
+        from pseudobosons import quad, states
+
+        outcomes = []
+        integrate = states.compatibility_form
+
+        def counted(*args, **kwargs):
+            try:
+                res = integrate(*args, **kwargs)
+            except quad.QuadratureError:
+                outcomes.append("diverged")
+                raise
+            outcomes.append("ok")
+            return res
+
+        monkeypatch.setattr(states, "compatibility_form", counted)
+        return outcomes
+
+    def test_check_runs_one_vacuum_pairing_integral(self, tmp_path,
                                                     monkeypatch):
-        from pseudobosons import states
-
-        calls = []
-        pairing = states.vacuum_pairing
-
-        def counted(m):
-            calls.append(m.name)
-            return pairing(m)
-
-        monkeypatch.setattr(states, "vacuum_pairing", counted)
+        # the normalization product and the normalization record read
+        # the model's one stored pairing
+        outcomes = self._count_pairing_integrals(monkeypatch)
         report = cmd_check(load_config(_demo_config(tmp_path, raw=True)))
         assert report.overall == "pass"
-        assert len(calls) == 2
+        assert outcomes == ["ok"]
 
     INCOMPATIBLE = ("[model]\nbuiltin = constant_alpha\n"
                     "alpha_a = 1\nalpha_b = 0-1\nk = 0\n"
@@ -735,8 +750,7 @@ class TestDerivedNormalization:
         # phi_0 = exp(x^2/2) does not pair with psi_0 = 1: the psi-side
         # checks cannot normalize their family and say so
         cfg = load_config(write_config(tmp_path, self.INCOMPATIBLE))
-        with np.errstate(over="ignore"):
-            report = cmd_check(cfg)
+        report = cmd_check(cfg)
         verdicts = {r.name: r.verdict for r in report.records}
         assert verdicts == {
             "conditions": "pass", "commutator": "pass",
@@ -752,11 +766,50 @@ class TestDerivedNormalization:
         # the pairing error lands in the records of a written report
         cfg = load_config(write_config(tmp_path, self.INCOMPATIBLE),
                           out_override=tmp_path / "out")
-        with np.errstate(over="ignore"):
-            report, _ = cmd_bicoherent(cfg)
+        report, _ = cmd_bicoherent(cfg)
         assert [r.verdict for r in report.records] == ["error", "error"]
         assert all("vacuum pairing diverges" in r.detail["error"]
                    for r in report.records)
+
+    def test_incompatible_vacua_diverge_once_per_check(self, tmp_path,
+                                                       monkeypatch):
+        # normalization, ladder and eigen all report the one stored error
+        outcomes = self._count_pairing_integrals(monkeypatch)
+        cmd_check(load_config(write_config(tmp_path, self.INCOMPATIBLE)))
+        assert outcomes == ["diverged"]
+
+    def test_incompatible_vacua_states_keeps_phi(self, tmp_path, capsys):
+        # the phi family needs no normalization: its table is written, and
+        # the psi side is one error line, not a traceback
+        cfg = write_config(tmp_path, self.INCOMPATIBLE)
+        out = tmp_path / "out"
+        assert main(["states", "--config", str(cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["states_phi.csv"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: psi side: vacuum pairing diverges")
+
+    @pytest.mark.parametrize("command", ["check", "states", "bicoherent",
+                                         "hamiltonian"])
+    def test_incompatible_vacua_warn_nothing(self, tmp_path, command):
+        # the growing vacuum is probed in log space: with numpy warnings
+        # turned into errors, every command ends as it does without
+        cfg = write_config(tmp_path, self.INCOMPATIBLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == (0 if command == "hamiltonian" else 1)
+        # a warning turned error would have replaced the pairing's message
+        reports = {"check": ("report.json", 3),
+                   "bicoherent": ("bicoherent_report.json", 2)}
+        if command in reports:
+            name, count = reports[command]
+            report = json.loads((tmp_path / "out" / name).read_text())
+            errors = [c["detail"]["error"] for c in report["checks"]
+                      if c["verdict"] == "error"]
+            assert len(errors) == count
+            assert all("vacuum pairing diverges" in e for e in errors)
 
 
 @pytest.mark.parametrize("section, key, value", [

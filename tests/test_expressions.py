@@ -168,6 +168,32 @@ class TestEvaluation:
         assert err.value.node is tree
         assert np.array_equal(err.value.x, bad, equal_nan=True)
 
+    def test_antideriv_segment_starts_as_one_kronrod_panel(self):
+        # K short segments of a smooth integrand converge on the first
+        # pass: one 15-point panel per segment, not 4 dyadic seed panels
+        points = []
+
+        class Counted(ex.FunctionExpr):
+            def eval_jet(self, x, order):
+                points.append(np.size(x))
+                return Call("exp", Var()).eval_jet(x, order)
+
+        K = 8
+        xs = 0.01 * np.arange(1, K + 1)
+        got = Antideriv(Counted()).eval_values(xs)
+        assert sum(points) == 15 * K
+        assert np.allclose(got, np.expm1(xs), rtol=0, atol=1e-15)
+
+    def test_antideriv_narrow_feature_inside_a_wide_segment(self):
+        # a Gaussian of width 0.1 at x = 3 inside the segment [2.95, 10]:
+        # the first panel sees it, and bisection resolves it
+        from math import erf, pi, sqrt
+
+        tree = parse_expr("antideriv(exp(0-100*(x-3)^2))")
+        xs = np.array([-40.0, 2.95, 10.0, 40.0])
+        want = [sqrt(pi) / 20 * (erf(10 * (x - 3)) + erf(30)) for x in xs]
+        assert np.max(np.abs(tree.eval_values(xs) - want)) <= 1e-13
+
     def test_antideriv_jet_coefficients(self):
         import math
 

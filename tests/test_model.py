@@ -257,9 +257,31 @@ class TestImmutableModel:
         m = build_builtin("constant_alpha", alpha_a=1, alpha_b=-1)
         assert m.kappa["pi"] == -1
         for _ in range(2):
-            with pytest.raises(ModelError, match="vacuum pairing diverges"), \
-                    np.errstate(over="ignore"):
+            with pytest.raises(ModelError, match="vacuum pairing diverges"):
                 m.norm_product
+
+    def test_diverging_pairing_is_integrated_once(self, monkeypatch):
+        # the error is the stored outcome: a second use re-raises it
+        # without running the diverging integral and its probes again
+        from pseudobosons import states
+
+        calls = []
+        integrate = states.compatibility_form
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(states, "compatibility_form", counted)
+        m = build_builtin("constant_alpha", alpha_a=1, alpha_b=-1)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ModelError) as err:
+                m.norm_product
+            raised.append(err.value)
+        assert len(calls) == 1
+        assert raised[0] is raised[1]
+        assert "vacuum pairing diverges" in str(raised[0])
 
 
 class TestOperandSequences:
