@@ -33,6 +33,7 @@ __all__ = [
     "WeakStateQuery",
     "TransformedTestFunction",
     "PairingSeries",
+    "pairing_series",
     "weak_pairing",
     "EigenRelationResult",
     "eigen_relation_residual",
@@ -193,25 +194,51 @@ class TransformedTestFunction:
 
 
 def _overlap_bound(m: PBModel, h, side: str
-                   ) -> Optional[Callable[[int], float]]:
+                   ) -> Optional[Callable[[int], float]] | list:
     """|<state_n, h>| <= |K| c^(-+n/2) ||h_(+-)|| as a function of n, by
     Cauchy-Schwarz in the transform identities: plus for phi, minus for
-    psi.  None where rho is not real."""
+    psi.  None where rho is not real.
+
+    ``h`` is one test function, or a sequence of them, giving a list of
+    bounds (each None where rho is not real) from one integral of
+    |h_(+-)|^2 over the hull of their transform supports: the inversion
+    of rho and the vacuum ratio run once per node, and only h(x) differs
+    between rows.  Each norm adds its integral's own error estimate, so
+    the certificate stays an upper bound.
+    """
+    single = hasattr(h, "values")
+    hs = [h] if single else list(h)
     sign, power = ("plus", -0.5) if side == "phi" else ("minus", 0.5)
+
+    def integrand(s):
+        x, r = quad.transform_factor(m, sign, s)
+        return np.abs(np.stack([f.values(x) for f in hs], axis=-1)
+                      * r[:, None]) ** 2
+
     try:
         k_phi, k_psi, c = quad.transform_identity_factors(m)
-        norm_sq = integrate_line(
-            lambda s: np.abs(quad.transform_pm(m, h, sign, s)) ** 2,
-            *quad.transform_support(m, h)).value
+        los, his = zip(*(quad.transform_support(m, f) for f in hs))
+        norm_sq = integrate_line(integrand, min(los), max(his))
     except quad.RhoError:
-        return None
-    scale = abs(k_phi if side == "phi" else k_psi) * math.sqrt(norm_sq.real)
-    return lambda n: scale * c ** (power * n)
+        return None if single else [None] * len(hs)
+    scales = abs(k_phi if side == "phi" else k_psi) * np.sqrt(
+        norm_sq.value.real + norm_sq.abs_error_estimate)
+    bounds = [lambda n, scale=float(scale): scale * c ** (power * n)
+              for scale in scales]
+    return bounds[0] if single else bounds
 
 
 class PairingSeries:
-    """Cached coefficient vector <state_n, h> (or <h, state_n>) for one
-    test function, evaluated lazily as a coherent series at any z.
+    """Coefficient vector <h, state_n> (or <state_n, h> where
+    ``state_in_bra``) of one test function, evaluated lazily as a
+    coherent series at any z.
+
+    The ket coefficients <h, state_n> are integrated, and the bra
+    orientation is their complex conjugate, not a second integral;
+    :meth:`conj` gives a built series in the other orientation.  ``ket``,
+    the ket coefficients and tail bound already computed for h (as
+    :func:`pairing_series` does for several functions in one integral),
+    replaces both integrals.
 
     The truncation budget must absorb the tail: wherever rho is real the
     transform-identity bounds certify it; otherwise (swanson, complex
@@ -219,15 +246,28 @@ class PairingSeries:
     """
 
     def __init__(self, m: PBModel, h, side: str, *, state_in_bra: bool,
-                 max_terms: int = 60, tol: float = 1e-12):
+                 max_terms: int = 60, tol: float = 1e-12,
+                 ket: Optional[tuple] = None):
+        if ket is None:
+            ket = (quad.state_overlaps(m, h, side, max_terms,
+                                       state_in_bra=False, tol=tol),
+                   _overlap_bound(m, h, side))
+        coeffs, self._bound = ket
         self.model = m
+        self.h = h
         self.side = side
+        self.state_in_bra = state_in_bra
         self.max_terms = max_terms
-        self.coeffs = quad.state_overlaps(m, h, side, max_terms,
-                                          state_in_bra=state_in_bra, tol=tol)
+        self.coeffs = np.conj(coeffs) if state_in_bra else coeffs
         self._scaled = self.coeffs / np.array(
             [sqrt_factorial(n) for n in range(max_terms + 1)])
-        self._bound = _overlap_bound(m, h, side)
+
+    def conj(self) -> "PairingSeries":
+        """The same series in the other orientation, with no integral."""
+        ket = np.conj(self.coeffs) if self.state_in_bra else self.coeffs
+        return PairingSeries(self.model, self.h, self.side,
+                             state_in_bra=not self.state_in_bra,
+                             max_terms=self.max_terms, ket=(ket, self._bound))
 
     def _tail_bound(self, z_abs: float) -> float:
         n0 = self.max_terms + 1
@@ -279,6 +319,19 @@ def weak_pairing(q: WeakStateQuery, g) -> complex:
     return series.eval(q.z, conjugate_z=True, tail_tol=q.tail_tol)
 
 
+def pairing_series(m: PBModel, hs: Sequence, side: str, *,
+                   max_terms: int = 60, tol: float = 1e-12) -> list:
+    """The ket series <h, state_n> of every test function in ``hs``, from
+    one :func:`quad.state_overlaps` integral and one tail-bound integral
+    shared by all of them."""
+    coeffs = quad.state_overlaps(m, hs, side, max_terms, state_in_bra=False,
+                                 tol=tol)
+    bounds = _overlap_bound(m, hs, side)
+    return [PairingSeries(m, h, side, state_in_bra=False, max_terms=max_terms,
+                          ket=(row, bound))
+            for h, row, bound in zip(hs, coeffs, bounds)]
+
+
 # ----------------------------------------------------------------------
 # Eigen-relations in the weak sense
 # ----------------------------------------------------------------------
@@ -297,18 +350,32 @@ class EigenRelationResult:
     relative_psi: float
 
 
+def _check_series(name: str, series, max_terms: int, state_in_bra: bool):
+    """A ValueError unless every prebuilt series has ``max_terms`` terms
+    and the orientation its caller reads."""
+    if any(s.max_terms != max_terms for s in series):
+        raise ValueError(f"{name} must have max_terms terms")
+    if any(s.state_in_bra != state_in_bra for s in series):
+        raise ValueError(f"{name} must have state_in_bra={state_in_bra}")
+
+
 def eigen_relation_residual(m: PBModel, z, g: TestFunction,
-                            *, max_terms: int = 60):
-    """Residuals at one z, or a list of them for a sequence of z; the
-    four pairing series are built once per call.  Each z and each side
-    stands on its own: a side whose pairing tails ``max_terms`` terms
-    cannot certify at z reads nan there, and the other entries are
+                            *, max_terms: int = 60,
+                            series: Optional[tuple] = None):
+    """Residuals at one z, or a list of them for a sequence of z.  The
+    ket series <g, state_n> and <g', state_n>, with g' = a^dag g on the
+    phi side and b g on the psi side, are built once per call, one
+    batched integral per side, unless ``series`` passes them prebuilt as
+    ((g, a^dag g) on phi, (g, b g) on psi).  Each z and each side stands
+    on its own: a side whose pairing tails ``max_terms`` terms cannot
+    certify at z reads nan there, and the other entries are
     unaffected."""
-    series = [(PairingSeries(m, g, side, state_in_bra=False,
-                             max_terms=max_terms),
-               PairingSeries(m, TransformedTestFunction(m, op, g), side,
-                             state_in_bra=False, max_terms=max_terms))
-              for side, op in (("phi", "a_dag"), ("psi", "b"))]
+    if series is None:
+        series = [pairing_series(m, [g, TransformedTestFunction(m, op, g)],
+                                 side, max_terms=max_terms)
+                  for side, op in (("phi", "a_dag"), ("psi", "b"))]
+    _check_series("series", [s for pair in series for s in pair], max_terms,
+                  False)
 
     def at(z: complex) -> EigenRelationResult:
         z = complex(z)
@@ -366,13 +433,16 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
                            *, max_terms: int = 60,
                            trace_radii: Optional[Sequence[float]] = None,
                            g_series: Optional[tuple] = None,
+                           f_series: Optional[tuple] = None,
                            ) -> ResolutionResult:
     """(1/pi) * integral over |z| <= R of <f, Phi(z)><Psi(z), g> (and the
     swapped ordering) against the Lebesgue area measure, compared with
     <f, g>.
 
-    ``g_series`` optionally passes prebuilt (<phi_n, g>, <psi_n, g>)
-    series (``state_in_bra=True``, ``max_terms`` terms) to reuse.
+    ``g_series`` and ``f_series`` optionally pass prebuilt series of
+    ``max_terms`` terms to reuse: (<phi_n, g>, <psi_n, g>) with
+    ``state_in_bra=True`` and (<f, phi_n>, <f, psi_n>) with
+    ``state_in_bra=False``.
 
     Measure bookkeeping: for alpha_n = sqrt(n) the norm factor is
     N(r)^2 = exp(-r^2), and the radial measure dlambda(r) =
@@ -401,13 +471,14 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     if n_r < 1 or n_theta < 1:
         raise ValueError(f"the disc rule needs n_r >= 1 and n_theta >= 1, "
                          f"not {n_r} and {n_theta}")
-    f_phi = PairingSeries(m, f, "phi", state_in_bra=False, max_terms=max_terms)
-    f_psi = PairingSeries(m, f, "psi", state_in_bra=False, max_terms=max_terms)
+    f_phi, f_psi = f_series or [
+        PairingSeries(m, f, side, state_in_bra=False, max_terms=max_terms)
+        for side in ("phi", "psi")]
     g_phi, g_psi = g_series or [
         PairingSeries(m, g, side, state_in_bra=True, max_terms=max_terms)
         for side in ("phi", "psi")]
-    if g_phi.max_terms != max_terms or g_psi.max_terms != max_terms:
-        raise ValueError("g_series must have max_terms terms")
+    _check_series("f_series", (f_phi, f_psi), max_terms, False)
+    _check_series("g_series", (g_phi, g_psi), max_terms, True)
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     pairs = {"phi_psi": (f_phi, g_psi), "psi_phi": (f_psi, g_phi)}
     # pad the terms to whole periods of n_theta, to fold them by residue

@@ -17,6 +17,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -478,7 +479,22 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
 
 
 def _bicoherent_params(cfg: RunConfig) -> dict:
+    """The ``[bicoherent]`` settings; every float is finite, the widths
+    and the resolution radius are > 0, and anything else is a
+    ConfigError naming its key."""
     bico = cfg.bicoherent
+
+    def finite(key, default):
+        value = _number(bico, key, default)
+        if not math.isfinite(value):
+            raise ConfigError(f"bicoherent {key} = {value} must be finite")
+        return value
+
+    def positive(key, default):
+        value = finite(key, default)
+        if not value > 0:
+            raise ConfigError(f"bicoherent {key} = {value} must be > 0")
+        return value
 
     def triple(key, default):
         raw = bico.get(key, default)
@@ -488,6 +504,8 @@ def _bicoherent_params(cfg: RunConfig) -> dict:
         except ValueError:
             raise ConfigError(
                 f"bicoherent {key} = {raw!r} needs 'lo hi count'") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"bicoherent {key} = {raw!r} needs finite ends")
         if n < 1:
             raise ConfigError(f"bicoherent {key} count must be >= 1")
         return lo, hi, n
@@ -499,25 +517,19 @@ def _bicoherent_params(cfg: RunConfig) -> dict:
                               f"not {value}")
         return value
 
-    def width(key, default):
-        value = _number(bico, key, default)
-        if not value > 0:
-            raise ConfigError(f"bicoherent {key} = {value} must be > 0")
-        return value
-
     return {
         "z_re": triple("z_re", "-1.4 1.4 3"),
         "z_im": triple("z_im", "-1.4 1.4 3"),
-        "bump_center": _number(bico, "bump_center", 0.0),
-        "bump_width": width("bump_width", 1.0),
-        "bump2_center": _number(bico, "bump2_center", 0.2),
-        "bump2_width": width("bump2_width", 0.8),
-        "resolution_radius": _number(bico, "resolution_radius", 6.0),
+        "bump_center": finite("bump_center", 0.0),
+        "bump_width": positive("bump_width", 1.0),
+        "bump2_center": finite("bump2_center", 0.2),
+        "bump2_width": positive("bump2_width", 0.8),
+        "resolution_radius": positive("resolution_radius", 6.0),
         "radial_nodes": count("radial_nodes", 96, 1),
         "angular_nodes": count("angular_nodes", 0, 0) or None,  # 0: default
         "max_terms": count("max_terms", 60, 0),
-        "tolerance_eigen": _number(bico, "tolerance_eigen", 1e-8),
-        "tolerance_resolution": _number(bico, "tolerance_resolution", 1e-3),
+        "tolerance_eigen": finite("tolerance_eigen", 1e-8),
+        "tolerance_resolution": finite("tolerance_resolution", 1e-3),
     }
 
 
@@ -539,7 +551,32 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
               for a in np.linspace(re_lo, re_hi, re_n)
               for b in np.linspace(im_lo, im_hi, im_n)]
 
-    g_series = []  # <phi_n, g>, <psi_n, g>: built once, shared
+    built = {}  # per batch of names: its series per side, or its error
+
+    def batch(side: str, op: str, names: str) -> dict:
+        moved = bc.TransformedTestFunction(m, op, g)
+        fns = {"g": g, "m": moved, "f": f}
+        kets = dict(zip(names, bc.pairing_series(
+            m, [fns[c] for c in names], side, max_terms=p["max_terms"])))
+        return {**kets, "bra": kets["g"].conj()}
+
+    def shared_series(names: str) -> list:
+        """Per side (phi, psi), the ket series of ``names`` among "g",
+        "m" (g' = a^dag g on phi, b g on psi) and "f", and "bra", the
+        conjugate of g's.  All three come from one batched integral per
+        side, shared by both records; where that raises, a record
+        integrates only the functions it reads, so an f whose integral
+        fails leaves the eigen record standing."""
+        for key in ("gmf", names):
+            if key not in built:
+                try:
+                    built[key] = [batch(side, op, key) for side, op in
+                                  (("phi", "a_dag"), ("psi", "b"))]
+                except Exception as exc:  # raised by the record that reads it
+                    built[key] = exc
+            if not isinstance(built[key], Exception):
+                return built[key]
+        raise built[names]
 
     def certified(series, z: complex) -> complex:
         """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
@@ -549,10 +586,8 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
             return complex(np.nan, np.nan)
 
     def z_grid_tables():
-        g_series[:] = [bc.PairingSeries(m, g, side, state_in_bra=True,
-                                        max_terms=p["max_terms"])
-                       for side in ("phi", "psi")]
-        pairings = [[certified(series, z) for series in g_series]
+        sides = shared_series("gm")
+        pairings = [[certified(side["bra"], z) for side in sides]
                     for z in z_grid]
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
                                 ["z_re", "z_im", "phi_re", "phi_im",
@@ -561,8 +596,9 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
                                   vs.imag)
                                  for z, (vp, vs) in zip(z_grid, pairings)]))
 
-        eigen = bc.eigen_relation_residual(m, z_grid, g,
-                                           max_terms=p["max_terms"])
+        eigen = bc.eigen_relation_residual(
+            m, z_grid, g, max_terms=p["max_terms"],
+            series=[(side["g"], side["m"]) for side in sides])
         rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
                  res.relative_phi, res.relative_psi)
                 for z, res in zip(z_grid, eigen)]
@@ -588,10 +624,12 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
         return worst_eigen, {"z_points": len(z_grid)}
 
     def resolution_record():
+        sides = shared_series("gf")
         resolution = bc.resolution_of_identity(
             m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
             n_theta=p["angular_nodes"], max_terms=p["max_terms"],
-            g_series=tuple(g_series) or None)
+            g_series=[side["bra"] for side in sides],
+            f_series=[side["f"] for side in sides])
         ref = resolution.reference
         rows = [
             (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,

@@ -547,22 +547,35 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
                    tol: float = 1e-12) -> np.ndarray:
     """Vector of compatibility forms between a compactly supported test
     function and the first n_max+1 family members, computed as one
-    vector-valued integral over all levels on the support of ``h``; each
-    level keeps the absolute tolerance ``tol`` of its own integral.
+    vector-valued integral over all levels; each level keeps the absolute
+    tolerance ``tol`` of its own integral.
 
-    state_in_bra=True gives <state_n, h>; False gives <h, state_n>.
+    ``h`` is one test function, giving shape (n_max+1,), or a sequence of
+    them, giving one row per function.  A sequence is one integral over
+    the hull of the supports: one ``StateFamily.values_all`` per node
+    batch serves every row, and each row's integrand is exactly 0 outside
+    its own function's support (the states are finite on the hull).
+
+    state_in_bra=True gives <state_n, h>; False gives <h, state_n>.  The
+    two are exact complex conjugates of each other.
     """
     from .states import StateFamily  # deferred to avoid an import cycle
 
+    single = hasattr(h, "values")
+    hs = [h] if single else list(h)
     fam = StateFamily(m, side, max_n=n_max)
 
     def integrand(xs):
-        states, hv = fam.values_all(xs), h.values(xs)
-        if state_in_bra:
-            return (np.conj(states) * hv).T
-        return (np.conj(hv) * states).T
+        states = fam.values_all(xs)[None]
+        hv = np.stack([f.values(xs) for f in hs])[:, None]
+        rows = np.conj(states) * hv if state_in_bra else np.conj(hv) * states
+        return rows.reshape(-1, xs.size).T
 
-    return integrate_line(integrand, *h.support, tol=tol).value
+    lo = min(f.support[0] for f in hs)
+    hi = max(f.support[1] for f in hs)
+    value = integrate_line(integrand, lo, hi, tol=tol).value
+    value = value.reshape(len(hs), n_max + 1)
+    return value[0] if single else value
 
 
 def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
@@ -607,6 +620,21 @@ def _vacuum_ratio(m, sign: str, x: np.ndarray, s: np.ndarray,
     raise ValueError("sign must be 'plus' or 'minus'")
 
 
+def transform_factor(m, sign: str, s) -> tuple[np.ndarray, np.ndarray]:
+    """The points x = x(s) and the factor r(s) of a transform,
+    h_(sign)(s) = h(x) r(s) (see :func:`transform_pm`): the inversion of
+    rho and the vacuum ratio, which every test function shares."""
+    c = _rho_scale(m)
+    s = np.asarray(s, dtype=float)
+    x = rho_invert_values(m, math.sqrt(2.0 * c) * s)
+    # one batch with the anchor x = 0, where s = 0 leaves the bare ratio
+    r = _vacuum_ratio(m, sign, np.append(x, 0.0), np.append(s, 0.0), c)
+    r = (r[:-1] / r[-1]).reshape(x.shape)
+    if sign == "plus":
+        r = np.conj(m.alpha_a.eval_values(x) * r)
+    return x, r
+
+
 def transform_pm(m, h, sign: str, s) -> np.ndarray:
     """The minus/plus transforms of a test function.
 
@@ -621,14 +649,7 @@ def transform_pm(m, h, sign: str, s) -> np.ndarray:
     are 1 on the proportional builtins, where these are the standard
     transforms (for the sinh model, c = 2, alpha_a(x) = 1/sqrt(1+s^2)).
     """
-    c = _rho_scale(m)
-    s = np.asarray(s, dtype=float)
-    x = rho_invert_values(m, math.sqrt(2.0 * c) * s)
-    # one batch with the anchor x = 0, where s = 0 leaves the bare ratio
-    r = _vacuum_ratio(m, sign, np.append(x, 0.0), np.append(s, 0.0), c)
-    r = (r[:-1] / r[-1]).reshape(x.shape)
-    if sign == "plus":
-        r = np.conj(m.alpha_a.eval_values(x) * r)
+    x, r = transform_factor(m, sign, s)
     return _as_values_fn(h)(x) * r
 
 

@@ -831,3 +831,29 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     assert key in err and value in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("resolution_radius", "-6"),
+    ("resolution_radius", "0"),
+    ("resolution_radius", "nan"),
+    ("resolution_radius", "inf"),
+    ("bump_center", "nan"),
+    ("bump2_center", "-inf"),
+    ("bump_width", "inf"),
+    ("z_re", "-inf 1 3"),
+    ("z_im", "-1 nan 3"),
+    ("tolerance_eigen", "nan"),
+    ("tolerance_resolution", "inf"),
+])
+def test_nonfinite_or_nonpositive_bicoherent_value(tmp_path, capsys, key,
+                                                   value):
+    # every [bicoherent] float is finite, and the radius is > 0 like the
+    # bump widths; none of these reaches a verdict
+    body = (f"[model]\nbuiltin = example2\n[bicoherent]\n{key} = {value}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+    cfg = write_config(tmp_path, body)
+    assert main(["bicoherent", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and value in err, err
+    assert not (tmp_path / "out").exists()

@@ -3,7 +3,11 @@ integrands, the stacked Hermite/state levels built on it, the Gram matrix
 and overlaps computed as one integral, and pairing series built once per
 command."""
 
+import dataclasses
 import math
+import re
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ from pseudobosons import (
     from_expressions,
     resolution_of_identity,
 )
-from pseudobosons import bicoherent
+from pseudobosons import bicoherent, quad
 from pseudobosons.bicoherent import PairingSeries
 from pseudobosons.cli import cmd_bicoherent, cmd_check, load_config
 from pseudobosons.quad import (
@@ -163,25 +167,172 @@ class TestOverlapsAndGram:
         assert rec.detail["quad_panels"] > 0
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the package function ``name`` through each
+    module that binds it; returns the (growing) list of calls."""
+    calls = []
+    for mod_name, mod in list(sys.modules.items()):
+        fn = getattr(mod, name, None)
+        if mod_name.startswith("pseudobosons") and callable(fn):
+            def counting(*args, _fn=fn, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestBatchedOverlaps:
+    """Several test functions share one state integral and one bound
+    integral; each row is the single-function result up to where the
+    shared panels refine."""
+
+    BUMPS = (TestFunction(0.0, 1.0), TestFunction(0.2, 0.8, 0.5 - 0.3j),
+             TestFunction(-3.0, 0.9), TestFunction(3.0, 0.7))
+
+    @pytest.mark.parametrize("name", ["example2", "bosonic", "raw"])
+    def test_rows_match_single_calls(self, request, name):
+        m = _raw_example1() if name == "raw" else \
+            request.getfixturevalue(name)
+        for side in ("phi", "psi"):
+            for in_bra in (True, False):
+                rows = state_overlaps(m, self.BUMPS, side, 12,
+                                      state_in_bra=in_bra)
+                assert rows.shape == (len(self.BUMPS), 13)
+                for h, row in zip(self.BUMPS, rows):
+                    one = state_overlaps(m, h, side, 12, state_in_bra=in_bra)
+                    # absolute below 1, relative above: the psi overlaps
+                    # of the bumps at +-3 reach 4e14 on example2
+                    assert np.all(np.abs(row - one)
+                                  <= 1e-12 * np.maximum(1.0, np.abs(one)))
+
+    def test_bra_rows_are_conjugate_ket_rows(self, example2):
+        for side in ("phi", "psi"):
+            ket = state_overlaps(example2, self.BUMPS, side, 12,
+                                 state_in_bra=False)
+            bra = state_overlaps(example2, self.BUMPS, side, 12,
+                                 state_in_bra=True)
+            assert np.array_equal(bra, np.conj(ket))
+        g = self.BUMPS[0]
+        series = PairingSeries(example2, g, "phi", state_in_bra=False,
+                               max_terms=20)
+        assert np.array_equal(series.conj().coeffs, np.conj(series.coeffs))
+        assert np.array_equal(series.conj().conj().coeffs, series.coeffs)
+        assert np.array_equal(
+            PairingSeries(example2, g, "phi", state_in_bra=True,
+                          max_terms=20).coeffs,
+            state_overlaps(example2, g, "phi", 20, state_in_bra=True))
+
+    @pytest.mark.parametrize("name", ["example2", "bosonic", "raw"])
+    def test_bounds_match_single_calls(self, request, name):
+        # bumps at +-1.5: at +-3 the psi transform norm overflows on
+        # example2 and raw example1, batched or not
+        m = _raw_example1() if name == "raw" else \
+            request.getfixturevalue(name)
+        bumps = self.BUMPS[:2] + (TestFunction(-1.5, 0.7),
+                                  TestFunction(1.5, 0.7))
+        k_phi, k_psi, _ = quad.transform_identity_factors(m)
+        for side, k in (("phi", abs(k_phi)), ("psi", abs(k_psi))):
+            bounds = bicoherent._overlap_bound(m, bumps, side)
+            rows = state_overlaps(m, bumps, side, 20, state_in_bra=True)
+            assert len(bounds) == len(bumps)
+            for h, bound, row in zip(bumps, bounds, rows):
+                one = bicoherent._overlap_bound(m, h, side)
+                # each bound is |K| sqrt(||h_(+-)||^2 + its error
+                # estimate), so the two agree to the norm integrals'
+                # acceptance levels
+                sq, sq_one = (bound(0) / k) ** 2, (one(0) / k) ** 2
+                assert abs(sq - sq_one) <= 4e-12 * max(1.0, sq_one)
+                for n in (7, 40):
+                    assert bound(n) / bound(0) == pytest.approx(
+                        one(n) / one(0), rel=1e-14)
+                # and each still certifies its own row
+                assert np.all(np.abs(row) <= [bound(n) * (1 + 1e-12)
+                                              for n in range(21)])
+
+    def test_bound_covers_the_norm_error_estimate(self, example2,
+                                                  monkeypatch):
+        # each row's squared norm carries its own error estimate
+        g = self.BUMPS[0]
+        k = abs(quad.transform_identity_factors(example2)[0])
+        plain = bicoherent._overlap_bound(example2, [g, g], "phi")
+
+        def padded(*args, **kwargs):
+            res = integrate_line(*args, **kwargs)
+            return dataclasses.replace(
+                res, abs_error_estimate=res.abs_error_estimate + [0.5, 2.0])
+
+        monkeypatch.setattr(bicoherent, "integrate_line", padded)
+        wide = bicoherent._overlap_bound(example2, [g, g], "phi")
+        for b, w, extra in zip(plain, wide, (0.5, 2.0)):
+            assert (w(0) / k) ** 2 == pytest.approx((b(0) / k) ** 2 + extra,
+                                                    rel=1e-12)
+
+    def test_no_real_rho_gives_no_bounds(self, swanson):
+        assert bicoherent._overlap_bound(swanson, self.BUMPS, "phi") \
+            == [None] * len(self.BUMPS)
+
+    def test_series_rows_match_single_series(self, example2):
+        g, f = self.BUMPS[:2]
+        moved = bicoherent.TransformedTestFunction(example2, "b", g)
+        batch = bicoherent.pairing_series(example2, [g, moved, f], "psi",
+                                          max_terms=30)
+        for h, series in zip((g, moved, f), batch):
+            one = PairingSeries(example2, h, "psi", state_in_bra=False,
+                                max_terms=30)
+            assert not series.state_in_bra
+            assert np.max(np.abs(series.coeffs - one.coeffs)) <= 1e-12
+
+
 class TestSeriesBuiltOnce:
-    def test_cmd_bicoherent_builds_eight_series(self, tmp_path, monkeypatch):
-        built = []
-        init = PairingSeries.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args[2])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PairingSeries, "__init__", counting_init)
+    def test_cmd_bicoherent_integrates_once_per_side(self, tmp_path,
+                                                    monkeypatch):
+        # one state integral and one bound integral per side, the vacuum
+        # pairing and the <f, g> reference: 2 and 6 calls
+        overlaps = _count_calls(monkeypatch, "state_overlaps")
+        integrals = _count_calls(monkeypatch, "integrate_line")
         cfg = load_config(DEMO_INI, out_override=tmp_path)
         for _ in range(2):
-            built.clear()
+            overlaps.clear()
+            integrals.clear()
             report = cmd_bicoherent(cfg)[0]
-            assert sorted(built) == ["phi"] * 4 + ["psi"] * 4
+            assert (len(overlaps), len(integrals)) == (2, 6)
             assert report.overall == "pass"
         rec = report.records[1]
         assert rec.name == "bicoherent_resolution"
         assert 0.0 <= rec.detail["tail_estimate"] < 1e-10
+
+    def test_failing_f_fails_only_the_resolution(self, tmp_path):
+        # f at x = 3: its psi transform norm overflows and the integral
+        # exhausts its panels, so the batch of {g, g', f} raises; the
+        # eigen record, which never reads f, integrates {g, g'} alone
+        body = DEMO_INI.read_text(encoding="utf-8").replace(
+            "bump2_center = 0.2", "bump2_center = 3.0").replace(
+            "bump2_width = 0.8", "bump2_width = 0.7")
+        ini = tmp_path / "far.ini"
+        ini.write_text(body, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = cmd_bicoherent(load_config(ini, out_override=tmp_path))[0]
+        assert [r.verdict for r in report.records] == ["pass", "error"]
+        assert "QuadratureError" in report.records[1].detail["error"]
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_cmd_bicoherent_warns_nothing(self, tmp_path, raw):
+        # the batched integrands run over the hull of the supports, where
+        # no row may form inf * 0
+        body = DEMO_INI.read_text(encoding="utf-8")
+        if raw:
+            body = body.replace("builtin = example2\n", "")
+            body = re.sub(r"^# (alpha_[ab]|beta_[ab]) ", r"\1 ", body,
+                          flags=re.M)
+        ini = tmp_path / "run.ini"
+        ini.write_text(body, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = cmd_bicoherent(load_config(ini, out_override=tmp_path))[0]
+        assert report.overall == "pass"
+        assert report.model["flavor"] == ("general" if raw else "proportional")
 
     def test_eigen_relations_over_a_sequence(self, example2):
         g = TestFunction(0.0, 1.0)
