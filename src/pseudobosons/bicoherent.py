@@ -201,7 +201,8 @@ def _overlap_bound(m: PBModel, h, side: str
 
     ``h`` is one test function, or a sequence of them, giving a list of
     bounds (each None where rho is not real) from one integral of
-    |h_(+-)|^2 over the hull of their transform supports: the inversion
+    |h_(+-)|^2 over the hull of their transform supports, first cut at
+    every support's ends (see :func:`quad.hull_edges`): the inversion
     of rho and the vacuum ratio run once per node, and only h(x) differs
     between rows.  Each norm adds its integral's own error estimate, so
     the certificate stays an upper bound.
@@ -217,8 +218,9 @@ def _overlap_bound(m: PBModel, h, side: str
 
     try:
         k_phi, k_psi, c = quad.transform_identity_factors(m)
-        los, his = zip(*(quad.transform_support(m, f) for f in hs))
-        norm_sq = integrate_line(integrand, min(los), max(his))
+        edges = quad.hull_edges([quad.transform_support(m, f) for f in hs])
+        norm_sq = integrate_line(integrand, edges[0], edges[-1],
+                                 _first_edges=edges)
     except quad.RhoError:
         return None if single else [None] * len(hs)
     scales = abs(k_phi if side == "phi" else k_psi) * np.sqrt(

@@ -551,32 +551,19 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
               for a in np.linspace(re_lo, re_hi, re_n)
               for b in np.linspace(im_lo, im_hi, im_n)]
 
-    built = {}  # per batch of names: its series per side, or its error
-
-    def batch(side: str, op: str, names: str) -> dict:
-        moved = bc.TransformedTestFunction(m, op, g)
-        fns = {"g": g, "m": moved, "f": f}
-        kets = dict(zip(names, bc.pairing_series(
-            m, [fns[c] for c in names], side, max_terms=p["max_terms"])))
-        return {**kets, "bra": kets["g"].conj()}
-
-    def shared_series(names: str) -> list:
-        """Per side (phi, psi), the ket series of ``names`` among "g",
-        "m" (g' = a^dag g on phi, b g on psi) and "f", and "bra", the
-        conjugate of g's.  All three come from one batched integral per
-        side, shared by both records; where that raises, a record
-        integrates only the functions it reads, so an f whose integral
-        fails leaves the eigen record standing."""
-        for key in ("gmf", names):
-            if key not in built:
-                try:
-                    built[key] = [batch(side, op, key) for side, op in
-                                  (("phi", "a_dag"), ("psi", "b"))]
-                except Exception as exc:  # raised by the record that reads it
-                    built[key] = exc
-            if not isinstance(built[key], Exception):
-                return built[key]
-        raise built[names]
+    # one batched integral per side serves both records: the ket series
+    # of g, of g' (a^dag g on phi, b g on psi) and of f, and <state_n, g>
+    # as the conjugate of g's; where the batch raises, each record builds
+    # the series it reads itself and reports its own error, so an f whose
+    # integral fails leaves the eigen record standing
+    try:
+        kets = [bc.pairing_series(
+                    m, [g, bc.TransformedTestFunction(m, op, g), f], side,
+                    max_terms=p["max_terms"])
+                for side, op in (("phi", "a_dag"), ("psi", "b"))]
+    except Exception:
+        kets = None
+    g_bras = kets and [side[0].conj() for side in kets]
 
     def certified(series, z: complex) -> complex:
         """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
@@ -586,8 +573,10 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
             return complex(np.nan, np.nan)
 
     def z_grid_tables():
-        sides = shared_series("gm")
-        pairings = [[certified(side["bra"], z) for side in sides]
+        bras = g_bras or [bc.PairingSeries(m, g, side, state_in_bra=True,
+                                           max_terms=p["max_terms"])
+                          for side in ("phi", "psi")]
+        pairings = [[certified(series, z) for series in bras]
                     for z in z_grid]
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
                                 ["z_re", "z_im", "phi_re", "phi_im",
@@ -598,7 +587,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
         eigen = bc.eigen_relation_residual(
             m, z_grid, g, max_terms=p["max_terms"],
-            series=[(side["g"], side["m"]) for side in sides])
+            series=kets and [side[:2] for side in kets])
         rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
                  res.relative_phi, res.relative_psi)
                 for z, res in zip(z_grid, eigen)]
@@ -624,12 +613,10 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
         return worst_eigen, {"z_points": len(z_grid)}
 
     def resolution_record():
-        sides = shared_series("gf")
         resolution = bc.resolution_of_identity(
             m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
             n_theta=p["angular_nodes"], max_terms=p["max_terms"],
-            g_series=[side["bra"] for side in sides],
-            f_series=[side["f"] for side in sides])
+            g_series=g_bras, f_series=kets and [side[2] for side in kets])
         ref = resolution.reference
         rows = [
             (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,

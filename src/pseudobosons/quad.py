@@ -552,12 +552,14 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
 
     ``h`` is one test function, giving shape (n_max+1,), or a sequence of
     them, giving one row per function.  A sequence is one integral over
-    the hull of the supports: one ``StateFamily.values_all`` per node
-    batch serves every row, and each row's integrand is exactly 0 outside
-    its own function's support (the states are finite on the hull).
+    the hull of the supports, first cut at every support's ends (see
+    :func:`hull_edges`): one ``StateFamily.values_all`` per node batch
+    serves every row, and each row's integrand is exactly 0 on the panels
+    outside its own function's support (the states are finite on the
+    hull).
 
-    state_in_bra=True gives <state_n, h>; False gives <h, state_n>.  The
-    two are exact complex conjugates of each other.
+    state_in_bra=False gives <h, state_n>, the integral; True gives
+    <state_n, h>, its complex conjugate.
     """
     from .states import StateFamily  # deferred to avoid an import cycle
 
@@ -566,16 +568,28 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
     fam = StateFamily(m, side, max_n=n_max)
 
     def integrand(xs):
-        states = fam.values_all(xs)[None]
-        hv = np.stack([f.values(xs) for f in hs])[:, None]
-        rows = np.conj(states) * hv if state_in_bra else np.conj(hv) * states
+        hv = np.conj(np.stack([f.values(xs) for f in hs]))
+        rows = hv[:, None] * fam.values_all(xs)[None]
         return rows.reshape(-1, xs.size).T
 
-    lo = min(f.support[0] for f in hs)
-    hi = max(f.support[1] for f in hs)
-    value = integrate_line(integrand, lo, hi, tol=tol).value
+    edges = hull_edges([f.support for f in hs])
+    value = integrate_line(integrand, edges[0], edges[-1], tol=tol,
+                           _first_edges=edges).value
     value = value.reshape(len(hs), n_max + 1)
+    if state_in_bra:
+        value = np.conj(value)
     return value[0] if single else value
+
+
+def hull_edges(supports) -> np.ndarray:
+    """First-pass panel edges of one integral over the hull of several
+    supports (lo, hi): the dyadic seeds of the hull and the ends of every
+    support.  Each support is then a union of whole panels, so a narrow
+    support nested in a wider one cannot fall between the Kronrod nodes
+    of a panel that the wider rows accept; one support gives its seeds."""
+    ends = np.asarray(supports, dtype=float)
+    return np.union1d(_seed_breakpoints(ends[:, 0].min(), ends[:, 1].max()),
+                      ends)
 
 
 def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,

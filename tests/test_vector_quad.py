@@ -268,6 +268,25 @@ class TestBatchedOverlaps:
             assert (w(0) / k) ** 2 == pytest.approx((b(0) / k) ** 2 + extra,
                                                     rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["example2", "raw"])
+    def test_narrow_support_nested_in_a_wide_one(self, request, name):
+        # (0.10, 0.12) lies between the Kronrod nodes of the seed panel
+        # [0, 0.25] of the hull [-1, 1]; cut at its ends, the narrow row
+        # is integrated on its own panels, not read as 0
+        m = _raw_example1() if name == "raw" else \
+            request.getfixturevalue(name)
+        narrow, wide = TestFunction(0.11, 0.01), TestFunction(0.0, 1.0)
+        for side in ("phi", "psi"):
+            rows = state_overlaps(m, [narrow, wide], side, 12,
+                                  state_in_bra=False)
+            bounds = bicoherent._overlap_bound(m, [narrow, wide], side)
+            for h, row, bound in zip((narrow, wide), rows, bounds):
+                one = state_overlaps(m, h, side, 12, state_in_bra=False)
+                assert np.max(np.abs(row - one)) <= 1e-12
+                one_bound = bicoherent._overlap_bound(m, h, side)
+                assert bound(0) == pytest.approx(one_bound(0), rel=1e-12)
+            assert np.max(np.abs(rows[0])) > 1e-3
+
     def test_no_real_rho_gives_no_bounds(self, swanson):
         assert bicoherent._overlap_bound(swanson, self.BUMPS, "phi") \
             == [None] * len(self.BUMPS)
