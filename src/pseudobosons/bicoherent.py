@@ -205,16 +205,26 @@ def _overlap_bound(m: PBModel, h, side: str
     every support's ends (see :func:`quad.hull_edges`): the inversion
     of rho and the vacuum ratio run once per node, and only h(x) differs
     between rows.  Each norm adds its integral's own error estimate, so
-    the certificate stays an upper bound.
+    the certificate stays an upper bound.  A norm whose integrand is not
+    finite at some node is a QuadratureError naming such an s nearest 0.
     """
     single = hasattr(h, "values")
     hs = [h] if single else list(h)
     sign, power = ("plus", -0.5) if side == "phi" else ("minus", 0.5)
 
     def integrand(s):
-        x, r = quad.transform_factor(m, sign, s)
-        return np.abs(np.stack([f.values(x) for f in hs], axis=-1)
-                      * r[:, None]) ** 2
+        # far from 0 the transform factor leaves double range; such a norm
+        # is refused where it is first seen, not refined to the budget
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, r = quad.transform_factor(m, sign, s)
+            vals = np.abs(np.stack([f.values(x) for f in hs], axis=-1)
+                          * r[:, None]) ** 2
+        bad = ~np.isfinite(vals).all(axis=1)
+        if bad.any():
+            raise quad.QuadratureError(
+                f"|h_{sign}|^2 is not finite at s = "
+                f"{s[bad][np.argmin(np.abs(s[bad]))]:.6g}")
+        return vals
 
     try:
         k_phi, k_psi, c = quad.transform_identity_factors(m)

@@ -314,9 +314,12 @@ def _random_bumps(cfg: RunConfig, count: int = 5) -> list:
     return bumps
 
 
-def _check_conditions(m, cfg):
+# Each check takes the model, the config and the run's states.GridJets on
+# the config's grid, whose jets the grid checks read.
+
+def _check_conditions(m, cfg, jets):
     rep = model_mod.check_pb_conditions(
-        m, cfg.grid, tol=cfg.tolerances["conditions"])
+        m, jets.grid, tol=cfg.tolerances["conditions"], jets=jets)
     return rep.max_abs, {"residual1_max": rep.max_abs1,
                          "residual2_max": rep.max_abs2}
 
@@ -327,13 +330,14 @@ def _worst(residuals) -> float:
     return float(np.max(list(residuals)))
 
 
-def _check_commutator(m, cfg):
+def _check_commutator(m, cfg, jets):
     bumps = _random_bumps(cfg)
     return _worst(stats.sup_abs for stats in model_mod.commutator_residual(
-        m, [bump.jet for bump in bumps], cfg.grid)), {"bumps": len(bumps)}
+        m, [bump.jet for bump in bumps], jets.grid, jets=jets)), \
+        {"bumps": len(bumps)}
 
 
-def _check_normalization(m, cfg):
+def _check_normalization(m, cfg, jets):
     """The relative error estimate of the vacuum pairing <psi_0, phi_0>
     that fixes the normalization product, read from the model's stored
     pairing: the check integrates nothing of its own."""
@@ -344,7 +348,7 @@ def _check_normalization(m, cfg):
         "quad_panels": res.panels_used}
 
 
-def _check_biorthonormality(m, cfg):
+def _check_biorthonormality(m, cfg, jets):
     _, dev, res = quad.biorthonormality_matrix(m, cfg.n_max,
                                                return_integral=True)
     return dev, {"matrix_size": cfg.n_max + 1,
@@ -354,29 +358,31 @@ def _check_biorthonormality(m, cfg):
                  "quad_panels": res.panels_used}
 
 
-def _check_ladder(m, cfg):
+def _check_ladder(m, cfg, jets):
     if cfg.n_max < 1:  # the relations of level n reach level n + 1
         return None, {"note": "the ladder check needs n_max >= 1"}
     phi = states.StateFamily(m, "phi", max_n=cfg.n_max)
     psi = states.StateFamily(m, "psi", max_n=cfg.n_max)
     return _worst(res.max for res in states.verify_ladder(
-        phi, psi, range(cfg.n_max), cfg.grid)), {"levels": cfg.n_max}
+        phi, psi, range(cfg.n_max), jets.grid, jets=jets)), \
+        {"levels": cfg.n_max}
 
 
-def _check_eigen(m, cfg):
+def _check_eigen(m, cfg, jets):
     levels = range(cfg.n_max + 1)
     worst = _worst(r for side in ("H", "H_dag")
-                   for r in spectral.eigen_residual(m, side, levels, cfg.grid))
+                   for r in spectral.eigen_residual(m, side, levels,
+                                                    jets.grid, jets=jets))
     return worst, {"levels": cfg.n_max + 1}
 
 
-def _check_hsusy(m, cfg):
+def _check_hsusy(m, cfg, jets):
     return _worst(spectral.hsusy_shift_check(m, range(cfg.n_max + 1),
-                                             cfg.grid)), \
+                                             jets.grid, jets=jets)), \
         {"levels": cfg.n_max + 1}
 
 
-def _check_hamiltonian_crosscheck(m, cfg):
+def _check_hamiltonian_crosscheck(m, cfg, jets):
     """The model's own H and H^dag coefficients against the printed
     operators of the builtin it claims to be."""
     if m.name in ("example1", "example2"):
@@ -388,7 +394,7 @@ def _check_hamiltonian_crosscheck(m, cfg):
     else:
         return None, {"note": "no printed coefficients for this model"}
     return spectral.printed_hamiltonian_crosscheck(
-        m, printed, k=k, grid=cfg.grid), {}
+        m, printed, k=k, grid=jets.grid, jets=jets), {}
 
 
 CHECK_FUNCS: dict[str, Callable] = {
@@ -409,6 +415,8 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
     start = time.perf_counter()
     m = build_model(cfg.model_spec)
     echo = _model_echo(m)
+    # the grid checks read one evaluation of the model's jets on the grid
+    jets = states.GridJets(m, cfg.grid, cfg.n_max)
     selected = [c for c in CHECK_ORDER if c in cfg.checks]
     outcome: dict[str, str] = {}
     records: list[CheckRecord] = []
@@ -431,7 +439,7 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
         else:
             rec = _guarded_record(name, digest_for(name),
                                   cfg.tolerances[name],
-                                  lambda: CHECK_FUNCS[name](m, cfg))
+                                  lambda: CHECK_FUNCS[name](m, cfg, jets))
         records.append(rec)
         outcome[name] = rec.verdict
     return _report(echo, records, start)
@@ -653,19 +661,20 @@ def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     start = time.perf_counter()
     m = build_model(cfg.model_spec)
     echo = _model_echo(m)
-    xs = cfg.grid
+    jets = states.GridJets(m, cfg.grid, cfg.n_max)
+    xs = jets.grid
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     header = ["x"]
     cols = [xs.astype(float)]
     for side, tags in (("H", ("k2", "k1", "k0")),
                        ("H_dag", ("q2", "q1", "q0"))):
-        vals = spectral.hamiltonian_coeffs(m, side).values(xs)
+        vals = spectral.hamiltonian_coeffs(m, side).values(xs, jets=jets)
         for tag, arr in zip(tags, vals):
             cols.extend([arr.real, arr.imag])
             header.extend([f"{tag}_re", f"{tag}_im"])
     path = _write_csv(cfg.out_dir / "hamiltonian.csv", header, zip(*cols))
 
-    metric, detail = _check_hamiltonian_crosscheck(m, cfg)
+    metric, detail = _check_hamiltonian_crosscheck(m, cfg, jets)
     rec = _record("hamiltonian_crosscheck", _digest(echo), metric,
                   cfg.tolerances["hamiltonian_crosscheck"], detail)
     return _report(echo, [rec], start), [path]

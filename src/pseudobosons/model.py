@@ -505,12 +505,27 @@ class ConditionReport:
         return "pass" if self.passed else "fail"
 
 
-def check_pb_conditions(m: PBModel, grid, tol: float = 1e-10) -> ConditionReport:
+def _coefficients(m: PBModel, x, jets) -> Callable[[str, int], Jet]:
+    """(name, order) -> the jet of that coefficient at x: evaluated, or a
+    truncation of ``jets``, the prebuilt ``states.GridJets`` of m on the
+    points x, where one is given."""
+    if jets is None:
+        return lambda name, order: m.coefficient(name).eval_jet(x, order)
+    jets.check(m, x)
+    return jets.coefficient
+
+
+def check_pb_conditions(m: PBModel, grid, tol: float = 1e-10, *,
+                        jets=None) -> ConditionReport:
+    """The two conditions on the grid; ``jets`` (a ``states.GridJets`` of
+    m on this grid) supplies the coefficient jets instead of evaluating
+    them."""
     grid = np.asarray(grid, dtype=float)
-    aa = m.alpha_a.eval_jet(grid, 1)
-    ab = m.alpha_b.eval_jet(grid, 2)
-    ba = m.beta_a.eval_jet(grid, 1)
-    bb = m.beta_b.eval_jet(grid, 1)
+    coeff = _coefficients(m, grid, jets)
+    aa = coeff("alpha_a", 1)
+    ab = coeff("alpha_b", 2)
+    ba = coeff("beta_a", 1)
+    bb = coeff("beta_b", 1)
     r1 = aa.value * ab.derivative(1) - aa.derivative(1) * ab.value
     r2 = (aa.value * bb.derivative(1) + ab.value * ba.derivative(1) - 1.0
           - aa.value * ab.derivative(2))
@@ -520,7 +535,7 @@ def check_pb_conditions(m: PBModel, grid, tol: float = 1e-10) -> ConditionReport
                            passed=(m1 < tol and m2 < tol))
 
 
-def apply_ladder(m: PBModel, which: str, f, x, order: int):
+def apply_ladder(m: PBModel, which: str, f, x, order: int, *, jets=None):
     """Apply one of the four operators of :data:`LADDER_OPS` to a
     jet-valued function at a point or at every point of an array.
 
@@ -535,15 +550,18 @@ def apply_ladder(m: PBModel, which: str, f, x, order: int):
     ``f`` may also be a sequence of such callables: the jets of alpha and
     beta are then evaluated once for all of them, and the list of their
     results is returned, each bitwise the single-callable result.  A
-    single callable is the one-element case and returns a Jet.
+    single callable is the one-element case and returns a Jet.  ``jets``,
+    the prebuilt ``states.GridJets`` of m on the points x, supplies alpha
+    and beta as truncations instead.
     """
     try:
         op = LADDER_OPS[which]
     except KeyError:
         raise ModelError(f"unknown ladder operator {which!r}") from None
     fs = [f] if callable(f) else list(f)
-    alpha = m.coefficient("alpha_" + op.pair).eval_jet(x, order + op.raising)
-    beta = m.coefficient("beta_" + op.pair).eval_jet(x, order)
+    coeff = _coefficients(m, x, jets)
+    alpha = coeff("alpha_" + op.pair, order + op.raising)
+    beta = coeff("beta_" + op.pair, order)
     if op.conjugated:
         alpha, beta = alpha.conjugate(), beta.conjugate()
     out = []
@@ -561,21 +579,22 @@ class CommutatorStats:
     sup_abs: float
 
 
-def commutator_residual(m: PBModel, f, grid):
+def commutator_residual(m: PBModel, f, grid, *, jets=None):
     """sup over the grid of |(ab - ba) f(x) - f(x)| for a C^2 function f
     given as a jet-valued callable that accepts arrays.
 
     ``f`` may also be a sequence of such callables: each of the four
     operator applications is then one :func:`apply_ladder` call for all
     of them, and the list of their stats is returned, each equal to the
-    single-callable one."""
+    single-callable one.  ``jets`` is passed on to :func:`apply_ladder`."""
     grid = np.asarray(grid, dtype=float)
     fs = [f] if callable(f) else list(f)
 
     def product(outer, inner):
-        inners = apply_ladder(m, inner, fs, grid, 1)
+        inners = apply_ladder(m, inner, fs, grid, 1, jets=jets)
         return [j.value for j in apply_ladder(
-            m, outer, [lambda *_, j=j: j for j in inners], grid, 0)]
+            m, outer, [lambda *_, j=j: j for j in inners], grid, 0,
+            jets=jets)]
 
     out = []
     for ab, ba, fn in zip(product("a", "b"), product("b", "a"), fs):

@@ -128,10 +128,28 @@ def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
         sums = (_WGK @ vals, _WG @ vals[:, _GAUSS_IDX], _WGK @ np.abs(vals))
     kron, gauss, kabs = (s * half for s in sums)
     diff = np.abs(kron - gauss)
-    # QUADPACK-style sharpened estimate once the rule starts converging
-    err = np.where(diff < 5e-3, (200.0 * diff) ** 1.5, diff)
+    # QUADPACK-style sharpened estimate once the rule starts converging;
+    # the clip keeps the unused branch of a huge difference finite
+    err = np.where(diff < 5e-3, (200.0 * np.minimum(diff, 5e-3)) ** 1.5, diff)
     err = np.minimum(err, diff + 1e-300)
     return kron, err, kabs
+
+
+# A pass whose worst error estimate stays within _STALL_FACTOR of its
+# acceptance level, without halving, for _STALL_PASSES passes in a row is
+# limited by the rounding noise of the integrand's own values: bisection
+# cannot lower it (truncation error falls by far more than half per pass,
+# and even a jump halves it), so refinement stops there.
+_STALL_PASSES = 4
+_STALL_FACTOR = 4.0
+
+
+def _stalled(excess: list) -> bool:
+    """Whether the last passes' worst error / acceptance level ratios
+    (each above 1) show refinement stalled at the noise floor."""
+    window = excess[-_STALL_PASSES - 1:]
+    return (len(window) > _STALL_PASSES and max(window) <= _STALL_FACTOR
+            and window[-1] > 0.5 * window[0])
 
 
 def _seed_breakpoints(a: float, b: float) -> np.ndarray:
@@ -156,18 +174,25 @@ def _seed_breakpoints(a: float, b: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _truncate(probe, tol: float, signs: tuple) -> dict:
+def _truncate(probe, tol: float, signs: tuple, start=None) -> dict:
     """For each open side (sign -1 or +1), the smallest dyadic L with
     probe < tol/10 at sign*L and sign*1.31L and negligible estimated tail
     mass probe * L; returns {sign: sign*L}.  ``probe`` maps an array of
     points to an array of magnitudes, and each doubling probes every side
-    still open in one call."""
+    still open in one call.  ``start`` maps a sign to the dyadic L at
+    which its search begins (1 where absent), for a caller that knows no
+    smaller L is admissible."""
+    start = start or {}
     cuts = {}
     L = 1.0
     for _ in range(60):
-        open_signs = [s for s in signs if s not in cuts]
-        if not open_signs:
+        if len(cuts) == len(signs):
             return cuts
+        open_signs = [s for s in signs
+                      if s not in cuts and L >= start.get(s, 1.0)]
+        if not open_signs:
+            L *= 2.0
+            continue
         pts = np.array([s * f * L for s in open_signs for f in (1.0, 1.31)])
         at_l, at_far = np.reshape(probe(pts), (-1, 2)).T
         # the larger of the two, read as Python's max(at_l, at_far)
@@ -200,6 +225,7 @@ def integrate_line(
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     max_panels: int = 10_000,
     _first_edges: Optional[tuple] = None,
+    _start_cut: Optional[tuple] = None,
 ) -> IntegralResult:
     """Adaptive line integral of a vectorized integrand.
 
@@ -217,6 +243,9 @@ def integrate_line(
     max(tol, rtol * |I_j|, 50 eps * integral of |f_j|), apportioned to
     panels by width.  A panel is kept only when every component meets its
     share, so no component is integrated more loosely than on its own.
+    Refinement that has stalled at the rounding noise of the integrand's
+    values (see :func:`_stalled`) raises QuadratureError at once instead
+    of spending the panel budget, like QUADPACK's roundoff detection.
 
     The first pass splits the interval at dyadic seeds (see
     :func:`_seed_breakpoints`).  ``_first_edges``, an internal keyword for
@@ -224,7 +253,10 @@ def integrate_line(
     seeds with the given ascending panel edges of a finite interval:
     ``Antideriv`` passes ``(0, 1)``, so each of its segments starts as one
     Kronrod panel, as QUADPACK's QAG does.  Refinement and acceptance are
-    the same either way.
+    the same either way.  ``_start_cut``, another internal keyword, is
+    the cut (a, b) of an earlier truncation whose probe never exceeded
+    this one's and whose tolerance was no tighter: no smaller L can be
+    admissible here, so the doubling on each open end starts at its |end|.
     """
     def probe(xs: np.ndarray) -> np.ndarray:
         if envelope is not None:
@@ -233,7 +265,9 @@ def integrate_line(
 
     lo_inf = a is None or math.isinf(a)
     hi_inf = b is None or math.isinf(b)
-    cuts = _truncate(probe, tol, (-1,) * lo_inf + (+1,) * hi_inf)
+    start = None if _start_cut is None else \
+        {-1: -_start_cut[0], +1: _start_cut[1]}
+    cuts = _truncate(probe, tol, (-1,) * lo_inf + (+1,) * hi_inf, start)
     a_eff = cuts[-1] if lo_inf else float(a)
     b_eff = cuts[+1] if hi_inf else float(b)
     if a_eff == b_eff:
@@ -258,6 +292,7 @@ def integrate_line(
     done_err = 0.0
     done_abs = 0.0
     eps = np.finfo(float).eps
+    excess = []  # worst error estimate / acceptance level of each pass
     for _ in range(64):
         total_panels += lo.size
         if total_panels > max_panels:
@@ -276,6 +311,15 @@ def integrate_line(
         scale = vmax(vmax(tol, rtol * abs(val)), 50.0 * eps * mass)
         if (val_err <= scale).all():  # global budget already met
             return _result(val, val_err, total_panels, (a_eff, b_eff), mass)
+        # with tol = 0 a component of zero mass has a zero level: 0/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess.append(float(np.max(val_err / scale)))
+        if _stalled(excess):
+            raise QuadratureError(
+                f"refinement stalled at the integrand's rounding noise: the "
+                f"error estimate stayed {excess[-1]:.3g}x its acceptance "
+                f"level after {len(excess)} passes",
+                best_value=val, error_estimate=val_err)
         share = scale * (hi - lo)[:, None] / width_total
         ok = (err.reshape(lo.size, -1) <= share).all(axis=1)
         done_val = done_val + kron[ok].sum(axis=0)
@@ -598,8 +642,14 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
     deviation from the identity, as one vector-valued integral whose
     entries each keep the absolute tolerance ``tol``; ``return_integral``
     appends its IntegralResult (per-entry error estimates, panels).  The
-    psi side carries the model's normalization product."""
-    from .states import StateFamily, pair_envelope
+    psi side carries the model's normalization product.
+
+    The truncation search starts at the cut of the model's vacuum
+    pairing: its envelope pair_envelope(m, 0) is nowhere above this one's
+    pair_envelope(m, 2N), so at a tolerance no looser than the pairing's
+    no smaller L is admissible, and the cut is the one a search from
+    L = 1 finds."""
+    from .states import PAIRING_TOL, StateFamily, pair_envelope
 
     phi = StateFamily(m, "phi", max_n=N)
     psi = StateFamily(m, "psi", max_n=N)
@@ -608,8 +658,12 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
         gram = np.conj(psi.values_all(xs))[:, None] * phi.values_all(xs)[None]
         return gram.reshape(-1, xs.size).T
 
+    pairing = m.pairing_outcome
+    start = pairing.truncation_bounds \
+        if isinstance(pairing, IntegralResult) and tol <= PAIRING_TOL \
+        else None
     res = integrate_line(integrand, None, None, tol=tol,
-                         envelope=pair_envelope(m, 2 * N))
+                         envelope=pair_envelope(m, 2 * N), _start_cut=start)
     G = res.value.reshape(N + 1, N + 1)
     dev = float(np.max(np.abs(G - np.eye(N + 1))))
     return (G, dev, res) if return_integral else (G, dev)

@@ -36,8 +36,9 @@ from typing import Callable
 import numpy as np
 
 from .jets import Jet
-from .model import ModelError, PBModel, apply_ladder, build_builtin
-from .states import StateFamily, _relative_sup
+from .model import (ModelError, PBModel, _coefficients, apply_ladder,
+                    build_builtin)
+from .states import GridJets, StateFamily, _relative_sup
 
 __all__ = [
     "HamiltonianCoeffs",
@@ -64,11 +65,15 @@ class HamiltonianCoeffs:
         if self.side not in ("H", "H_dag"):
             raise ModelError(f"side must be 'H' or 'H_dag', not {self.side!r}")
 
-    def values(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def values(self, xs, *, jets=None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c2, c1, c0) on the points xs; ``jets``, the prebuilt
+        :class:`GridJets` of the model on xs, supplies the order-1
+        coefficient jets instead of evaluating them."""
         xs = np.asarray(xs, dtype=float)
-        aa, ba, ab, bb = (self.model.coefficient(name).eval_jet(xs, 1)
-                          for name in ("alpha_a", "beta_a", "alpha_b",
-                                       "beta_b"))
+        coeff = _coefficients(self.model, xs, jets)
+        aa, ba, ab, bb = (coeff(name, 1) for name in ("alpha_a", "beta_a",
+                                                      "alpha_b", "beta_b"))
         # the pairs (p, q) of the formula: (a, b) for H, (b, a) for H^dag
         ap, bp, aq, bq = ((aa, ba, ab, bb) if self.side == "H"
                           else (ab, bb, aa, ba))
@@ -97,42 +102,55 @@ def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x) -> complex:
     return _hamiltonian_on(HamiltonianCoeffs(m, side).values(x), f(x, 2))
 
 
-def eigen_residual(m: PBModel, side: str, n, grid):
+def _state_jets(m: PBModel, side: str, ns, grid, jets) -> list:
+    """The order-2 jets of levels ``ns`` of ``side`` on the grid: one
+    family call, or truncations of the prebuilt ``jets``."""
+    if jets is None:
+        return StateFamily(m, side, max_n=max(ns, default=0)).jet(ns, grid, 2)
+    jets.check(m, grid)
+    return jets.states(side, ns, 2)
+
+
+def eigen_residual(m: PBModel, side: str, n, grid, *,
+                   jets: GridJets | None = None):
     """Relative sup-norm residual of the eigenvalue equation at level n:
     sup |(H - n) phi_n| / sup |phi_n| (psi_n and H^dag on the dagger
     side), over the effective support of the state.
 
     ``n`` may be a sequence of levels: the family is then evaluated once
     for all of them, the coefficients of H are read once, and the list of
-    their residuals is returned, each equal to the single-level one."""
+    their residuals is returned, each equal to the single-level one.
+    ``jets``, the :class:`GridJets` of m on this grid, replaces both
+    evaluations with truncations of its own."""
     grid = np.asarray(grid, dtype=float)
     ns = [int(k) for k in np.ravel(n)]
-    fjs = StateFamily(m, "phi" if side == "H" else "psi",
-                      max_n=max(ns, default=0)).jet(ns, grid, 2)
+    fjs = _state_jets(m, "phi" if side == "H" else "psi", ns, grid, jets)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = HamiltonianCoeffs(m, side).values(grid)
+        coeffs = HamiltonianCoeffs(m, side).values(grid, jets=jets)
         out = [_relative_sup(_hamiltonian_on(coeffs, fj) - k * fj.value,
                              fj.value, k) for k, fj in zip(ns, fjs)]
     return out[0] if np.ndim(n) == 0 else out
 
 
-def hsusy_shift_check(m: PBModel, n, grid):
+def hsusy_shift_check(m: PBModel, n, grid, *,
+                      jets: GridJets | None = None):
     """Relative sup residual of (a b) phi_n = (n + 1) phi_n, the partner
     product whose spectrum is shifted up by one unit.
 
     ``n`` may be a sequence of levels, evaluated in one family call; the
     list of their residuals is returned, each equal to the single-level
-    one."""
+    one.  ``jets``, the :class:`GridJets` of m on this grid, replaces the
+    evaluations of the states and coefficients with truncations."""
     grid = np.asarray(grid, dtype=float)
     ns = [int(k) for k in np.ravel(n)]
     # level k once, as the operand and as the reference; each operator is
     # one call for every level
-    heres = StateFamily(m, "phi", max_n=max(ns, default=0)).jet(ns, grid, 2)
+    heres = _state_jets(m, "phi", ns, grid, jets)
     with np.errstate(over="ignore", invalid="ignore"):
         b_heres = apply_ladder(m, "b", [lambda *_, h=h: h for h in heres],
-                               grid, 1)
+                               grid, 1, jets=jets)
         vals = apply_ladder(m, "a", [lambda *_, j=j: j for j in b_heres],
-                            grid, 0)
+                            grid, 0, jets=jets)
         out = [_relative_sup(val.value - (k + 1) * here.value, here.value, k)
                for k, here, val in zip(ns, heres, vals)]
     return out[0] if np.ndim(n) == 0 else out
@@ -210,17 +228,19 @@ def _printed_forms(name: str, k: float):
 
 
 def printed_hamiltonian_crosscheck(m: PBModel, name: str, *, k: float = 1.0,
-                                   grid=None) -> float:
+                                   grid=None,
+                                   jets: GridJets | None = None) -> float:
     """Maximum pointwise deviation, over all six coefficients of H and
     H^dag, between the printed operators ``name`` (with parameter ``k`` for
-    constant_k) and the ones derived from the coefficients of model m."""
+    constant_k) and the ones derived from the coefficients of model m;
+    ``jets`` is passed on to :meth:`HamiltonianCoeffs.values`."""
     printed_h, printed_hdag = _printed_forms(name, k)
     if grid is None:
         grid = np.linspace(-3.0, 3.0, 241)
     grid = np.asarray(grid, dtype=float)
     worst = 0.0
     for side, printed in (("H", printed_h), ("H_dag", printed_hdag)):
-        derived = HamiltonianCoeffs(m, side).values(grid)
+        derived = HamiltonianCoeffs(m, side).values(grid, jets=jets)
         for got, want in zip(derived, printed(grid)):
             worst = max(worst, float(np.max(np.abs(got - want))))
     return worst

@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,7 @@ from .quad import compatibility_form, hermite_value
 
 __all__ = [
     "StateFamily",
+    "GridJets",
     "LadderResiduals",
     "vacuum",
     "pi_sigma_recursive",
@@ -214,6 +216,87 @@ def eval_state(fam: StateFamily, n: int, x: float, order: int) -> Jet:
 
 
 # ----------------------------------------------------------------------
+# Jets shared by the grid checks of one run
+# ----------------------------------------------------------------------
+
+# the highest order at which a grid check reads each coefficient: the
+# second condition and b applied to an order-1 jet read alpha_b''
+COEFFICIENT_ORDERS = {"alpha_a": 1, "beta_a": 1, "alpha_b": 2, "beta_b": 1}
+STATE_ORDER = 2  # H and the partner product ab are second order
+
+
+def _outcome(compute):
+    """compute() or the exception it raised, kept as a value."""
+    try:
+        return compute()
+    except Exception as exc:  # re-raised by every read
+        return exc
+
+
+def _read(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+@dataclass(frozen=True, eq=False)
+class GridJets:
+    """The jets that the grid checks of one run read, each evaluated once
+    on ``grid``: the four coefficient jets at :data:`COEFFICIENT_ORDERS`
+    and, per side, the states of levels 0..n_max at :data:`STATE_ORDER`
+    from one :meth:`StateFamily.jet` call.
+
+    A check reads truncations of them.  Truncation is exact (see
+    :mod:`pseudobosons.jets`), so it gets bitwise the jets it would
+    evaluate itself.  Each group is evaluated on first read and kept with
+    its outcome: one that raised re-raises the same error on every read,
+    per coefficient and per side, as the check's own evaluation would."""
+
+    model: PBModel
+    grid: np.ndarray
+    n_max: int
+
+    def check(self, m: PBModel, grid) -> None:
+        """ModelError unless these are the jets of ``m`` on ``grid``."""
+        if m is not self.model or not np.array_equal(grid, self.grid):
+            raise ModelError("prebuilt grid jets belong to another model "
+                             "or grid")
+
+    @cached_property
+    def _coefficients(self) -> dict:
+        return {name: _outcome(lambda name=name, order=order:
+                               self.model.coefficient(name).eval_jet(
+                                   self.grid, order))
+                for name, order in COEFFICIENT_ORDERS.items()}
+
+    def _side(self, side: str):
+        fam = StateFamily(self.model, side, max_n=self.n_max)
+        return _outcome(lambda: fam.jet(range(self.n_max + 1), self.grid,
+                                        STATE_ORDER))
+
+    @cached_property
+    def _phi(self):
+        return self._side("phi")
+
+    @cached_property
+    def _psi(self):
+        return self._side("psi")
+
+    def coefficient(self, name: str, order: int) -> Jet:
+        """The jet of coefficient ``name`` on the grid at ``order``."""
+        return _read(self._coefficients[name]).truncate(order)
+
+    def states(self, side: str, ns, order: int) -> list:
+        """The jets of levels ``ns`` of ``side`` ('phi' or 'psi') on the
+        grid at ``order``."""
+        for k in ns:
+            if not 0 <= k <= self.n_max:
+                raise ModelError(f"n = {k} outside 0..max_n = {self.n_max}")
+        rows = _read(self._phi if side == "phi" else self._psi)
+        return [rows[k].truncate(order) for k in ns]
+
+
+# ----------------------------------------------------------------------
 # Normalization and envelopes
 # ----------------------------------------------------------------------
 
@@ -242,6 +325,9 @@ def pair_envelope(m: PBModel, degree: int) -> Callable:
     return envelope
 
 
+PAIRING_TOL = 1e-12  # absolute tolerance of the vacuum pairing integral
+
+
 def integrate_vacuum_pairing(m: PBModel):
     """Integrate <psi_0, phi_0> of the unnormalized vacua: the
     IntegralResult, or, where the pairing diverges (the vacua are not
@@ -250,7 +336,8 @@ def integrate_vacuum_pairing(m: PBModel):
     through :func:`vacuum_pairing`."""
     try:
         return compatibility_form(m, m.psi_vacuum_values, m.phi_vacuum_values,
-                                  envelope=pair_envelope(m, 0))
+                                  envelope=pair_envelope(m, 0),
+                                  tol=PAIRING_TOL)
     except quad.QuadratureError as exc:
         error = ModelError(f"vacuum pairing diverges: {exc}")
         error.__cause__ = exc
@@ -317,29 +404,36 @@ def _relative_sup(residual, state, n: int) -> float:
     return float(np.max(res)) / sup
 
 
-def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid):
+def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid, *,
+                  jets: GridJets | None = None):
     """The :class:`LadderResiduals` of level ``n`` on the grid.
 
     ``n`` may be a sequence of levels: each family is then evaluated once,
     at order 1, on every level n-1..n+1 the relations reach, and the list
-    of their residuals is returned, each equal to the single-level one."""
+    of their residuals is returned, each equal to the single-level one.
+    ``jets``, the :class:`GridJets` of the model on this grid, replaces
+    those evaluations and the coefficient jets with truncations of its
+    own."""
     grid = np.asarray(grid, dtype=float)
     m = phi_fam.model
+    if jets is not None:
+        jets.check(m, grid)
     ns = [int(k) for k in np.ravel(n)]
     reach = sorted({j for k in ns for j in (k - 1, k, k + 1) if j >= 0})
 
     def residuals(fam, raising, lowering):
-        jets = dict(zip(reach, fam.jet(reach, grid, 1)))
+        levels = dict(zip(reach, fam.jet(reach, grid, 1) if jets is None
+                          else jets.states(fam.side, reach, 1)))
         # level k once, as the operand of both operators and as the scale;
         # each operator is one call for every level
-        operands = [lambda *_, k=k: jets[k] for k in ns]
-        raised = apply_ladder(m, raising, operands, grid, 0)
-        lowered = apply_ladder(m, lowering, operands, grid, 0)
+        operands = [lambda *_, k=k: levels[k] for k in ns]
+        raised = apply_ladder(m, raising, operands, grid, 0, jets=jets)
+        lowered = apply_ladder(m, lowering, operands, grid, 0, jets=jets)
         out = []
         for k, up, down in zip(ns, raised, lowered):
-            here = jets[k].value
-            want_up = math.sqrt(k + 1) * jets[k + 1].value
-            want_down = math.sqrt(k) * jets[k - 1].value if k > 0 else 0.0
+            here = levels[k].value
+            want_up = math.sqrt(k + 1) * levels[k + 1].value
+            want_down = math.sqrt(k) * levels[k - 1].value if k > 0 else 0.0
             out.append([_relative_sup(up.value - want_up, here, k),
                         _relative_sup(down.value - want_down, here, k)])
         return out

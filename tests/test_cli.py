@@ -342,6 +342,22 @@ class TestCmdBicoherent:
         assert record["metric"] == want
         assert record["metric"] >= max(at_zero[0][2:4])
 
+    def test_far_bump_fails_fast(self, tmp_path):
+        # bump2 at 3 on raw example1: the psi-side norm of its transform
+        # stalls at the rounding noise of e^(s^2); the record says so after
+        # a few refinement passes instead of spending the panel budget
+        body = _demo_config(tmp_path, raw=True).read_text(encoding="utf-8")
+        body = body.replace("bump2_center = 0.2", "bump2_center = 3.0") \
+            .replace("bump2_width = 0.8", "bump2_width = 0.7")
+        cfg = load_config(write_config(tmp_path, body, "far.ini"),
+                          out_override=tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = cmd_bicoherent(cfg)
+        assert [r.verdict for r in report.records] == ["pass", "error"]
+        assert "stalled at the integrand's rounding noise" in \
+            report.records[1].detail["error"]
+
     def test_tail_error_is_a_record(self, tmp_path, capsys):
         # |z| up to 4.95 is beyond what 60 terms certify on the demo model:
         # the z-grid record says so, and the resolution still runs
@@ -558,7 +574,10 @@ class TestWorkDone:
         monkeypatch.undo()
         assert report.overall == "pass"
         assert points and min(points) > 1  # no one-point probe
-        assert len(jet_calls) <= 5
+        # ladder, eigen and hsusy share one order-2 evaluation per side,
+        # and the Gram search starts at the vacuum pairing's cut
+        assert sorted(jet_calls) == [("phi", 2), ("psi", 2)]
+        assert len(points) == 16
 
     def test_demo_check_applies_ladder_operators_in_few_calls(
             self, tmp_path, monkeypatch):
