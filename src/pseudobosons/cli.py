@@ -7,8 +7,8 @@ residuals, resolution-of-identity comparison), ``hamiltonian``
 
 Configs are INI files; see the schema in the package README.  Exit
 status: 0 all checks pass, 1 check failures (report still written) or a
-``states`` table the model cannot give (the tables before it still
-written), 2 config errors.
+``states`` or ``hamiltonian`` table the model cannot give (the ``states``
+tables before it still written), 2 config errors.
 """
 
 from __future__ import annotations
@@ -657,7 +657,9 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
 def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     """Coefficient tables of H and H^dag plus the printed-formula
-    cross-check when one exists for the model."""
+    cross-check when one exists for the model.  Coefficients the model
+    cannot give on the grid (a pole on it) are a ModelError naming the
+    side and the point, and no table is written."""
     start = time.perf_counter()
     m = build_model(cfg.model_spec)
     echo = _model_echo(m)
@@ -668,7 +670,11 @@ def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     cols = [xs.astype(float)]
     for side, tags in (("H", ("k2", "k1", "k0")),
                        ("H_dag", ("q2", "q1", "q0"))):
-        vals = spectral.hamiltonian_coeffs(m, side).values(xs, jets=jets)
+        try:
+            vals = spectral.hamiltonian_coeffs(m, side).values(xs, jets=jets)
+        except (model_mod.ModelError, ex.ExpressionError) as exc:
+            raise model_mod.ModelError(f"{side} coefficients: {exc}") \
+                from exc
         for tag, arr in zip(tags, vals):
             cols.extend([arr.real, arr.imag])
             header.extend([f"{tag}_re", f"{tag}_im"])
@@ -731,17 +737,19 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(Path(args.config), out_override=args.out,
                           tol_scale=args.tol_scale)
-        if args.command == "states":
-            try:
+        try:
+            if args.command == "states":
                 paths = cmd_states(cfg)
-            except model_mod.ModelError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            else:
+                run, report_name = REPORTING_COMMANDS[args.command]
+                report, paths = run(cfg)
+        except model_mod.ModelError as exc:  # a table the model cannot give
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if args.command == "states":
             for path in paths:
                 print(f"wrote {path}")
             return 0
-        run, report_name = REPORTING_COMMANDS[args.command]
-        report, paths = run(cfg)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         out = cfg.out_dir / report_name
         out.write_text(report.to_json(), encoding="utf-8")

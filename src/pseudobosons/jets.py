@@ -4,7 +4,10 @@ A jet stores the Taylor coefficients of a function at a real base point,
 c_k = f^(k)(x) / k!, up to a fixed truncation order.  The base may also be
 a float array: the coefficients then stack along axis 0, one column per
 point, so a whole grid goes through one pass of the same recurrences, and
-each column rounds exactly like the scalar jet at that point.
+each column rounds exactly like the scalar jet at that point.  A stacked
+jet (:meth:`Jet.stack`) adds a leading axis to such a base, one row per
+level or test function, so one pass serves a whole family; a jet on the
+grid joins it through :meth:`Jet.broadcast`.
 
 All derivative propagation in this package happens through jets:
 applying a first-order ladder operator consumes exactly one order,
@@ -117,6 +120,55 @@ class Jet:
         if order >= 1:
             c[1] = 1.0
         return cls(base, c)
+
+    @classmethod
+    def stack(cls, jets) -> "Jet":
+        """Jets of one base and order as one stacked jet: its base is
+        theirs broadcast along a new leading axis, one row per jet, so one
+        pass of any operation serves them all and each row rounds exactly
+        like the jet it came from."""
+        first = jets[0]
+        for other in jets[1:]:
+            first._check(other)
+        return cls(_stacked_base(first.base, len(jets)),
+                   np.stack([j.coeffs for j in jets], axis=1))
+
+    # -- stacked jets -------------------------------------------------
+
+    def take(self, rows) -> "Jet":
+        """Rows ``rows`` of a stacked jet, as one stacked jet."""
+        rows = list(rows)
+        return Jet(_stacked_base(self.base[0], len(rows)),
+                   self.coeffs[:, rows])
+
+    def rows(self) -> list:
+        """The jets of the rows of a stacked jet, as :meth:`stack` took
+        them."""
+        base = self.base[0]
+        return [Jet(base, self.coeffs[:, i])
+                for i in range(self.coeffs.shape[1])]
+
+    def broadcast(self, base) -> "Jet":
+        """This jet on every row of the stacked base ``base`` (one whose
+        trailing axes are this jet's base), as a read-only view that
+        shares ``base`` itself, so that arithmetic with the jets on it
+        checks their bases by identity."""
+        base = np.asarray(base, dtype=float)
+        lead = base.ndim - np.ndim(self.base)
+        if lead < 0 or base.shape[lead:] != np.shape(self.base):
+            raise JetError(f"cannot broadcast a jet on base shape "
+                           f"{np.shape(self.base)} to {np.shape(base)}")
+        # a base broadcast from one row is checked on that row alone
+        if any(base.strides[:lead]):
+            same = np.all(np.equal(base, self.base))
+        else:
+            same = _same_base(base[(0,) * lead], self.base)
+        if not same:
+            raise JetError("mismatched base points: the stacked base's rows "
+                           "are not this jet's base")
+        index = (slice(None),) + (None,) * lead
+        return Jet(base, np.broadcast_to(self.coeffs[index],
+                                         (self.order + 1,) + base.shape))
 
     # -- basic queries ------------------------------------------------
 
@@ -240,6 +292,12 @@ def _same_base(a, b) -> bool:
     if type(a) is float and type(b) is float:
         return a == b
     return np.shape(a) == np.shape(b) and bool(np.all(np.equal(a, b)))
+
+
+def _stacked_base(row, count: int) -> np.ndarray:
+    """``count`` copies of the base ``row`` along a new leading axis, as a
+    read-only view."""
+    return np.broadcast_to(row, (count,) + np.shape(row))
 
 
 def _ramp(start: int, c: np.ndarray) -> np.ndarray:

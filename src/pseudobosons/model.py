@@ -540,36 +540,46 @@ def apply_ladder(m: PBModel, which: str, f, x, order: int, *, jets=None):
     jet-valued function at a point or at every point of an array.
 
     ``f`` is a callable (x, order) -> Jet; one derivative order is
-    consumed, so ``f`` is evaluated at order + 1.
+    consumed, so ``f`` is evaluated at order + 1.  Its jet may be a
+    stacked one (see ``Jet.stack``) with rows on x: the operator then
+    acts on every row in one pass.
 
         a:     alpha_a f' + beta_a f
         b:     -(alpha_b f)' + beta_b f
         a_dag: -(conj(alpha_a) f)' + conj(beta_a) f
         b_dag: conj(alpha_b) f' + conj(beta_b) f
 
-    ``f`` may also be a sequence of such callables: the jets of alpha and
-    beta are then evaluated once for all of them, and the list of their
-    results is returned, each bitwise the single-callable result.  A
-    single callable is the one-element case and returns a Jet.  ``jets``,
-    the prebuilt ``states.GridJets`` of m on the points x, supplies alpha
-    and beta as truncations instead.
+    ``f`` may also be a sequence of such callables: their jets are then
+    stacked, the operator is applied once, and the list of the rows of
+    the result is returned, each bitwise the single-callable result.  A
+    single callable returns a Jet.  ``jets``, the prebuilt
+    ``states.GridJets`` of m on the points x, supplies alpha and beta as
+    truncations instead of evaluating them.
     """
     try:
         op = LADDER_OPS[which]
     except KeyError:
         raise ModelError(f"unknown ladder operator {which!r}") from None
-    fs = [f] if callable(f) else list(f)
     coeff = _coefficients(m, x, jets)
     alpha = coeff("alpha_" + op.pair, order + op.raising)
     beta = coeff("beta_" + op.pair, order)
     if op.conjugated:
         alpha, beta = alpha.conjugate(), beta.conjugate()
-    out = []
-    for fn in fs:
-        fj = fn(x, order + 1)
-        lead = -((alpha * fj).deriv()) if op.raising else alpha * fj.deriv()
-        out.append(lead + beta * fj.truncate(order))
-    return out[0] if callable(f) else out
+    if callable(f):
+        return _ladder_on(op, alpha, beta, f(x, order + 1), order)
+    fjs = [fn(x, order + 1) for fn in f]
+    return _ladder_on(op, alpha, beta, Jet.stack(fjs), order).rows() \
+        if fjs else []
+
+
+def _ladder_on(op: LadderOp, alpha: Jet, beta: Jet, fj: Jet,
+               order: int) -> Jet:
+    """The operator with coefficient jets alpha and beta applied to the
+    jet fj, which may stack rows on their base."""
+    if np.shape(fj.base) != np.shape(alpha.base):
+        alpha, beta = alpha.broadcast(fj.base), beta.broadcast(fj.base)
+    lead = -((alpha * fj).deriv()) if op.raising else alpha * fj.deriv()
+    return lead + beta * fj.truncate(order)
 
 
 @dataclass
@@ -581,23 +591,25 @@ class CommutatorStats:
 
 def commutator_residual(m: PBModel, f, grid, *, jets=None):
     """sup over the grid of |(ab - ba) f(x) - f(x)| for a C^2 function f
-    given as a jet-valued callable that accepts arrays.
+    given as a jet-valued callable that accepts arrays; f is evaluated
+    once, at order 2, and its value read from that jet.
 
-    ``f`` may also be a sequence of such callables: each of the four
-    operator applications is then one :func:`apply_ladder` call for all
-    of them, and the list of their stats is returned, each equal to the
-    single-callable one.  ``jets`` is passed on to :func:`apply_ladder`."""
+    ``f`` may also be a sequence of such callables: their jets are then
+    stacked (see ``Jet.stack``), each of the four operator applications
+    is one :func:`apply_ladder` call for all of them, and the list of
+    their stats is returned, each bitwise the single-callable one.
+    ``jets`` is passed on to :func:`apply_ladder`."""
     grid = np.asarray(grid, dtype=float)
     fs = [f] if callable(f) else list(f)
+    if not fs:
+        return []
+    fj = Jet.stack([fn(grid, 2) for fn in fs])
 
     def product(outer, inner):
-        inners = apply_ladder(m, inner, fs, grid, 1, jets=jets)
-        return [j.value for j in apply_ladder(
-            m, outer, [lambda *_, j=j: j for j in inners], grid, 0,
-            jets=jets)]
+        once = apply_ladder(m, inner, lambda *_: fj, grid, 1, jets=jets)
+        return apply_ladder(m, outer, lambda *_: once, grid, 0,
+                            jets=jets).value
 
-    out = []
-    for ab, ba, fn in zip(product("a", "b"), product("b", "a"), fs):
-        res = np.abs(ab - ba - fn(grid, 0).value)
-        out.append(CommutatorStats(grid, res, float(np.max(res))))
+    res = np.abs(product("a", "b") - product("b", "a") - fj.value)
+    out = [CommutatorStats(grid, row, float(np.max(row))) for row in res]
     return out[0] if callable(f) else out

@@ -121,18 +121,47 @@ def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
     vals = np.asarray(f(xs.ravel()), dtype=np.complex128)
     if vals.ndim == 1:  # the fast path of scalar integrands
         vals = vals.reshape(xs.shape)
-        sums = (vals @ _WGK, vals[:, _GAUSS_IDX] @ _WG, np.abs(vals) @ _WGK)
+
+        def weigh(w, v):
+            return v @ w
     else:  # (npts, M): sum along the node axis
         vals = vals.reshape(xs.shape + vals.shape[1:])
         half = half[:, None]
-        sums = (_WGK @ vals, _WG @ vals[:, _GAUSS_IDX], _WGK @ np.abs(vals))
-    kron, gauss, kabs = (s * half for s in sums)
+
+        def weigh(w, v):
+            return w @ v
+    # the sum of |f| first: it is finite only where every value is, and
+    # only finite values reach the complex sums (inf * 0 is nan there)
+    kabs = weigh(_WGK, np.abs(vals)) * half
+    if not np.isfinite(kabs).all():
+        _refuse_non_finite(xs, vals, kabs)
+    kron = weigh(_WGK, vals) * half
+    gauss = weigh(_WG, vals[:, _GAUSS_IDX]) * half
     diff = np.abs(kron - gauss)
     # QUADPACK-style sharpened estimate once the rule starts converging;
     # the clip keeps the unused branch of a huge difference finite
     err = np.where(diff < 5e-3, (200.0 * np.minimum(diff, 5e-3)) ** 1.5, diff)
     err = np.minimum(err, diff + 1e-300)
     return kron, err, kabs
+
+
+def _refuse_non_finite(xs: np.ndarray, vals: np.ndarray, kabs: np.ndarray):
+    """QuadratureError for a batch of panels whose sum of |f| is not
+    finite.  A panel holding such a value is never accepted, so bisection
+    would only spend memory until the budget ran out; the integral stops
+    at the first pass that meets one instead.  The message names the node
+    nearest 0 among those whose value is not finite (or, where only the
+    sum overflowed, among the nodes of its panels), and the error
+    estimate is inf for every component that met one, as
+    ``Antideriv.value_at`` reads it."""
+    bad = ~np.isfinite(vals.reshape(xs.shape + (-1,))).all(axis=-1)
+    if not bad.any():
+        bad[:] = ~np.isfinite(kabs.reshape(len(xs), -1)).all(axis=1)[:, None]
+    nodes = xs[bad]
+    raise QuadratureError(
+        f"integrand is not finite at x = "
+        f"{nodes[np.argmin(np.abs(nodes))]:.6g}",
+        error_estimate=np.where(np.isfinite(kabs).all(axis=0), 0.0, np.inf))
 
 
 # A pass whose worst error estimate stays within _STALL_FACTOR of its
@@ -245,7 +274,9 @@ def integrate_line(
     share, so no component is integrated more loosely than on its own.
     Refinement that has stalled at the rounding noise of the integrand's
     values (see :func:`_stalled`) raises QuadratureError at once instead
-    of spending the panel budget, like QUADPACK's roundoff detection.
+    of spending the panel budget, like QUADPACK's roundoff detection, and
+    so does a pass that meets an integrand value that is not finite (see
+    :func:`_refuse_non_finite`), which no bisection can mend.
 
     The first pass splits the interval at dyadic seeds (see
     :func:`_seed_breakpoints`).  ``_first_edges``, an internal keyword for
@@ -655,7 +686,11 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
     psi = StateFamily(m, "psi", max_n=N)
 
     def integrand(xs):
-        gram = np.conj(psi.values_all(xs))[:, None] * phi.values_all(xs)[None]
+        # where a level leaves double range the integral is refused at
+        # the first such node (see integrate_line), so no warning is due
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = (np.conj(psi.values_all(xs))[:, None]
+                    * phi.values_all(xs)[None])
         return gram.reshape(-1, xs.size).T
 
     pairing = m.pairing_outcome

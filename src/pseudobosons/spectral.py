@@ -38,7 +38,7 @@ import numpy as np
 from .jets import Jet
 from .model import (ModelError, PBModel, _coefficients, apply_ladder,
                     build_builtin)
-from .states import GridJets, StateFamily, _relative_sup
+from .states import GridJets, StateFamily, _relative_sup, _stacked_levels
 
 __all__ = [
     "HamiltonianCoeffs",
@@ -102,13 +102,11 @@ def apply_hamiltonian(m: PBModel, side: str, f: JetFn, x) -> complex:
     return _hamiltonian_on(HamiltonianCoeffs(m, side).values(x), f(x, 2))
 
 
-def _state_jets(m: PBModel, side: str, ns, grid, jets) -> list:
-    """The order-2 jets of levels ``ns`` of ``side`` on the grid: one
-    family call, or truncations of the prebuilt ``jets``."""
-    if jets is None:
-        return StateFamily(m, side, max_n=max(ns, default=0)).jet(ns, grid, 2)
-    jets.check(m, grid)
-    return jets.states(side, ns, 2)
+def _state_jets(m: PBModel, side: str, ns, grid, jets) -> Jet:
+    """The levels ``ns`` of ``side`` on the grid as one stacked order-2
+    jet: one family call, or a selection of the prebuilt ``jets``."""
+    fam = StateFamily(m, side, max_n=max(ns))
+    return _stacked_levels(fam, ns, grid, 2, jets)
 
 
 def eigen_residual(m: PBModel, side: str, n, grid, *,
@@ -118,17 +116,21 @@ def eigen_residual(m: PBModel, side: str, n, grid, *,
     side), over the effective support of the state.
 
     ``n`` may be a sequence of levels: the family is then evaluated once
-    for all of them, the coefficients of H are read once, and the list of
-    their residuals is returned, each equal to the single-level one.
-    ``jets``, the :class:`GridJets` of m on this grid, replaces both
-    evaluations with truncations of its own."""
+    for all of them, as one stacked jet that H acts on in one pass with
+    its coefficients read once, and the list of their residuals is
+    returned, each equal to the single-level one.  ``jets``, the
+    :class:`GridJets` of m on this grid, replaces both evaluations with
+    selections of its own."""
     grid = np.asarray(grid, dtype=float)
     ns = [int(k) for k in np.ravel(n)]
-    fjs = _state_jets(m, "phi" if side == "H" else "psi", ns, grid, jets)
+    if not ns:
+        return []
+    fj = _state_jets(m, "phi" if side == "H" else "psi", ns, grid, jets)
+    level = np.array(ns)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = HamiltonianCoeffs(m, side).values(grid, jets=jets)
-        out = [_relative_sup(_hamiltonian_on(coeffs, fj) - k * fj.value,
-                             fj.value, k) for k, fj in zip(ns, fjs)]
+        out = _relative_sup(_hamiltonian_on(coeffs, fj) - level * fj.value,
+                            fj.value, ns)
     return out[0] if np.ndim(n) == 0 else out
 
 
@@ -137,22 +139,23 @@ def hsusy_shift_check(m: PBModel, n, grid, *,
     """Relative sup residual of (a b) phi_n = (n + 1) phi_n, the partner
     product whose spectrum is shifted up by one unit.
 
-    ``n`` may be a sequence of levels, evaluated in one family call; the
-    list of their residuals is returned, each equal to the single-level
-    one.  ``jets``, the :class:`GridJets` of m on this grid, replaces the
-    evaluations of the states and coefficients with truncations."""
+    ``n`` may be a sequence of levels, evaluated in one family call as
+    one stacked jet that each operator acts on once; the list of their
+    residuals is returned, each equal to the single-level one.  ``jets``,
+    the :class:`GridJets` of m on this grid, replaces the evaluations of
+    the states and coefficients with selections of its own."""
     grid = np.asarray(grid, dtype=float)
     ns = [int(k) for k in np.ravel(n)]
-    # level k once, as the operand and as the reference; each operator is
-    # one call for every level
-    heres = _state_jets(m, "phi", ns, grid, jets)
+    if not ns:
+        return []
+    # the levels once, as the operand and as the reference
+    here = _state_jets(m, "phi", ns, grid, jets)
+    level = np.array(ns)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        b_heres = apply_ladder(m, "b", [lambda *_, h=h: h for h in heres],
-                               grid, 1, jets=jets)
-        vals = apply_ladder(m, "a", [lambda *_, j=j: j for j in b_heres],
-                            grid, 0, jets=jets)
-        out = [_relative_sup(val.value - (k + 1) * here.value, here.value, k)
-               for k, here, val in zip(ns, heres, vals)]
+        b_here = apply_ladder(m, "b", lambda *_: here, grid, 1, jets=jets)
+        val = apply_ladder(m, "a", lambda *_: b_here, grid, 0, jets=jets)
+        out = _relative_sup(val.value - (level + 1) * here.value, here.value,
+                            ns)
     return out[0] if np.ndim(n) == 0 else out
 
 

@@ -244,9 +244,11 @@ class GridJets:
     """The jets that the grid checks of one run read, each evaluated once
     on ``grid``: the four coefficient jets at :data:`COEFFICIENT_ORDERS`
     and, per side, the states of levels 0..n_max at :data:`STATE_ORDER`
-    from one :meth:`StateFamily.jet` call.
+    from one :meth:`StateFamily.jet` call, stacked into one jet whose
+    leading axis is the level (see ``Jet.stack``).
 
-    A check reads truncations of them.  Truncation is exact (see
+    A check reads truncations of them, and the levels it needs as rows
+    of the stacked jets.  Truncation is exact (see
     :mod:`pseudobosons.jets`), so it gets bitwise the jets it would
     evaluate itself.  Each group is evaluated on first read and kept with
     its outcome: one that raised re-raises the same error on every read,
@@ -271,8 +273,8 @@ class GridJets:
 
     def _side(self, side: str):
         fam = StateFamily(self.model, side, max_n=self.n_max)
-        return _outcome(lambda: fam.jet(range(self.n_max + 1), self.grid,
-                                        STATE_ORDER))
+        return _outcome(lambda: Jet.stack(fam.jet(range(self.n_max + 1),
+                                                  self.grid, STATE_ORDER)))
 
     @cached_property
     def _phi(self):
@@ -286,14 +288,15 @@ class GridJets:
         """The jet of coefficient ``name`` on the grid at ``order``."""
         return _read(self._coefficients[name]).truncate(order)
 
-    def states(self, side: str, ns, order: int) -> list:
-        """The jets of levels ``ns`` of ``side`` ('phi' or 'psi') on the
-        grid at ``order``."""
+    def states(self, side: str, ns, order: int) -> Jet:
+        """The stacked jet of levels ``ns`` of ``side`` ('phi' or 'psi')
+        on the grid at ``order``, one row per level in the order of
+        ``ns``."""
         for k in ns:
             if not 0 <= k <= self.n_max:
                 raise ModelError(f"n = {k} outside 0..max_n = {self.n_max}")
-        rows = _read(self._phi if side == "phi" else self._psi)
-        return [rows[k].truncate(order) for k in ns]
+        levels = _read(self._phi if side == "phi" else self._psi)
+        return levels.truncate(order).take(ns)
 
 
 # ----------------------------------------------------------------------
@@ -390,18 +393,33 @@ class LadderResiduals:
 _TAIL_FLOOR = 1e-250  # below this |state| the residual is 0/0 noise
 
 
-def _relative_sup(residual, state, n: int) -> float:
-    """sup |residual| / sup |state|, with the points where |state| is
+def _relative_sup(residual, state, ns) -> list:
+    """sup |residual| / sup |state| along the last axis, one ratio per
+    row of the stacked levels ``ns``, with the points where |state| is
     below the tail floor counted as 0 (their residual may not be
     finite).  A state below the floor on the whole grid leaves nothing to
-    compare and is a ModelError."""
+    compare and is a ModelError naming the first such level of ``ns``."""
     mag = np.abs(state)
     res = np.where(mag < _TAIL_FLOOR, 0.0, np.abs(residual))
-    sup = float(np.max(mag))
-    if sup < _TAIL_FLOOR:
-        raise ModelError(f"state level {n} vanished on the whole grid "
-                         f"(sup |state| = {sup:.3g})")
-    return float(np.max(res)) / sup
+    sup = np.max(mag, axis=-1)
+    vanished = sup < _TAIL_FLOOR
+    if vanished.any():
+        i = int(np.argmax(vanished))
+        raise ModelError(f"state level {ns[i]} vanished on the whole grid "
+                         f"(sup |state| = {sup[i]:.3g})")
+    with np.errstate(invalid="ignore"):  # inf / inf is nan, as for floats
+        return (np.max(res, axis=-1) / sup).tolist()
+
+
+def _stacked_levels(fam: StateFamily, ns, grid, order: int,
+                    jets: GridJets | None) -> Jet:
+    """The levels ``ns`` of the family on the grid at ``order`` as one
+    stacked jet: one family call, or a selection of the prebuilt
+    ``jets``."""
+    if jets is None:
+        return Jet.stack(fam.jet(ns, grid, order))
+    jets.check(fam.model, grid)
+    return jets.states(fam.side, ns, order)
 
 
 def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid, *,
@@ -409,34 +427,38 @@ def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid, *,
     """The :class:`LadderResiduals` of level ``n`` on the grid.
 
     ``n`` may be a sequence of levels: each family is then evaluated once,
-    at order 1, on every level n-1..n+1 the relations reach, and the list
-    of their residuals is returned, each equal to the single-level one.
-    ``jets``, the :class:`GridJets` of the model on this grid, replaces
-    those evaluations and the coefficient jets with truncations of its
-    own."""
+    at order 1, on every level n-1..n+1 the relations reach, each
+    operator is applied once to the stacked levels, and the list of their
+    residuals is returned, each equal to the single-level one.  ``jets``,
+    the :class:`GridJets` of the model on this grid, replaces those
+    evaluations and the coefficient jets with selections of its own."""
     grid = np.asarray(grid, dtype=float)
     m = phi_fam.model
-    if jets is not None:
-        jets.check(m, grid)
     ns = [int(k) for k in np.ravel(n)]
+    if not ns:
+        return []
     reach = sorted({j for k in ns for j in (k - 1, k, k + 1) if j >= 0})
+    at = {k: i for i, k in enumerate(reach)}  # level -> row of reach
+    here = [at[k] for k in ns]
+    above = [at[k + 1] for k in ns]
+    below = [at.get(k - 1, 0) for k in ns]  # level 0's row is zeroed
+    rise = np.array([math.sqrt(k + 1) for k in ns])[:, None]
+    fall = np.array([math.sqrt(k) for k in ns])[:, None]
 
     def residuals(fam, raising, lowering):
-        levels = dict(zip(reach, fam.jet(reach, grid, 1) if jets is None
-                          else jets.states(fam.side, reach, 1)))
-        # level k once, as the operand of both operators and as the scale;
-        # each operator is one call for every level
-        operands = [lambda *_, k=k: levels[k] for k in ns]
-        raised = apply_ladder(m, raising, operands, grid, 0, jets=jets)
-        lowered = apply_ladder(m, lowering, operands, grid, 0, jets=jets)
-        out = []
-        for k, up, down in zip(ns, raised, lowered):
-            here = levels[k].value
-            want_up = math.sqrt(k + 1) * levels[k + 1].value
-            want_down = math.sqrt(k) * levels[k - 1].value if k > 0 else 0.0
-            out.append([_relative_sup(up.value - want_up, here, k),
-                        _relative_sup(down.value - want_down, here, k)])
-        return out
+        levels = _stacked_levels(fam, reach, grid, 1, jets)
+        operand = levels.take(here)  # as operand and as the scale
+        raised = apply_ladder(m, raising, lambda *_: operand, grid, 0,
+                              jets=jets)
+        lowered = apply_ladder(m, lowering, lambda *_: operand, grid, 0,
+                               jets=jets)
+        values = levels.value
+        prev = values[below]
+        prev[np.equal(ns, 0)] = 0.0  # a phi_0 = 0
+        up = raised.value - rise * values[above]
+        down = lowered.value - fall * prev
+        return zip(_relative_sup(up, operand.value, ns),
+                   _relative_sup(down, operand.value, ns))
 
     out = [LadderResiduals(*phi, *psi) for phi, psi in
            zip(residuals(phi_fam, "b", "a"),
