@@ -202,7 +202,8 @@ def _overlap_bound(m: PBModel, h, side: str
     ``h`` is one test function, or a sequence of them, giving a list of
     bounds (each None where rho is not real) from one integral of
     |h_(+-)|^2 over the hull of their transform supports, first cut at
-    every support's ends (see :func:`quad.hull_edges`): the inversion
+    edges graded toward every support's ends (see
+    :func:`quad.hull_edges`): the inversion
     of rho and the vacuum ratio run once per node, and only h(x) differs
     between rows.  Each norm adds its integral's own error estimate, so
     the certificate stays an upper bound.  A norm whose integrand is not

@@ -541,6 +541,34 @@ def _bicoherent_params(cfg: RunConfig) -> dict:
     }
 
 
+def _series_outcomes(m, groups: list, side: str, max_terms: int) -> list:
+    """The ket series of every test function in ``groups`` (a list of
+    lists) on one side, in order, each a ``PairingSeries`` or the
+    exception its integrals raised, kept as a value for every record that
+    reads it.  All functions share one batched integral pair; where that
+    raises, each group is integrated once on its own, so one failing
+    function fails only its own group."""
+    try:
+        return bc.pairing_series(m, [h for grp in groups for h in grp],
+                                 side, max_terms=max_terms)
+    except Exception:  # each group below meets its own error
+        pass
+    out = []
+    for grp in groups:
+        try:
+            out.extend(bc.pairing_series(m, grp, side, max_terms=max_terms))
+        except Exception as exc:  # a record reports it
+            out.extend([exc] * len(grp))
+    return out
+
+
+def _outcome(value):
+    """A value kept by :func:`_series_outcomes`; its exception is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     """Weak-pairing tables over a z-grid, eigen-relation residuals, and
     the resolution-of-identity comparison with its radius trace."""
@@ -561,17 +589,15 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
     # one batched integral per side serves both records: the ket series
     # of g, of g' (a^dag g on phi, b g on psi) and of f, and <state_n, g>
-    # as the conjugate of g's; where the batch raises, each record builds
-    # the series it reads itself and reports its own error, so an f whose
-    # integral fails leaves the eigen record standing
-    try:
-        kets = [bc.pairing_series(
-                    m, [g, bc.TransformedTestFunction(m, op, g), f], side,
-                    max_terms=p["max_terms"])
-                for side, op in (("phi", "a_dag"), ("psi", "b"))]
-    except Exception:
-        kets = None
-    g_bras = kets and [side[0].conj() for side in kets]
+    # as the conjugate of g's; each series is kept as its outcome, so a
+    # failing f leaves the eigen record standing and no record integrates
+    # again what another one already has
+    phi_out, psi_out = (
+        _series_outcomes(m, [[g, bc.TransformedTestFunction(m, op, g)], [f]],
+                         side, p["max_terms"])
+        for side, op in (("phi", "a_dag"), ("psi", "b")))
+    g_bras = [o if isinstance(o, Exception) else o.conj()
+              for o in (phi_out[0], psi_out[0])]
 
     def certified(series, z: complex) -> complex:
         """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
@@ -581,9 +607,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
             return complex(np.nan, np.nan)
 
     def z_grid_tables():
-        bras = g_bras or [bc.PairingSeries(m, g, side, state_in_bra=True,
-                                           max_terms=p["max_terms"])
-                          for side in ("phi", "psi")]
+        bras = [_outcome(o) for o in g_bras]
         pairings = [[certified(series, z) for series in bras]
                     for z in z_grid]
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
@@ -595,7 +619,8 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
         eigen = bc.eigen_relation_residual(
             m, z_grid, g, max_terms=p["max_terms"],
-            series=kets and [side[:2] for side in kets])
+            series=[[_outcome(o) for o in side[:2]]
+                    for side in (phi_out, psi_out)])
         rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
                  res.relative_phi, res.relative_psi)
                 for z, res in zip(z_grid, eigen)]
@@ -621,10 +646,12 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
         return worst_eigen, {"z_points": len(z_grid)}
 
     def resolution_record():
+        # f's series before g's, so the first failing one is reported
+        f_series = [_outcome(side[2]) for side in (phi_out, psi_out)]
         resolution = bc.resolution_of_identity(
             m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
             n_theta=p["angular_nodes"], max_terms=p["max_terms"],
-            g_series=g_bras, f_series=kets and [side[2] for side in kets])
+            g_series=[_outcome(o) for o in g_bras], f_series=f_series)
         ref = resolution.reference
         rows = [
             (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,

@@ -18,7 +18,10 @@ panels.  Infinite domains are truncated where the supplied decay envelope
 estimated tail mass is negligible; dyadic seed panels keep wide windows
 cheap.  A caller that has already cut the line into short segments (the
 vector integral of ``Antideriv``) starts each segment as one panel
-instead.
+instead, and an integral over bump supports starts from edges graded
+toward every support end (:func:`hull_edges`).  An integrand may be
+given by its factors (A, B) of conj(A_i) B_j, so that a matrix of
+pairings forms no (npts, P*Q) array.
 """
 
 from __future__ import annotations
@@ -114,35 +117,65 @@ _GAUSS_IDX = np.arange(1, 15, 2)  # Gauss nodes sit at the odd Kronrod slots
 def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
     """Kronrod and Gauss sums, error estimates, and the Kronrod sum of |f|
     (the roundoff witness) for a batch of panels: shape (panels,) for a
-    scalar integrand, (panels, M) for one returning (npts, M)."""
+    scalar integrand, (panels, M) for one returning (npts, M), and
+    (panels, P*Q) for one returning the factors (A, B) of conj(A_i) B_j
+    (see :func:`integrate_line`)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(xs.ravel()), dtype=np.complex128)
-    if vals.ndim == 1:  # the fast path of scalar integrands
-        vals = vals.reshape(xs.shape)
+    vals = f(xs.ravel())
+    if isinstance(vals, tuple):
+        kron, gauss, kabs = _factored_sums(xs, half[:, None], *vals)
+    else:
+        vals = np.asarray(vals, dtype=np.complex128)
+        if vals.ndim == 1:  # the fast path of scalar integrands
+            vals = vals.reshape(xs.shape)
 
-        def weigh(w, v):
-            return v @ w
-    else:  # (npts, M): sum along the node axis
-        vals = vals.reshape(xs.shape + vals.shape[1:])
-        half = half[:, None]
+            def weigh(w, v):
+                return v @ w
+        else:  # (npts, M): sum along the node axis
+            vals = vals.reshape(xs.shape + vals.shape[1:])
+            half = half[:, None]
 
-        def weigh(w, v):
-            return w @ v
-    # the sum of |f| first: it is finite only where every value is, and
-    # only finite values reach the complex sums (inf * 0 is nan there)
-    kabs = weigh(_WGK, np.abs(vals)) * half
-    if not np.isfinite(kabs).all():
-        _refuse_non_finite(xs, vals, kabs)
-    kron = weigh(_WGK, vals) * half
-    gauss = weigh(_WG, vals[:, _GAUSS_IDX]) * half
+            def weigh(w, v):
+                return w @ v
+        # the sum of |f| first: it is finite only where every value is,
+        # and only finite values reach the complex sums (inf * 0 is nan)
+        kabs = weigh(_WGK, np.abs(vals)) * half
+        if not np.isfinite(kabs).all():
+            _refuse_non_finite(xs, vals, kabs)
+        kron = weigh(_WGK, vals) * half
+        gauss = weigh(_WG, vals[:, _GAUSS_IDX]) * half
     diff = np.abs(kron - gauss)
     # QUADPACK-style sharpened estimate once the rule starts converging;
     # the clip keeps the unused branch of a huge difference finite
     err = np.where(diff < 5e-3, (200.0 * np.minimum(diff, 5e-3)) ** 1.5, diff)
     err = np.minimum(err, diff + 1e-300)
     return kron, err, kabs
+
+
+def _factored_sums(xs: np.ndarray, half: np.ndarray, a, b):
+    """Kronrod, Gauss and |f| sums, each (panels, P*Q), of the integrand
+    conj(A_i) B_j given by its factors a (npts, P) and b (npts, Q): per
+    panel A^H diag(w) B and |A|^T diag(w_K) |B|, with no (npts, P*Q)
+    array formed.  The |f| sums come first, as in :func:`_panel_sums`
+    (0 * inf there is nan, not a warning), and a node is named as not
+    finite where max|a| max|b| is not, as some conj(a_i) b_j is not."""
+    a, b = (np.asarray(v, dtype=np.complex128).reshape(xs.shape + (-1,))
+            for v in (a, b))
+
+    def weigh(w, x, y):
+        return ((np.swapaxes(x, 1, 2) * w) @ y).reshape(len(xs), -1) * half
+
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kabs = weigh(_WGK, abs_a, abs_b)
+        if not np.isfinite(kabs).all():
+            _refuse_non_finite(xs, abs_a.max(axis=-1) * abs_b.max(axis=-1),
+                               kabs)
+    conj_a = np.conj(a)
+    return (weigh(_WGK, conj_a, b), weigh(_WG, conj_a[:, _GAUSS_IDX],
+                                          b[:, _GAUSS_IDX]), kabs)
 
 
 def _refuse_non_finite(xs: np.ndarray, vals: np.ndarray, kabs: np.ndarray):
@@ -261,7 +294,12 @@ def integrate_line(
     ``f`` maps npts points to npts values, or to an (npts, M) array of M
     integrands that share one set of panels (vector-valued quadrature,
     Shampine, J. Comput. Appl. Math. 211 (2008)); ``value`` and
-    ``abs_error_estimate`` then have shape (M,).
+    ``abs_error_estimate`` then have shape (M,).  ``f`` may also return a
+    tuple of factors (A, B), A of shape (npts, P) and B (npts, Q), for
+    the P*Q integrands conj(A_i) B_j, component i*Q + j of the (P*Q,)
+    results.  A panel's Kronrod sum is then A^H diag(w_K) B, its Gauss
+    sum likewise, and its |f| mass |A|^T diag(w_K) |B|, which is exact as
+    |conj(a) b| = |a||b|: no (npts, P*Q) array is formed.
 
     ``a``/``b`` may be None or infinite; such ends are truncated using
     ``envelope``, which maps an array of points to a nonnegative decay
@@ -283,8 +321,9 @@ def integrate_line(
     callers that have already cut the line themselves, replaces those
     seeds with the given ascending panel edges of a finite interval:
     ``Antideriv`` passes ``(0, 1)``, so each of its segments starts as one
-    Kronrod panel, as QUADPACK's QAG does.  Refinement and acceptance are
-    the same either way.  ``_start_cut``, another internal keyword, is
+    Kronrod panel, as QUADPACK's QAG does, and integrals over bump
+    supports pass :func:`hull_edges`.  Refinement and acceptance are the
+    same either way.  ``_start_cut``, another internal keyword, is
     the cut (a, b) of an earlier truncation whose probe never exceeded
     this one's and whose tolerance was no tighter: no smaller L can be
     admissible here, so the doubling on each open end starts at its |end|.
@@ -292,7 +331,11 @@ def integrate_line(
     def probe(xs: np.ndarray) -> np.ndarray:
         if envelope is not None:
             return np.abs(envelope(xs))
-        return np.abs(f(xs)).reshape(xs.size, -1).max(axis=1)
+        vals = f(xs)
+        if isinstance(vals, tuple):  # max |conj(a_i) b_j| = max|a| max|b|
+            a, b = (np.abs(v).reshape(xs.size, -1).max(axis=1) for v in vals)
+            return a * b
+        return np.abs(vals).reshape(xs.size, -1).max(axis=1)
 
     lo_inf = a is None or math.isinf(a)
     hi_inf = b is None or math.isinf(b)
@@ -302,7 +345,9 @@ def integrate_line(
     a_eff = cuts[-1] if lo_inf else float(a)
     b_eff = cuts[+1] if hi_inf else float(b)
     if a_eff == b_eff:
-        shape = np.shape(f(np.array([a_eff])))[1:]
+        vals = f(np.array([a_eff]))
+        shape = (np.size(vals[0]) * np.size(vals[1]),) \
+            if isinstance(vals, tuple) else np.shape(vals)[1:]
         return _result(np.zeros(shape, dtype=np.complex128), np.zeros(shape),
                        0, (a_eff, b_eff), np.zeros(shape))
     if a_eff > b_eff:
@@ -436,9 +481,9 @@ class TestFunction:
         return Jet(x, np.where(inside, g.coeffs, 0.0))
 
     def l2_norm(self) -> float:
-        lo, hi = self.support
+        edges = hull_edges([self.support])
         val = integrate_line(lambda s: np.abs(self.values(s)) ** 2,
-                             lo, hi).value
+                             edges[0], edges[-1], _first_edges=edges).value
         return math.sqrt(val.real)
 
     def normalized(self) -> "TestFunction":
@@ -597,7 +642,8 @@ def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
 
     Bounds are taken from explicit ``bounds``, else from compact supports
     carried by ``f``/``g``, else from the decay envelope (or the sampled
-    integrand when no envelope is available).
+    integrand when no envelope is available).  Over supports the first
+    pass is cut at their :func:`hull_edges` inside the intersection.
     """
     fv = _as_values_fn(f)
     gv = _as_values_fn(g)
@@ -605,7 +651,7 @@ def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
     def integrand(xs):
         return np.conj(fv(xs)) * gv(xs)
 
-    a = b = None
+    a = b = edges = None
     if bounds is not None:
         a, b = bounds
     else:
@@ -615,7 +661,9 @@ def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
             b = min(s[1] for s in supports)
             if a >= b:
                 return IntegralResult(0.0 + 0.0j, 0.0, 0, (a, a), 0.0)
-    return integrate_line(integrand, a, b, tol=tol, envelope=envelope)
+            edges = _edges_within(supports, a, b)
+    return integrate_line(integrand, a, b, tol=tol, envelope=envelope,
+                          _first_edges=edges)
 
 
 def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
@@ -627,11 +675,13 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
 
     ``h`` is one test function, giving shape (n_max+1,), or a sequence of
     them, giving one row per function.  A sequence is one integral over
-    the hull of the supports, first cut at every support's ends (see
-    :func:`hull_edges`): one ``StateFamily.values_all`` per node batch
-    serves every row, and each row's integrand is exactly 0 on the panels
-    outside its own function's support (the states are finite on the
-    hull).
+    the hull of the supports, first cut at the edges of every support
+    (see :func:`hull_edges`): one ``StateFamily.values_all`` per node
+    batch serves every row, and each row's integrand is exactly 0 on the
+    panels outside its own function's support (the states are finite on
+    the hull).  The integrand is given by its factors, the test
+    functions' values and the state rows, so no (npts, rows * levels)
+    product is formed.
 
     state_in_bra=False gives <h, state_n>, the integral; True gives
     <state_n, h>, its complex conjugate.
@@ -643,9 +693,8 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
     fam = StateFamily(m, side, max_n=n_max)
 
     def integrand(xs):
-        hv = np.conj(np.stack([f.values(xs) for f in hs]))
-        rows = hv[:, None] * fam.values_all(xs)[None]
-        return rows.reshape(-1, xs.size).T
+        return (np.stack([f.values(xs) for f in hs], axis=-1),
+                fam.values_all(xs).T)
 
     edges = hull_edges([f.support for f in hs])
     value = integrate_line(integrand, edges[0], edges[-1], tol=tol,
@@ -657,14 +706,34 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
 
 
 def hull_edges(supports) -> np.ndarray:
-    """First-pass panel edges of one integral over the hull of several
-    supports (lo, hi): the dyadic seeds of the hull and the ends of every
-    support.  Each support is then a union of whole panels, so a narrow
-    support nested in a wider one cannot fall between the Kronrod nodes
-    of a panel that the wider rows accept; one support gives its seeds."""
+    """First-pass panel edges of one integral over the hull of bump
+    supports (lo, hi), graded toward every support's ends.
+
+    For each support the edges hold its own dyadic seeds
+    (:func:`_seed_breakpoints`), so a batched row never starts coarser
+    than it would alone and a narrow support nested in a wider one is a
+    union of whole panels, and the points lo + (hi-lo) 2^-k and
+    hi - (hi-lo) 2^-k for k = 2..7, that is t = +-(1 - 2^-j), j = 1..6,
+    in the bump's coordinate t.  The bump exp(-1/(1-t^2)) is smooth but
+    not analytic at |t| = 1, so bisection would otherwise spend several
+    passes, each evaluating every row, walking toward the ends.  Past
+    j = 6 the bump is below 1e-13 of its peak e^-1 (it is e^-32.3 at
+    t = 1 - 2^-6), so the depth is a property of the bump, not of any
+    one integral."""
     ends = np.asarray(supports, dtype=float)
-    return np.union1d(_seed_breakpoints(ends[:, 0].min(), ends[:, 1].max()),
-                      ends)
+    steps = 2.0 ** -np.arange(2, 8)
+    widths = (ends[:, 1] - ends[:, 0])[:, None] * steps
+    return np.unique(np.concatenate(
+        [_seed_breakpoints(lo, hi) for lo, hi in ends]
+        + [(ends[:, :1] + widths).ravel(), (ends[:, 1:] - widths).ravel()]))
+
+
+def _edges_within(supports, lo: float, hi: float) -> np.ndarray:
+    """The :func:`hull_edges` of ``supports`` inside [lo, hi], with its
+    ends: the first edges of an integral over the intersection of
+    supports, where a product of bumps lives."""
+    edges = hull_edges(supports)
+    return np.union1d(edges[(lo < edges) & (edges < hi)], [lo, hi])
 
 
 def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
@@ -673,7 +742,9 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
     deviation from the identity, as one vector-valued integral whose
     entries each keep the absolute tolerance ``tol``; ``return_integral``
     appends its IntegralResult (per-entry error estimates, panels).  The
-    psi side carries the model's normalization product.
+    psi side carries the model's normalization product.  The integrand
+    is given by its factors, the psi and phi rows, so no
+    (npts, (N+1)^2) product is formed.
 
     The truncation search starts at the cut of the model's vacuum
     pairing: its envelope pair_envelope(m, 0) is nowhere above this one's
@@ -689,9 +760,7 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
         # where a level leaves double range the integral is refused at
         # the first such node (see integrate_line), so no warning is due
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = (np.conj(psi.values_all(xs))[:, None]
-                    * phi.values_all(xs)[None])
-        return gram.reshape(-1, xs.size).T
+            return psi.values_all(xs).T, phi.values_all(xs).T
 
     pairing = m.pairing_outcome
     start = pairing.truncation_bounds \
@@ -833,7 +902,8 @@ def quasi_basis_sum(m, f, g, N: int, ordering: str = "phi_psi",
         pair = integrate_line(
             lambda s: np.conj(transform_pm(m, f, "plus", s))
             * transform_pm(m, g, "minus", s),
-            lo, hi, tol=tol,
+            lo, hi, tol=tol, _first_edges=_edges_within(
+                [(lo_f, hi_f), (lo_g, hi_g)], lo, hi),
         ).value if lo < hi else 0.0
     except RhoError:  # no real, monotone rho: the cross-check does not apply
         return result

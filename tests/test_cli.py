@@ -343,11 +343,11 @@ class TestCmdBicoherent:
         assert record["metric"] >= max(at_zero[0][2:4])
 
     def test_far_bump_fails_fast(self, tmp_path):
-        # bump2 at 3 on raw example1: the psi-side norm of its transform
+        # bump2 at 3.4 on raw example1: the psi-side norm of its transform
         # stalls at the rounding noise of e^(s^2); the record says so after
         # a few refinement passes instead of spending the panel budget
         body = _demo_config(tmp_path, raw=True).read_text(encoding="utf-8")
-        body = body.replace("bump2_center = 0.2", "bump2_center = 3.0") \
+        body = body.replace("bump2_center = 0.2", "bump2_center = 3.4") \
             .replace("bump2_width = 0.8", "bump2_width = 0.7")
         cfg = load_config(write_config(tmp_path, body, "far.ini"),
                           out_override=tmp_path / "out")
@@ -357,6 +357,22 @@ class TestCmdBicoherent:
         assert [r.verdict for r in report.records] == ["pass", "error"]
         assert "stalled at the integrand's rounding noise" in \
             report.records[1].detail["error"]
+
+    def test_far_bump_with_a_finite_bound_fails(self, tmp_path):
+        # bump2 at 3.0 on raw example1: the norm of its transform meets
+        # its tolerance and bounds f's psi-side series by about 1.7e39;
+        # 60 terms leave a deviation of about 1.6e24 from <f, g>, and the
+        # record says fail, never pass
+        body = _demo_config(tmp_path, raw=True).read_text(encoding="utf-8")
+        body = body.replace("bump2_center = 0.2", "bump2_center = 3.0") \
+            .replace("bump2_width = 0.8", "bump2_width = 0.7")
+        cfg = load_config(write_config(tmp_path, body, "far.ini"),
+                          out_override=tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = cmd_bicoherent(cfg)
+        assert [r.verdict for r in report.records] == ["pass", "fail"]
+        assert report.records[1].metric > report.records[1].tolerance
 
     def test_tail_error_is_a_record(self, tmp_path, capsys):
         # |z| up to 4.95 is beyond what 60 terms certify on the demo model:

@@ -336,6 +336,27 @@ class TestSeriesBuiltOnce:
         assert [r.verdict for r in report.records] == ["pass", "error"]
         assert "QuadratureError" in report.records[1].detail["error"]
 
+    def test_failed_batch_integrates_each_group_once(self, tmp_path,
+                                                     monkeypatch):
+        # f at 3.4 on raw example1: its psi-side norm stalls, so the psi
+        # batch {g, g', f} raises; then {g, g'} and f are integrated once
+        # each, and every record reads those outcomes: 4 state integrals
+        # and 4 bound integrals, where rebuilding per record made 8 and 8
+        body = re.sub(r"^# (alpha_[ab]|beta_[ab]) ", r"\1 ",
+                      DEMO_INI.read_text(encoding="utf-8").replace(
+                          "builtin = example2\n", ""), flags=re.M)
+        body = body.replace("bump2_center = 0.2", "bump2_center = 3.4") \
+            .replace("bump2_width = 0.8", "bump2_width = 0.7")
+        ini = tmp_path / "far.ini"
+        ini.write_text(body, encoding="utf-8")
+        overlaps = _count_calls(monkeypatch, "state_overlaps")
+        bounds = _count_calls(monkeypatch, "_overlap_bound")
+        report = cmd_bicoherent(load_config(ini, out_override=tmp_path))[0]
+        assert (len(overlaps), len(bounds)) == (4, 4)
+        assert [r.verdict for r in report.records] == ["pass", "error"]
+        assert "stalled at the integrand's rounding noise" in \
+            report.records[1].detail["error"]
+
     @pytest.mark.parametrize("raw", [False, True])
     def test_cmd_bicoherent_warns_nothing(self, tmp_path, raw):
         # the batched integrands run over the hull of the supports, where
