@@ -208,6 +208,8 @@ def _overlap_bound(m: PBModel, h, side: str
     between rows.  Each norm adds its integral's own error estimate, so
     the certificate stays an upper bound.  A norm whose integrand is not
     finite at some node is a QuadratureError naming such an s nearest 0.
+    A QuadratureError flags in ``failed`` the functions it is about, one
+    entry per function.
     """
     single = hasattr(h, "values")
     hs = [h] if single else list(h)
@@ -218,13 +220,17 @@ def _overlap_bound(m: PBModel, h, side: str
         # is refused where it is first seen, not refined to the budget
         with np.errstate(over="ignore", invalid="ignore"):
             x, r = quad.transform_factor(m, sign, s)
-            vals = np.abs(np.stack([f.values(x) for f in hs], axis=-1)
-                          * r[:, None]) ** 2
-        bad = ~np.isfinite(vals).all(axis=1)
+            hx = np.stack([f.values(x) for f in hs], axis=-1)
+            vals = np.abs(hx * r[:, None]) ** 2
+        not_finite = ~np.isfinite(vals)
+        bad = not_finite.any(axis=1)
         if bad.any():
+            # a row fails where its own h is nonzero, not where 0 meets
+            # the overflowing factor outside its support
             raise quad.QuadratureError(
                 f"|h_{sign}|^2 is not finite at s = "
-                f"{s[bad][np.argmin(np.abs(s[bad]))]:.6g}")
+                f"{s[bad][np.argmin(np.abs(s[bad]))]:.6g}",
+                failed=(not_finite & (hx != 0)).any(axis=0))
         return vals
 
     try:
@@ -440,6 +446,38 @@ def _upper_gamma_q(n_max: int, x: float) -> np.ndarray:
     return np.exp(np.logaddexp.accumulate(log_terms))
 
 
+def _disc_rule(radii: list, n_r: int, n_theta: int, max_terms: int,
+               pairs: list) -> np.ndarray:
+    """The disc rule at every radius of ``radii`` for each (a, b) of
+    ``pairs`` (bra and ket coefficients): a (len(radii), len(pairs))
+    array.  One Gauss-Legendre rule and one cumprod over every radius's
+    nodes give p_m(r) = e^{-r^2/2} r^m / sqrt(m!) at all of them; where
+    n_theta > max_terms only the diagonal survives the angular sum, and
+    radius i reads W[i] @ (a b) from the table
+    W[i, m] = 2 sum_j w_ij r_ij p_m(r_ij)^2.  A smaller n_theta folds the
+    terms of each residue class mod n_theta with a 0/1 matrix before the
+    product, as the aliased angular sum does."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    half = 0.5 * np.asarray(radii, dtype=float)[:, None]
+    r = half * (nodes + 1.0)
+    wr = half * weights
+    steps = np.sqrt(np.arange(1, max_terms + 1))
+    # e^{-r^2/2} r^m / sqrt(m!), (radii, n_r, max_terms + 1)
+    powers = np.cumprod(np.concatenate(
+        [np.exp(-0.5 * r * r)[..., None], r[..., None] / steps], axis=-1),
+        axis=-1)
+    wrr = 2.0 * (wr * r)
+    if n_theta > max_terms:
+        table = (wrr[:, None, :] @ (powers * powers))[:, 0, :]
+        return table @ np.stack([a * b for a, b in pairs], axis=-1)
+    fold = (np.arange(max_terms + 1)[:, None] % n_theta
+            == np.arange(n_theta)).astype(float)
+    return np.stack(
+        [np.einsum("ij,ij->i", wrr,
+                   (((powers * a) @ fold) * ((powers * b) @ fold)).sum(-1))
+         for a, b in pairs], axis=-1)
+
+
 def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
                            R: float = 6.0, n_r: int = 96,
                            n_theta: Optional[int] = None,
@@ -477,7 +515,8 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     for the default n_theta = 2 max_terms + 3 only the diagonal m = n
     remains.  The 1/sqrt(m!) of a_m and a factor e^{-r^2/2} per pairing
     go into the powers, e^{-r^2/2} r^m / sqrt(m!), none of which exceeds
-    1.
+    1.  Every radius of the trace, and R, is read from one radial weight
+    table over all their nodes (see :func:`_disc_rule`).
     """
     if n_theta is None:
         n_theta = 2 * max_terms + 3
@@ -492,37 +531,19 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
         for side in ("phi", "psi")]
     _check_series("f_series", (f_phi, f_psi), max_terms, False)
     _check_series("g_series", (g_phi, g_psi), max_terms, True)
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    pairs = {"phi_psi": (f_phi, g_psi), "psi_phi": (f_psi, g_phi)}
-    # pad the terms to whole periods of n_theta, to fold them by residue
-    periods = -(-(max_terms + 1) // n_theta)
-    pad = periods * n_theta - (max_terms + 1)
-    steps = np.sqrt(np.arange(1, max_terms + 1))
-
-    def integral(radius: float, ordering: str) -> complex:
-        r = 0.5 * radius * (nodes + 1.0)
-        wr = 0.5 * radius * weights
-        # e^{-r^2/2} r^m / sqrt(m!), one row per radius
-        powers = np.cumprod(np.hstack([np.exp(-0.5 * r * r)[:, None],
-                                       r[:, None] / steps]), axis=1)
-        bra, ket = pairs[ordering]
-
-        def folded(coeffs):
-            terms = np.pad(powers * coeffs, ((0, 0), (0, pad)))
-            return terms.reshape(n_r, periods, n_theta).sum(axis=1)
-
-        per_radius = (folded(bra.coeffs) * folded(ket.coeffs)).sum(axis=1)
-        return complex(2.0 * ((wr * r) @ per_radius))
-
     reference = quad.compatibility_form(m, f, g).value
     radii = list(trace_radii) if trace_radii is not None else \
         [R * (i + 1) / 6.0 for i in range(6)]
-    trace = [(rr, integral(rr, "phi_psi"), integral(rr, "psi_phi"))
-             for rr in radii]
-    if radii and radii[-1] == R:  # the same rule at the same radius
-        v_pp, v_pf = trace[-1][1:]
-    else:
-        v_pp, v_pf = integral(R, "phi_psi"), integral(R, "psi_phi")
+    # the last row of the table is R: the trace's own last row when the
+    # trace ends there (the same rule at the same radius), else one more
+    table_radii = radii if radii and radii[-1] == R else radii + [R]
+    pairs = {"phi_psi": (f_phi, g_psi), "psi_phi": (f_psi, g_phi)}
+    values = _disc_rule(table_radii, n_r, n_theta, max_terms,
+                        [(bra.coeffs, ket.coeffs) for bra, ket in
+                         pairs.values()])
+    trace = [(rr, complex(v_pp), complex(v_pf))
+             for rr, (v_pp, v_pf) in zip(radii, values)]
+    v_pp, v_pf = (complex(v) for v in values[-1])
 
     # diagonal-term mass outside |z| <= R: the angular integral kills all
     # cross terms, so the truncated disc misses sum_n a_n b_n Q(n+1, R^2)

@@ -546,15 +546,25 @@ def _series_outcomes(m, groups: list, side: str, max_terms: int) -> list:
     lists) on one side, in order, each a ``PairingSeries`` or the
     exception its integrals raised, kept as a value for every record that
     reads it.  All functions share one batched integral pair; where that
-    raises, each group is integrated once on its own, so one failing
-    function fails only its own group."""
+    raises, a group holding a function the error flags as failed keeps
+    that error, and every other group is integrated once on its own, so
+    one failing function fails only its own group and is not integrated
+    twice."""
+    flat = [h for grp in groups for h in grp]
     try:
-        return bc.pairing_series(m, [h for grp in groups for h in grp],
-                                 side, max_terms=max_terms)
-    except Exception:  # each group below meets its own error
-        pass
+        return bc.pairing_series(m, flat, side, max_terms=max_terms)
+    except Exception as exc:  # each group below meets its own error
+        batch_error = exc
+    # one flag per function, where the error says which functions failed
+    failed = getattr(batch_error, "failed", None)
+    if np.shape(failed) != (len(flat),):
+        failed = np.zeros(len(flat), dtype=bool)
     out = []
     for grp in groups:
+        start = len(out)
+        if failed[start:start + len(grp)].any():
+            out.extend([batch_error] * len(grp))
+            continue
         try:
             out.extend(bc.pairing_series(m, grp, side, max_terms=max_terms))
         except Exception as exc:  # a record reports it

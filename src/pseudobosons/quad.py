@@ -56,12 +56,18 @@ __all__ = [
 
 
 class QuadratureError(Exception):
-    """Non-convergent or divergent integral; carries the best estimate."""
+    """Non-convergent or divergent integral; carries the best estimate.
 
-    def __init__(self, message, best_value=None, error_estimate=None):
+    ``failed`` flags, per component of the integrand (a bool array of the
+    value's shape), the components the error is about; it is None where
+    no pass ran, or where the raiser does not know."""
+
+    def __init__(self, message, best_value=None, error_estimate=None,
+                 failed=None):
         super().__init__(message)
         self.best_value = best_value
         self.error_estimate = error_estimate
+        self.failed = failed
 
 
 class RhoError(Exception):
@@ -191,10 +197,11 @@ def _refuse_non_finite(xs: np.ndarray, vals: np.ndarray, kabs: np.ndarray):
     if not bad.any():
         bad[:] = ~np.isfinite(kabs.reshape(len(xs), -1)).all(axis=1)[:, None]
     nodes = xs[bad]
+    failed = ~np.isfinite(kabs).all(axis=0)
     raise QuadratureError(
         f"integrand is not finite at x = "
         f"{nodes[np.argmin(np.abs(nodes))]:.6g}",
-        error_estimate=np.where(np.isfinite(kabs).all(axis=0), 0.0, np.inf))
+        error_estimate=np.where(failed, np.inf, 0.0), failed=failed)
 
 
 # A pass whose worst error estimate stays within _STALL_FACTOR of its
@@ -212,6 +219,32 @@ def _stalled(excess: list) -> bool:
     window = excess[-_STALL_PASSES - 1:]
     return (len(window) > _STALL_PASSES and max(window) <= _STALL_FACTOR
             and window[-1] > 0.5 * window[0])
+
+
+def _failed_components(ratios: list) -> np.ndarray:
+    """Per component, from each pass's error / acceptance level ratios,
+    whether a failed integral failed on it: its last ratio is above 1 and
+    did not halve over the last passes (the worst component of a stalled
+    integral always qualifies).  Where none qualifies, as when the budget
+    runs out while every component still converges, every component
+    above its level is flagged."""
+    window = np.array(ratios[-_STALL_PASSES - 1:])
+    above = window[-1] > 1.0
+    stuck = above & (window[-1] > 0.5 * window[0])
+    return stuck if len(window) > _STALL_PASSES and stuck.any() else above
+
+
+def _budget_message(max_panels: int, excess: list) -> str:
+    """The panel-budget error, with the pass count and the worst error /
+    acceptance level ratios of the last passes, so that a refinement
+    stuck just above the stall rule's factor reads as stalled."""
+    if not excess:
+        return f"panel budget {max_panels} exhausted before the first pass"
+    window = excess[-_STALL_PASSES - 1:]
+    return (f"panel budget {max_panels} exhausted after {len(excess)} "
+            f"passes: the worst error estimate stayed "
+            f"{min(window):.3g}-{max(window):.3g}x its acceptance level "
+            f"over the last {len(window)} passes")
 
 
 def _seed_breakpoints(a: float, b: float) -> np.ndarray:
@@ -314,7 +347,11 @@ def integrate_line(
     values (see :func:`_stalled`) raises QuadratureError at once instead
     of spending the panel budget, like QUADPACK's roundoff detection, and
     so does a pass that meets an integrand value that is not finite (see
-    :func:`_refuse_non_finite`), which no bisection can mend.
+    :func:`_refuse_non_finite`), which no bisection can mend.  Every
+    QuadratureError of a vector integral says in ``failed`` which
+    components it is about (see :func:`_failed_components`), and a
+    spent panel budget names the pass count and the worst error /
+    acceptance level ratios of the last passes.
 
     The first pass splits the interval at dyadic seeds (see
     :func:`_seed_breakpoints`).  ``_first_edges``, an internal keyword for
@@ -323,7 +360,11 @@ def integrate_line(
     ``Antideriv`` passes ``(0, 1)``, so each of its segments starts as one
     Kronrod panel, as QUADPACK's QAG does, and integrals over bump
     supports pass :func:`hull_edges`.  Refinement and acceptance are the
-    same either way.  ``_start_cut``, another internal keyword, is
+    same either way, but an integrand over bump supports must start on
+    :func:`hull_edges`: from the default seeds, the flat ends of a bump
+    can make the Gauss and Kronrod sums of a panel agree by accident, and
+    a bump at center 0.0403, width 0.4 then accepts an error of 3.5e-11
+    at tol 1e-12.  ``_start_cut``, another internal keyword, is
     the cut (a, b) of an earlier truncation whose probe never exceeded
     this one's and whose tolerance was no tighter: no smaller L can be
     admissible here, so the doubling on each open end starts at its |end|.
@@ -368,13 +409,15 @@ def integrate_line(
     done_err = 0.0
     done_abs = 0.0
     eps = np.finfo(float).eps
-    excess = []  # worst error estimate / acceptance level of each pass
+    ratios = []  # error estimate / acceptance level of each pass
+    excess = []  # the worst of them
     for _ in range(64):
         total_panels += lo.size
         if total_panels > max_panels:
             raise QuadratureError(
-                f"panel budget {max_panels} exhausted",
+                _budget_message(max_panels, excess),
                 best_value=done_val, error_estimate=done_err,
+                failed=_failed_components(ratios) if ratios else None,
             )
         kron, err, kabs = _panel_sums(f, lo, hi)
         val = done_val + kron.sum(axis=0)
@@ -389,13 +432,15 @@ def integrate_line(
             return _result(val, val_err, total_panels, (a_eff, b_eff), mass)
         # with tol = 0 a component of zero mass has a zero level: 0/0
         with np.errstate(divide="ignore", invalid="ignore"):
-            excess.append(float(np.max(val_err / scale)))
+            ratios.append(val_err / scale)
+        excess.append(float(np.max(ratios[-1])))
         if _stalled(excess):
             raise QuadratureError(
                 f"refinement stalled at the integrand's rounding noise: the "
                 f"error estimate stayed {excess[-1]:.3g}x its acceptance "
                 f"level after {len(excess)} passes",
-                best_value=val, error_estimate=val_err)
+                best_value=val, error_estimate=val_err,
+                failed=_failed_components(ratios))
         share = scale * (hi - lo)[:, None] / width_total
         ok = (err.reshape(lo.size, -1) <= share).all(axis=1)
         done_val = done_val + kron[ok].sum(axis=0)
@@ -414,6 +459,7 @@ def integrate_line(
     raise QuadratureError(
         "adaptive refinement failed to converge",
         best_value=best.value, error_estimate=best.abs_error_estimate,
+        failed=_failed_components(ratios),
     )
 
 
@@ -498,14 +544,31 @@ class TestFunction:
 def hermite_value(n, y):
     """H_n(y) for scalar or array y (complex-safe three-term recurrence).
 
-    ``n`` is one level, or a 1-D array of levels whose values are stacked
-    along a new first axis; each row is bitwise the single-level result.
+    ``n`` is one level, or a 1-D sequence of levels whose values are
+    stacked along a new first axis; each row is bitwise the single-level
+    result.  The recurrence writes its rows into one (top + 1, *y.shape)
+    array, top = max(n), with the operations of
+    H_{k+1} = 2 y H_k - 2 k H_{k-1} in that order; levels 0..top in order
+    return that array, other levels a fresh selection of its rows.
     """
     y = np.asarray(y, dtype=np.complex128)
-    rows = [np.ones_like(y), 2.0 * y]
-    for k in range(1, int(np.max(n))):
-        rows.append(2.0 * y * rows[k] - 2.0 * k * rows[k - 1])
-    return rows[n] if np.ndim(n) == 0 else np.stack([rows[k] for k in n])
+    top = int(np.max(n))
+    out = np.empty((top + 1,) + y.shape, dtype=np.complex128)
+    out[0] = 1.0
+    if top >= 1:
+        np.multiply(2.0, y, out=out[1, ...])  # 2 y, the factor of each step
+        tmp = np.empty_like(y)
+    for k in range(1, top):
+        row = out[k + 1, ...]
+        np.multiply(out[1], out[k], out=row)
+        np.multiply(2.0 * k, out[k - 1], out=tmp)
+        np.subtract(row, tmp, out=row)
+    if np.ndim(n) == 0:
+        return out[n]
+    ns = np.asarray(n)
+    if ns.size == top + 1 and (ns == np.arange(top + 1)).all():
+        return out
+    return out[ns]
 
 
 def oscillator_en(n: int, s):
@@ -684,7 +747,8 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
     product is formed.
 
     state_in_bra=False gives <h, state_n>, the integral; True gives
-    <state_n, h>, its complex conjugate.
+    <state_n, h>, its complex conjugate.  A QuadratureError flags in
+    ``failed`` the functions it is about, one entry per function.
     """
     from .states import StateFamily  # deferred to avoid an import cycle
 
@@ -697,8 +761,13 @@ def state_overlaps(m, h, side: str, n_max: int, *, state_in_bra: bool,
                 fam.values_all(xs).T)
 
     edges = hull_edges([f.support for f in hs])
-    value = integrate_line(integrand, edges[0], edges[-1], tol=tol,
-                           _first_edges=edges).value
+    try:
+        value = integrate_line(integrand, edges[0], edges[-1], tol=tol,
+                               _first_edges=edges).value
+    except QuadratureError as exc:  # flag functions, not (function, level)
+        if exc.failed is not None:
+            exc.failed = exc.failed.reshape(len(hs), -1).any(axis=1)
+        raise
     value = value.reshape(len(hs), n_max + 1)
     if state_in_bra:
         value = np.conj(value)

@@ -194,7 +194,8 @@ class StateFamily:
     def _levels(self, ns, xs) -> np.ndarray:
         """Stacked values of the levels ``ns`` from one Hermite recurrence;
         each row is bitwise ``jet(n, xs, 0).value``, whose operations it
-        repeats in the same order."""
+        repeats in the same order, scaling the recurrence's own rows in
+        place."""
         xs = np.asarray(xs, dtype=float)
         s = _hermite_scale(self.model, self._poly_side)
         y = self.model.lead_jet(self._poly_side, xs, 0).value * (0.5 / s)
@@ -203,7 +204,11 @@ class StateFamily:
         pref = np.array([s ** n for n in ns]).reshape(shape)
         norm = np.array([self.normalization / sqrt_factorial(n)
                          for n in ns]).reshape(shape)
-        return hermite_value(ns, y) * pref * vac * norm
+        rows = hermite_value(ns, y)
+        rows *= pref
+        rows *= vac
+        rows *= norm
+        return rows
 
     def values(self, n: int, xs) -> np.ndarray:
         return self.values_fn(n)(np.asarray(xs, dtype=float))

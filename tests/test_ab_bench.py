@@ -32,3 +32,32 @@ def test_summarize(better, base, change, won, lost, gain):
     row = ab_bench.summarize("m", better, base, change)
     assert (row["won"], row["lost"], row["gain"]) == (won, lost, gain)
     assert row["pairs"] == len(base)
+    assert row["verdict"] == ("gain" if gain else "within bound")
+
+
+@pytest.mark.parametrize("better, base, change, bound, worse", [
+    # lower is better: +30% against a 25% bound is worse, +20% is not
+    ("lower", [10.0] * 5, [13.0] * 5, 0.25, True),
+    ("lower", [10.0] * 5, [12.0] * 5, 0.25, False),
+    # exactly at the bound is not worse
+    ("lower", [8.0] * 5, [10.0] * 5, 0.25, False),
+    # higher is better: a 2% drop against a 1% bound is worse
+    ("higher", [100.0] * 5, [98.0] * 5, 0.01, True),
+    ("higher", [100.0] * 5, [99.5] * 5, 0.01, False),
+    # a better median is never worse, whatever the bound
+    ("lower", [10.0] * 5, [5.0] * 5, 0.0, False),
+    ("higher", [3.0] * 5, [4.0] * 5, 0.0, False),
+    # the median decides, not the worst pair
+    ("lower", [10.0] * 5, [10.0, 10.0, 10.0, 20.0, 20.0], 0.25, False),
+])
+def test_worse(better, base, change, bound, worse):
+    row = ab_bench.summarize("m", better, base, change, bound)
+    assert row["worse"] is worse
+    assert row["bound"] == bound
+    assert row["verdict"] == ("worse" if worse else
+                              "gain" if row["gain"] else "within bound")
+
+
+def test_no_bound_is_never_worse():
+    row = ab_bench.summarize("m", "lower", [1.0] * 4, [100.0] * 4)
+    assert (row["worse"], row["verdict"]) == (False, "within bound")

@@ -373,6 +373,28 @@ class TestDiscreteParseval:
                 assert abs(got - want) <= 1e-13 * abs(want), \
                     (radius, ordering)
 
+    @pytest.mark.parametrize("radii, n_theta, max_terms", [
+        ([1.0, 3.0], None, 30),    # R = 5 is appended to the table
+        ([4.0, 2.0], 7, 20),       # out of order, aliased, R appended
+        ([1.0, 5.0], None, 0),     # the vacuum term alone
+        ([2.0, 5.0], 1, 20),       # every term in one residue class
+        ([3.0], 1, 0),
+    ])
+    def test_table_rows_match_the_node_grid(self, example2, radii, n_theta,
+                                            max_terms):
+        f, g = TestFunction(0.2, 0.8), TestFunction(0.0, 1.0)
+        r = resolution_of_identity(example2, f, g, R=5.0, n_r=48,
+                                   n_theta=n_theta, max_terms=max_terms,
+                                   trace_radii=radii)
+        assert [row[0] for row in r.trace] == radii
+        rows = r.trace + [(5.0, r.value_phi_psi, r.value_psi_phi)]
+        for radius, v_pp, v_pf in rows:
+            for ordering, got in (("phi_psi", v_pp), ("psi_phi", v_pf)):
+                want = _disc_by_polyval(example2, f, g, radius, 48,
+                                        r.n_angular, max_terms, ordering)
+                assert abs(got - want) <= 1e-13 * abs(want), \
+                    (radius, ordering)
+
     def test_empty_angular_rule_is_rejected(self, example2):
         f = TestFunction(0.0, 1.0)
         with pytest.raises(ValueError, match="n_theta >= 1"):

@@ -3,6 +3,7 @@ truncation started at the vacuum pairing's cut, and integrals that give
 up early where refinement cannot help."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -260,6 +261,54 @@ class TestFarBumpFailsFast:
         # the bound of a bump at 2.5 still converges where |s| reaches 12
         bound = _overlap_bound(example2, quad.TestFunction(2.5, 0.7), "psi")
         assert np.isfinite(bound(0))
+
+    def test_spent_budget_reads_as_stalled(self, example2):
+        # the norm's worst error estimate hovers just above the stall
+        # factor, so the budget runs out: the error names the pass count
+        # and the last passes' ratios, and flags the one function
+        with pytest.raises(quad.QuadratureError) as err:
+            _overlap_bound(example2, quad.TestFunction(1.5, 2.5), "psi")
+        found = re.fullmatch(
+            r"panel budget 10000 exhausted after (\d+) passes: the worst "
+            r"error estimate stayed ([\d.]+)-([\d.]+)x its acceptance "
+            r"level over the last (\d+) passes", str(err.value))
+        assert found, str(err.value)
+        passes, low, high, window = found.groups()
+        assert int(window) == quad._STALL_PASSES + 1 <= int(passes)
+        assert quad._STALL_FACTOR < float(low) <= float(high) < 6.0
+        assert err.value.failed.tolist() == [True]
+
+    def test_batch_error_flags_the_failing_function(self, example2):
+        hs = [quad.TestFunction(0.0, 1.0), quad.TestFunction(1.5, 2.5)]
+        with pytest.raises(quad.QuadratureError, match="budget") as err:
+            _overlap_bound(example2, hs, "psi")
+        assert err.value.failed.tolist() == [False, True]
+        with pytest.raises(quad.QuadratureError, match="not finite") as err:
+            _overlap_bound(example2, hs[:1] + [quad.TestFunction(3.5, 0.9)],
+                           "psi")
+        assert err.value.failed.tolist() == [False, True]
+
+    def test_stall_flags_the_stalled_component(self, all_builtins):
+        # a converging row next to a stalling one: only the latter failed
+        m = _models(all_builtins)["raw_example1"]
+        hs = [quad.TestFunction(0.0, 1.0), quad.TestFunction(3.4, 0.7)]
+        with pytest.raises(quad.QuadratureError, match="stalled") as err:
+            _overlap_bound(m, hs, "psi")
+        assert err.value.failed.tolist() == [False, True]
+
+    def test_state_integral_flags_functions(self, example2):
+        # components are (function, level) pairs; the error flags functions
+        class Infinite:
+            support = (0.5, 1.0)
+
+            @staticmethod
+            def values(xs):
+                return np.where(np.abs(xs - 0.75) < 0.25, np.inf, 0.0)
+
+        hs = [quad.TestFunction(0.0, 1.0), Infinite()]
+        with pytest.raises(quad.QuadratureError, match="not finite") as err:
+            quad.state_overlaps(example2, hs, "phi", 6, state_in_bra=False)
+        assert err.value.failed.tolist() == [False, True]
 
     def test_a_jump_still_converges(self):
         # a jump halves the error of its panel at every pass: no stall

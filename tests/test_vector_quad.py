@@ -117,6 +117,39 @@ class TestLevels:
         assert np.array_equal(hermite_value([4, 1], y.real),
                               np.stack([hermite_value(4, y.real),
                                         hermite_value(1, y.real)]))
+        # levels out of order with repeats, and levels as a range
+        ns = [5, 0, 5, 2, 12, 1]
+        assert np.array_equal(hermite_value(ns, y), rows[ns])
+        assert np.array_equal(hermite_value(range(13), y), rows)
+        assert np.array_equal(hermite_value(range(3, 8), y), rows[3:8])
+        # a scalar y gives the rows of a one-point array
+        y0 = 0.7 + 0.1j
+        one = hermite_value(ns, y0)
+        assert one.shape == (len(ns),)
+        assert np.array_equal(one, hermite_value(ns, np.array([y0]))[:, 0])
+        assert hermite_value(5, y0) == one[0]
+
+    def test_calls_share_no_buffer(self, example2):
+        # _levels scales the recurrence's rows in place: no two results
+        # may share memory, nor a result and a later call's
+        y = np.linspace(-3.0, 3.0, 31) + 0.0j
+        for ns in (range(6), [5, 0, 5]):
+            first = hermite_value(ns, y)
+            keep = first.copy()
+            second = hermite_value(ns, y)
+            assert not np.shares_memory(first, second)
+            first[...] = np.nan
+            assert np.array_equal(second, keep)
+            assert np.array_equal(hermite_value(ns, y), keep)
+        fam = StateFamily(example2, "psi", max_n=6)
+        xs = np.linspace(-2.5, 2.5, 23)
+        first = fam.values_all(xs)
+        keep = first.copy()
+        second = fam.values_all(xs)
+        assert not np.shares_memory(first, second)
+        first *= 2.0
+        assert np.array_equal(second, keep)
+        assert np.array_equal(fam.values_fn(3)(xs), keep[3])
 
     @pytest.mark.parametrize("name", ["bosonic", "shifted", "swanson",
                                       "constant_alpha", "example1",
@@ -339,9 +372,11 @@ class TestSeriesBuiltOnce:
     def test_failed_batch_integrates_each_group_once(self, tmp_path,
                                                      monkeypatch):
         # f at 3.4 on raw example1: its psi-side norm stalls, so the psi
-        # batch {g, g', f} raises; then {g, g'} and f are integrated once
-        # each, and every record reads those outcomes: 4 state integrals
-        # and 4 bound integrals, where rebuilding per record made 8 and 8
+        # batch {g, g', f} raises and flags f alone as failed; f keeps
+        # that error, {g, g'} is integrated once on its own, and every
+        # record reads those outcomes: 3 state integrals and 3 bound
+        # integrals, where integrating f again made 4 and 4, and
+        # rebuilding per record 8 and 8
         body = re.sub(r"^# (alpha_[ab]|beta_[ab]) ", r"\1 ",
                       DEMO_INI.read_text(encoding="utf-8").replace(
                           "builtin = example2\n", ""), flags=re.M)
@@ -352,7 +387,7 @@ class TestSeriesBuiltOnce:
         overlaps = _count_calls(monkeypatch, "state_overlaps")
         bounds = _count_calls(monkeypatch, "_overlap_bound")
         report = cmd_bicoherent(load_config(ini, out_override=tmp_path))[0]
-        assert (len(overlaps), len(bounds)) == (4, 4)
+        assert (len(overlaps), len(bounds)) == (3, 3)
         assert [r.verdict for r in report.records] == ["pass", "error"]
         assert "stalled at the integrand's rounding noise" in \
             report.records[1].detail["error"]

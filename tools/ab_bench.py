@@ -10,15 +10,18 @@ metric that the change's ``BENCHMARK.json`` declares, it prints each
 side's median and quartiles, and how many pairs the change won (ties
 count for neither side).  A gain is claimed only where the change won at
 least nine tenths of the pairs and the medians differ by more than the
-base's interquartile range.  Seeds at which a side's outputs were not
-all correct are listed.  The last line of output is one JSON object with
-every sample.
+base's interquartile range.  A metric reads ``worse`` where the change's
+median is worse than the base's by more than that metric's ``bound`` in
+``BENCHMARK.json``, relative to the base median.  Seeds at which a
+side's outputs were not all correct are listed.  The last line of output
+is one JSON object with every sample.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -47,16 +50,23 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(name: str, better: str, base: list, change: list) -> dict:
-    """Quartiles of both sides, pairs won, and whether a gain holds."""
+def summarize(name: str, better: str, base: list, change: list,
+              bound: float = math.inf) -> dict:
+    """Quartiles of both sides, pairs won, whether a gain holds, and
+    whether the change's median is worse than the base's by more than
+    ``bound`` times the base median; ``verdict`` is "gain", "worse" or
+    "within bound"."""
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     lost = sum(sign * (b - c) < 0 for b, c in zip(base, change))
     bq, cq = quartiles(base), quartiles(change)
     gain = (won >= 0.9 * len(base)
             and sign * (bq[1] - cq[1]) > bq[2] - bq[0])
+    worse = sign * (cq[1] - bq[1]) > bound * abs(bq[1])
+    verdict = "gain" if gain else "worse" if worse else "within bound"
     return {"metric": name, "better": better, "base": bq, "change": cq,
-            "won": won, "lost": lost, "pairs": len(base), "gain": gain}
+            "won": won, "lost": lost, "pairs": len(base), "gain": gain,
+            "bound": bound, "worse": worse, "verdict": verdict}
 
 
 def main(argv=None) -> int:
@@ -73,6 +83,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     sides = {"base": args.base, "change": args.change}
     samples = {"base": [], "change": []}
     for i, seed in enumerate(args.seeds):
@@ -93,7 +104,8 @@ def main(argv=None) -> int:
             print(f"# {side}: outputs not correct at seeds {bad}")
     rows = [summarize(name, direction,
                       [r["metrics"][name] for r in samples["base"]],
-                      [r["metrics"][name] for r in samples["change"]])
+                      [r["metrics"][name] for r in samples["change"]],
+                      bounds[name])
             for name, direction in better.items()]
     print(f"# {args.workload}: {len(args.seeds)} pairs at "
           f"{args.seconds:g} s, median [quartiles]")
@@ -102,7 +114,7 @@ def main(argv=None) -> int:
         print(f"# {row['metric']:12s} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
               f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"won {row['won']}/{row['pairs']} lost {row['lost']}  "
-              f"{'gain' if row['gain'] else 'no gain claimed'}")
+              f"{row['verdict']} (bound {row['bound']:g})")
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
                       "summary": rows, "samples": samples}))
     return 0
