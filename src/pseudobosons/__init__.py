@@ -25,7 +25,7 @@ from .expressions import (
     parse_expr,
     to_source,
 )
-from .jets import Jet, JetError, jet_binary, jet_compose, jet_lift
+from .jets import Jet, JetError
 from .model import (
     BUILTIN_NAMES,
     CommutatorStats,

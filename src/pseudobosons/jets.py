@@ -32,9 +32,6 @@ __all__ = [
     "JetError",
     "get_max_order",
     "set_max_order",
-    "jet_lift",
-    "jet_binary",
-    "jet_compose",
     "jet_exp",
     "jet_sinh",
     "jet_cosh",
@@ -84,14 +81,18 @@ class Jet:
     A scalar base carries coefficients of shape ``(order+1,)``; an array
     base of shape ``S`` carries ``(order+1, *S)``, and every operation
     works along axis 0 with the same recurrences.
+
+    Shapes and the order capacity are validated here and wherever an
+    order is requested (:meth:`constant`, :meth:`variable`,
+    :meth:`antideriv`, :meth:`truncate`); the results of arithmetic on
+    validated jets are trusted and built without re-checking.
     """
 
     __slots__ = ("base", "coeffs")
 
     def __init__(self, base, coeffs):
-        base = np.asarray(base, dtype=float)
-        shape = base.shape
-        self.base = base if shape else float(base)
+        base = _as_base(base)
+        shape = _shape(base)
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 1 + len(shape) or c.shape[1:] != shape \
                 or c.shape[0] == 0:
@@ -99,27 +100,29 @@ class Jet:
                 f"coefficients must have shape (order+1, *{shape}), "
                 f"not {c.shape}"
             )
-        if c.shape[0] > _MAX_ORDER + 1:
-            _check_order(c.shape[0] - 1)  # raises the capacity error
+        _check_order(c.shape[0] - 1)
+        self.base = base
         self.coeffs = c
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, value: complex, base, order: int) -> "Jet":
-        c = np.zeros((_check_order(order) + 1,) + np.shape(base),
+        base = _as_base(base)
+        c = np.zeros((_check_order(order) + 1,) + _shape(base),
                      dtype=np.complex128)
         c[0] = value
-        return cls(base, c)
+        return _jet(base, c)
 
     @classmethod
     def variable(cls, base, order: int) -> "Jet":
-        c = np.zeros((_check_order(order) + 1,) + np.shape(base),
+        base = _as_base(base)
+        c = np.zeros((_check_order(order) + 1,) + _shape(base),
                      dtype=np.complex128)
         c[0] = base
         if order >= 1:
             c[1] = 1.0
-        return cls(base, c)
+        return _jet(base, c)
 
     @classmethod
     def stack(cls, jets) -> "Jet":
@@ -195,16 +198,18 @@ class Jet:
     # -- structural ops -----------------------------------------------
 
     def truncate(self, order: int) -> "Jet":
+        if order == self.order:
+            return self
         if order > self.order:
             raise JetError("cannot truncate upwards")
-        return Jet(self.base, self.coeffs[: order + 1])
+        return Jet(self.base, self.coeffs[: _check_order(order) + 1])
 
     def deriv(self) -> "Jet":
         """Jet of f' at the same base point, one order lower."""
         if self.order == 0:
             raise JetError("insufficient jet order for a derivative")
         tail = self.coeffs[1:]
-        return Jet(self.base, tail * _ramp(1, tail))
+        return _jet(self.base, tail * _ramp(1, tail))
 
     def antideriv(self, value_at_base) -> "Jet":
         """Jet of an antiderivative F with F(base) = value_at_base."""
@@ -213,15 +218,18 @@ class Jet:
                      dtype=np.complex128)
         c[0] = value_at_base
         c[1:] = self.coeffs / _ramp(1, self.coeffs)
-        return Jet(self.base, c)
+        return _jet(self.base, c)
 
     def conjugate(self) -> "Jet":
         """Jet of x -> conj(f(x)); valid because increments are real."""
-        return Jet(self.base, np.conj(self.coeffs))
+        return _jet(self.base, np.conj(self.coeffs))
 
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Jet") -> None:
+        if self.base is other.base \
+                and self.coeffs.shape[0] == other.coeffs.shape[0]:
+            return
         if not _same_base(self.base, other.base):
             raise JetError(
                 f"mismatched base points: {self.base} vs {other.base}"
@@ -235,16 +243,16 @@ class Jet:
         if isinstance(other, _NUMBER):
             c = self.coeffs.copy()
             c[0] += other
-            return Jet(self.base, c)
+            return _jet(self.base, c)
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
-        return Jet(self.base, self.coeffs + other.coeffs)
+        return _jet(self.base, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.base, -self.coeffs)
+        return _jet(self.base, -self.coeffs)
 
     def __sub__(self, other):
         if isinstance(other, _NUMBER):
@@ -252,7 +260,7 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
-        return Jet(self.base, self.coeffs - other.coeffs)
+        return _jet(self.base, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
@@ -261,17 +269,17 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
-            return Jet(self.base, self.coeffs * complex(other))
+            return _jet(self.base, self.coeffs * complex(other))
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
-        return Jet(self.base, _mul_coeffs(self.coeffs, other.coeffs))
+        return _jet(self.base, _mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER):
-            return Jet(self.base, self.coeffs / complex(other))
+            return _jet(self.base, self.coeffs / complex(other))
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
@@ -284,6 +292,29 @@ class Jet:
 
 
 _NUMBER = (int, float, complex, np.number)
+
+
+def _jet(base, coeffs: np.ndarray) -> Jet:
+    """A jet that only assigns: ``base`` is already a float or a float
+    array and ``coeffs`` a complex array that fits it within capacity."""
+    jet = object.__new__(Jet)
+    jet.base = base
+    jet.coeffs = coeffs
+    return jet
+
+
+def _as_base(base):
+    """A base point as a float, or a base array as a float array (the
+    same object when it is one already)."""
+    if type(base) is float:
+        return base
+    base = np.asarray(base, dtype=float)
+    return base if base.shape else float(base)
+
+
+def _shape(base) -> tuple:
+    """The shape of a base from :func:`_as_base`."""
+    return () if type(base) is float else base.shape
 
 
 def _same_base(a, b) -> bool:
@@ -307,18 +338,33 @@ def _ramp(start: int, c: np.ndarray) -> np.ndarray:
 
 
 def _dot0(a: np.ndarray, b: np.ndarray):
-    """sum_i a[i] b[i] along axis 0, added strictly in order: cumsum (not
-    sum, which pairs terms differently for 1-d input) makes a scalar jet
-    and each column of a batched one round identically."""
+    """sum_i a[i] b[i] along axis 0, added strictly in order: an
+    accumulation (not sum, which pairs terms differently for 1-d input)
+    makes a scalar jet and each column of a batched one round
+    identically."""
     if a.shape[0] == 0:
         return 0.0
-    return np.cumsum(a * b, axis=0)[-1]
+    return np.add.accumulate(a * b)[-1]
+
+
+_NEG_ZERO = complex(-0.0, -0.0)  # x + _NEG_ZERO == x bitwise, for every x
 
 
 def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product c_k = sum_j a_j b_(k-j) along axis 0,
-    accumulated in j order for scalar and batched jets alike."""
+    accumulated in j order for scalar and batched jets alike.
+
+    A scalar jet's product takes no Python loop: row j of an
+    (n, 2n - 1) table holds a_j b and then -0.0; read with row stride
+    2n - 2, column k of row j holds a_j b_(k-j) (-0.0 where j > k), and
+    one accumulation over the rows adds the terms in j order."""
     n = a.shape[0]
+    if a.ndim == 1 and n > 1:
+        t = np.empty((n, 2 * n - 1), dtype=np.complex128)
+        t[:, n:] = _NEG_ZERO
+        np.multiply(a[:, None], b, out=t[:, :n])
+        shifted = t.reshape(-1)[: n * (2 * n - 2)].reshape(n, -1)[:, :n]
+        return np.add.accumulate(shifted)[-1]
     out = a[0] * b
     for j in range(1, n):
         out[j:] += a[j] * b[: n - j]
@@ -327,14 +373,16 @@ def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _div(a: Jet, b: Jet) -> Jet:
     b0 = b.coeffs[0]
-    if np.any(b0 == 0):
+    if np.count_nonzero(b0) < np.size(b0):  # NaN is not zero
         raise JetError("division by a jet with zero constant term")
+    if a.coeffs.shape[0] == 1:
+        return _jet(a.base, a.coeffs / b.coeffs)
     out = np.empty_like(a.coeffs)
     out[0] = a.coeffs[0] / b0
     for k in range(1, a.order + 1):
         acc = a.coeffs[k] - _dot0(b.coeffs[1 : k + 1], out[k - 1 :: -1])
         out[k] = acc / b0
-    return Jet(a.base, out)
+    return _jet(a.base, out)
 
 
 # -- analytic compositions ---------------------------------------------
@@ -354,13 +402,13 @@ def _rate(u: Jet) -> np.ndarray:
 
 def jet_exp(u: Jet) -> Jet:
     if not u.order:
-        return Jet(u.base, np.exp(u.coeffs))
+        return _jet(u.base, np.exp(u.coeffs))
     f = np.empty_like(u.coeffs)
     f[0] = np.exp(u.coeffs[0])
     ku = _rate(u)
     for k in range(1, u.order + 1):
         f[k] = _dot0(ku[1 : k + 1], f[k - 1 :: -1]) / k
-    return Jet(u.base, f)
+    return _jet(u.base, f)
 
 
 def _sinh_cosh(u: Jet) -> tuple[np.ndarray, np.ndarray]:
@@ -379,14 +427,14 @@ def _sinh_cosh(u: Jet) -> tuple[np.ndarray, np.ndarray]:
 
 def jet_sinh(u: Jet) -> Jet:
     if not u.order:
-        return Jet(u.base, np.sinh(u.coeffs))
-    return Jet(u.base, _sinh_cosh(u)[0])
+        return _jet(u.base, np.sinh(u.coeffs))
+    return _jet(u.base, _sinh_cosh(u)[0])
 
 
 def jet_cosh(u: Jet) -> Jet:
     if not u.order:
-        return Jet(u.base, np.cosh(u.coeffs))
-    return Jet(u.base, _sinh_cosh(u)[1])
+        return _jet(u.base, np.cosh(u.coeffs))
+    return _jet(u.base, _sinh_cosh(u)[1])
 
 
 def jet_tanh(u: Jet) -> Jet:
@@ -394,16 +442,17 @@ def jet_tanh(u: Jet) -> Jet:
     as its own series; finite wherever tanh(u_0) is (no sinh/cosh
     overflow)."""
     if not u.order:
-        return Jet(u.base, np.tanh(u.coeffs))
+        return _jet(u.base, np.tanh(u.coeffs))
     t = np.empty_like(u.coeffs)
     w = np.empty_like(u.coeffs)
     t[0] = np.tanh(u.coeffs[0])
-    w[0] = 1.0 - t[0] * t[0]
+    # the ufunc: numpy's scalar product rounds unlike a batched column's
+    w[0] = 1.0 - np.multiply(t[0], t[0])
     ku = _rate(u)
     for k in range(1, u.order + 1):
         t[k] = _dot0(ku[1 : k + 1], w[k - 1 :: -1]) / k
         w[k] = -_dot0(t[: k + 1], t[k::-1])
-    return Jet(u.base, t)
+    return _jet(u.base, t)
 
 
 def jet_sqrt(u: Jet) -> Jet:
@@ -413,7 +462,7 @@ def jet_sqrt(u: Jet) -> Jet:
     r[0] = np.sqrt(u.coeffs[0] + 0j)  # principal branch
     for k in range(1, u.order + 1):
         r[k] = (u.coeffs[k] - _dot0(r[1:k], r[k - 1 : 0 : -1])) / (2 * r[0])
-    return Jet(u.base, r)
+    return _jet(u.base, r)
 
 
 def jet_powi(u: Jet, k: int) -> Jet:
@@ -454,56 +503,6 @@ def jet_hermite(u: Jet, n):
             rows.append(two_u * rows[k] - (2.0 * k) * rows[k - 1])
     out = [rows[k] for k in ns]
     return out[0] if np.ndim(n) == 0 else out
-
-
-_COMPOSE = {
-    "exp": jet_exp,
-    "sinh": jet_sinh,
-    "cosh": jet_cosh,
-    "tanh": jet_tanh,
-    "sqrt": jet_sqrt,
-}
-
-
-def jet_compose(outer: str, a: Jet, k: int | None = None) -> Jet:
-    """Apply a named analytic outer function to a jet.
-
-    ``outer`` is one of exp, sinh, cosh, tanh, sqrt, pow_k, hermite_n;
-    the last two take the integer parameter ``k``.
-    """
-    if outer in _COMPOSE:
-        return _COMPOSE[outer](a)
-    if outer == "pow_k":
-        if k is None:
-            raise JetError("pow_k requires the integer exponent k")
-        return jet_powi(a, k)
-    if outer == "hermite_n":
-        if k is None:
-            raise JetError("hermite_n requires the integer degree k")
-        return jet_hermite(a, k)
-    raise JetError(f"unknown composition {outer!r}")
-
-
-def jet_binary(kind: str, a: Jet, b: Jet) -> Jet:
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise JetError(f"unknown binary operation {kind!r}")
-
-
-def jet_lift(expr, x, order: int):
-    """Exact Taylor coefficients of a coefficient expression at x (a float
-    or an array of points).
-
-    ``expr`` is any object exposing ``eval_jet(x, order)``; in practice a
-    parsed expression tree (see :mod:`pseudobosons.expressions`).
-    """
-    return expr.eval_jet(x, _check_order(order))
 
 
 def sqrt_factorial(n: int) -> float:

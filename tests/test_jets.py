@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -9,10 +10,12 @@ from pseudobosons import jets
 from pseudobosons.jets import (
     Jet,
     JetError,
-    jet_binary,
-    jet_compose,
+    jet_cosh,
+    jet_exp,
     jet_hermite,
-    jet_lift,
+    jet_sinh,
+    jet_sqrt,
+    jet_tanh,
 )
 from pseudobosons.expressions import parse_expr
 
@@ -23,45 +26,44 @@ def coeffs(j):
 
 class TestExamples:
     def test_exp_series_at_zero(self):
-        j = jet_lift(parse_expr("exp(x)"), 0.0, 3)
+        j = parse_expr("exp(x)").eval_jet(0.0, 3)
         assert np.allclose(coeffs(j), [1, 1, 0.5, 1 / 6], atol=1e-15)
 
     def test_constant_one(self):
-        j = jet_lift(parse_expr("1"), 0.37, 2)
+        j = parse_expr("1").eval_jet(0.37, 2)
         assert np.allclose(coeffs(j), [1, 0, 0], atol=0)
 
     def test_rational_by_hand(self):
         # d/dx (1+x^2)^(-1) = -2x/(1+x^2)^2, so at x=1: value 1/2, slope -1/2
-        j = jet_lift(parse_expr("1/(1+x^2)"), 1.0, 1)
+        j = parse_expr("1/(1+x^2)").eval_jet(1.0, 1)
         assert np.allclose(coeffs(j), [0.5, -0.5], atol=1e-15)
 
     def test_mul(self):
         a = Jet(0.0, [1, 1])
         b = Jet(0.0, [1, -1])
-        assert np.allclose(coeffs(jet_binary("mul", a, b)), [1, 0], atol=0)
+        assert np.allclose(coeffs(a * b), [1, 0], atol=0)
 
     def test_div_geometric(self):
         a = Jet(0.0, [1, 0, 0])
         b = Jet(0.0, [1, 0, 1])
-        assert np.allclose(coeffs(jet_binary("div", a, b)), [1, 0, -1], atol=0)
+        assert np.allclose(coeffs(a / b), [1, 0, -1], atol=0)
 
     def test_add_inverse(self):
         a = Jet(0.0, [2, 3])
         b = Jet(0.0, [-2, -3])
-        assert np.allclose(coeffs(jet_binary("add", a, b)), [0, 0], atol=0)
+        assert np.allclose(coeffs(a + b), [0, 0], atol=0)
 
     def test_exp_compose(self):
         u = Jet(0.0, [0, 1, 0])
-        assert np.allclose(coeffs(jet_compose("exp", u)), [1, 1, 0.5],
-                           atol=1e-15)
+        assert np.allclose(coeffs(jet_exp(u)), [1, 1, 0.5], atol=1e-15)
 
     def test_hermite2_at_zero(self):
         u = Jet(0.0, [0.0])
-        assert np.allclose(coeffs(jet_compose("hermite_n", u, 2)), [-2.0])
+        assert np.allclose(coeffs(jet_hermite(u, 2)), [-2.0])
 
     def test_sinh_series(self):
         u = Jet(0.0, [0, 1, 0, 0])
-        assert np.allclose(coeffs(jet_compose("sinh", u)), [0, 1, 0, 1 / 6],
+        assert np.allclose(coeffs(jet_sinh(u)), [0, 1, 0, 1 / 6],
                            atol=1e-15)
 
 
@@ -90,6 +92,19 @@ class TestErrors:
         with pytest.raises(JetError, match="zero constant term"):
             Jet(0.0, [1.0, 0.0]) / Jet(0.0, [0.0, 1.0])
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_division_zero_test(self, order):
+        # -0.0 is zero, NaN is not, and one zero point of a batch is enough
+        num = np.ones(order + 1)
+        with pytest.raises(JetError, match="zero constant term"):
+            Jet(0.0, num) / Jet(0.0, [complex(-0.0, -0.0)] + [1.0] * order)
+        with pytest.raises(JetError, match="zero constant term"):
+            Jet(np.zeros(3), np.ones((order + 1, 3))) \
+                / Jet(np.zeros(3), [[1.0, 0.0, 2.0]] + [[1.0] * 3] * order)
+        with np.errstate(invalid="ignore"):
+            q = Jet(0.0, num) / Jet(0.0, [np.nan] + [1.0] * order)
+        assert np.isnan(q.coeffs).all()
+
     def test_capacity(self):
         with pytest.raises(JetError, match="capacity"):
             Jet.constant(1.0, 0.0, jets.get_max_order() + 1)
@@ -105,6 +120,26 @@ class TestErrors:
     def test_deriv_needs_order(self):
         with pytest.raises(JetError):
             Jet(0.0, [1.0]).deriv()
+
+    def test_lowered_capacity_checked_wherever_an_order_is_requested(self):
+        jet = Jet(0.0, [1.0, 2.0, 3.0])
+        old = jets.get_max_order()
+        try:
+            jets.set_max_order(2)
+            for make in (lambda: Jet(0.0, np.ones(4)),
+                         lambda: Jet(np.zeros(5), np.ones((4, 5))),
+                         lambda: Jet.constant(1.0, 0.0, 3),
+                         lambda: Jet.variable(np.zeros(5), 3),
+                         lambda: jet.antideriv(0.0)):
+                with pytest.raises(JetError, match="capacity"):
+                    make()
+        finally:
+            jets.set_max_order(old)
+
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_negative_truncation(self, order):
+        with pytest.raises(JetError):
+            Jet(0.0, [1.0, 2.0, 3.0]).truncate(order)
 
 
 def _poly_expr(cs):
@@ -127,7 +162,7 @@ class TestProperties:
            x=small_floats, order=st.integers(0, 8))
     def test_polynomial_oracle(self, cs, x, order):
         # oracle: exact polynomial differentiation
-        j = jet_lift(_poly_expr(cs), x, order)
+        j = _poly_expr(cs).eval_jet(x, order)
         p = np.polynomial.Polynomial(cs)
         for k in range(order + 1):
             want = p.deriv(k)(x) / math.factorial(k) if k <= len(cs) else 0.0
@@ -140,8 +175,8 @@ class TestProperties:
     def test_coefficients_independent_of_order(self, cs, x, n, k):
         k = min(k, n - 1)
         expr = _poly_expr(cs)
-        low = jet_lift(expr, x, k)
-        high = jet_lift(expr, x, n)
+        low = expr.eval_jet(x, k)
+        high = expr.eval_jet(x, n)
         assert abs(low.coeffs[k] - high.coeffs[k]) <= 1e-13 * (
             1 + abs(high.coeffs[k]))
 
@@ -153,9 +188,8 @@ class TestProperties:
         from pseudobosons.expressions import BinOp
 
         ea, eb = _poly_expr(a), _poly_expr(b)
-        direct = jet_lift(BinOp("*", ea, eb), x, order)
-        via_mul = jet_binary("mul", jet_lift(ea, x, order),
-                             jet_lift(eb, x, order))
+        direct = BinOp("*", ea, eb).eval_jet(x, order)
+        via_mul = ea.eval_jet(x, order) * eb.eval_jet(x, order)
         assert np.allclose(direct.coeffs, via_mul.coeffs,
                            rtol=1e-12, atol=1e-12)
 
@@ -204,3 +238,92 @@ def test_antideriv_roundtrip_with_deriv():
     j = parse_expr("sinh(x)").eval_jet(0.3, 5)
     back = j.antideriv(123.0).deriv()
     assert np.allclose(back.coeffs, j.coeffs, atol=0)
+
+
+# -- bitwise agreement of the scalar and batched paths -------------------
+
+ORDERS = [0, 1, 2, 17, 40]
+
+
+def _bits(c):
+    """Coefficients as raw bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(c).view(np.uint64)
+
+
+def _coeffs(rng, order, npts, nonzero_head=False):
+    """Random complex coefficients (order+1, npts); about 30% of their
+    real and of their imaginary parts are +0.0 or -0.0."""
+    shape = (order + 1, npts)
+
+    def part():
+        zero = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        return np.where(rng.random(shape) < 0.3, zero,
+                        0.5 * rng.standard_normal(shape))
+
+    re, im = part(), part()
+    if nonzero_head:
+        re[0] = 1.0 + np.abs(re[0])
+    return _complex(re, im)
+
+
+def _complex(re, im):
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im  # keeps the sign of a zero imaginary part
+    return out
+
+
+def _loop_product(a, b):
+    """The Cauchy product as one Python loop over j, for either shape."""
+    n = a.shape[0]
+    out = a[0] * b
+    for j in range(1, n):
+        out[j:] += a[j] * b[: n - j]
+    return out
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_scalar_product_matches_loop_and_batch_bitwise(order):
+    rng = np.random.default_rng(order)
+    a, b = _coeffs(rng, order, 6), _coeffs(rng, order, 6)
+    xs = np.linspace(-1.0, 1.0, 6)
+    batched = (Jet(xs, a) * Jet(xs, b)).coeffs
+    assert np.array_equal(_bits(batched), _bits(_loop_product(a, b)))
+    for i, x in enumerate(xs):
+        scalar = (Jet(float(x), a[:, i]) * Jet(float(x), b[:, i])).coeffs
+        assert np.array_equal(_bits(scalar),
+                              _bits(_loop_product(a[:, i], b[:, i])))
+        assert np.array_equal(_bits(scalar), _bits(batched[:, i]))
+
+
+def test_scalar_product_keeps_signed_zeros():
+    # every order-1 pair whose parts are -0.0, 0.0 or 1.0: a zero sum
+    # keeps its sign only if the padding is exactly -0.0 in both parts
+    parts = [complex(re, im) for re in (-0.0, 0.0, 1.0)
+             for im in (-0.0, 0.0, 1.0)]
+    for a0, a1, b0, b1 in itertools.product(parts, repeat=4):
+        a, b = np.array([a0, a1]), np.array([b0, b1])
+        assert np.array_equal(_bits((Jet(0.0, a) * Jet(0.0, b)).coeffs),
+                              _bits(_loop_product(a, b))), (a, b)
+
+
+_UNARY = {"exp": jet_exp, "sinh": jet_sinh, "cosh": jet_cosh,
+          "tanh": jet_tanh, "sqrt": jet_sqrt}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("op", ["/", *_UNARY])
+def test_scalar_equals_batched_column_bitwise(op, order):
+    rng = np.random.default_rng(100 + order)
+    xs = np.linspace(-1.0, 1.0, 6)
+    u = _coeffs(rng, order, 6, nonzero_head=op == "sqrt")
+    v = _coeffs(rng, order, 6, nonzero_head=True)
+    if op == "/":
+        def apply(base, cu, cv):
+            return Jet(base, cu) / Jet(base, cv)
+    else:
+        def apply(base, cu, cv):
+            return _UNARY[op](Jet(base, cu))
+    batched = apply(xs, u, v).coeffs
+    for i, x in enumerate(xs):
+        scalar = apply(float(x), u[:, i], v[:, i]).coeffs
+        assert np.array_equal(_bits(scalar), _bits(batched[:, i])), i
