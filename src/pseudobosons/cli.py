@@ -349,12 +349,23 @@ def _check_normalization(m, cfg, jets):
 
 
 def _check_biorthonormality(m, cfg, jets):
+    """The Gram matrix's deviation from the identity.  A deviation above
+    the tolerance by no more than the Gram's own error, its largest error
+    estimate or the roundoff floor of its largest entry mass, cannot tell
+    a fail from noise, and is an error."""
     _, dev, res = quad.biorthonormality_matrix(m, cfg.n_max,
                                                return_integral=True)
+    estimate = float(np.max(res.abs_error_estimate))
+    mass = float(np.max(res.abs_mass))
+    err = max(estimate, quad.ROUNDOFF_FLOOR * mass)
+    tol = cfg.tolerances["biorthonormality"]
+    if tol < dev <= tol + err:
+        raise quad.QuadratureError(
+            f"precision-limited: deviation {dev:.3g} exceeds the tolerance "
+            f"{tol:.3g} by no more than the Gram's own error {err:.3g}")
     return dev, {"matrix_size": cfg.n_max + 1,
-                 "max_abs_error_estimate":
-                     float(np.max(res.abs_error_estimate)),
-                 "max_entry_mass": float(np.max(res.abs_mass)),
+                 "max_abs_error_estimate": estimate,
+                 "max_entry_mass": mass,
                  "quad_panels": res.panels_used}
 
 

@@ -482,14 +482,13 @@ def jet_powi(u: Jet, k: int) -> Jet:
 
 
 def jet_hermite(u: Jet, n):
-    """Jet of H_n(u) via the three-term recurrence
-    H_{k+1}(y) = 2 y H_k(y) - 2 k H_{k-1}(y).
+    """Jet of h_n(u) = H_n(u) / sqrt(2^n n!) by the recurrence of
+    ``quad.hermite_value``, operation for operation, so an order-0 jet's
+    value is bitwise its row.
 
-    The recurrence is used instead of expanded monomial coefficients to
-    avoid catastrophic cancellation at moderate degree.  ``n`` is one
-    degree, or a sequence of degrees: one recurrence then serves them all
-    and the list of their jets is returned, each bitwise the single-degree
-    result.
+    ``n`` is one degree, or a sequence of degrees: one recurrence then
+    serves them all and the list of their jets is returned, each bitwise
+    the single-degree result.
     """
     ns = [int(k) for k in np.ravel(n)]
     if any(k < 0 for k in ns):
@@ -497,10 +496,10 @@ def jet_hermite(u: Jet, n):
     rows = [Jet.constant(1.0, u.base, u.order)]
     top = max(ns, default=0)
     if top:
-        two_u = u * 2.0
-        rows.append(two_u)
+        rows.append(u * math.sqrt(2.0))
         for k in range(1, top):
-            rows.append(two_u * rows[k] - (2.0 * k) * rows[k - 1])
+            rows.append(u * rows[k] * math.sqrt(2.0 / (k + 1))
+                        - rows[k - 1] * math.sqrt(k / (k + 1)))
     out = [rows[k] for k in ns]
     return out[0] if np.ndim(n) == 0 else out
 

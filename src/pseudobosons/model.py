@@ -329,7 +329,7 @@ def build_builtin(name: str, **params) -> PBModel:
         )
 
     if name == "swanson":
-        th = float(params.pop("theta"))
+        th = float(_required(name, params, "theta"))
         _check_no_extra(name, params)
         if not abs(th) < math.pi / 4:
             raise ModelError("swanson requires |theta| < pi/4")
@@ -349,8 +349,8 @@ def build_builtin(name: str, **params) -> PBModel:
         )
 
     if name == "constant_alpha":
-        aa = complex(params.pop("alpha_a"))
-        ab = complex(params.pop("alpha_b"))
+        aa = complex(_required(name, params, "alpha_a"))
+        ab = complex(_required(name, params, "alpha_b"))
         k = complex(params.pop("k", 0.0))
         _check_no_extra(name, params)
         if aa == 0 or ab == 0:
@@ -398,6 +398,14 @@ def build_builtin(name: str, **params) -> PBModel:
         )
 
     raise ModelError(f"unknown builtin {name!r}; known: {BUILTIN_NAMES}")
+
+
+def _required(name, params, key):
+    """The parameter ``key`` popped from ``params``; a ModelError naming it
+    when the builtin ``name`` was given none."""
+    if key not in params:
+        raise ModelError(f"missing parameter for {name!r}: {key!r}")
+    return params.pop(key)
 
 
 def _check_no_extra(name, params, allow=frozenset()):

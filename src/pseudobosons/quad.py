@@ -212,6 +212,10 @@ def _refuse_non_finite(xs: np.ndarray, vals: np.ndarray, kabs: np.ndarray):
 _STALL_PASSES = 4
 _STALL_FACTOR = 4.0
 
+# the roundoff floor of integrate_line: no component is accepted below
+# this times its integral of |f|, the mass whose rounding it carries
+ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+
 
 def _stalled(excess: list) -> bool:
     """Whether the last passes' worst error / acceptance level ratios
@@ -408,7 +412,6 @@ def integrate_line(
     done_val = 0.0 + 0.0j
     done_err = 0.0
     done_abs = 0.0
-    eps = np.finfo(float).eps
     ratios = []  # error estimate / acceptance level of each pass
     excess = []  # the worst of them
     for _ in range(64):
@@ -427,7 +430,7 @@ def integrate_line(
         # builtin max keeps the scalar path as fast as it was
         vmax = max if kron.ndim == 1 else np.maximum
         mass = done_abs + kabs.sum(axis=0)
-        scale = vmax(vmax(tol, rtol * abs(val)), 50.0 * eps * mass)
+        scale = vmax(vmax(tol, rtol * abs(val)), ROUNDOFF_FLOOR * mass)
         if (val_err <= scale).all():  # global budget already met
             return _result(val, val_err, total_panels, (a_eff, b_eff), mass)
         # with tol = 0 a component of zero mass has a zero level: 0/0
@@ -542,26 +545,29 @@ class TestFunction:
 # ----------------------------------------------------------------------
 
 def hermite_value(n, y):
-    """H_n(y) for scalar or array y (complex-safe three-term recurrence).
+    """h_n(y) = H_n(y) / sqrt(2^n n!) for scalar or array y, by the
+    complex-safe recurrence h_{k+1} = sqrt(2/(k+1)) y h_k - sqrt(k/(k+1))
+    h_{k-1} (Numerical Recipes 3rd ed., section 4.6), in double range far
+    past the level where H_n leaves it.
 
     ``n`` is one level, or a 1-D sequence of levels whose values are
     stacked along a new first axis; each row is bitwise the single-level
-    result.  The recurrence writes its rows into one (top + 1, *y.shape)
-    array, top = max(n), with the operations of
-    H_{k+1} = 2 y H_k - 2 k H_{k-1} in that order; levels 0..top in order
-    return that array, other levels a fresh selection of its rows.
+    result.  The rows go into one (top + 1, *y.shape) array, top = max(n),
+    by the operations of ``jets.jet_hermite`` in its order; levels 0..top
+    in order return that array, other levels a fresh selection of its rows.
     """
     y = np.asarray(y, dtype=np.complex128)
     top = int(np.max(n))
     out = np.empty((top + 1,) + y.shape, dtype=np.complex128)
     out[0] = 1.0
     if top >= 1:
-        np.multiply(2.0, y, out=out[1, ...])  # 2 y, the factor of each step
+        np.multiply(y, math.sqrt(2.0), out=out[1, ...])
         tmp = np.empty_like(y)
     for k in range(1, top):
         row = out[k + 1, ...]
-        np.multiply(out[1], out[k], out=row)
-        np.multiply(2.0 * k, out[k - 1], out=tmp)
+        np.multiply(y, out[k], out=row)
+        np.multiply(row, math.sqrt(2.0 / (k + 1)), out=row)
+        np.multiply(out[k - 1], math.sqrt(k / (k + 1)), out=tmp)
         np.subtract(row, tmp, out=row)
     if np.ndim(n) == 0:
         return out[n]

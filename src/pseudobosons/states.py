@@ -24,9 +24,10 @@ for both sides and every flavor (any square root: the form is even in
 s).  kappa is a model constant: ``PBModel`` reads it once, on first use,
 at x = 0, the point where the vacua and ``Antideriv`` are anchored, so s
 is a plain number and no square root is taken per point.
-The families are evaluated from this form; :func:`pi_sigma_recursive`
-runs the recursion itself, i.e. b^n phi_0, as the independent reference
-route.
+The families are evaluated from it as N (sqrt(2) s)^n h_n(y) times the
+vacuum, y = u/(2s), with h_n = H_n / sqrt(2^n n!) (``quad.hermite_value``)
+in double range where H_n is not; :func:`pi_sigma_recursive` runs the
+recursion itself, i.e. b^n phi_0, as the independent reference route.
 
 Note the sigma_n sequence multiplies psi_0 (not phi_0): the recursion is
 exactly what repeated application of a^dag to psi_0 produces, which the
@@ -106,7 +107,7 @@ def _hermite_scale(m: PBModel, side: str) -> complex:
     return cmath.sqrt(0.5 * kappa)
 
 
-def pi_sigma_closed(m: PBModel, side: str, n, x: float, order: int):
+def pi_sigma_closed(m: PBModel, side: str, n: int, x: float, order: int):
     """Hermite closed form p_n = s^n H_n(u / (2s)), s = sqrt(kappa / 2),
     with u the lead coefficient of the recursion and kappa = d u' its
     constant product with the damp, read from the model (see the module
@@ -116,15 +117,12 @@ def pi_sigma_closed(m: PBModel, side: str, n, x: float, order: int):
     proportional c:   u = rho/c,          kappa = 1/c     (pi side)
 
     and holds wherever the coefficient conditions do; a kappa of 0 or
-    one that is not finite is a ModelError.  ``n`` may be a sequence of
-    levels, which share one lead jet and one Hermite recurrence; the list
-    of their jets is returned, each bitwise the single-level result.
+    one that is not finite is a ModelError.  It is evaluated at the one
+    level ``n`` as h_n(y) (sqrt(2) s)^n sqrt(n!).
     """
     s = _hermite_scale(m, side)
-    ns = [int(k) for k in np.ravel(n)]
-    hermite = jet_hermite(m.lead_jet(side, x, order) * (0.5 / s), ns)
-    out = [h * s ** k for h, k in zip(hermite, ns)]
-    return out[0] if np.ndim(n) == 0 else out
+    y = m.lead_jet(side, x, order) * (0.5 / s)
+    return jet_hermite(y, n) * ((math.sqrt(2.0) * s) ** n * sqrt_factorial(n))
 
 
 # ----------------------------------------------------------------------
@@ -167,15 +165,23 @@ class StateFamily:
 
         ``n`` may be a sequence of levels: one vacuum jet, one lead jet and
         one Hermite recurrence then serve them all, and the list of their
-        jets is returned, each bitwise the single-level result."""
+        jets is returned, each bitwise the single-level result.  A state
+        beyond double range reads inf or nan, without a warning."""
         ns = [int(k) for k in np.ravel(n)]
         for k in ns:
             self._check_n(k)
-        polys = pi_sigma_closed(self.model, self._poly_side, ns, x, order)
+        y, scales = self._hermite(x, order, ns)
         vac = vacuum(self.model, self.side, x, order)
-        out = [poly * vac * (self.normalization / sqrt_factorial(k))
-               for poly, k in zip(polys, ns)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [h * c * vac for h, c in zip(jet_hermite(y, ns), scales)]
         return out[0] if np.ndim(n) == 0 else out
+
+    def _hermite(self, x, order: int, ns):
+        """The jet of y = u / (2s) at x, and the constants N (sqrt(2) s)^n
+        that take h_n(y) vac to the levels ``ns``."""
+        s = _hermite_scale(self.model, self._poly_side)
+        y = self.model.lead_jet(self._poly_side, x, order) * (0.5 / s)
+        return y, [self.normalization * (math.sqrt(2.0) * s) ** k for k in ns]
 
     def jet_fn(self, n: int) -> Callable[[float, int], Jet]:
         self._check_n(n)
@@ -197,17 +203,10 @@ class StateFamily:
         repeats in the same order, scaling the recurrence's own rows in
         place."""
         xs = np.asarray(xs, dtype=float)
-        s = _hermite_scale(self.model, self._poly_side)
-        y = self.model.lead_jet(self._poly_side, xs, 0).value * (0.5 / s)
-        vac = self.model.vacuum_values(self.side, xs)
-        shape = (-1,) + (1,) * xs.ndim
-        pref = np.array([s ** n for n in ns]).reshape(shape)
-        norm = np.array([self.normalization / sqrt_factorial(n)
-                         for n in ns]).reshape(shape)
-        rows = hermite_value(ns, y)
-        rows *= pref
-        rows *= vac
-        rows *= norm
+        y, scales = self._hermite(xs, 0, ns)
+        rows = hermite_value(ns, y.value)
+        rows *= np.reshape(scales, (-1,) + (1,) * xs.ndim)
+        rows *= self.model.vacuum_values(self.side, xs)
         return rows
 
     def values(self, n: int, xs) -> np.ndarray:
@@ -420,11 +419,22 @@ def _stacked_levels(fam: StateFamily, ns, grid, order: int,
                     jets: GridJets | None) -> Jet:
     """The levels ``ns`` of the family on the grid at ``order`` as one
     stacked jet: one family call, or a selection of the prebuilt
-    ``jets``."""
+    ``jets``.  A level whose value is not finite somewhere on the grid
+    leaves no residual to compare and is a ModelError naming the first
+    such level of ``ns`` and its such point nearest 0."""
     if jets is None:
-        return Jet.stack(fam.jet(ns, grid, order))
-    jets.check(fam.model, grid)
-    return jets.states(fam.side, ns, order)
+        levels = Jet.stack(fam.jet(ns, grid, order))
+    else:
+        jets.check(fam.model, grid)
+        levels = jets.states(fam.side, ns, order)
+    bad = ~np.isfinite(levels.value)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=-1)))
+        xs = grid[bad[i]]
+        raise ModelError(f"{fam.side} level {ns[i]} is not finite at x = "
+                         f"{xs[np.argmin(np.abs(xs))]:.6g}: it leaves "
+                         "double range there")
+    return levels
 
 
 def verify_ladder(phi_fam: StateFamily, psi_fam: StateFamily, n, grid, *,

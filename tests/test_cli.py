@@ -209,6 +209,22 @@ class TestExitCodes:
         assert "alpha_a" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("builtin, given, missing", [
+        ("swanson", "", "theta"),
+        ("constant_alpha", "alpha_a = 1\n", "alpha_b"),
+    ], ids=["swanson", "constant_alpha"])
+    def test_missing_builtin_parameter_exit_two(self, tmp_path, capsys,
+                                                builtin, given, missing):
+        body = (f"[model]\nbuiltin = {builtin}\n{given}"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"config error: cannot build builtin {builtin!r}: missing "
+            f"parameter for {builtin!r}: {missing!r}"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_two(self, capsys, monkeypatch):
         monkeypatch.delenv("PSEUDOBOSONS_CONFIG", raising=False)
         assert main(["check"]) == 2
@@ -418,22 +434,46 @@ class TestCmdBicoherent:
 
 
 class TestBiorthonormalityDetail:
-    def test_level_60_fail_reads_as_a_roundoff_floor(self, tmp_path):
-        # example2's (m, n) pair integrand is 2^((m-n)/2) times an
-        # orthonormal Hermite product: at n_max = 60 the Gram fail is
-        # cancellation at eps times the entry mass, and it stays a fail
-        body = _demo_config(tmp_path, raw=False, n_max=60).read_text(
+    @staticmethod
+    def _gram_record(tmp_path, n_max):
+        body = _demo_config(tmp_path, raw=False, n_max=n_max).read_text(
             encoding="utf-8")
         body = re.sub(r"^checks = .*$",
                       "checks = conditions normalization biorthonormality",
                       body, flags=re.M)
         report = cmd_check(load_config(write_config(tmp_path, body)))
-        rec = {r.name: r for r in report.records}["biorthonormality"]
+        return {r.name: r for r in report.records}["biorthonormality"]
+
+    def test_level_60_is_precision_limited(self, tmp_path):
+        # example2's (m, n) pair integrand is 2^((m-n)/2) times an
+        # orthonormal Hermite product: at n_max = 60 the Gram deviation of
+        # about 2e-8 is cancellation at eps times entry masses of 3e8,
+        # which no verdict against the tolerance 1e-8 can resolve
+        rec = self._gram_record(tmp_path, 60)
+        assert rec.verdict == "error"
+        found = re.fullmatch(
+            r"QuadratureError: precision-limited: deviation (\S+) exceeds "
+            r"the tolerance 1e-08 by no more than the Gram's own error "
+            r"(\S+)", rec.detail["error"])
+        assert found, rec.detail
+        dev, err = map(float, found.groups())
+        assert 1e-8 < dev < 1e-7
+        assert dev < err <= 1e-5  # below the roundoff floor of the mass
+
+    def test_level_50_passes(self, tmp_path):
+        rec = self._gram_record(tmp_path, 50)
+        assert rec.verdict == "pass"
+        assert rec.metric < 1e-8
+
+    def test_scaled_normalization_still_fails(self, tmp_path, monkeypatch):
+        # N_psi off by 1e-6 moves the diagonal by far more than the Gram's
+        # own error at n_max = 8
+        plain = StateFamily.normalization.fget
+        monkeypatch.setattr(StateFamily, "normalization", property(
+            lambda fam: plain(fam) * (1 + 1e-6 if fam.side == "psi" else 1)))
+        rec = self._gram_record(tmp_path, 8)
         assert rec.verdict == "fail"
-        assert 1e-8 < rec.metric < 1e-7
-        mass = rec.detail["max_entry_mass"]
-        assert mass >= 1e8
-        assert rec.metric < 50.0 * np.finfo(float).eps * mass
+        assert abs(rec.metric - 1e-6) < 1e-9
 
 
 class TestCmdHamiltonian:
@@ -513,17 +553,31 @@ class TestNoVacuousPass:
             assert "vanished on the whole grid" in rec.detail["error"]
         assert report.overall == "fail"
 
-    def test_nan_residuals_fail(self, tmp_path):
-        # example2's states over/underflow far out, so every ladder, eigen
-        # and partner-product residual is nan; none may read as 0
-        body = ("[model]\nbuiltin = example2\n"
-                "[grid]\nlo = -720\nhi = 720\npoints = 41\n"
-                "[run]\nn_max = 2\nchecks = ladder eigen hsusy\n"
+    @pytest.mark.parametrize("builtin, reach, n_max, where", [
+        ("example2", 720, 2, "phi level 1 is not finite at x = -720:"),
+        ("example1", 30, 150, "phi level 97 is not finite at x = -30:"),
+        ("example2", 10, 150, "phi level 90 is not finite at x = -10:"),
+    ], ids=["example2-720", "example1-150", "example2-150"])
+    def test_non_finite_states_are_errors(self, tmp_path, builtin, reach,
+                                          n_max, where):
+        # far out the vacuum underflows to 0 where the Hermite rows (or,
+        # for example2, cosh) overflow: the states read nan there, and
+        # every ladder, eigen and partner-product record names the first
+        # such level and point instead of reading fail metric=nan.  Only
+        # at |x| = 720 do example2's coefficients overflow themselves, and
+        # warn; the states never do
+        body = (f"[model]\nbuiltin = {builtin}\n"
+                f"[grid]\nlo = -{reach}\nhi = {reach}\npoints = 41\n"
+                f"[run]\nn_max = {n_max}\nchecks = ladder eigen hsusy\n"
                 f"[output]\ndir = {tmp_path / 'out'}\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(), \
+                np.errstate(all="ignore" if reach == 720 else None):
+            warnings.simplefilter("error")
             report = cmd_check(load_config(write_config(tmp_path, body)))
-        assert [r.verdict for r in report.records] == ["fail"] * 3
-        assert all(math.isnan(r.metric) for r in report.records)
+        assert [r.verdict for r in report.records] == ["error"] * 3
+        for rec in report.records:
+            assert rec.detail["error"].startswith(f"ModelError: {where}"), \
+                rec.detail
         assert report.overall == "fail"
 
 

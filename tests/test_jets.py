@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 from hypothesis import given, settings, strategies as st
 
 from pseudobosons import jets
@@ -58,8 +59,10 @@ class TestExamples:
         assert np.allclose(coeffs(jet_exp(u)), [1, 1, 0.5], atol=1e-15)
 
     def test_hermite2_at_zero(self):
+        # h_2(0) = H_2(0) / sqrt(2^2 2!) = -2 / sqrt(8)
         u = Jet(0.0, [0.0])
-        assert np.allclose(coeffs(jet_hermite(u, 2)), [-2.0])
+        want = hermval(0.0, [0, 0, 1]) / math.sqrt(8.0)
+        assert np.allclose(coeffs(jet_hermite(u, 2)), [want])
 
     def test_sinh_series(self):
         u = Jet(0.0, [0, 1, 0, 0])
@@ -221,7 +224,7 @@ class TestAgainstMpmath:
     def test_hermite_jet_matches_recurrence_values(self):
         u = Jet.variable(0.8, 3)
         j = jet_hermite(u, 7)
-        h7 = lambda y: mpmath.hermite(7, y)
+        h7 = lambda y: mpmath.hermite(7, y) / mpmath.sqrt(2**7 * 5040)
         ref = mpmath.taylor(h7, 0.8, 3)
         assert np.allclose(j.coeffs, [float(r) for r in ref],
                            rtol=1e-12, atol=1e-9)

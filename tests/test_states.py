@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,11 @@ from pseudobosons import (
     vacuum,
     verify_ladder,
 )
-from pseudobosons.quad import hermite_value
+
+
+def physicists_hermite(n, y):
+    """The physicists' Hermite polynomial H_n(y), from numpy."""
+    return np.polynomial.hermite.hermval(y, [0] * n + [1])
 
 
 class TestVacua:
@@ -109,7 +114,7 @@ class TestClosedForms:
         for x in (-1.1, 0.3, 1.9):
             pi3 = pi_sigma_closed(example2, "pi", 3, x, 0).value
             sig3 = pi_sigma_closed(example2, "sigma", 3, x, 0).value
-            want = hermite_value(3, np.array([math.sinh(x)]))[0] / 8
+            want = physicists_hermite(3, np.array([math.sinh(x)]))[0] / 8
             assert abs(pi3 - want) < 1e-12 * (1 + abs(want))
             assert abs(sig3 - 8 * pi3) < 1e-12 * (1 + abs(sig3))
 
@@ -179,8 +184,8 @@ class TestClosedForms:
             for x in (-1.3, 0.4, 2.2):
                 y = (x + fl.k) * scale_arg
                 lhs = pi_sigma_closed(constant_alpha, "pi", n, x, 0).value
-                h1 = hermite_value(n - 1, np.array([y]))[0]
-                h2 = hermite_value(n - 2, np.array([y]))[0]
+                h1 = physicists_hermite(n - 1, np.array([y]))[0]
+                h2 = physicists_hermite(n - 2, np.array([y]))[0]
                 step = (2 * y * h1 - 2 * (n - 1) * h2) * pref ** n
                 assert abs(lhs - step) < 1e-10 * (1 + abs(step))
 
@@ -199,7 +204,7 @@ class TestEvalState:
         fam = StateFamily(example1, "phi", max_n=n)
         xs = np.linspace(-2, 2, 9)
         rho = xs + xs**3 / 3
-        want = (hermite_value(n, rho / math.sqrt(2))
+        want = (physicists_hermite(n, rho / math.sqrt(2))
                 * np.exp(-0.5 * rho**2)
                 / math.sqrt(2**n * math.factorial(n)))
         assert np.allclose(fam.values(n, xs), want, rtol=1e-12, atol=1e-300)
@@ -209,7 +214,7 @@ class TestEvalState:
         fam = StateFamily(example2, "psi", max_n=n)
         xs = np.linspace(-1.5, 1.5, 7)
         n_psi = np.conj(example2.norm_product)
-        want = (2 * n_psi * hermite_value(n, np.sinh(xs)) * np.cosh(xs)
+        want = (2 * n_psi * physicists_hermite(n, np.sinh(xs)) * np.cosh(xs)
                 / math.sqrt(math.factorial(n)))
         assert np.allclose(fam.values(n, xs), want, rtol=1e-12)
 
@@ -230,6 +235,52 @@ class TestEvalState:
         fam = StateFamily(example1, "phi", max_n=3)
         with pytest.raises(ModelError, match="max_n"):
             fam.jet(4, 0.0, 0)
+
+
+class TestNormalizedRows:
+    """The rows from the normalized Hermite recurrence against the closed
+    form N vac s^n H_n(y) / sqrt(n!), y = u / (2s), in 30-digit
+    arithmetic, up to a level where H_n and n! leave double range."""
+
+    LEVELS = (0, 1, 17, 80, 150, 200)
+
+    @pytest.mark.parametrize("name", ["bosonic", "example1", "example2",
+                                      "raw_example1"])
+    def test_rows_match_the_unnormalized_closed_form(self, request, name):
+        m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                             "-2*x/(1+x^2)^2") \
+            if name == "raw_example1" else request.getfixturevalue(name)
+        xs = np.linspace(-12.0, 12.0, 73)
+        for side, poly in (("phi", "pi"), ("psi", "sigma")):
+            fam = StateFamily(m, side, max_n=max(self.LEVELS))
+            # far out vac underflows where h_n overflows: nan, no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = fam.values_all(xs)
+            s = cmath.sqrt(m.kappa[poly] / 2)
+            ys = m.lead_jet(poly, xs, 0).value / (2 * s)
+            # the vacua of these models are positive
+            log_vac = m.log_abs_vacuum_values(side, xs)
+            for n in self.LEVELS:
+                with mpmath.workdps(30):
+                    want = [fam.normalization * mpmath.mpc(s) ** n
+                            * mpmath.exp(lv) * mpmath.hermite(n, y)
+                            / mpmath.sqrt(mpmath.factorial(n))
+                            for y, lv in zip(ys, log_vac)]
+                    # where the state itself is beyond double range, only
+                    # a row that is not finite is right
+                    beyond = np.array([abs(w) > 2e308 for w in want])
+                    inside = np.array([abs(w) < 1e300 for w in want])
+                    want = np.array([complex(w) if ok else np.nan
+                                     for w, ok in zip(want, inside)])
+                scale = np.max(np.abs(want[inside]))
+                got = rows[n]
+                assert not np.isfinite(got[beyond]).any(), (name, side, n)
+                seen = inside & np.isfinite(got)
+                assert np.all(np.abs(got[seen] - want[seen])
+                              <= 1e-13 * scale), (name, side, n)
+                # a row is not finite only where the state is negligible
+                assert np.all(np.abs(want[inside & ~seen])
+                              <= 1e-13 * scale), (name, side, n)
 
 
 class TestNormalization:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pseudobosons import (
     biorthonormality_matrix,
@@ -28,6 +28,7 @@ from pseudobosons.quad import (
     TestFunction,
     compatibility_form,
     hermite_value,
+    hull_edges,
     integrate_line,
     state_overlaps,
 )
@@ -47,6 +48,11 @@ class TestVectorIntegrator:
            shift=st.floats(-1.0, 1.0), scale=st.floats(0.5, 2.0),
            levels=st.lists(st.integers(0, 12), min_size=1, max_size=6),
            phase=st.floats(0.0, 2.0 * math.pi))
+    # from the default seeds this bump's flat ends made a panel's Gauss
+    # and Kronrod sums agree by accident, accepting a 3.5e-11 error on
+    # level 0; bump integrals start on hull_edges, as integrate_line asks
+    @example(center=0.040331116038273995, width=0.4, shift=0.0, scale=1.0,
+             levels=[0, 1], phase=0.0)
     def test_equals_stack_of_scalar_integrals(self, center, width, shift,
                                               scale, levels, phase):
         bump = TestFunction(center, width, amplitude=np.exp(1j * phase))
@@ -54,17 +60,19 @@ class TestVectorIntegrator:
         def level(n, xs):
             return bump.values(xs) * hermite_value(n, (xs - shift) * scale)
 
-        lo, hi = bump.support
+        edges = hull_edges([bump.support])
+        lo, hi = edges[0], edges[-1]
         vec = integrate_line(
             lambda xs: np.stack([level(n, xs) for n in levels], axis=-1),
-            lo, hi)
+            lo, hi, _first_edges=edges)
         assert vec.value.shape == vec.abs_error_estimate.shape \
             == (len(levels),)
         eps = np.finfo(float).eps
         for j, n in enumerate(levels):
-            one = integrate_line(lambda xs, _n=n: level(_n, xs), lo, hi)
+            one = integrate_line(lambda xs, _n=n: level(_n, xs), lo, hi,
+                                 _first_edges=edges)
             mass = integrate_line(lambda xs, _n=n: np.abs(level(_n, xs)),
-                                  lo, hi).value.real
+                                  lo, hi, _first_edges=edges).value.real
             # each one's acceptance level: the absolute tol or the
             # roundoff floor 50 eps * mass, whichever is larger
             level_tol = max(1e-12, 50.0 * eps * mass)
