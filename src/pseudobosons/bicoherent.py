@@ -446,6 +446,22 @@ def _upper_gamma_q(n_max: int, x: float) -> np.ndarray:
     return np.exp(np.logaddexp.accumulate(log_terms))
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of n points on [-1, 1]: the
+    eigenvalues of the symmetric Jacobi matrix (Golub and Welsch, Math.
+    Comp. 23 (1969)), polished by one Newton step on the three-term
+    recurrence, and the weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    j = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), 1),
+                           UPLO="U")
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    slope = n * (p_prev - x * p) / (1.0 - x * x)  # P_n'(x)
+    x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
 def _disc_rule(radii: list, n_r: int, n_theta: int, max_terms: int,
                pairs: list) -> np.ndarray:
     """The disc rule at every radius of ``radii`` for each (a, b) of
@@ -457,7 +473,7 @@ def _disc_rule(radii: list, n_r: int, n_theta: int, max_terms: int,
     W[i, m] = 2 sum_j w_ij r_ij p_m(r_ij)^2.  A smaller n_theta folds the
     terms of each residue class mod n_theta with a 0/1 matrix before the
     product, as the aliased angular sum does."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    nodes, weights = _gauss_legendre(n_r)
     half = 0.5 * np.asarray(radii, dtype=float)[:, None]
     r = half * (nodes + 1.0)
     wr = half * weights

@@ -475,8 +475,9 @@ def _write_csv(path: Path, header: list, rows) -> Path:
 def cmd_states(cfg: RunConfig) -> list[Path]:
     """Tabulate both families on the grid, one CSV per side.  A side the
     model cannot evaluate (the psi side of vacua that do not pair needs
-    their normalization) is a ModelError naming it, raised after the
-    tables of the sides before it are written."""
+    their normalization) is a ModelError naming it, and so is a level
+    that leaves double range on the grid, as in ``check``; either is
+    raised after the tables of the sides before it are written."""
     m = build_model(cfg.model_spec)
     xs = cfg.grid
     paths = []
@@ -484,9 +485,12 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
     for side in ("phi", "psi"):
         fam = states.StateFamily(m, side, max_n=cfg.n_max)
         try:
-            rows = fam.values_all(xs)
+            # a level beyond double range is refused below, not warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = fam.values_all(xs)
         except (model_mod.ModelError, ex.ExpressionError) as exc:
             raise model_mod.ModelError(f"{side} side: {exc}") from exc
+        states.refuse_non_finite_levels(side, range(cfg.n_max + 1), xs, rows)
         cols = [xs.astype(float)]
         header = ["x"]
         for n, vals in enumerate(rows):

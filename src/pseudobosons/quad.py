@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -273,38 +274,50 @@ def _seed_breakpoints(a: float, b: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _truncate(probe, tol: float, signs: tuple, start=None) -> dict:
+def _truncate(probe, tol: float, signs: tuple) -> dict:
     """For each open side (sign -1 or +1), the smallest dyadic L with
     probe < tol/10 at sign*L and sign*1.31L and negligible estimated tail
     mass probe * L; returns {sign: sign*L}.  ``probe`` maps an array of
-    points to an array of magnitudes, and each doubling probes every side
-    still open in one call.  ``start`` maps a sign to the dyadic L at
-    which its search begins (1 where absent), for a caller that knows no
-    smaller L is admissible."""
-    start = start or {}
-    cuts = {}
-    L = 1.0
-    for _ in range(60):
-        if len(cuts) == len(signs):
-            return cuts
-        open_signs = [s for s in signs
-                      if s not in cuts and L >= start.get(s, 1.0)]
-        if not open_signs:
-            L *= 2.0
-            continue
-        pts = np.array([s * f * L for s in open_signs for f in (1.0, 1.31)])
-        at_l, at_far = np.reshape(probe(pts), (-1, 2)).T
+    points to an array of magnitudes.  One call probes a block of four
+    doublings, L = 1..8, 16..128 and so on up to 2^59, on every side still
+    open.  A block whose call raises or warns is probed again one doubling
+    per call, so that the cut or the error is that of such a search."""
+    cuts, last = {}, {}
+
+    def take(open_signs, Ls):
+        pts = np.multiply.outer(np.multiply.outer(open_signs, Ls), (1, 1.31))
+        vals = np.reshape(probe(pts.ravel()), pts.shape)
+        at_l, at_far = vals[..., 0], vals[..., 1]
         # the larger of the two, read as Python's max(at_l, at_far)
-        mag = np.where(at_far > at_l, at_far, at_l)
-        for s, worst in zip(open_signs, mag):
-            if worst < tol / 10.0 and worst * L < tol / 3.0:
-                cuts[s] = s * L
-        L *= 2.0
-    if len(cuts) == len(signs):
-        return cuts
-    raise QuadratureError(
-        "envelope non-integrable: no admissible truncation point found"
-    )
+        worst = np.where(at_far > at_l, at_far, at_l)
+        ok = (worst < tol / 10.0) & (worst * Ls < tol / 3.0)
+        for s, row, hit in zip(open_signs, worst, ok):
+            last[s] = row[-1]
+            if hit.any():
+                cuts[s] = float(s * Ls[np.argmax(hit)])
+
+    for first in range(0, 60, 4):
+        open_signs = [s for s in signs if s not in cuts]
+        if not open_signs:
+            return cuts
+        Ls = 2.0 ** np.arange(first, first + 4)
+        try:
+            # a point that a one-doubling search never reaches must neither
+            # fail the search nor warn on its behalf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                take(open_signs, Ls)
+        except Exception:
+            for L in Ls[:, None]:
+                if len(cuts) < len(signs):
+                    take([s for s in signs if s not in cuts], L)
+    if len(cuts) < len(signs):
+        ends = [f"the {'-' if s < 0 else '+'}inf side (probe {last[s]:.3g}, "
+                f"probe * L {last[s] * 2.0**59:.3g} at L = 2^59)"
+                for s in signs if s not in cuts]
+        raise QuadratureError("envelope non-integrable: no admissible "
+                              "truncation point found on " + " or ".join(ends))
+    return cuts
 
 
 def _result(value, err, panels: int, bounds, mass) -> IntegralResult:
@@ -324,7 +337,6 @@ def integrate_line(
     envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     max_panels: int = 10_000,
     _first_edges: Optional[tuple] = None,
-    _start_cut: Optional[tuple] = None,
 ) -> IntegralResult:
     """Adaptive line integral of a vectorized integrand.
 
@@ -342,7 +354,8 @@ def integrate_line(
     ``envelope``, which maps an array of points to a nonnegative decay
     bound on |f| at each, or, if no envelope is given, the largest
     magnitude of the components of ``f`` at each sampled point.  Both open
-    ends are probed together, one call per doubling.  Component j is
+    ends are probed together, one call per block of four doublings of the
+    cut (see :func:`_truncate`).  Component j is
     accepted once its error estimate is below
     max(tol, rtol * |I_j|, 50 eps * integral of |f_j|), apportioned to
     panels by width.  A panel is kept only when every component meets its
@@ -368,10 +381,7 @@ def integrate_line(
     :func:`hull_edges`: from the default seeds, the flat ends of a bump
     can make the Gauss and Kronrod sums of a panel agree by accident, and
     a bump at center 0.0403, width 0.4 then accepts an error of 3.5e-11
-    at tol 1e-12.  ``_start_cut``, another internal keyword, is
-    the cut (a, b) of an earlier truncation whose probe never exceeded
-    this one's and whose tolerance was no tighter: no smaller L can be
-    admissible here, so the doubling on each open end starts at its |end|.
+    at tol 1e-12.
     """
     def probe(xs: np.ndarray) -> np.ndarray:
         if envelope is not None:
@@ -384,9 +394,7 @@ def integrate_line(
 
     lo_inf = a is None or math.isinf(a)
     hi_inf = b is None or math.isinf(b)
-    start = None if _start_cut is None else \
-        {-1: -_start_cut[0], +1: _start_cut[1]}
-    cuts = _truncate(probe, tol, (-1,) * lo_inf + (+1,) * hi_inf, start)
+    cuts = _truncate(probe, tol, (-1,) * lo_inf + (+1,) * hi_inf)
     a_eff = cuts[-1] if lo_inf else float(a)
     b_eff = cuts[+1] if hi_inf else float(b)
     if a_eff == b_eff:
@@ -819,14 +827,10 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
     appends its IntegralResult (per-entry error estimates, panels).  The
     psi side carries the model's normalization product.  The integrand
     is given by its factors, the psi and phi rows, so no
-    (npts, (N+1)^2) product is formed.
-
-    The truncation search starts at the cut of the model's vacuum
-    pairing: its envelope pair_envelope(m, 0) is nowhere above this one's
-    pair_envelope(m, 2N), so at a tolerance no looser than the pairing's
-    no smaller L is admissible, and the cut is the one a search from
-    L = 1 finds."""
-    from .states import PAIRING_TOL, StateFamily, pair_envelope
+    (npts, (N+1)^2) product is formed.  The line is truncated by
+    pair_envelope(m, 2N), searched from L = 1 like any other integral:
+    one probe call covers every cut up to L = 8."""
+    from .states import StateFamily, pair_envelope
 
     phi = StateFamily(m, "phi", max_n=N)
     psi = StateFamily(m, "psi", max_n=N)
@@ -837,12 +841,8 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
         with np.errstate(over="ignore", invalid="ignore"):
             return psi.values_all(xs).T, phi.values_all(xs).T
 
-    pairing = m.pairing_outcome
-    start = pairing.truncation_bounds \
-        if isinstance(pairing, IntegralResult) and tol <= PAIRING_TOL \
-        else None
     res = integrate_line(integrand, None, None, tol=tol,
-                         envelope=pair_envelope(m, 2 * N), _start_cut=start)
+                         envelope=pair_envelope(m, 2 * N))
     G = res.value.reshape(N + 1, N + 1)
     dev = float(np.max(np.abs(G - np.eye(N + 1))))
     return (G, dev, res) if return_integral else (G, dev)

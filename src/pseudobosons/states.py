@@ -415,25 +415,31 @@ def _relative_sup(residual, state, ns) -> list:
         return (np.max(res, axis=-1) / sup).tolist()
 
 
+def refuse_non_finite_levels(side: str, ns, grid, values) -> None:
+    """A ModelError naming the first level of ``ns`` whose row of
+    ``values`` (one row per level, one column per grid point) is not
+    finite somewhere on the grid, and its such point nearest 0."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=-1)))
+        xs = grid[bad[i]]
+        raise ModelError(f"{side} level {ns[i]} is not finite at x = "
+                         f"{xs[np.argmin(np.abs(xs))]:.6g}: it leaves "
+                         "double range there")
+
+
 def _stacked_levels(fam: StateFamily, ns, grid, order: int,
                     jets: GridJets | None) -> Jet:
     """The levels ``ns`` of the family on the grid at ``order`` as one
     stacked jet: one family call, or a selection of the prebuilt
     ``jets``.  A level whose value is not finite somewhere on the grid
-    leaves no residual to compare and is a ModelError naming the first
-    such level of ``ns`` and its such point nearest 0."""
+    leaves no residual to compare (see :func:`refuse_non_finite_levels`)."""
     if jets is None:
         levels = Jet.stack(fam.jet(ns, grid, order))
     else:
         jets.check(fam.model, grid)
         levels = jets.states(fam.side, ns, order)
-    bad = ~np.isfinite(levels.value)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=-1)))
-        xs = grid[bad[i]]
-        raise ModelError(f"{fam.side} level {ns[i]} is not finite at x = "
-                         f"{xs[np.argmin(np.abs(xs))]:.6g}: it leaves "
-                         "double range there")
+    refuse_non_finite_levels(fam.side, ns, grid, levels.value)
     return levels
 
 

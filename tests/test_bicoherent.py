@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -19,6 +20,7 @@ from pseudobosons import (
 from pseudobosons.bicoherent import (
     PairingSeries,
     TransformedTestFunction,
+    _gauss_legendre,
     _overlap_bound,
     _upper_gamma_q,
 )
@@ -408,3 +410,26 @@ class TestDiscreteParseval:
             live = want > 1e-300
             assert np.all(np.abs(got[live] - want[live])
                           <= 1e-12 * want[live]), radius
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 96])
+def test_gauss_legendre_rule(n):
+    """Nodes and weights of the disc's radial rule against roots of P_n
+    polished by Newton's method in 40-digit arithmetic."""
+    def legendre(x):  # P_n(x), P_n'(x)
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (p_prev - x * p) / (1 - x * x)
+
+    nodes, weights = _gauss_legendre(n)
+    with mpmath.workdps(40):
+        for x0, w0 in zip(nodes, weights):
+            x = mpmath.mpf(float(x0))
+            for _ in range(4):
+                p, slope = legendre(x)
+                x -= p / slope
+            _, slope = legendre(x)
+            w = 2 / ((1 - x * x) * slope * slope)
+            assert abs(x0 - x) <= 2e-16
+            assert abs(w0 - w) <= 1e-12 * w

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from childproc import run_cli
 from pseudobosons import StateFamily, build_builtin, jets
 from pseudobosons.cli import (
     BLOCKED_BY,
@@ -580,6 +581,20 @@ class TestNoVacuousPass:
                 rec.detail
         assert report.overall == "fail"
 
+    def test_states_refuses_non_finite_cells(self, tmp_path):
+        # the tables of example1 at n_max = 150 over [-30, 30] read nan
+        # and inf from level 97 on: the same error as check, no table
+        body = ("[model]\nbuiltin = example1\n"
+                "[grid]\nlo = -30\nhi = 30\npoints = 61\n"
+                "[run]\nn_max = 150\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        run = run_cli(["states", "--config", write_config(tmp_path, body)])
+        assert run.code == 1 and not run.timed_out
+        assert run.stderr.splitlines() == [
+            "error: phi level 97 is not finite at x = -30: it leaves double "
+            "range there"]
+        assert not (tmp_path / "out" / "states_phi.csv").exists()
+
 
 class TestReports:
     def test_every_command_prints_its_records(self, tmp_path, capsys):
@@ -645,9 +660,9 @@ class TestWorkDone:
         assert report.overall == "pass"
         assert points and min(points) > 1  # no one-point probe
         # ladder, eigen and hsusy share one order-2 evaluation per side,
-        # and the Gram search starts at the vacuum pairing's cut
+        # and each truncation search makes one probe call
         assert sorted(jet_calls) == [("phi", 2), ("psi", 2)]
-        assert len(points) == 16
+        assert len(points) == 12
 
     def test_demo_check_applies_ladder_operators_in_few_calls(
             self, tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""One evaluation of the model's jets on the grid per check run, the Gram
-truncation started at the vacuum pairing's cut, and integrals that give
-up early where refinement cannot help."""
+"""One evaluation of the model's jets on the grid per check run, one
+probe call per truncation search of the Gram and the vacuum pairing, and
+integrals that give up early where refinement cannot help."""
 
 import dataclasses
 import re
@@ -140,71 +140,41 @@ class TestSharedJetsMatchStandalone:
 
 
 def _counting_truncate(monkeypatch) -> list:
-    """(cuts, probe calls, the first L probed) of every truncation search
-    from now on."""
+    """(cuts, probe calls) of every truncation search from now on."""
     searches = []
     truncate = quad._truncate
 
-    def counted(probe, tol, signs, start=None):
-        if not signs:  # a finite interval (Antideriv segments) probes nothing
-            return truncate(probe, tol, signs, start)
+    def counted(probe, tol, signs):
         calls = []
 
         def counted_probe(xs):
-            calls.append(float(np.min(np.abs(xs))))
+            calls.append(xs.size)
             return probe(xs)
 
-        cuts = truncate(counted_probe, tol, signs, start)
-        searches.append((cuts, len(calls), calls[0]))
+        cuts = truncate(counted_probe, tol, signs)
+        if signs:  # a finite interval (Antideriv segments) probes nothing
+            searches.append((cuts, len(calls)))
         return cuts
 
     monkeypatch.setattr(quad, "_truncate", counted)
     return searches
 
 
-class TestGramCutFromThePairing:
-    """The Gram search starts at the vacuum pairing's cut and finds the
-    cut a search from L = 1 finds."""
+class TestOneProbeCallPerSearch:
+    """A truncation search probes four doublings per call, so a cut at
+    L <= 8 costs one envelope call, and the Gram search needs no start
+    from the vacuum pairing's cut."""
 
-    @pytest.mark.parametrize("N", [4, 8, 20])
-    def test_same_cut_as_from_one(self, all_builtins, N):
-        for name, m in _models(all_builtins).items():
-            env = pair_envelope(m, 2 * N)
-
-            def probe(xs, env=env):
-                return np.abs(env(xs))
-
-            start_at = m.pairing_outcome.truncation_bounds
-            start = {-1: -start_at[0], +1: start_at[1]}
-            free = quad._truncate(probe, 1e-12, (-1, 1))
-            assert quad._truncate(probe, 1e-12, (-1, 1), start) == free, \
-                (name, N)
-            # the pairing's own envelope is degree 0, never above this one
-            assert free[-1] <= start_at[0] and free[1] >= start_at[1]
-
-    def test_raw_example1_probes_one_doubling(self, monkeypatch):
+    def test_raw_example1_pairing_and_gram(self, monkeypatch):
         raw = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
                                "-2*x/(1+x^2)^2")
-        raw.pairing_outcome  # the pairing's own search is not counted
         searches = _counting_truncate(monkeypatch)
         _, _, res = quad.biorthonormality_matrix(raw, 8,
                                                  return_integral=True)
-        env = pair_envelope(raw, 16)
-        quad._truncate(lambda xs: np.abs(env(xs)), 1e-12, (-1, 1))
-        (cuts, probes, _), (free_cuts, free_probes, _) = searches
-        assert (probes, free_probes) == (1, 3)
-        assert cuts == free_cuts
-        assert res.truncation_bounds == (cuts[-1], cuts[1])
-
-    def test_looser_tolerance_searches_from_one(self, example2, monkeypatch):
-        example2.pairing_outcome
-        searches = _counting_truncate(monkeypatch)
-        quad.biorthonormality_matrix(example2, 4, tol=1e-8)
-        quad.biorthonormality_matrix(example2, 4)
-        (_, _, loose_from), (_, _, tight_from) = searches
-        assert loose_from == 1.0
-        assert tight_from == example2.pairing_outcome.truncation_bounds[1]
-        assert tight_from > 1.0
+        (pair_cuts, pair_probes), (cuts, probes) = searches
+        assert (pair_probes, probes) == (1, 1)
+        assert pair_cuts == {-1: -4.0, 1: 4.0}
+        assert res.truncation_bounds == (cuts[-1], cuts[1]) == (-4.0, 4.0)
 
 
 class TestFarBumpFailsFast:

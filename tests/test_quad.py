@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,14 +278,17 @@ def _scalar_cut(probe, tol, sign):
 
 
 class TestBatchedTruncation:
-    """Both open sides probed in one call per doubling cut where
-    one-sided scalar probing does."""
+    """Both open sides probed in one call per block of four doublings cut
+    where one-sided scalar probing does."""
 
     def _envelopes(self, all_builtins, raw_example1):
         from pseudobosons.states import pair_envelope
 
+        # degrees 0, 7, 40 and those of the Gram at N = 4, 8, 20
         envs = {f"{name}_{deg}": pair_envelope(m, deg)
-                for name, m in all_builtins.items() for deg in (0, 7, 40)}
+                for name, m in {**all_builtins,
+                                "raw_example1": raw_example1}.items()
+                for deg in (0, 7, 8, 16, 40)}
         envs["raw_example1_9"] = pair_envelope(raw_example1, 9)
         # sides that cut at different points
         envs["lopsided"] = lambda xs: np.exp(
@@ -326,10 +330,44 @@ class TestBatchedTruncation:
 
     def test_one_divergent_side_is_refused(self):
         # integrable to the left, 1/(1 + x) to the right
-        with pytest.raises(QuadratureError, match="non-integrable"):
+        with pytest.raises(QuadratureError, match="non-integrable") as info:
             integrate_line(
                 lambda xs: np.where(xs < 0.0, np.exp(-xs * xs),
                                     1.0 / (1.0 + np.abs(xs))), None, None)
+        assert "on the +inf side (probe 1.73e-18, probe * L 1 at L = 2^59)" \
+            in str(info.value)
+        assert "-inf" not in str(info.value)
+
+    @staticmethod
+    def _near_only(decay):
+        """exp(-decay x^2), refusing every point beyond |x| = 3."""
+        def env(xs):
+            if np.any(np.abs(xs) > 3.0):
+                raise ValueError(f"probed at {np.max(np.abs(xs))}")
+            return np.exp(-decay * xs * xs)
+        return env
+
+    def test_block_that_raises_is_probed_per_doubling(self):
+        # the first block reaches |x| = 10.48, the cut is at L = 2
+        r = integrate_line(lambda xs: np.zeros_like(xs), None, None,
+                           envelope=self._near_only(10.0))
+        assert r.truncation_bounds == (-2.0, 2.0)
+        # not admissible before L = 4, whose probe raises as it would in a
+        # one-doubling search
+        with pytest.raises(ValueError, match="probed at 5.24"):
+            integrate_line(lambda xs: np.zeros_like(xs), None, None,
+                           envelope=self._near_only(0.1))
+
+    def test_no_warning_from_beyond_the_cut(self):
+        def env(xs):
+            return np.exp(np.where(np.abs(xs) > 3.0, 1e3, -10.0) * xs * xs)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = integrate_line(lambda xs: np.zeros_like(xs), None, None,
+                               envelope=env)
+        assert r.truncation_bounds == (-2.0, 2.0)
+        assert caught == []
 
 
 class TestOscillator:
