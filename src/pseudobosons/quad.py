@@ -172,7 +172,8 @@ def _factored_sums(xs: np.ndarray, half: np.ndarray, a, b):
             for v in (a, b))
 
     def weigh(w, x, y):
-        return ((np.swapaxes(x, 1, 2) * w) @ y).reshape(len(xs), -1) * half
+        out = ((np.swapaxes(x, 1, 2) * w) @ y).reshape(len(xs), -1)
+        return np.multiply(out, half, out=out)  # one (panels, P*Q) array
 
     abs_a, abs_b = np.abs(a), np.abs(b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,14 +413,12 @@ def integrate_line(
 
     edges = (_seed_breakpoints(a_eff, b_eff) if _first_edges is None
              else np.asarray(_first_edges, dtype=float))
-    lo = edges[:-1]
-    hi = edges[1:]
+    lo, hi = edges[:-1], edges[1:]
     width_total = b_eff - a_eff
 
     total_panels = 0
     done_val = 0.0 + 0.0j
-    done_err = 0.0
-    done_abs = 0.0
+    done_err = done_abs = 0.0
     ratios = []  # error estimate / acceptance level of each pass
     excess = []  # the worst of them
     for _ in range(64):
@@ -430,6 +429,7 @@ def integrate_line(
                 best_value=done_val, error_estimate=done_err,
                 failed=_failed_components(ratios) if ratios else None,
             )
+        kron = err = kabs = None  # the last pass's sums go before the next
         kron, err, kabs = _panel_sums(f, lo, hi)
         val = done_val + kron.sum(axis=0)
         val_err = done_err + err.sum(axis=0)
@@ -452,8 +452,8 @@ def integrate_line(
                 f"level after {len(excess)} passes",
                 best_value=val, error_estimate=val_err,
                 failed=_failed_components(ratios))
-        share = scale * (hi - lo)[:, None] / width_total
-        ok = (err.reshape(lo.size, -1) <= share).all(axis=1)
+        ok = (err.reshape(lo.size, -1)
+              <= scale * (hi - lo)[:, None] / width_total).all(axis=1)
         done_val = done_val + kron[ok].sum(axis=0)
         done_err = done_err + err[ok].sum(axis=0)
         done_abs = done_abs + kabs[ok].sum(axis=0)

@@ -26,6 +26,7 @@ from pseudobosons.spectral import (
     printed_hamiltonian_crosscheck,
 )
 from pseudobosons.states import GridJets, pair_envelope, verify_ladder
+from test_quad import _scalar_cut
 
 GRID = np.linspace(-3.0, 3.0, 201)
 BUMPS = [quad.TestFunction(-0.8, 1.1), quad.TestFunction(0.4, 0.6)]
@@ -158,6 +159,28 @@ def _counting_truncate(monkeypatch) -> list:
 
     monkeypatch.setattr(quad, "_truncate", counted)
     return searches
+
+
+class TestGramCutFromThePairing:
+    """The Gram search, which no longer starts at the vacuum pairing's
+    cut, cuts where a one-doubling search from L = 1 does, and never
+    inside the pairing's cut."""
+
+    @pytest.mark.parametrize("N", [4, 8, 20])
+    def test_same_cut_as_from_one(self, all_builtins, N):
+        for name, m in _models(all_builtins).items():
+            env = pair_envelope(m, 2 * N)
+
+            def probe(x, env=env):
+                return float(np.abs(env(np.array([x])))[0])
+
+            want = tuple(_scalar_cut(probe, 1e-12, sign) for sign in (-1, 1))
+            _, _, res = quad.biorthonormality_matrix(m, N,
+                                                     return_integral=True)
+            assert res.truncation_bounds == want, (name, N)
+            # the pairing's own envelope is degree 0, never above this one
+            start_at = m.pairing_outcome.truncation_bounds
+            assert want[0] <= start_at[0] and want[1] >= start_at[1]
 
 
 class TestOneProbeCallPerSearch:
