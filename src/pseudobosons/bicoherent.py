@@ -187,8 +187,10 @@ class TransformedTestFunction:
         # the order-1 jet of g from its value and derivative routines,
         # which are cheaper on quadrature nodes than TestFunction.jet
         xs = np.asarray(xs, dtype=float)
-        gj = Jet(xs, np.stack([self.g.values(xs), self.g.deriv_values(xs)]))
-        return apply_ladder(self.model, self.which, lambda *_: gj, xs, 0).value
+        gj = Jet(xs, np.array([self.g.values(xs), self.g.deriv_values(xs)],
+                              dtype=complex))
+        return quad.real_if_exact(
+            apply_ladder(self.model, self.which, lambda *_: gj, xs, 0).value)
 
     __call__ = values
 
@@ -247,6 +249,24 @@ def _overlap_bound(m: PBModel, h, side: str
     return bounds[0] if single else bounds
 
 
+def _series_tail(term: float, q: float, n0: int) -> float:
+    """sum_{n >= n0} t_n of the terms t_n0 = ``term`` >= 0 and
+    t_{n+1} = t_n r_n, r_n = q / sqrt(n + 1), whose ratios fall with n.
+    The sum stops at the first term t_{n+1} that is negligible while
+    r_n < 1, and adds the geometric remainder t_{n+1} / (1 - r_n), which
+    bounds it and every later term; it is inf where 400 terms end before
+    that: while the terms still grow the sum is not finished, however
+    small they are."""
+    total = 0.0
+    for n in range(n0, n0 + 400):
+        total += term
+        r = q / math.sqrt(n + 1)
+        term *= r
+        if term < 1e-18 * (1.0 + total) and r < 1.0:
+            return total + term / (1.0 - r)
+    return math.inf
+
+
 class PairingSeries:
     """Coefficient vector <h, state_n> (or <state_n, h> where
     ``state_in_bra``) of one test function, evaluated lazily as a
@@ -289,30 +309,26 @@ class PairingSeries:
                              max_terms=self.max_terms, ket=(ket, self._bound))
 
     def _tail_bound(self, z_abs: float) -> float:
+        """A bound on exp(-|z|^2/2) sum_{n > max_terms} |z|^n / sqrt(n!)
+        |<h, state_n>|, from the transform-identity bounds where rho is
+        real, else from the coefficients extrapolated geometrically; inf
+        where 400 terms do not finish the sum (see :func:`_series_tail`)."""
         n0 = self.max_terms + 1
+        first = z_abs ** n0 / sqrt_factorial(n0)
         if self._bound is not None:
-            total = 0.0
-            term_scale = z_abs ** n0 / sqrt_factorial(n0)
-            for n in range(n0, n0 + 400):
-                total += term_scale * self._bound(n)
-                term_scale *= z_abs / math.sqrt(n + 1)
-                if term_scale * self._bound(n + 1) < 1e-18 * (1.0 + total):
-                    break
-            return total * math.exp(-0.5 * z_abs * z_abs)
-        # geometric extrapolation of the computed coefficients
-        mags = np.abs(self.coeffs[-9:])
-        nz = mags[mags > 0]
-        growth = 4.0
-        if nz.size >= 2:
-            growth = min(4.0, float(np.max(nz[1:] / nz[:-1])) + 0.5)
-        last = float(np.max(mags)) if mags.size else 0.0
-        total = 0.0
-        term = z_abs ** n0 / sqrt_factorial(n0) * last * growth
-        for n in range(n0, n0 + 400):
-            total += term
-            term *= growth * z_abs / math.sqrt(n + 1)
-            if term < 1e-18 * (1.0 + total):
-                break
+            # the bounds are geometric in n: |K| c^(-+n/2) ||h_(+-)||
+            at = self._bound(n0)
+            q = z_abs * self._bound(n0 + 1) / at if at else 0.0
+            total = _series_tail(first * at, q, n0)
+        else:
+            # geometric extrapolation of the computed coefficients
+            mags = np.abs(self.coeffs[-9:])
+            nz = mags[mags > 0]
+            growth = 4.0
+            if nz.size >= 2:
+                growth = min(4.0, float(np.max(nz[1:] / nz[:-1])) + 0.5)
+            last = float(np.max(mags)) if mags.size else 0.0
+            total = _series_tail(first * last * growth, growth * z_abs, n0)
         return total * math.exp(-0.5 * z_abs * z_abs)
 
     def eval(self, z: complex, *, conjugate_z: bool,

@@ -461,7 +461,9 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
 # ----------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+    """v to 17 significant digits; an exact zero prints 0, whatever its
+    sign (-0.0 + 0.0 is 0.0)."""
+    return f"{v + 0.0:.17g}"
 
 
 def _write_csv(path: Path, header: list, rows) -> Path:

@@ -18,7 +18,10 @@ coefficients never depend on the discarded ones.
 Coefficients are complex throughout; real models simply carry zero
 imaginary parts.  Conjugating a jet coefficient-wise yields the jet of
 x -> conj(f(x)), which is valid because base points and increments are
-real.
+real.  The value path does not follow them: ``StateFamily.values_all``,
+``quad.hermite_value``, the bump values and the quadrature panel sums
+run in float64 wherever their inputs are exactly real, and there they
+equal the real parts of these jets' values.
 """
 
 from __future__ import annotations
@@ -484,7 +487,7 @@ def jet_powi(u: Jet, k: int) -> Jet:
 def jet_hermite(u: Jet, n):
     """Jet of h_n(u) = H_n(u) / sqrt(2^n n!) by the recurrence of
     ``quad.hermite_value``, operation for operation, so an order-0 jet's
-    value is bitwise its row.
+    value is equal to its row.
 
     ``n`` is one degree, or a sequence of degrees: one recurrence then
     serves them all and the list of their jets is returned, each bitwise

@@ -53,7 +53,18 @@ __all__ = [
     "quasi_basis_sum",
     "QuasiBasisResult",
     "state_overlaps",
+    "real_if_exact",
 ]
+
+
+def real_if_exact(a):
+    """The real part of ``a`` where every imaginary part is exactly 0 (of
+    either sign), else ``a`` unchanged: a value that is exactly real is
+    carried, and computed on, in float64."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c" and not np.count_nonzero(a.imag):
+        return a.real
+    return a
 
 
 class QuadratureError(Exception):
@@ -126,7 +137,8 @@ def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
     (the roundoff witness) for a batch of panels: shape (panels,) for a
     scalar integrand, (panels, M) for one returning (npts, M), and
     (panels, P*Q) for one returning the factors (A, B) of conj(A_i) B_j
-    (see :func:`integrate_line`)."""
+    (see :func:`integrate_line`).  The sums are taken in the integrand's
+    own dtype, so a real integrand is summed in float64."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * _XGK[None, :]
@@ -134,7 +146,7 @@ def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
     if isinstance(vals, tuple):
         kron, gauss, kabs = _factored_sums(xs, half[:, None], *vals)
     else:
-        vals = np.asarray(vals, dtype=np.complex128)
+        vals = np.asarray(vals)
         if vals.ndim == 1:  # the fast path of scalar integrands
             vals = vals.reshape(xs.shape)
 
@@ -147,7 +159,7 @@ def _panel_sums(f, lo: np.ndarray, hi: np.ndarray):
             def weigh(w, v):
                 return w @ v
         # the sum of |f| first: it is finite only where every value is,
-        # and only finite values reach the complex sums (inf * 0 is nan)
+        # and only finite values reach the signed sums (inf * 0 is nan)
         kabs = weigh(_WGK, np.abs(vals)) * half
         if not np.isfinite(kabs).all():
             _refuse_non_finite(xs, vals, kabs)
@@ -167,9 +179,10 @@ def _factored_sums(xs: np.ndarray, half: np.ndarray, a, b):
     panel A^H diag(w) B and |A|^T diag(w_K) |B|, with no (npts, P*Q)
     array formed.  The |f| sums come first, as in :func:`_panel_sums`
     (0 * inf there is nan, not a warning), and a node is named as not
-    finite where max|a| max|b| is not, as some conj(a_i) b_j is not."""
-    a, b = (np.asarray(v, dtype=np.complex128).reshape(xs.shape + (-1,))
-            for v in (a, b))
+    finite where max|a| max|b| is not, as some conj(a_i) b_j is not.
+    Each factor keeps its own dtype: real factors are summed in float64,
+    and a complex one makes the products complex."""
+    a, b = (np.asarray(v).reshape(xs.shape + (-1,)) for v in (a, b))
 
     def weigh(w, x, y):
         out = ((np.swapaxes(x, 1, 2) * w) @ y).reshape(len(xs), -1)
@@ -369,7 +382,9 @@ def integrate_line(
     QuadratureError of a vector integral says in ``failed`` which
     components it is about (see :func:`_failed_components`), and a
     spent panel budget names the pass count and the worst error /
-    acceptance level ratios of the last passes.
+    acceptance level ratios of the last passes.  A real integrand, or
+    real factors, are summed in float64 (see :func:`_panel_sums`), but
+    ``value`` is complex whatever the integrand's dtype.
 
     The first pass splits the interval at dyadic seeds (see
     :func:`_seed_breakpoints`).  ``_first_edges``, an internal keyword for
@@ -503,11 +518,18 @@ class TestFunction:
     def support(self) -> tuple[float, float]:
         return (self.center - self.width, self.center + self.width)
 
+    @property
+    def _dtype(self):
+        """complex128 for a complex amplitude, float64 for a real one."""
+        return complex if isinstance(self.amplitude, complex) else float
+
     def values(self, xs) -> np.ndarray:
+        """h at the points xs: float64 for a real amplitude, complex128
+        for a complex one."""
         xs = np.asarray(xs, dtype=float)
         t = (xs - self.center) / self.width
         inside = np.abs(t) < 1.0
-        out = np.zeros(xs.shape, dtype=np.complex128)
+        out = np.zeros(xs.shape, dtype=self._dtype)
         ti = t[inside]
         out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - ti * ti))
         return out
@@ -518,7 +540,7 @@ class TestFunction:
         xs = np.asarray(xs, dtype=float)
         t = (xs - self.center) / self.width
         inside = np.abs(t) < 1.0
-        out = np.zeros(xs.shape, dtype=np.complex128)
+        out = np.zeros(xs.shape, dtype=self._dtype)
         ti = t[inside]
         u = 1.0 - ti * ti
         out[inside] = (self.amplitude * np.exp(-1.0 / u)
@@ -554,9 +576,11 @@ class TestFunction:
 
 def hermite_value(n, y):
     """h_n(y) = H_n(y) / sqrt(2^n n!) for scalar or array y, by the
-    complex-safe recurrence h_{k+1} = sqrt(2/(k+1)) y h_k - sqrt(k/(k+1))
-    h_{k-1} (Numerical Recipes 3rd ed., section 4.6), in double range far
-    past the level where H_n leaves it.
+    recurrence h_{k+1} = sqrt(2/(k+1)) y h_k - sqrt(k/(k+1)) h_{k-1}
+    (Numerical Recipes 3rd ed., section 4.6), in double range far past the
+    level where H_n leaves it.  It runs in y's own dtype: float64 for a
+    real y, whose rows then equal the real parts of those of y + 0j, and
+    complex128 for a complex one.
 
     ``n`` is one level, or a 1-D sequence of levels whose values are
     stacked along a new first axis; each row is bitwise the single-level
@@ -564,9 +588,10 @@ def hermite_value(n, y):
     by the operations of ``jets.jet_hermite`` in its order; levels 0..top
     in order return that array, other levels a fresh selection of its rows.
     """
-    y = np.asarray(y, dtype=np.complex128)
+    y = np.asarray(y)
+    y = y.astype(np.complex128 if np.iscomplexobj(y) else float, copy=False)
     top = int(np.max(n))
-    out = np.empty((top + 1,) + y.shape, dtype=np.complex128)
+    out = np.empty((top + 1,) + y.shape, dtype=y.dtype)
     out[0] = 1.0
     if top >= 1:
         np.multiply(y, math.sqrt(2.0), out=out[1, ...])

@@ -194,19 +194,29 @@ class StateFamily:
         return lambda xs: self._levels([n], xs)[0]
 
     def values_all(self, xs) -> np.ndarray:
-        """(max_n + 1, npts) values of every level on the points ``xs``."""
+        """(max_n + 1, npts) values of every level on the points ``xs``:
+        float64 where the states are exactly real (the Hermite argument,
+        the level scales and the vacuum all are, as on bosonic, example1
+        and example2), complex128 wherever one of them is not."""
         return self._levels(range(self.max_n + 1), xs)
 
     def _levels(self, ns, xs) -> np.ndarray:
         """Stacked values of the levels ``ns`` from one Hermite recurrence;
-        each row is bitwise ``jet(n, xs, 0).value``, whose operations it
+        each row equals ``jet(n, xs, 0).value``, whose operations it
         repeats in the same order, scaling the recurrence's own rows in
-        place."""
+        place.  Each factor that is exactly real is taken as float64
+        (:func:`quad.real_if_exact`), and the recurrence runs complex only
+        where one of them is not."""
         xs = np.asarray(xs, dtype=float)
         y, scales = self._hermite(xs, 0, ns)
-        rows = hermite_value(ns, y.value)
+        y, scales = quad.real_if_exact(y.value), np.asarray(scales)
+        vac = self.model.vacuum_values(self.side, xs)
+        if y.dtype == float:  # else the rows are complex in any case
+            scales, vac = quad.real_if_exact(scales), quad.real_if_exact(vac)
+        rows = hermite_value(ns, y.astype(np.result_type(y, scales, vac),
+                                          copy=False))
         rows *= np.reshape(scales, (-1,) + (1,) * xs.ndim)
-        rows *= self.model.vacuum_values(self.side, xs)
+        rows *= vac
         return rows
 
     def values(self, n: int, xs) -> np.ndarray:

@@ -22,6 +22,7 @@ from pseudobosons.bicoherent import (
     TransformedTestFunction,
     _gauss_legendre,
     _overlap_bound,
+    _series_tail,
     _upper_gamma_q,
 )
 from pseudobosons.jets import sqrt_factorial
@@ -221,6 +222,38 @@ class TestTailBounds:
 
         with pytest.raises(ModelError, match="tail"):
             series.eval(6.0, conjugate_z=True)
+
+
+    def test_unfinished_tail_is_infinite(self, example2, swanson):
+        # at |z| = 38 the psi-side terms still grow at n = 461 (they peak
+        # near n = 2888) while each is below 1e-18: the sum is not
+        # finished, and the bound says so on both branches
+        g = TestFunction(0.0, 1.0)
+        for m in (example2, swanson):
+            series = PairingSeries(m, g, "psi", state_in_bra=True)
+            assert series._tail_bound(38.0) == math.inf
+            assert math.isfinite(series._tail_bound(1.4))
+        assert PairingSeries(example2, g, "psi", state_in_bra=True
+                             )._tail_bound(0.0) == 0.0
+
+    def test_series_tail_adds_the_geometric_remainder(self):
+        # t_n = t_n0 q^(n-n0) / sqrt((n0+1)...n), to 40 digits
+        def exact(term, q, n0):
+            with mpmath.workdps(40):
+                return float(term * mpmath.nsum(
+                    lambda k: mpmath.mpf(q) ** k
+                    / mpmath.sqrt(mpmath.rf(n0 + 1, k)), [0, mpmath.inf]))
+
+        # a tail of order 1: the remainder is below rounding
+        want = exact(3.0 ** 5 / math.sqrt(120.0), 3.0, 5)
+        assert _series_tail(3.0 ** 5 / math.sqrt(120.0), 3.0, 5) == \
+            pytest.approx(want, rel=1e-14, abs=0.0)
+        # a tail of 1.8e-16 with ratios from 0.99 down: the sum stops
+        # 3.2% short of it, and the remainder makes it an upper bound
+        want = exact(1e-17, 9.5, 90)
+        assert want <= _series_tail(1e-17, 9.5, 90) <= 1.01 * want
+        # tiny terms that still grow finish no sum within 400 terms
+        assert _series_tail(1e-300, 38.0 * math.sqrt(2.0), 61) == math.inf
 
 
 class TestEigenRelations:

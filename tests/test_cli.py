@@ -13,6 +13,7 @@ from pseudobosons.cli import (
     BLOCKED_BY,
     CHECK_ORDER,
     ConfigError,
+    _fmt,
     build_model,
     cmd_bicoherent,
     cmd_check,
@@ -245,6 +246,12 @@ class TestExitCodes:
 
 
 class TestCmdStates:
+    def test_exact_zero_prints_without_sign(self):
+        # an odd level at x = 0 is an exact zero whose sign depends on the
+        # rounding path; the table prints 0 either way
+        assert _fmt(-0.0) == _fmt(0.0) == _fmt(np.float64(-0.0)) == "0"
+        assert _fmt(-1.5) == "-1.5" and _fmt(-1e-300) == "-1e-300"
+
     def test_shape_contract(self, tmp_path):
         body = ("[model]\nbuiltin = example2\n"
                 "[grid]\nlo = -3\nhi = 3\npoints = 101\n"
@@ -390,6 +397,24 @@ class TestCmdBicoherent:
             report, _ = cmd_bicoherent(cfg)
         assert [r.verdict for r in report.records] == ["pass", "fail"]
         assert report.records[1].metric > report.records[1].tolerance
+
+    def test_growing_tail_is_not_certified(self, tmp_path):
+        # at |z| = 38 the phi-side terms of the tail peak near n = 722 and
+        # the psi-side ones near n = 2888, far past 60 + 400 terms: however
+        # small the summed terms, an unfinished tail certifies nothing,
+        # where it used to certify both pairings and fail the relation
+        body = DEMO_INI.read_text(encoding="utf-8") \
+            .replace("z_re = -1.4 1.4 3", "z_re = 38 38 1") \
+            .replace("z_im = -1.4 1.4 3", "z_im = 0 0 1")
+        cfg = load_config(write_config(tmp_path, body),
+                          out_override=tmp_path / "out")
+        report, _ = cmd_bicoherent(cfg)
+        eigen, resolution = report.records
+        assert eigen.verdict == "error", eigen
+        assert eigen.detail["error"].startswith(
+            "ModelError: non-convergent pairing tail")
+        assert "at 1 of 1 z points" in eigen.detail["error"]
+        assert resolution.verdict == "pass"
 
     def test_tail_error_is_a_record(self, tmp_path, capsys):
         # |z| up to 4.95 is beyond what 60 terms certify on the demo model:

@@ -305,6 +305,8 @@ class TestLevel150:
                         "conditions normalization biorthonormality")
         assert run.code == 0, run.stdout + run.stderr
         assert re.search(r"biorthonormality +pass", run.stdout), run.stdout
+        # the whole process, with the real states in float64
+        assert run.peak_rss_mb < 400, run.peak_rss_mb
 
     def test_example1_residuals_at_level_120(self, tmp_path):
         run = self._run(tmp_path, "builtin = example1", 10, 120,

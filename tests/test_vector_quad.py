@@ -136,6 +136,16 @@ class TestLevels:
         assert one.shape == (len(ns),)
         assert np.array_equal(one, hermite_value(ns, np.array([y0]))[:, 0])
         assert hermite_value(5, y0) == one[0]
+        # the recurrence runs in y's own dtype: a real y gives real rows,
+        # the real parts of those of the same y as complex
+        assert rows.dtype == np.complex128
+        real = hermite_value(np.arange(13), y.real)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, hermite_value(np.arange(13),
+                                                  y.real + 0j).real)
+        for n in range(13):
+            assert np.array_equal(real[n], hermite_value(n, y.real))
+        assert hermite_value(ns, [0.5, 1]).dtype == np.float64
 
     def test_calls_share_no_buffer(self, example2):
         # _levels scales the recurrence's rows in place: no two results
@@ -165,15 +175,81 @@ class TestLevels:
     def test_values_all_rows(self, request, name):
         m = _raw_example1() if name == "raw" else \
             request.getfixturevalue(name)
+        # exactly real states are carried in float64; swanson and the
+        # complex shifts of the shifted fixture are complex
+        dtype = np.complex128 if name in ("shifted", "swanson") \
+            else np.float64
         xs = np.linspace(-2.5, 2.5, 23)
         for side in ("phi", "psi"):
             fam = StateFamily(m, side, max_n=6)
             rows = fam.values_all(xs)
             assert rows.shape == (7, xs.size)
+            assert rows.dtype == dtype
             for n in range(7):
                 assert np.array_equal(rows[n], fam.values_fn(n)(xs))
                 # one Hermite recurrence, the jet's operations in its order
                 assert np.array_equal(rows[n], fam.jet(n, xs, 0).value)
+
+
+class TestRealArithmetic:
+    """Exactly real values are carried in float64: bumps of a real
+    amplitude, a^dag g and b g on real models, and the panel sums of a
+    real integrand or of real factors."""
+
+    def test_bump_dtype_follows_its_amplitude(self):
+        xs = np.linspace(-1.2, 1.2, 25)
+        real, cplx = TestFunction(0.1, 0.9), TestFunction(0.1, 0.9, 1j)
+        for f in (real.values, real.deriv_values):
+            assert f(xs).dtype == np.float64
+        for f, g in ((cplx.values, real.values),
+                     (cplx.deriv_values, real.deriv_values)):
+            assert f(xs).dtype == np.complex128
+            np.testing.assert_allclose(f(xs), 1j * g(xs), rtol=1e-15,
+                                       atol=0.0)
+
+    def test_transformed_bump_dtype(self, example2, swanson):
+        xs = np.linspace(-1.2, 1.2, 25)
+        g = TestFunction(0.1, 0.9)
+        for m, dtype in ((example2, np.float64), (swanson, np.complex128)):
+            for op in ("a_dag", "b"):
+                vals = bicoherent.TransformedTestFunction(m, op, g).values(xs)
+                assert vals.dtype == dtype
+
+    @staticmethod
+    def _assert_close(real_sums, complex_sums):
+        # within 1e-15 of each component's |f| mass
+        mass = complex_sums[2]
+        for r, c in zip(real_sums, complex_sums):
+            assert r.dtype == np.float64
+            assert np.all(np.abs(r - c) <= 1e-15 * mass)
+
+    def test_panel_sums_of_a_real_integrand(self):
+        lo = np.linspace(-3.0, 2.5, 12)
+        hi = lo + 0.5
+
+        def scalar(xs):
+            return np.exp(-xs * xs) * np.cos(3.0 * xs)
+
+        def vector(xs):
+            return np.stack([scalar(xs), xs * np.exp(-xs * xs), xs ** 3],
+                            axis=-1)
+
+        for f in (scalar, vector):
+            self._assert_close(quad._panel_sums(f, lo, hi),
+                               quad._panel_sums(lambda xs: f(xs) + 0j,
+                                                lo, hi))
+
+    def test_factored_sums_of_real_factors(self):
+        lo = np.linspace(-3.0, 2.5, 12)
+        hi = lo + 0.5
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xs = mid[:, None] + half[:, None] * quad._XGK
+        a = hermite_value(range(4), xs.ravel()).T * np.exp(-xs.ravel()
+                                                            ** 2)[:, None]
+        b = np.stack([np.cos(xs.ravel()), np.sin(2.0 * xs.ravel())], -1)
+        self._assert_close(
+            quad._factored_sums(xs, half[:, None], a, b),
+            quad._factored_sums(xs, half[:, None], a + 0j, b + 0j))
 
 
 class TestOverlapsAndGram:

@@ -3,18 +3,20 @@
     python3 tools/ab_bench.py --workload demo_bicoherent \\
         --base ../parent --change . --seeds 101 102 103 --seconds 35
 
-Runs ``bench/run.py --trace 0`` for one workload in the ``--base`` and
-the ``--change`` checkout, one pair of runs per seed at the same
-``--seconds``, alternating which side runs first.  For each end-to-end
-metric that the change's ``BENCHMARK.json`` declares, it prints each
-side's median and quartiles, and how many pairs the change won (ties
-count for neither side).  A gain is claimed only where the change won at
-least nine tenths of the pairs and the medians differ by more than the
-base's interquartile range.  A metric reads ``worse`` where the change's
-median is worse than the base's by more than that metric's ``bound`` in
-``BENCHMARK.json``, relative to the base median.  Seeds at which a
-side's outputs were not all correct are listed.  The last line of output
-is one JSON object with every sample.
+Runs ``bench/run.py --trace 0`` for each ``--workload`` (by default every
+workload that the change's ``BENCHMARK.json`` declares, one after the
+other) in the ``--base`` and the ``--change`` checkout, one pair of runs
+per seed at the same ``--seconds``, alternating which side runs first.
+For each workload and each end-to-end metric that ``BENCHMARK.json``
+declares, it prints each side's median and quartiles, and how many pairs
+the change won (ties count for neither side).  A gain is claimed only
+where the change won at least nine tenths of the pairs and the medians
+differ by more than the base's interquartile range.  A metric reads
+``worse`` where the change's median is worse than the base's by more
+than that metric's ``bound`` in ``BENCHMARK.json``, relative to the base
+median.  Seeds at which a side's outputs were not all correct are
+listed.  Each workload's block ends with one line holding one JSON
+object with every sample of that workload.
 """
 
 from __future__ import annotations
@@ -69,32 +71,20 @@ def summarize(name: str, better: str, base: list, change: list,
             "bound": bound, "worse": worse, "verdict": verdict}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--base", type=Path, required=True,
-                        help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=Path("."),
-                        help="checkout of the change (default: .)")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True,
-                        help="one pair of runs per seed")
-    parser.add_argument("--seconds", type=float, default=35.0)
-    args = parser.parse_args(argv)
-
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
-    sides = {"base": args.base, "change": args.change}
+def compare(workload: str, sides: dict, seeds: list, seconds: float,
+            declared: dict) -> dict:
+    """The pairs of one workload, its printed summary block and its JSON
+    line; returns that JSON object."""
     samples = {"base": [], "change": []}
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(seeds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            out = run_bench(sides[side], args.workload, seed, args.seconds)
+            out = run_bench(sides[side], workload, seed, seconds)
             samples[side].append({"seed": seed, "correct": out["correct"],
                                   "failed": out["failed"],
                                   "metrics": {k: v["value"] for k, v in
                                               out["metrics"].items()}})
-        print(f"# pair {i + 1}/{len(args.seeds)} seed {seed}: " + ", ".join(
+        print(f"# pair {i + 1}/{len(seeds)} seed {seed}: " + ", ".join(
             f"{side} wall_s {samples[side][-1]['metrics'].get('wall_s')}"
             for side in ("base", "change")), flush=True)
 
@@ -102,21 +92,44 @@ def main(argv=None) -> int:
         bad = [r["seed"] for r in runs if not r["correct"] or r["failed"]]
         if bad:
             print(f"# {side}: outputs not correct at seeds {bad}")
-    rows = [summarize(name, direction,
-                      [r["metrics"][name] for r in samples["base"]],
-                      [r["metrics"][name] for r in samples["change"]],
-                      bounds[name])
-            for name, direction in better.items()]
-    print(f"# {args.workload}: {len(args.seeds)} pairs at "
-          f"{args.seconds:g} s, median [quartiles]")
+    rows = [summarize(m["name"], m["better"],
+                      [r["metrics"][m["name"]] for r in samples["base"]],
+                      [r["metrics"][m["name"]] for r in samples["change"]],
+                      m["bound"])
+            for m in declared["end_to_end"]]
+    print(f"# {workload}: {len(seeds)} pairs at {seconds:g} s, "
+          f"median [quartiles]")
     for row in rows:
         (b1, b2, b3), (c1, c2, c3) = row["base"], row["change"]
         print(f"# {row['metric']:12s} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
               f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"won {row['won']}/{row['pairs']} lost {row['lost']}  "
               f"{row['verdict']} (bound {row['bound']:g})")
-    print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "summary": rows, "samples": samples}))
+    result = {"workload": workload, "seconds": seconds, "summary": rows,
+              "samples": samples}
+    print(json.dumps(result), flush=True)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", nargs="+",
+                        help="workloads to compare (default: every "
+                             "workload in BENCHMARK.json)")
+    parser.add_argument("--base", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=Path("."),
+                        help="checkout of the change (default: .)")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True,
+                        help="one pair of runs per seed and workload")
+    parser.add_argument("--seconds", type=float, default=35.0)
+    args = parser.parse_args(argv)
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    sides = {"base": args.base, "change": args.change}
+    for workload in workloads:
+        compare(workload, sides, args.seeds, args.seconds, declared)
     return 0
 
 
