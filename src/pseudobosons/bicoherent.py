@@ -185,12 +185,13 @@ class TransformedTestFunction:
 
     def values(self, xs) -> np.ndarray:
         # the order-1 jet of g from its value and derivative routines,
-        # which are cheaper on quadrature nodes than TestFunction.jet
+        # which are cheaper on quadrature nodes than TestFunction.jet; it
+        # is real for a real amplitude, and so is the result on a real
+        # model
         xs = np.asarray(xs, dtype=float)
-        gj = Jet(xs, np.array([self.g.values(xs), self.g.deriv_values(xs)],
-                              dtype=complex))
-        return quad.real_if_exact(
-            apply_ladder(self.model, self.which, lambda *_: gj, xs, 0).value)
+        gj = Jet(xs, np.array([self.g.values(xs), self.g.deriv_values(xs)]))
+        return apply_ladder(self.model, self.which, lambda *_: gj, xs,
+                            0).value
 
     __call__ = values
 

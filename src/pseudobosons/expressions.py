@@ -25,11 +25,14 @@ another.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .jets import (
     Jet,
     JetError,
+    as_number,
     jet_cosh,
     jet_exp,
     jet_powi,
@@ -84,11 +87,28 @@ def _first_zero(x, u: Jet) -> float:
     return float(np.ravel(x)[np.argmax(bad)])
 
 
+def _real_points(node: "FunctionExpr", xs) -> np.ndarray:
+    """xs as a float array.  A complex array is read as real where every
+    imaginary part is exactly 0; any other complex point is an
+    ExpressionDomainError naming the first one, never a silent cast."""
+    xs = np.asarray(xs)
+    if xs.dtype.kind == "c":
+        bad = np.ravel(xs.imag != 0)
+        if bad.any():
+            raise ExpressionDomainError(
+                "complex point (expressions take real x)", node,
+                np.ravel(xs)[np.argmax(bad)].item())
+        xs = xs.real
+    return xs.astype(float, copy=False)
+
+
 class FunctionExpr:
     """Base expression node.
 
     Each node has one evaluator, ``eval_jet(x, order)``, for a float or a
     float array x; values and first derivatives are its orders 0 and 1.
+    Jets follow the dtype rule of :mod:`pseudobosons.jets`: an exactly
+    real expression evaluates in float64.
     """
 
     __slots__ = ()
@@ -98,11 +118,11 @@ class FunctionExpr:
 
     def eval_values(self, xs) -> np.ndarray:
         """Values on a float array: the order-0 jet."""
-        return self.eval_jet(np.asarray(xs, dtype=float), 0).value
+        return self.eval_jet(_real_points(self, xs), 0).value
 
     def eval_dual(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """(values, first derivative) on a float array: the order-1 jet."""
-        j = self.eval_jet(np.asarray(xs, dtype=float), 1)
+        j = self.eval_jet(_real_points(self, xs), 1)
         return j.value, j.derivative(1)
 
     def __call__(self, xs):
@@ -110,13 +130,17 @@ class FunctionExpr:
 
 
 class Const(FunctionExpr):
-    __slots__ = ("value",)
+    """A constant: ``value`` is complex, ``number`` the same value as a
+    float where it is exactly real."""
+
+    __slots__ = ("value", "number")
 
     def __init__(self, value: complex):
         self.value = complex(value)
+        self.number = as_number(self.value)
 
     def eval_jet(self, x, order):
-        return Jet.constant(self.value, x, order)
+        return Jet.constant(self.number, x, order)
 
 
 class Var(FunctionExpr):
@@ -126,7 +150,14 @@ class Var(FunctionExpr):
         return Jet.variable(x, order)
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
 class BinOp(FunctionExpr):
+    """A binary operation.  A ``Const`` operand of + - *, or a nonzero
+    ``Const`` divisor, is applied as a number, with no constant jet."""
+
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: FunctionExpr, right: FunctionExpr):
@@ -137,14 +168,15 @@ class BinOp(FunctionExpr):
         self.right = right
 
     def eval_jet(self, x, order):
-        a = self.left.eval_jet(x, order)
-        b = self.right.eval_jet(x, order)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
+        op, left, right = self.op, self.left, self.right
+        if type(right) is Const and (op != "/" or right.number != 0):
+            return _BINARY[op](left.eval_jet(x, order), right.number)
+        if type(left) is Const and op != "/":
+            return _BINARY[op](left.number, right.eval_jet(x, order))
+        a = left.eval_jet(x, order)
+        b = right.eval_jet(x, order)
+        if op != "/":
+            return _BINARY[op](a, b)
         try:
             return a / b
         except JetError:
@@ -234,7 +266,7 @@ class Antideriv(FunctionExpr):
         """Values at a float (a complex) or at every point of an array."""
         from . import quad  # deferred: quad imports nothing back
 
-        xs = np.asarray(x, dtype=float)
+        xs = _real_points(self, x)
         finite = np.isfinite(xs)
         if not finite.all():
             raise ExpressionDomainError("non-finite point", self,
@@ -265,7 +297,9 @@ class Antideriv(FunctionExpr):
         return complex(out) if xs.ndim == 0 else out
 
     def eval_jet(self, x, order):
-        v = np.asarray(self.value_at(x))
+        from . import quad  # deferred, as in value_at
+
+        v = quad.real_if_exact(self.value_at(x))
         if order == 0:
             return Jet(x, v[np.newaxis])
         return self.arg.eval_jet(x, order - 1).antideriv(v)

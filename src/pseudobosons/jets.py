@@ -15,13 +15,20 @@ applying a second-order Hamiltonian consumes two, and the state
 recursions consume one order per level.  Truncation is exact: retained
 coefficients never depend on the discarded ones.
 
-Coefficients are complex throughout; real models simply carry zero
-imaginary parts.  Conjugating a jet coefficient-wise yields the jet of
-x -> conj(f(x)), which is valid because base points and increments are
-real.  The value path does not follow them: ``StateFamily.values_all``,
-``quad.hermite_value``, the bump values and the quadrature panel sums
-run in float64 wherever their inputs are exactly real, and there they
-equal the real parts of these jets' values.
+Coefficients take the dtype of their inputs: float64 where every input
+is exactly real (the real models' coefficients, their vacua and states),
+complex128 as soon as a complex constant or scale, a complex coefficient
+array, or the square root of a negative value enters (``jet_sqrt`` keeps
+its principal branch by promoting).  A number operand counts as real when
+its imaginary part is exactly 0.  Every real division is rounded as numpy's
+complex division rounds it when all imaginary parts are 0, as a * (1 / b)
+(Smith, CACM 5 (1962) 435), so real jet arithmetic equals the real part
+of the complex arithmetic on the same inputs; exp, sinh, cosh and tanh
+take numpy's real functions, which may differ from its complex ones in
+the last bit.  Base points are real: a complex point is
+a JetError, unless its imaginary part is exactly 0.  Conjugating a jet
+coefficient-wise yields the jet of x -> conj(f(x)), which is valid because
+base points and increments are real.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "jet_powi",
     "jet_hermite",
     "sqrt_factorial",
+    "as_number",
 ]
 
 _MAX_ORDER = 40
@@ -83,7 +91,8 @@ class Jet:
 
     A scalar base carries coefficients of shape ``(order+1,)``; an array
     base of shape ``S`` carries ``(order+1, *S)``, and every operation
-    works along axis 0 with the same recurrences.
+    works along axis 0 with the same recurrences.  Coefficients are
+    float64, or complex128 when the given ones are complex.
 
     Shapes and the order capacity are validated here and wherever an
     order is requested (:meth:`constant`, :meth:`variable`,
@@ -96,7 +105,9 @@ class Jet:
     def __init__(self, base, coeffs):
         base = _as_base(base)
         shape = _shape(base)
-        c = np.asarray(coeffs, dtype=np.complex128)
+        c = np.asarray(coeffs)
+        c = c.astype(np.complex128 if c.dtype.kind == "c" else np.float64,
+                     copy=False)
         if c.ndim != 1 + len(shape) or c.shape[1:] != shape \
                 or c.shape[0] == 0:
             raise JetError(
@@ -111,17 +122,19 @@ class Jet:
 
     @classmethod
     def constant(cls, value: complex, base, order: int) -> "Jet":
+        """The jet of a constant: float64 unless ``value`` has a nonzero
+        imaginary part."""
         base = _as_base(base)
+        value = as_number(value)
         c = np.zeros((_check_order(order) + 1,) + _shape(base),
-                     dtype=np.complex128)
+                     dtype=type(value))
         c[0] = value
         return _jet(base, c)
 
     @classmethod
     def variable(cls, base, order: int) -> "Jet":
         base = _as_base(base)
-        c = np.zeros((_check_order(order) + 1,) + _shape(base),
-                     dtype=np.complex128)
+        c = np.zeros((_check_order(order) + 1,) + _shape(base))
         c[0] = base
         if order >= 1:
             c[1] = 1.0
@@ -184,16 +197,17 @@ class Jet:
 
     @property
     def value(self):
-        """f(base): a complex for a scalar base, an array for an array."""
+        """f(base): a float or a complex (the coefficients' dtype) for a
+        scalar base, an array for an array."""
         c0 = self.coeffs[0]
-        return complex(c0) if self.coeffs.ndim == 1 else c0
+        return c0.item() if self.coeffs.ndim == 1 else c0
 
     def derivative(self, k: int = 1):
         """k-th derivative value, f^(k)(base) = k! * c_k."""
         if k > self.order:
             raise JetError(f"jet of order {self.order} has no derivative {k}")
         ck = self.coeffs[k] * float(math.factorial(k))
-        return complex(ck) if self.coeffs.ndim == 1 else ck
+        return ck.item() if self.coeffs.ndim == 1 else ck
 
     def __repr__(self) -> str:
         return f"Jet(base={self.base!r}, coeffs={self.coeffs.tolist()!r})"
@@ -217,14 +231,19 @@ class Jet:
     def antideriv(self, value_at_base) -> "Jet":
         """Jet of an antiderivative F with F(base) = value_at_base."""
         _check_order(self.order + 1)
+        if isinstance(value_at_base, _NUMBER):
+            value_at_base = as_number(value_at_base)
         c = np.empty((self.order + 2,) + self.coeffs.shape[1:],
-                     dtype=np.complex128)
+                     dtype=np.result_type(self.coeffs, value_at_base))
         c[0] = value_at_base
-        c[1:] = self.coeffs / _ramp(1, self.coeffs)
+        c[1:] = _over(self.coeffs, _ramp(1, self.coeffs))
         return _jet(self.base, c)
 
     def conjugate(self) -> "Jet":
-        """Jet of x -> conj(f(x)); valid because increments are real."""
+        """Jet of x -> conj(f(x)); valid because increments are real.  A
+        real jet is its own conjugate."""
+        if self.coeffs.dtype.kind == "f":
+            return self
         return _jet(self.base, np.conj(self.coeffs))
 
     # -- arithmetic ---------------------------------------------------
@@ -244,7 +263,9 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, _NUMBER):
-            c = self.coeffs.copy()
+            other = as_number(other)
+            c = self.coeffs.astype(np.complex128) if type(other) is complex \
+                else self.coeffs.copy()
             c[0] += other
             return _jet(self.base, c)
         if not isinstance(other, Jet):
@@ -272,17 +293,22 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
-            return _jet(self.base, self.coeffs * complex(other))
+            return _jet(self.base, self.coeffs * as_number(other))
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
         return _jet(self.base, _mul_coeffs(self.coeffs, other.coeffs))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # the number stays the left factor: numpy's complex product is not
+        # bitwise commutative
+        if isinstance(other, _NUMBER):
+            return _jet(self.base, as_number(other) * self.coeffs)
+        return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER):
-            return _jet(self.base, self.coeffs / complex(other))
+            return _jet(self.base, _over(self.coeffs, as_number(other)))
         if not isinstance(other, Jet):
             return NotImplemented
         self._check(other)
@@ -297,9 +323,36 @@ class Jet:
 _NUMBER = (int, float, complex, np.number)
 
 
+def as_number(value):
+    """A number as a float where it is exactly real (its imaginary part is
+    0, of either sign), else as a complex: the dtype rule of jets for a
+    constant or a number operand."""
+    if type(value) is float:
+        return value
+    value = complex(value)
+    return value if value.imag else value.real
+
+
+def _over(a: np.ndarray, b):
+    """a / b for coefficients a and an array or a number b (a float or a
+    complex, see :func:`as_number`).  Where both are real it is rounded as
+    a * (1 / b), as numpy's complex division rounds a quotient whose
+    imaginary parts are all 0 (Smith, CACM 5 (1962) 435), so a real
+    quotient is the real part of the complex one; the reciprocal of an
+    exact 0 is inf, as numpy's."""
+    if a.dtype.kind == "f" and (b.dtype.kind == "f" if type(b) is np.ndarray
+                                else type(b) is float):
+        return a * (_ONE / b)
+    return a / b
+
+
+_ONE = np.float64(1.0)  # its quotients are numpy's: 1 / 0 is inf
+
+
 def _jet(base, coeffs: np.ndarray) -> Jet:
     """A jet that only assigns: ``base`` is already a float or a float
-    array and ``coeffs`` a complex array that fits it within capacity."""
+    array and ``coeffs`` a float64 or complex128 array that fits it within
+    capacity."""
     jet = object.__new__(Jet)
     jet.base = base
     jet.coeffs = coeffs
@@ -308,10 +361,19 @@ def _jet(base, coeffs: np.ndarray) -> Jet:
 
 def _as_base(base):
     """A base point as a float, or a base array as a float array (the
-    same object when it is one already)."""
+    same object when it is one already).  A complex point is read as real
+    where its imaginary part is exactly 0, and is a JetError naming it
+    anywhere else."""
     if type(base) is float:
         return base
-    base = np.asarray(base, dtype=float)
+    base = np.asarray(base)
+    if base.dtype.kind == "c":
+        bad = base.imag != 0
+        if bad.any():
+            raise JetError(f"complex base point {base[bad].flat[0]}: jets "
+                           "are taken at real points")
+        base = base.real
+    base = base.astype(float, copy=False)
     return base if base.shape else float(base)
 
 
@@ -350,7 +412,8 @@ def _dot0(a: np.ndarray, b: np.ndarray):
     return np.add.accumulate(a * b)[-1]
 
 
-_NEG_ZERO = complex(-0.0, -0.0)  # x + _NEG_ZERO == x bitwise, for every x
+# x + pad == x bitwise, for every x of the pad's dtype
+_NEG_ZERO = {"f": -0.0, "c": complex(-0.0, -0.0)}
 
 
 def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -363,8 +426,9 @@ def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one accumulation over the rows adds the terms in j order."""
     n = a.shape[0]
     if a.ndim == 1 and n > 1:
-        t = np.empty((n, 2 * n - 1), dtype=np.complex128)
-        t[:, n:] = _NEG_ZERO
+        dtype = np.result_type(a, b)
+        t = np.empty((n, 2 * n - 1), dtype=dtype)
+        t[:, n:] = _NEG_ZERO[dtype.kind]
         np.multiply(a[:, None], b, out=t[:, :n])
         shifted = t.reshape(-1)[: n * (2 * n - 2)].reshape(n, -1)[:, :n]
         return np.add.accumulate(shifted)[-1]
@@ -379,12 +443,17 @@ def _div(a: Jet, b: Jet) -> Jet:
     if np.count_nonzero(b0) < np.size(b0):  # NaN is not zero
         raise JetError("division by a jet with zero constant term")
     if a.coeffs.shape[0] == 1:
-        return _jet(a.base, a.coeffs / b.coeffs)
-    out = np.empty_like(a.coeffs)
-    out[0] = a.coeffs[0] / b0
+        return _jet(a.base, _over(a.coeffs, b.coeffs))
+    out = np.empty(a.coeffs.shape, dtype=np.result_type(a.coeffs, b0))
+    # a real quotient is rounded as _over rounds it
+    if out.dtype.kind == "f":
+        over, d = np.multiply, _ONE / b0
+    else:
+        over, d = np.true_divide, b0
+    out[0] = over(a.coeffs[0], d)
     for k in range(1, a.order + 1):
         acc = a.coeffs[k] - _dot0(b.coeffs[1 : k + 1], out[k - 1 :: -1])
-        out[k] = acc / b0
+        out[k] = over(acc, d)
     return _jet(a.base, out)
 
 
@@ -403,14 +472,20 @@ def _rate(u: Jet) -> np.ndarray:
     return _ramp(0, u.coeffs) * u.coeffs
 
 
+def _by(x, d, real: bool):
+    """x / d in a recurrence whose dtype is known, real or not, rounded as
+    :func:`_over` rounds it."""
+    return x * (1.0 / d) if real else x / d
+
+
 def jet_exp(u: Jet) -> Jet:
     if not u.order:
         return _jet(u.base, np.exp(u.coeffs))
     f = np.empty_like(u.coeffs)
     f[0] = np.exp(u.coeffs[0])
-    ku = _rate(u)
+    ku, real = _rate(u), f.dtype.kind == "f"
     for k in range(1, u.order + 1):
-        f[k] = _dot0(ku[1 : k + 1], f[k - 1 :: -1]) / k
+        f[k] = _by(_dot0(ku[1 : k + 1], f[k - 1 :: -1]), k, real)
     return _jet(u.base, f)
 
 
@@ -421,10 +496,10 @@ def _sinh_cosh(u: Jet) -> tuple[np.ndarray, np.ndarray]:
     c = np.empty_like(u.coeffs)
     s[0] = np.sinh(u.coeffs[0])
     c[0] = np.cosh(u.coeffs[0])
-    ku = _rate(u)
+    ku, real = _rate(u), s.dtype.kind == "f"
     for k in range(1, u.order + 1):
-        s[k] = _dot0(ku[1 : k + 1], c[k - 1 :: -1]) / k
-        c[k] = _dot0(ku[1 : k + 1], s[k - 1 :: -1]) / k
+        s[k] = _by(_dot0(ku[1 : k + 1], c[k - 1 :: -1]), k, real)
+        c[k] = _by(_dot0(ku[1 : k + 1], s[k - 1 :: -1]), k, real)
     return s, c
 
 
@@ -451,20 +526,26 @@ def jet_tanh(u: Jet) -> Jet:
     t[0] = np.tanh(u.coeffs[0])
     # the ufunc: numpy's scalar product rounds unlike a batched column's
     w[0] = 1.0 - np.multiply(t[0], t[0])
-    ku = _rate(u)
+    ku, real = _rate(u), t.dtype.kind == "f"
     for k in range(1, u.order + 1):
-        t[k] = _dot0(ku[1 : k + 1], w[k - 1 :: -1]) / k
+        t[k] = _by(_dot0(ku[1 : k + 1], w[k - 1 :: -1]), k, real)
         w[k] = -_dot0(t[: k + 1], t[k::-1])
     return _jet(u.base, t)
 
 
 def jet_sqrt(u: Jet) -> Jet:
-    if np.any(u.coeffs[0] == 0):
+    """The principal square root: real where u's value is real and
+    positive everywhere, complex where it is negative somewhere."""
+    c = u.coeffs
+    if np.any(c[0] == 0):
         raise JetError("sqrt of a jet with zero constant term")
-    r = np.empty_like(u.coeffs)
-    r[0] = np.sqrt(u.coeffs[0] + 0j)  # principal branch
+    if c.dtype.kind == "f" and np.any(c[0] < 0):
+        c = c.astype(np.complex128)
+    real = c.dtype.kind == "f"
+    r = np.empty_like(c)
+    r[0] = np.sqrt(c[0]) if real else np.sqrt(c[0] + 0j)  # principal branch
     for k in range(1, u.order + 1):
-        r[k] = (u.coeffs[k] - _dot0(r[1:k], r[k - 1 : 0 : -1])) / (2 * r[0])
+        r[k] = _by(c[k] - _dot0(r[1:k], r[k - 1 : 0 : -1]), 2 * r[0], real)
     return _jet(u.base, r)
 
 

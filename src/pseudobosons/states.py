@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import quad
-from .jets import Jet, jet_hermite, sqrt_factorial
+from .jets import Jet, as_number, jet_hermite, sqrt_factorial
 from .model import ModelError, PBModel, apply_ladder
 from .quad import compatibility_form, hermite_value
 
@@ -107,6 +107,13 @@ def _hermite_scale(m: PBModel, side: str) -> complex:
     return cmath.sqrt(0.5 * kappa)
 
 
+def _hermite_argument(m: PBModel, side: str, x, order: int):
+    """s and the jet of the Hermite argument y = u / (2s) at x: real where
+    u and s are (``jets.as_number``)."""
+    s = _hermite_scale(m, side)
+    return s, m.lead_jet(side, x, order) * as_number(0.5 / s)
+
+
 def pi_sigma_closed(m: PBModel, side: str, n: int, x: float, order: int):
     """Hermite closed form p_n = s^n H_n(u / (2s)), s = sqrt(kappa / 2),
     with u the lead coefficient of the recursion and kappa = d u' its
@@ -120,9 +127,9 @@ def pi_sigma_closed(m: PBModel, side: str, n: int, x: float, order: int):
     one that is not finite is a ModelError.  It is evaluated at the one
     level ``n`` as h_n(y) (sqrt(2) s)^n sqrt(n!).
     """
-    s = _hermite_scale(m, side)
-    y = m.lead_jet(side, x, order) * (0.5 / s)
-    return jet_hermite(y, n) * ((math.sqrt(2.0) * s) ** n * sqrt_factorial(n))
+    s, y = _hermite_argument(m, side, x, order)
+    return jet_hermite(y, n) * as_number((math.sqrt(2.0) * s) ** n
+                                         * sqrt_factorial(n))
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +185,13 @@ class StateFamily:
 
     def _hermite(self, x, order: int, ns):
         """The jet of y = u / (2s) at x, and the constants N (sqrt(2) s)^n
-        that take h_n(y) vac to the levels ``ns``."""
-        s = _hermite_scale(self.model, self._poly_side)
-        y = self.model.lead_jet(self._poly_side, x, order) * (0.5 / s)
-        return y, [self.normalization * (math.sqrt(2.0) * s) ** k for k in ns]
+        that take h_n(y) vac to the levels ``ns``, each a float where it
+        is exactly real.  They are formed in complex arithmetic whatever
+        their dtype, so a real constant is the real part of the complex
+        one."""
+        s, y = _hermite_argument(self.model, self._poly_side, x, order)
+        return y, [as_number(self.normalization * (math.sqrt(2.0) * s) ** k)
+                   for k in ns]
 
     def jet_fn(self, n: int) -> Callable[[float, int], Jet]:
         self._check_n(n)
@@ -204,15 +214,12 @@ class StateFamily:
         """Stacked values of the levels ``ns`` from one Hermite recurrence;
         each row equals ``jet(n, xs, 0).value``, whose operations it
         repeats in the same order, scaling the recurrence's own rows in
-        place.  Each factor that is exactly real is taken as float64
-        (:func:`quad.real_if_exact`), and the recurrence runs complex only
-        where one of them is not."""
+        place.  Its factors follow the dtype rule of the jets, and the
+        recurrence runs complex only where one of them is complex."""
         xs = np.asarray(xs, dtype=float)
         y, scales = self._hermite(xs, 0, ns)
-        y, scales = quad.real_if_exact(y.value), np.asarray(scales)
+        y, scales = y.value, np.asarray(scales)
         vac = self.model.vacuum_values(self.side, xs)
-        if y.dtype == float:  # else the rows are complex in any case
-            scales, vac = quad.real_if_exact(scales), quad.real_if_exact(vac)
         rows = hermite_value(ns, y.astype(np.result_type(y, scales, vac),
                                           copy=False))
         rows *= np.reshape(scales, (-1,) + (1,) * xs.ndim)
