@@ -39,6 +39,7 @@ from .jets import (
     jet_sinh,
     jet_sqrt,
     jet_tanh,
+    real_base,
 )
 
 __all__ = [
@@ -87,21 +88,6 @@ def _first_zero(x, u: Jet) -> float:
     return float(np.ravel(x)[np.argmax(bad)])
 
 
-def _real_points(node: "FunctionExpr", xs) -> np.ndarray:
-    """xs as a float array.  A complex array is read as real where every
-    imaginary part is exactly 0; any other complex point is an
-    ExpressionDomainError naming the first one, never a silent cast."""
-    xs = np.asarray(xs)
-    if xs.dtype.kind == "c":
-        bad = np.ravel(xs.imag != 0)
-        if bad.any():
-            raise ExpressionDomainError(
-                "complex point (expressions take real x)", node,
-                np.ravel(xs)[np.argmax(bad)].item())
-        xs = xs.real
-    return xs.astype(float, copy=False)
-
-
 class FunctionExpr:
     """Base expression node.
 
@@ -118,11 +104,11 @@ class FunctionExpr:
 
     def eval_values(self, xs) -> np.ndarray:
         """Values on a float array: the order-0 jet."""
-        return self.eval_jet(_real_points(self, xs), 0).value
+        return self.eval_jet(real_base(xs), 0).value
 
     def eval_dual(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """(values, first derivative) on a float array: the order-1 jet."""
-        j = self.eval_jet(_real_points(self, xs), 1)
+        j = self.eval_jet(real_base(xs), 1)
         return j.value, j.derivative(1)
 
     def __call__(self, xs):
@@ -266,7 +252,7 @@ class Antideriv(FunctionExpr):
         """Values at a float (a complex) or at every point of an array."""
         from . import quad  # deferred: quad imports nothing back
 
-        xs = _real_points(self, x)
+        xs = real_base(x)
         finite = np.isfinite(xs)
         if not finite.all():
             raise ExpressionDomainError("non-finite point", self,

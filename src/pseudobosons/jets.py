@@ -51,6 +51,7 @@ __all__ = [
     "jet_hermite",
     "sqrt_factorial",
     "as_number",
+    "real_base",
 ]
 
 _MAX_ORDER = 40
@@ -333,20 +334,25 @@ def as_number(value):
     return value if value.imag else value.real
 
 
-def _over(a: np.ndarray, b):
-    """a / b for coefficients a and an array or a number b (a float or a
-    complex, see :func:`as_number`).  Where both are real it is rounded as
-    a * (1 / b), as numpy's complex division rounds a quotient whose
-    imaginary parts are all 0 (Smith, CACM 5 (1962) 435), so a real
-    quotient is the real part of the complex one; the reciprocal of an
-    exact 0 is inf, as numpy's."""
-    if a.dtype.kind == "f" and (b.dtype.kind == "f" if type(b) is np.ndarray
-                                else type(b) is float):
+def _over(a, b):
+    """a / b for coefficients a (an array or one row of one) and a divisor
+    b: an array, a numpy scalar, an int or a float or complex number (see
+    :func:`as_number`).  Where both are real it is rounded as a * (1 / b),
+    as numpy's complex division rounds a quotient whose imaginary parts
+    are all 0 (Smith, CACM 5 (1962) 435), so a real quotient is the real
+    part of the complex one; the reciprocal of an exact 0 is inf, as
+    numpy's.  This is the one place that rounds a jet's quotient."""
+    if _is_real(a) and _is_real(b):
         return a * (_ONE / b)
     return a / b
 
 
 _ONE = np.float64(1.0)  # its quotients are numpy's: 1 / 0 is inf
+
+
+def _is_real(x) -> bool:
+    dtype = getattr(x, "dtype", None)
+    return type(x) is not complex if dtype is None else dtype.kind != "c"
 
 
 def _jet(base, coeffs: np.ndarray) -> Jet:
@@ -359,21 +365,27 @@ def _jet(base, coeffs: np.ndarray) -> Jet:
     return jet
 
 
+def real_base(x) -> np.ndarray:
+    """x, a point or an array of points, as a float array (0-d for a
+    point).  A complex point is read as real where its imaginary part is
+    exactly 0, and is a JetError naming it anywhere else: jets and the
+    expressions built on them take real points, never a silent cast."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        bad = np.ravel(x.imag != 0)
+        if bad.any():
+            raise JetError(f"complex point {np.ravel(x)[np.argmax(bad)]}: "
+                           "jets are taken at real points")
+        x = x.real
+    return x.astype(float, copy=False)
+
+
 def _as_base(base):
     """A base point as a float, or a base array as a float array (the
-    same object when it is one already).  A complex point is read as real
-    where its imaginary part is exactly 0, and is a JetError naming it
-    anywhere else."""
+    same object when it is one already), by :func:`real_base`."""
     if type(base) is float:
         return base
-    base = np.asarray(base)
-    if base.dtype.kind == "c":
-        bad = base.imag != 0
-        if bad.any():
-            raise JetError(f"complex base point {base[bad].flat[0]}: jets "
-                           "are taken at real points")
-        base = base.real
-    base = base.astype(float, copy=False)
+    base = real_base(base)
     return base if base.shape else float(base)
 
 
@@ -445,15 +457,10 @@ def _div(a: Jet, b: Jet) -> Jet:
     if a.coeffs.shape[0] == 1:
         return _jet(a.base, _over(a.coeffs, b.coeffs))
     out = np.empty(a.coeffs.shape, dtype=np.result_type(a.coeffs, b0))
-    # a real quotient is rounded as _over rounds it
-    if out.dtype.kind == "f":
-        over, d = np.multiply, _ONE / b0
-    else:
-        over, d = np.true_divide, b0
-    out[0] = over(a.coeffs[0], d)
+    out[0] = _over(a.coeffs[0], b0)
     for k in range(1, a.order + 1):
         acc = a.coeffs[k] - _dot0(b.coeffs[1 : k + 1], out[k - 1 :: -1])
-        out[k] = over(acc, d)
+        out[k] = _over(acc, b0)
     return _jet(a.base, out)
 
 
@@ -472,20 +479,14 @@ def _rate(u: Jet) -> np.ndarray:
     return _ramp(0, u.coeffs) * u.coeffs
 
 
-def _by(x, d, real: bool):
-    """x / d in a recurrence whose dtype is known, real or not, rounded as
-    :func:`_over` rounds it."""
-    return x * (1.0 / d) if real else x / d
-
-
 def jet_exp(u: Jet) -> Jet:
     if not u.order:
         return _jet(u.base, np.exp(u.coeffs))
     f = np.empty_like(u.coeffs)
     f[0] = np.exp(u.coeffs[0])
-    ku, real = _rate(u), f.dtype.kind == "f"
+    ku = _rate(u)
     for k in range(1, u.order + 1):
-        f[k] = _by(_dot0(ku[1 : k + 1], f[k - 1 :: -1]), k, real)
+        f[k] = _over(_dot0(ku[1 : k + 1], f[k - 1 :: -1]), k)
     return _jet(u.base, f)
 
 
@@ -496,10 +497,10 @@ def _sinh_cosh(u: Jet) -> tuple[np.ndarray, np.ndarray]:
     c = np.empty_like(u.coeffs)
     s[0] = np.sinh(u.coeffs[0])
     c[0] = np.cosh(u.coeffs[0])
-    ku, real = _rate(u), s.dtype.kind == "f"
+    ku = _rate(u)
     for k in range(1, u.order + 1):
-        s[k] = _by(_dot0(ku[1 : k + 1], c[k - 1 :: -1]), k, real)
-        c[k] = _by(_dot0(ku[1 : k + 1], s[k - 1 :: -1]), k, real)
+        s[k] = _over(_dot0(ku[1 : k + 1], c[k - 1 :: -1]), k)
+        c[k] = _over(_dot0(ku[1 : k + 1], s[k - 1 :: -1]), k)
     return s, c
 
 
@@ -526,9 +527,9 @@ def jet_tanh(u: Jet) -> Jet:
     t[0] = np.tanh(u.coeffs[0])
     # the ufunc: numpy's scalar product rounds unlike a batched column's
     w[0] = 1.0 - np.multiply(t[0], t[0])
-    ku, real = _rate(u), t.dtype.kind == "f"
+    ku = _rate(u)
     for k in range(1, u.order + 1):
-        t[k] = _by(_dot0(ku[1 : k + 1], w[k - 1 :: -1]), k, real)
+        t[k] = _over(_dot0(ku[1 : k + 1], w[k - 1 :: -1]), k)
         w[k] = -_dot0(t[: k + 1], t[k::-1])
     return _jet(u.base, t)
 
@@ -545,7 +546,7 @@ def jet_sqrt(u: Jet) -> Jet:
     r = np.empty_like(c)
     r[0] = np.sqrt(c[0]) if real else np.sqrt(c[0] + 0j)  # principal branch
     for k in range(1, u.order + 1):
-        r[k] = _by(c[k] - _dot0(r[1:k], r[k - 1 : 0 : -1]), 2 * r[0], real)
+        r[k] = _over(c[k] - _dot0(r[1:k], r[k - 1 : 0 : -1]), 2 * r[0])
     return _jet(u.base, r)
 
 

@@ -35,11 +35,24 @@ def _stub(monkeypatch, outputs):
     return calls
 
 
-def _main(tmp_path, *extra):
+def _main(tmp_path, *configs):
     return compare_outputs.main(["--base", str(tmp_path / "base"),
                                  "--change", str(tmp_path / "change"),
                                  "--work", str(tmp_path / "work"),
-                                 str(tmp_path / "a.ini"), *extra])
+                                 *(str(tmp_path / c)
+                                   for c in configs or ("a.ini",))])
+
+
+def _lines_of(out: str, command: str) -> list:
+    """The lines printed for ``command``: its head line and the indented
+    ones under it."""
+    lines, keep = [], False
+    for line in out.splitlines():
+        if not line.startswith("#   "):
+            keep = line.startswith(f"# a.ini {command}:")
+        if keep:
+            lines.append(line)
+    return lines
 
 
 def test_same_outputs_apart_from_timing(monkeypatch, tmp_path, capsys):
@@ -69,23 +82,69 @@ def test_changed_verdict_fails_and_moves_are_reported(monkeypatch, tmp_path,
             "t.csv": "x,v\n0,-4\n1,2.2\n"},
     }
     _stub(monkeypatch, outputs)
-    assert _main(tmp_path, "--commands", "check") == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("# a.ini check: differs; report number moved "
-                               "0.5 (0.25 of max(1, |base|)) at "
-                               "report.json:/checks/0/metric; CSV moved "
-                               "0.05 of its column's max at t.csv:v, at "
-                               "most 0.2 absolute")
-    assert lines[1:] == ["#   verdict changed: overall: pass -> fail",
-                         "#   verdict changed: record ladder: pass -> fail"]
+    assert _main(tmp_path) == 1
+    out = capsys.readouterr().out
+    for command in compare_outputs.COMMANDS:
+        lines = _lines_of(out, command)
+        assert lines[0] == (
+            f"# a.ini {command}: differs; report number moved 0.5 (0.25 of "
+            "max(1, |base|)) at report.json:/checks/0/metric; CSV moved 0.05 "
+            "of its column's max at t.csv:v, at most 0.2 absolute")
+        assert lines[1:] == ["#   verdict changed: overall: pass -> fail",
+                             "#   verdict changed: record ladder: pass -> "
+                             "fail"]
 
 
 def test_exit_status_and_one_sided_files(monkeypatch, tmp_path, capsys):
-    _stub(monkeypatch, {"base": lambda command: {"t.csv": "x\n0\n"},
-                        "change": lambda command: {}})
-    assert _main(tmp_path, "--commands", "states") == 1
+    _stub(monkeypatch, {
+        "base": lambda command: {"t.csv": "x\n0\n"} if command == "states"
+        else {},
+        "change": lambda command: {}})
+    assert _main(tmp_path) == 1
     out = capsys.readouterr().out
-    assert "#   written on one side only: t.csv" in out
+    assert _lines_of(out, "states")[1:] == [
+        "#   mismatched: t.csv written on one side only"]
+    assert _lines_of(out, "check")[1:] == []
+
+
+@pytest.mark.parametrize("base, change, what", [
+    ("x,v\n0,1\n", "x,w\n0,1\n", "t.csv changed header or row count"),
+    ("x,v\n0,1\n", "x,v\n0,1\n1,2\n", "t.csv changed header or row count"),
+    (json.dumps({"a": 1, "b": [2]}), json.dumps({"a": 1, "b": [2, 3]}),
+     "report.json:/b/1 given on one side only"),
+    (json.dumps({"a": 1, "c": 2}), json.dumps({"a": 1}),
+     "report.json:/c given on one side only"),
+])
+def test_changed_shape_fails(monkeypatch, tmp_path, capsys, base, change,
+                             what):
+    name = "t.csv" if what.startswith("t.csv") else "report.json"
+    _stub(monkeypatch, {"base": lambda command: {name: base},
+                        "change": lambda command: {name: change}})
+    assert _main(tmp_path) == 1
+    assert _lines_of(capsys.readouterr().out, "check")[1:] == [
+        f"#   mismatched: {what}"]
+
+
+def test_configs_of_one_name_and_a_reused_work_dir(monkeypatch, tmp_path,
+                                                   capsys):
+    # the base writes stale.csv only on its first run: a second run into
+    # the same --work must not find it there, and two INI files named
+    # a.ini must not share an output directory
+    runs = []
+
+    def base(command):
+        runs.append(command)
+        return {"stale.csv": "x\n0\n"} if len(runs) == 1 else {}
+
+    _stub(monkeypatch, {"base": base, "change": lambda command: {}})
+    (tmp_path / "other").mkdir()
+    assert _main(tmp_path, "a.ini", "other/a.ini") == 1
+    out = capsys.readouterr().out
+    assert out.count("mismatched: stale.csv") == 1
+    assert sorted(p.name for p in (tmp_path / "work").iterdir()) == [
+        "0-a", "1-a"]
+    assert _main(tmp_path) == 0
+    assert "mismatched" not in capsys.readouterr().out
 
 
 def test_strip_timing_at_any_depth():

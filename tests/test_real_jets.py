@@ -169,15 +169,14 @@ class TestComplexPoints:
         with pytest.raises(JetError, match=r"\(1\+1j\)"):
             parse_expr("x^2").eval_jet(np.array([0.5, 1 + 1j]), 1)
 
-    def test_eval_values_and_dual_name_the_point(self):
+    def test_eval_values_and_dual_name_the_first_point(self):
         tree = parse_expr("x^2 + 1")
         for evaluate in (tree.eval_values, tree.eval_dual):
-            with pytest.raises(ExpressionDomainError,
-                               match=r"complex point.*at x = \(2-3j\)"):
+            with pytest.raises(JetError, match=r"complex point \(2-3j\)"):
                 evaluate(np.array([0.0, 2 - 3j, 1j]))
 
     def test_antideriv_names_the_point(self):
-        with pytest.raises(ExpressionDomainError, match=r"at x = 1j"):
+        with pytest.raises(JetError, match=r"complex point 1j"):
             Antideriv(parse_expr("x")).value_at(np.array([1j]))
 
     def test_python_complex_base(self):

@@ -3,12 +3,13 @@
     python3 tools/compare_outputs.py --base ../parent --change . \\
         demos/example_run.ini other.ini
 
-Runs ``check``, ``states``, ``hamiltonian`` and ``bicoherent`` (or the
-``--commands`` given) on each INI file in the ``--base`` and the
-``--change`` checkout, each into its own output directory, with the
-package imported from the checkout's ``src/``.  Reports are compared with
-their ``timing_seconds`` stripped.  For each INI file and command it
-prints:
+Runs ``check``, ``states``, ``hamiltonian`` and ``bicoherent`` on each
+INI file in the ``--base`` and the ``--change`` checkout, each into its
+own output directory (emptied before the run, and keyed by the INI
+file's position, so two INI files of the same name do not share one),
+with the package imported from the checkout's ``src/``.  Reports are
+compared with their ``timing_seconds`` stripped.  For each INI file and
+command it prints:
 
 * every verdict that changed: a record's verdict, a report's overall
   verdict, or the command's exit status;
@@ -18,10 +19,12 @@ prints:
   column in the base, and the largest absolute move of one (a column of
   residuals at the rounding floor moves by its own size when the last
   bits of its inputs do);
-* whether the outputs are byte-identical apart from the timing.
+* whether the outputs are byte-identical apart from the timing;
+* every file written, and every report number given, on one side only,
+  and every CSV whose header or row count changed.
 
-It exits with status 1 when any verdict changed, or when a file was
-written on one side only, and 0 otherwise.
+It exits with status 1 when any verdict changed or any of the last
+happened, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -91,7 +95,8 @@ def _move(a: float, b: float) -> float:
 
 
 def compare_reports(base: dict, change: dict) -> dict:
-    """Changed verdicts and the largest move of a report number."""
+    """Changed verdicts, the largest move of a report number, and the
+    paths of the numbers given on one side only."""
     vb, vc = _verdicts(base), _verdicts(change)
     changed = [(k, vb.get(k), vc.get(k)) for k in sorted(set(vb) | set(vc))
                if vb.get(k) != vc.get(k)]
@@ -101,7 +106,8 @@ def compare_reports(base: dict, change: dict) -> dict:
         move = _move(nb[path], nc[path])
         if move > worst[0] or math.isnan(move):
             worst = (move, move / max(1.0, abs(nb[path])), path)
-    return {"verdicts": changed, "number": worst}
+    return {"verdicts": changed, "number": worst,
+            "one_sided": sorted(nb.keys() ^ nc.keys())}
 
 
 def _read_csv(path: Path) -> tuple[list, list]:
@@ -110,13 +116,14 @@ def _read_csv(path: Path) -> tuple[list, list]:
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
 
 
-def compare_csv(base: Path, change: Path) -> tuple:
+def compare_csv(base: Path, change: Path):
     """(largest move over its column's largest |base entry|, largest
-    absolute move, the column of the first)."""
+    absolute move, the column of the first), or None where the header or
+    the row count changed."""
     hb, rb = _read_csv(base)
     hc, rc = _read_csv(change)
     if hb != hc or len(rb) != len(rc):
-        return (math.inf, math.inf, "header or row count")
+        return None
     worst, largest = (0.0, None), 0.0
     for j, name in enumerate(hb):
         col = [row[j] for row in rb]
@@ -134,12 +141,12 @@ def compare_dirs(base: Path, change: Path) -> dict:
     files = sorted({p.name for p in base.iterdir()}
                    | {p.name for p in change.iterdir()})
     result = {"verdicts": [], "number": (0.0, 0.0, None),
-              "csv": (0.0, 0.0, None), "one_sided": [],
+              "csv": (0.0, 0.0, None), "mismatched": [],
               "identical": True}
     for name in files:
         pb, pc = base / name, change / name
         if not (pb.exists() and pc.exists()):
-            result["one_sided"].append(name)
+            result["mismatched"].append(f"{name} written on one side only")
             result["identical"] = False
             continue
         if name == "exit_status":
@@ -152,18 +159,25 @@ def compare_dirs(base: Path, change: Path) -> dict:
             dc = strip_timing(json.loads(pc.read_text()))
             rep = compare_reports(db, dc)
             result["verdicts"] += rep["verdicts"]
+            result["mismatched"] += [f"{name}:{path} given on one side only"
+                                     for path in rep["one_sided"]]
             if rep["number"][0] > result["number"][0] \
                     or math.isnan(rep["number"][0]):
                 result["number"] = rep["number"][:2] + (
                     f"{name}:{rep['number'][2]}",)
             result["identical"] &= db == dc
         elif name.endswith(".csv"):
-            move, largest, column = compare_csv(pb, pc)
+            moved = compare_csv(pb, pc)
+            result["identical"] &= pb.read_bytes() == pc.read_bytes()
+            if moved is None:
+                result["mismatched"].append(
+                    f"{name} changed header or row count")
+                continue
+            move, largest, column = moved
             if move > result["csv"][0] or math.isnan(move):
                 result["csv"] = (move, result["csv"][1], f"{name}:{column}")
             result["csv"] = (result["csv"][0],
                              max(result["csv"][1], largest), result["csv"][2])
-            result["identical"] &= pb.read_bytes() == pc.read_bytes()
         else:
             result["identical"] &= pb.read_bytes() == pc.read_bytes()
     return result
@@ -177,8 +191,6 @@ def main(argv=None) -> int:
                         help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=Path("."),
                         help="checkout of the change (default: .)")
-    parser.add_argument("--commands", nargs="+", default=list(COMMANDS),
-                        choices=COMMANDS)
     parser.add_argument("--work", type=Path,
                         help="directory for the outputs (default: a "
                              "temporary one, removed afterwards)")
@@ -187,12 +199,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         bad = False
-        for ini in args.configs:
-            for command in args.commands:
+        for i, ini in enumerate(args.configs):
+            for command in COMMANDS:
                 dirs = {}
                 for side in ("base", "change"):
-                    dirs[side] = work / ini.stem / command / side
-                    dirs[side].mkdir(parents=True, exist_ok=True)
+                    dirs[side] = work / f"{i}-{ini.stem}" / command / side
+                    shutil.rmtree(dirs[side], ignore_errors=True)
+                    dirs[side].mkdir(parents=True)
                     run_command(getattr(args, side), command, ini,
                                 dirs[side])
                 res = compare_dirs(dirs["base"], dirs["change"])
@@ -206,9 +219,9 @@ def main(argv=None) -> int:
                         f"at {column}, at most {cabs:.3g} absolute")
                 for what, vb, vc in res["verdicts"]:
                     print(f"#   verdict changed: {what}: {vb} -> {vc}")
-                for name in res["one_sided"]:
-                    print(f"#   written on one side only: {name}")
-                bad |= bool(res["verdicts"] or res["one_sided"])
+                for what in res["mismatched"]:
+                    print(f"#   mismatched: {what}")
+                bad |= bool(res["verdicts"] or res["mismatched"])
     return 1 if bad else 0
 
 
