@@ -197,6 +197,39 @@ def _number(values, key: str, default, kind=float):
             f"{key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
+# the [bicoherent] keys that _bicoherent_params reads
+BICOHERENT_KEYS = ("z_re", "z_im", "bump_center", "bump_width", "bump2_center",
+                   "bump2_width", "resolution_radius", "radial_nodes",
+                   "angular_nodes", "max_terms", "tolerance_eigen",
+                   "tolerance_resolution")
+
+
+# the keys each section may hold, where an unknown one (a typo) is refused
+# rather than ignored.  A [model] with a builtin passes its keys to
+# build_builtin, which refuses unknown parameters, and [tolerances] keys are
+# checked as they are read.  [run] is not checked yet: the benchmark's
+# configs still carry a [run] jobs key (ROADMAP, benchmark housekeeping).
+KNOWN_KEYS = {
+    "grid": ("lo", "hi", "points"),
+    "output": ("dir",),
+    "bicoherent": BICOHERENT_KEYS,
+    "model": ("alpha_a", "beta_a", "alpha_b", "beta_b", "name"),
+}
+
+
+def _refuse_unknown_keys(cp: configparser.ConfigParser) -> None:
+    """A ConfigError naming the first key of a section in
+    :data:`KNOWN_KEYS` that the section does not know."""
+    for section, known in KNOWN_KEYS.items():
+        keys = list(cp[section]) if section in cp else []
+        if section == "model" and "builtin" in keys:
+            continue
+        unknown = [k for k in keys if k not in known]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                              f"known: {', '.join(known)}")
+
+
 def load_config(path: Path, *, out_override=None,
                 tol_scale: float = 1.0) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -205,6 +238,7 @@ def load_config(path: Path, *, out_override=None,
         raise ConfigError(f"cannot read config file {path}")
     if "model" not in cp:
         raise ConfigError("config needs a [model] section")
+    _refuse_unknown_keys(cp)
     model_spec = dict(cp["model"])
 
     grid = cp["grid"] if "grid" in cp else {}

@@ -142,7 +142,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 class BinOp(FunctionExpr):
     """A binary operation.  A ``Const`` operand of + - *, or a nonzero
-    ``Const`` divisor, is applied as a number, with no constant jet."""
+    ``Const`` divisor or numerator, is applied as a number, with no
+    constant jet."""
 
     __slots__ = ("op", "left", "right")
 
@@ -157,9 +158,8 @@ class BinOp(FunctionExpr):
         op, left, right = self.op, self.left, self.right
         if type(right) is Const and (op != "/" or right.number != 0):
             return _BINARY[op](left.eval_jet(x, order), right.number)
-        if type(left) is Const and op != "/":
-            return _BINARY[op](left.number, right.eval_jet(x, order))
-        a = left.eval_jet(x, order)
+        a = left.number if type(left) is Const \
+            and (op != "/" or left.number != 0) else left.eval_jet(x, order)
         b = right.eval_jet(x, order)
         if op != "/":
             return _BINARY[op](a, b)

@@ -49,6 +49,7 @@ __all__ = [
     "jet_sqrt",
     "jet_powi",
     "jet_hermite",
+    "hermite_coeffs",
     "sqrt_factorial",
     "as_number",
     "real_base",
@@ -317,7 +318,7 @@ class Jet:
 
     def __rtruediv__(self, other):
         if isinstance(other, _NUMBER):
-            return _div(Jet.constant(other, self.base, self.order), self)
+            return _div(as_number(other), self)
         return NotImplemented
 
 
@@ -450,18 +451,26 @@ def _mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _div(a: Jet, b: Jet) -> Jet:
+def _div(a, b: Jet) -> Jet:
+    """a / b for a jet a of b's base and order, or a number a, which
+    builds no constant jet: its higher coefficients are the number 0.0,
+    so each 0.0 - sum rounds as the constant jet's would, signs of zeros
+    included."""
     b0 = b.coeffs[0]
     if np.count_nonzero(b0) < np.size(b0):  # NaN is not zero
         raise JetError("division by a jet with zero constant term")
-    if a.coeffs.shape[0] == 1:
-        return _jet(a.base, _over(a.coeffs, b.coeffs))
-    out = np.empty(a.coeffs.shape, dtype=np.result_type(a.coeffs, b0))
-    out[0] = _over(a.coeffs[0], b0)
-    for k in range(1, a.order + 1):
-        acc = a.coeffs[k] - _dot0(b.coeffs[1 : k + 1], out[k - 1 :: -1])
+    if isinstance(a, Jet):
+        base, a = a.base, a.coeffs
+    else:
+        base, a = b.base, [a] + [0.0] * b.order
+    if len(a) == 1:
+        return _jet(base, _over(a[0], b.coeffs))
+    out = np.empty(b.coeffs.shape, dtype=np.result_type(a[0], b0))
+    out[0] = _over(a[0], b0)
+    for k in range(1, len(a)):
+        acc = a[k] - _dot0(b.coeffs[1 : k + 1], out[k - 1 :: -1])
         out[k] = _over(acc, b0)
-    return _jet(a.base, out)
+    return _jet(base, out)
 
 
 # -- analytic compositions ---------------------------------------------
@@ -566,26 +575,45 @@ def jet_powi(u: Jet, k: int) -> Jet:
     return Jet.constant(1.0, u.base, u.order) if result is None else result
 
 
+def hermite_coeffs(ns, u: np.ndarray) -> np.ndarray:
+    """The one Hermite recurrence: coefficients of h_k(u) = H_k(u) /
+    sqrt(2^k k!) for the degrees k of ``ns``, stacked along axis 1 of the
+    coefficients ``u`` (shape (order + 1, *S)), in u's dtype, by
+    h_{k+1} = sqrt(2/(k+1)) u h_k - sqrt(k/(k+1)) h_{k-1} (Numerical
+    Recipes 3rd ed., section 4.6), which stays in double range far past
+    the degree where H_k leaves it.  It fills one array in place; degrees
+    0..top in order return it, others a fresh selection of it."""
+    ns = [int(k) for k in ns]
+    if min(ns, default=0) < 0:
+        raise JetError("Hermite degree must be nonnegative")
+    top, order = max(ns, default=0), u.shape[0] - 1
+    out = np.empty((top + 1,) + u.shape, dtype=u.dtype)  # degree first
+    out[0] = 0.0
+    out[0, 0] = 1.0
+    # at order 0 the rows are values, and each step is elementwise
+    h, v = (out, u) if order else (out[:, 0], u[0])
+    if top:
+        np.multiply(v, math.sqrt(2.0), out=h[1, ...])
+        tmp = np.empty_like(v)
+    for k in range(1, top):
+        row = h[k + 1, ...]  # an array also where the rows are 0-d
+        uh = _mul_coeffs(v, h[k]) if order else np.multiply(v, h[k], out=row)
+        np.multiply(uh, math.sqrt(2.0 / (k + 1)), out=row)
+        np.multiply(h[k - 1], math.sqrt(k / (k + 1)), out=tmp)
+        np.subtract(row, tmp, out=row)
+    out = out.swapaxes(0, 1)
+    return out if ns == list(range(top + 1)) else out[:, ns]
+
+
 def jet_hermite(u: Jet, n):
-    """Jet of h_n(u) = H_n(u) / sqrt(2^n n!) by the recurrence of
-    ``quad.hermite_value``, operation for operation, so an order-0 jet's
-    value is equal to its row.
+    """Jet of h_n(u) = H_n(u) / sqrt(2^n n!) from :func:`hermite_coeffs`.
 
     ``n`` is one degree, or a sequence of degrees: one recurrence then
     serves them all and the list of their jets is returned, each bitwise
     the single-degree result.
     """
-    ns = [int(k) for k in np.ravel(n)]
-    if any(k < 0 for k in ns):
-        raise JetError("Hermite degree must be nonnegative")
-    rows = [Jet.constant(1.0, u.base, u.order)]
-    top = max(ns, default=0)
-    if top:
-        rows.append(u * math.sqrt(2.0))
-        for k in range(1, top):
-            rows.append(u * rows[k] * math.sqrt(2.0 / (k + 1))
-                        - rows[k - 1] * math.sqrt(k / (k + 1)))
-    out = [rows[k] for k in ns]
+    rows = hermite_coeffs(np.ravel(n), u.coeffs)
+    out = [_jet(u.base, rows[:, i]) for i in range(rows.shape[1])]
     return out[0] if np.ndim(n) == 0 else out
 
 

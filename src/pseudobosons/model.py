@@ -307,6 +307,7 @@ def build_builtin(name: str, **params) -> PBModel:
     example2                       alpha_a = 2 alpha_b = 1/cosh(x)
     """
     if name == "bosonic":
+        _check_no_extra(name, params)
         return build_builtin("shifted", alpha=0.0, beta=0.0, _name="bosonic")
 
     if name == "shifted":

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import Jet, jet_exp, jet_powi
+from .jets import Jet, hermite_coeffs, jet_exp, jet_powi
 
 __all__ = [
     "IntegralResult",
@@ -575,59 +575,31 @@ class TestFunction:
 # ----------------------------------------------------------------------
 
 def hermite_value(n, y):
-    """h_n(y) = H_n(y) / sqrt(2^n n!) for scalar or array y, by the
-    recurrence h_{k+1} = sqrt(2/(k+1)) y h_k - sqrt(k/(k+1)) h_{k-1}
-    (Numerical Recipes 3rd ed., section 4.6), in double range far past the
-    level where H_n leaves it.  It runs in y's own dtype: float64 for a
-    real y, whose rows then equal the real parts of those of y + 0j, and
-    complex128 for a complex one.
+    """h_n(y) = H_n(y) / sqrt(2^n n!) for scalar or array y: the order-0
+    rows of ``jets.hermite_coeffs``, the one Hermite recurrence, in y's
+    own dtype (float64 for a real y, whose rows then equal the real parts
+    of those of y + 0j, and complex128 for a complex one).
 
     ``n`` is one level, or a 1-D sequence of levels whose values are
     stacked along a new first axis; each row is bitwise the single-level
-    result.  The rows go into one (top + 1, *y.shape) array, top = max(n),
-    by the operations of ``jets.jet_hermite`` in its order; levels 0..top
-    in order return that array, other levels a fresh selection of its rows.
+    result, and no two results share memory.
     """
     y = np.asarray(y)
     y = y.astype(np.complex128 if np.iscomplexobj(y) else float, copy=False)
-    top = int(np.max(n))
-    out = np.empty((top + 1,) + y.shape, dtype=y.dtype)
-    out[0] = 1.0
-    if top >= 1:
-        np.multiply(y, math.sqrt(2.0), out=out[1, ...])
-        tmp = np.empty_like(y)
-    for k in range(1, top):
-        row = out[k + 1, ...]
-        np.multiply(y, out[k], out=row)
-        np.multiply(row, math.sqrt(2.0 / (k + 1)), out=row)
-        np.multiply(out[k - 1], math.sqrt(k / (k + 1)), out=tmp)
-        np.subtract(row, tmp, out=row)
-    if np.ndim(n) == 0:
-        return out[n]
-    ns = np.asarray(n)
-    if ns.size == top + 1 and (ns == np.arange(top + 1)).all():
-        return out
-    return out[ns]
+    single = np.ndim(n) == 0
+    rows = hermite_coeffs([n] if single else n, y[None])[0]
+    return rows[0] if single else rows
 
 
 def oscillator_en(n: int, s):
     """n-th harmonic-oscillator eigenstate
-    e_n(s) = (2^n n! sqrt(pi))^(-1/2) H_n(s) exp(-s^2/2).
-
-    Evaluated through the normalized recurrence
-    e_n = s sqrt(2/n) e_{n-1} - sqrt((n-1)/n) e_{n-2}, stable far beyond
-    n = 200.
+    e_n(s) = (2^n n! sqrt(pi))^(-1/2) H_n(s) exp(-s^2/2) = h_n(s) e_0(s),
+    with h_n from :func:`hermite_value`, stable far beyond n = 200.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     s = np.asarray(s, dtype=float)
-    e_prev = np.pi ** -0.25 * np.exp(-0.5 * s * s)
-    if n == 0:
-        return e_prev
-    e = np.sqrt(2.0) * s * e_prev
-    for k in range(2, n + 1):
-        e, e_prev = s * np.sqrt(2.0 / k) * e - np.sqrt((k - 1.0) / k) * e_prev, e
-    return e
+    return hermite_value(n, s) * (np.pi ** -0.25 * np.exp(-0.5 * s * s))
 
 
 # ----------------------------------------------------------------------

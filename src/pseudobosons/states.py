@@ -25,9 +25,11 @@ s).  kappa is a model constant: ``PBModel`` reads it once, on first use,
 at x = 0, the point where the vacua and ``Antideriv`` are anchored, so s
 is a plain number and no square root is taken per point.
 The families are evaluated from it as N (sqrt(2) s)^n h_n(y) times the
-vacuum, y = u/(2s), with h_n = H_n / sqrt(2^n n!) (``quad.hermite_value``)
-in double range where H_n is not; :func:`pi_sigma_recursive` runs the
-recursion itself, i.e. b^n phi_0, as the independent reference route.
+vacuum, y = u/(2s), with h_n = H_n / sqrt(2^n n!) in double range where
+H_n is not.  One Hermite recurrence (``jets.hermite_coeffs``) gives the
+jets of h_n at any order, and the state values are its order-0 rows
+(``quad.hermite_value``); :func:`pi_sigma_recursive` runs the recursion
+itself, i.e. b^n phi_0, as the independent reference route.
 
 Note the sigma_n sequence multiplies psi_0 (not phi_0): the recursion is
 exactly what repeated application of a^dag to psi_0 produces, which the
@@ -45,7 +47,8 @@ from typing import Callable
 import numpy as np
 
 from . import quad
-from .jets import Jet, as_number, jet_hermite, sqrt_factorial
+from .jets import (Jet, _mul_coeffs, as_number, hermite_coeffs, jet_hermite,
+                   sqrt_factorial)
 from .model import ModelError, PBModel, apply_ladder
 from .quad import compatibility_form, hermite_value
 
@@ -172,26 +175,39 @@ class StateFamily:
 
         ``n`` may be a sequence of levels: one vacuum jet, one lead jet and
         one Hermite recurrence then serve them all, and the list of their
-        jets is returned, each bitwise the single-level result.  A state
+        jets is returned, each equal to the single-level result.  A state
         beyond double range reads inf or nan, without a warning."""
         ns = [int(k) for k in np.ravel(n)]
         for k in ns:
             self._check_n(k)
-        y, scales = self._hermite(x, order, ns)
-        vac = vacuum(self.model, self.side, x, order)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = [h * c * vac for h, c in zip(jet_hermite(y, ns), scales)]
+            rows = self._states(ns, x, order)
+        out = [Jet(x, rows[:, i]) for i in range(len(ns))]
         return out[0] if np.ndim(n) == 0 else out
 
-    def _hermite(self, x, order: int, ns):
-        """The jet of y = u / (2s) at x, and the constants N (sqrt(2) s)^n
-        that take h_n(y) vac to the levels ``ns``, each a float where it
-        is exactly real.  They are formed in complex arithmetic whatever
-        their dtype, so a real constant is the real part of the complex
-        one."""
+    def _states(self, ns, x, order: int) -> np.ndarray:
+        """Coefficients of the levels ``ns`` at x along axis 1, as in a
+        stacked jet: the rows h_n(y) of one Hermite recurrence at
+        y = u / (2s), scaled in place by the stacked constants
+        N (sqrt(2) s)^n, times the vacuum jet; at order 0 through
+        ``quad.hermite_value`` and all in place.  The constants are formed
+        in complex arithmetic and stacked in float64 where all are
+        exactly real, so a real one is the real part of the complex one;
+        the rows run complex only where y, a constant or the vacuum is."""
         s, y = _hermite_argument(self.model, self._poly_side, x, order)
-        return y, [as_number(self.normalization * (math.sqrt(2.0) * s) ** k)
-                   for k in ns]
+        scales = np.array([as_number(self.normalization
+                                     * (math.sqrt(2.0) * s) ** k)
+                           for k in ns])
+        vac = vacuum(self.model, self.side, x, order).coeffs[:, None]
+        u = y.coeffs.astype(np.result_type(y.coeffs, scales, vac),
+                            copy=False)
+        rows = hermite_coeffs(ns, u) if order \
+            else hermite_value(ns, u[0])[None]
+        rows *= np.reshape(scales, (-1,) + (1,) * (u.ndim - 1))
+        if order:
+            return _mul_coeffs(rows, vac)
+        rows *= vac
+        return rows
 
     def jet_fn(self, n: int) -> Callable[[float, int], Jet]:
         self._check_n(n)
@@ -201,30 +217,15 @@ class StateFamily:
         """Vectorized pointwise evaluator of level n (one row of
         :meth:`values_all`)."""
         self._check_n(n)
-        return lambda xs: self._levels([n], xs)[0]
+        return lambda xs: self._states([n], xs, 0)[0, 0]
 
     def values_all(self, xs) -> np.ndarray:
-        """(max_n + 1, npts) values of every level on the points ``xs``:
-        float64 where the states are exactly real (the Hermite argument,
-        the level scales and the vacuum all are, as on bosonic, example1
-        and example2), complex128 wherever one of them is not."""
-        return self._levels(range(self.max_n + 1), xs)
-
-    def _levels(self, ns, xs) -> np.ndarray:
-        """Stacked values of the levels ``ns`` from one Hermite recurrence;
-        each row equals ``jet(n, xs, 0).value``, whose operations it
-        repeats in the same order, scaling the recurrence's own rows in
-        place.  Its factors follow the dtype rule of the jets, and the
-        recurrence runs complex only where one of them is complex."""
-        xs = np.asarray(xs, dtype=float)
-        y, scales = self._hermite(xs, 0, ns)
-        y, scales = y.value, np.asarray(scales)
-        vac = self.model.vacuum_values(self.side, xs)
-        rows = hermite_value(ns, y.astype(np.result_type(y, scales, vac),
-                                          copy=False))
-        rows *= np.reshape(scales, (-1,) + (1,) * xs.ndim)
-        rows *= vac
-        return rows
+        """(max_n + 1, npts) values of every level on the points ``xs``,
+        each row equal to ``jet(n, xs, 0).value``: float64 where the
+        states are exactly real (the Hermite argument, the level scales
+        and the vacuum all are, as on bosonic, example1 and example2),
+        complex128 wherever one of them is not."""
+        return self._states(range(self.max_n + 1), xs, 0)[0]
 
     def values(self, n: int, xs) -> np.ndarray:
         return self.values_fn(n)(np.asarray(xs, dtype=float))
@@ -334,14 +335,14 @@ def pair_envelope(m: PBModel, degree: int) -> Callable:
     log|vacuum|, and exponentiated once: a high degree can neither
     overflow the power nor meet an underflowed vacuum as inf * 0, and a
     growing vacuum (one that does not pair) reads inf without a warning."""
-    s = _hermite_scale(m, "pi")
+    _hermite_scale(m, "pi")  # a kappa of 0 or not finite fails here
 
     def envelope(xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         log_env = (m.log_abs_vacuum_values("phi", xs)
                    + m.log_abs_vacuum_values("psi", xs))
         if degree:
-            y = m.lead_jet("pi", xs, 0).value * (0.5 / s)
+            y = _hermite_argument(m, "pi", xs, 0)[1].value
             log_env += degree * np.log(np.maximum(1.0, 2.0 * np.abs(y)))
         with np.errstate(over="ignore"):  # beyond double range: inf
             return np.exp(log_env)

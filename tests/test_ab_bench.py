@@ -59,6 +59,26 @@ def test_worse(better, base, change, bound, worse):
                               "gain" if row["gain"] else "within bound")
 
 
+@pytest.mark.parametrize("better, base, change, verdict", [
+    # base IQR 4 (quartiles 10, 12, 14) over a 0.25 bound of 3: a +4%
+    # median cannot be told from the spread
+    ("lower", [8.0, 10.0, 12.0, 14.0, 16.0], [12.5] * 5, "unresolved"),
+    ("higher", [8.0, 10.0, 12.0, 14.0, 16.0], [11.5] * 5, "unresolved"),
+    # the same spread, but every change run beats every base run
+    ("lower", [10.0, 10.0, 14.0, 18.0, 18.0], [9.9] * 5, "within bound"),
+    ("higher", [10.0, 10.0, 14.0, 18.0, 18.0], [18.1] * 5, "within bound"),
+    # a worse median stays worse, a gain stays a gain
+    ("lower", [8.0, 10.0, 12.0, 14.0, 16.0], [16.0] * 5, "worse"),
+    ("lower", [10.0, 10.0, 10.0, 10.0, 14.0], [5.0] * 5, "gain"),
+    # a base IQR of 2.5, within the bound's 3: no call to make
+    ("lower", [9.5, 10.5, 12.0, 13.0, 14.0], [12.5] * 5, "within bound"),
+])
+def test_unresolved(better, base, change, verdict):
+    row = ab_bench.summarize("m", better, base, change, 0.25)
+    assert row["verdict"] == verdict
+    assert row["unresolved"] is (verdict == "unresolved")
+
+
 def test_no_bound_is_never_worse():
     row = ab_bench.summarize("m", "lower", [1.0] * 4, [100.0] * 4)
     assert (row["worse"], row["verdict"]) == (False, "within bound")
@@ -120,3 +140,24 @@ def test_one_workload_keeps_one_block(monkeypatch, tmp_path, capsys):
     assert lines[2].startswith("# wall_s       base 2 [2, 2]  change 1.8")
     assert json.loads(lines[-1])["workload"] == "w2"
     assert len(lines) == 4
+
+
+def test_a_wide_base_spread_prints_unresolved(monkeypatch, tmp_path, capsys):
+    sides, _ = _stub_runs(monkeypatch, tmp_path)
+    stub = ab_bench.run_bench
+
+    def noisy(checkout, workload, seed, seconds):
+        # base runs spread 0.7..1.3 around 1.0; the change reads 0.9
+        out = stub(checkout, workload, seed, seconds)
+        if checkout.name == "base":
+            out["metrics"]["wall_s"]["value"] = 0.7 + 0.15 * (seed % 5)
+        return out
+
+    monkeypatch.setattr(ab_bench, "run_bench", noisy)
+    ab_bench.main(["--workload", "w1", "--base", str(sides["base"]),
+                   "--change", str(sides["change"]), "--seeds",
+                   *map(str, range(10))])
+    lines = capsys.readouterr().out.splitlines()
+    row = [line for line in lines if line.startswith("# wall_s")]
+    assert len(row) == 1 and row[0].endswith("unresolved (bound 0.25)"), row
+    assert json.loads(lines[-1])["summary"][0]["verdict"] == "unresolved"

@@ -96,3 +96,19 @@ def test_workload_records_every_expected_boundary(bench_run, tracer_cls,
     missing = [name for name in bench_run.EXPECTED_BOUNDARIES[workload]
                if t.counts[name] == 0]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["demo_check", "demo_bicoherent",
+                                      "general_check"])
+def test_workload_configs_load(bench_run, tmp_path, workload):
+    # load_config refuses unknown keys: every config the benchmark writes
+    # must still load, and build its model
+    from workloads import WORKLOADS, write_config
+
+    demo = BENCH.parent / "demos" / "example_run.ini"
+    for seed in (1, 13):
+        path = tmp_path / f"{workload}-{seed}.ini"
+        write_config(WORKLOADS[workload], seed, demo, tmp_path, path)
+        cfg = cli.load_config(path)
+        cli.build_model(cfg.model_spec)
+        cli._bicoherent_params(cfg)

@@ -10,9 +10,11 @@ import pytest
 from childproc import run_cli
 from pseudobosons import StateFamily, build_builtin, jets
 from pseudobosons.cli import (
+    BICOHERENT_KEYS,
     BLOCKED_BY,
     CHECK_ORDER,
     ConfigError,
+    _bicoherent_params,
     _fmt,
     build_model,
     cmd_bicoherent,
@@ -118,6 +120,45 @@ class TestConfig:
                 f"[output]\ndir = {tmp_path / 'out'}\n")
         cfg = write_config(tmp_path, body)
         assert main(["check", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("section, body", [
+        ("grid", "[model]\nbuiltin = bosonic\n[grid]\npoint = 7\n"),
+        ("output", "[model]\nbuiltin = bosonic\n[output]\ndirectory = o\n"),
+        ("bicoherent",
+         "[model]\nbuiltin = bosonic\n[bicoherent]\nmax_term = 5\n"),
+        ("model", "[model]\nalpha_a = 1\nbeta_a = x\nalpha_b = 1\n"
+                  "beta_b = 0\nalpha_c = 1\n"),
+    ], ids=["grid", "output", "bicoherent", "raw_model"])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, section, body):
+        key = body.rstrip().splitlines()[-1].split(" = ")[0]
+        cfg = write_config(tmp_path, body)
+        with pytest.raises(ConfigError,
+                           match=rf"unknown key '{key}' in \[{section}\]"):
+            load_config(cfg)
+        assert main(["bicoherent", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err, err
+
+    def test_unknown_builtin_parameter_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\nthet = 1\n")
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert "thet" in capsys.readouterr().err
+
+    def test_known_keys_load(self, tmp_path):
+        # every key of the demo INI, a raw model with a name, and each
+        # [bicoherent] key that _bicoherent_params reads
+        assert load_config(DEMO_INI).bicoherent["max_terms"] == "60"
+        bico = "".join(f"{k} = {v}\n" for k, v in
+                       zip(BICOHERENT_KEYS, ["-1 1 3", "-1 1 3", "0", "1",
+                                             "0.2", "0.8", "6", "96", "0",
+                                             "60", "1e-8", "1e-3"]))
+        cfg = load_config(write_config(
+            tmp_path, "[model]\nname = mine\nalpha_a = 1\nbeta_a = x\n"
+                      "alpha_b = 1\nbeta_b = 0\n"
+                      "[grid]\nlo = -1\nhi = 1\npoints = 5\n"
+                      "[output]\ndir = o\n[bicoherent]\n" + bico))
+        assert set(_bicoherent_params(cfg)) == set(BICOHERENT_KEYS)
+        assert _bicoherent_params(cfg)["max_terms"] == 60
 
     def test_tol_scale(self, tmp_path):
         cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n")

@@ -330,3 +330,40 @@ def test_scalar_equals_batched_column_bitwise(op, order):
     for i, x in enumerate(xs):
         scalar = apply(float(x), u[:, i], v[:, i]).coeffs
         assert np.array_equal(_bits(scalar), _bits(batched[:, i])), i
+
+
+def _hermite_by_jet_arithmetic(u, top):
+    """h_0..h_top of u by the recurrence written in jet arithmetic, one
+    jet per degree: the reference the in-place recurrence must repeat."""
+    rows = [Jet.constant(1.0, u.base, u.order), u * math.sqrt(2.0)]
+    for k in range(1, top):
+        rows.append(u * rows[k] * math.sqrt(2.0 / (k + 1))
+                    - rows[k - 1] * math.sqrt(k / (k + 1)))
+    return rows
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_hermite_recurrence_repeats_jet_arithmetic(order, kind):
+    # one recurrence for values and jets: each degree's coefficients are
+    # bitwise those of the jet arithmetic, at a point and on a grid, and
+    # an order-0 row is hermite_value's
+    from pseudobosons.quad import hermite_value
+
+    rng = np.random.default_rng(order)
+    c = _coeffs(rng, order, 9)
+    c = c.real.copy() if kind == "real" else c
+    xs = np.linspace(-2.0, 2.0, 9)
+    for u in [Jet(xs, c)] + [Jet(float(x), c[:, i]) for i, x in
+                             enumerate(xs[:3])]:
+        got = jet_hermite(u, range(13))
+        want = _hermite_by_jet_arithmetic(u, 12)
+        assert np.array_equal(got[0].coeffs, want[0].coeffs)
+        for k in range(1, 13):
+            assert got[k].coeffs.dtype == want[k].coeffs.dtype
+            assert np.array_equal(_bits(got[k].coeffs),
+                                  _bits(want[k].coeffs)), k
+        if order == 0:
+            rows = hermite_value(range(13), u.coeffs[0])
+            assert np.array_equal(_bits(rows),
+                                  _bits(np.stack([j.value for j in got])))

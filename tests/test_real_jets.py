@@ -14,6 +14,7 @@ from pseudobosons.expressions import (
 from pseudobosons.jets import (
     Jet,
     JetError,
+    _div,
     as_number,
     jet_exp,
     jet_sqrt,
@@ -102,6 +103,39 @@ def test_constant_operands_build_no_constant_jet(monkeypatch):
     got = parse_expr("2*x - 1 + x/4 - (0.5 - x)*3").eval_jet(xs, 1)
     assert np.array_equal(got.value, 2 * xs - 1 + xs * 0.25 - (0.5 - xs) * 3)
     assert np.array_equal(got.derivative(1), np.full(xs.shape, 5.25))
+
+
+@pytest.mark.parametrize("source, number", [("1/(1+x^2)", 1.0),
+                                            ("i/(1+x^2)", 1j)])
+def test_number_numerator_builds_no_constant_jet(monkeypatch, source,
+                                                 number):
+    # the old route divided a constant jet of the numerator; the number
+    # gives bitwise the same quotient, signs of zeros included
+    expr = parse_expr(source)
+    cases = [(x, order) for x in (np.linspace(-2.0, 2.0, 41), 0.0, -1.3)
+             for order in range(4)]
+    want = []
+    for x, order in cases:
+        den = expr.right.eval_jet(x, order)
+        want.append(_div(Jet.constant(number, den.base, order), den).coeffs)
+
+    def refuse(*args):
+        raise AssertionError("a constant jet was built")
+
+    monkeypatch.setattr(Jet, "constant", classmethod(refuse))
+    for (x, order), w in zip(cases, want):
+        got = expr.eval_jet(x, order).coeffs
+        assert got.dtype == w.dtype and got.shape == w.shape
+        assert np.array_equal(_bits(got), _bits(w)), (x, order)
+
+
+def test_number_numerator_names_a_zero_divisor():
+    with pytest.raises(ExpressionDomainError,
+                       match=r"division by zero in 'x - 1' at x = 1\.0"):
+        parse_expr("2/(x-1)").eval_jet(np.array([0.0, 1.0, 2.0]), 2)
+    with pytest.raises(ExpressionDomainError,
+                       match=r"division by zero in 'x - 1' at x = 1\.0"):
+        parse_expr("i/(x-1)").eval_jet(1.0, 0)
 
 
 # -- real arithmetic is the real part of complex arithmetic --------------

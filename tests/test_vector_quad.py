@@ -148,7 +148,7 @@ class TestLevels:
         assert hermite_value(ns, [0.5, 1]).dtype == np.float64
 
     def test_calls_share_no_buffer(self, example2):
-        # _levels scales the recurrence's rows in place: no two results
+        # the states scale the recurrence's rows in place: no two results
         # may share memory, nor a result and a later call's
         y = np.linspace(-3.0, 3.0, 31) + 0.0j
         for ns in (range(6), [5, 0, 5]):

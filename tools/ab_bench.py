@@ -14,7 +14,10 @@ where the change won at least nine tenths of the pairs and the medians
 differ by more than the base's interquartile range.  A metric reads
 ``worse`` where the change's median is worse than the base's by more
 than that metric's ``bound`` in ``BENCHMARK.json``, relative to the base
-median.  Seeds at which a side's outputs were not all correct are
+median.  A metric that reads neither reads ``unresolved`` where the base's
+interquartile range exceeds ``bound`` times the base median, so that its
+spread hides a change of the bound's size, unless every change sample
+beats every base sample; otherwise it reads ``within bound``.  Seeds at which a side's outputs were not all correct are
 listed.  Each workload's block ends with one line holding one JSON
 object with every sample of that workload.
 """
@@ -54,9 +57,10 @@ def quartiles(values: list) -> tuple:
 
 def summarize(name: str, better: str, base: list, change: list,
               bound: float = math.inf) -> dict:
-    """Quartiles of both sides, pairs won, whether a gain holds, and
-    whether the change's median is worse than the base's by more than
-    ``bound`` times the base median; ``verdict`` is "gain", "worse" or
+    """Quartiles of both sides, pairs won, whether a gain holds, whether
+    the change's median is worse than the base's by more than ``bound``
+    times the base median, and whether the base's interquartile range is
+    wider than that; ``verdict`` is "gain", "worse", "unresolved" or
     "within bound"."""
     sign = 1.0 if better == "lower" else -1.0
     won = sum(sign * (b - c) > 0 for b, c in zip(base, change))
@@ -65,10 +69,15 @@ def summarize(name: str, better: str, base: list, change: list,
     gain = (won >= 0.9 * len(base)
             and sign * (bq[1] - cq[1]) > bq[2] - bq[0])
     worse = sign * (cq[1] - bq[1]) > bound * abs(bq[1])
-    verdict = "gain" if gain else "worse" if worse else "within bound"
+    beats_all = all(sign * (b - c) > 0 for b in base for c in change)
+    unresolved = (not (gain or worse or beats_all)
+                  and bq[2] - bq[0] > bound * abs(bq[1]))
+    verdict = "gain" if gain else "worse" if worse else \
+        "unresolved" if unresolved else "within bound"
     return {"metric": name, "better": better, "base": bq, "change": cq,
             "won": won, "lost": lost, "pairs": len(base), "gain": gain,
-            "bound": bound, "worse": worse, "verdict": verdict}
+            "bound": bound, "worse": worse, "unresolved": unresolved,
+            "verdict": verdict}
 
 
 def compare(workload: str, sides: dict, seeds: list, seconds: float,
