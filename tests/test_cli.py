@@ -121,17 +121,19 @@ class TestConfig:
         cfg = write_config(tmp_path, body)
         assert main(["check", "--config", str(cfg)]) == 0
 
-    @pytest.mark.parametrize("section, body", [
-        ("grid", "[model]\nbuiltin = bosonic\n[grid]\npoint = 7\n"),
-        ("output", "[model]\nbuiltin = bosonic\n[output]\ndirectory = o\n"),
-        ("bicoherent",
-         "[model]\nbuiltin = bosonic\n[bicoherent]\nmax_term = 5\n"),
-        ("model", "[model]\nalpha_a = 1\nbeta_a = x\nalpha_b = 1\n"
-                  "beta_b = 0\nalpha_c = 1\n"),
+    @pytest.mark.parametrize("section, key, model", [
+        ("grid", "point", "builtin = bosonic\n"),
+        ("output", "directory", "builtin = bosonic\n"),
+        ("bicoherent", "max_term", "builtin = bosonic\n"),
+        ("model", "alpha_c", "alpha_a = 1\nbeta_a = x\nalpha_b = 1\n"
+                             "beta_b = 0\n"),
     ], ids=["grid", "output", "bicoherent", "raw_model"])
-    def test_unknown_key_is_refused(self, tmp_path, capsys, section, body):
-        key = body.rstrip().splitlines()[-1].split(" = ")[0]
-        cfg = write_config(tmp_path, body)
+    def test_unknown_key_is_refused(self, tmp_path, capsys, section, key,
+                                    model):
+        body = f"[model]\n{model}"
+        if section != "model":
+            body += f"[{section}]\n"
+        cfg = write_config(tmp_path, body + f"{key} = 5\n")
         with pytest.raises(ConfigError,
                            match=rf"unknown key '{key}' in \[{section}\]"):
             load_config(cfg)

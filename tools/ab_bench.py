@@ -14,12 +14,13 @@ where the change won at least nine tenths of the pairs and the medians
 differ by more than the base's interquartile range.  A metric reads
 ``worse`` where the change's median is worse than the base's by more
 than that metric's ``bound`` in ``BENCHMARK.json``, relative to the base
-median.  A metric that reads neither reads ``unresolved`` where the base's
-interquartile range exceeds ``bound`` times the base median, so that its
-spread hides a change of the bound's size, unless every change sample
-beats every base sample; otherwise it reads ``within bound``.  Seeds at which a side's outputs were not all correct are
-listed.  Each workload's block ends with one line holding one JSON
-object with every sample of that workload.
+median.  A metric that reads neither reads ``unresolved`` where the
+base's interquartile range exceeds ``bound`` times the base median, so
+that its spread hides a change of the bound's size, unless every change
+sample beats every base sample; otherwise it reads ``within bound``.
+Seeds at which a side's outputs were not all correct are listed.  Each
+workload's block ends with one line holding one JSON object with every
+sample of that workload.
 """
 
 from __future__ import annotations
