@@ -13,7 +13,7 @@ import numpy as np
 
 import pseudobosons as pb
 from pseudobosons import GrowthProfile, WeakStateQuery
-from pseudobosons.bicoherent import PairingSeries
+from pseudobosons.bicoherent import pairing_series
 
 print("== general growth-profile utilities ==")
 prof = GrowthProfile.pseudo_bosonic()
@@ -29,9 +29,9 @@ g = pb.TestFunction(center=0.0, width=1.0)
 print()
 print("== weak pairings over a z-grid (sinh model) ==")
 m2 = pb.build_builtin("example2")
-series = PairingSeries(m2, g, "phi", state_in_bra=True)
+series = pairing_series(m2, [g], "phi")[0]  # the ket series <g, phi_n>
 for z in (0.0, 1.0, 1 + 1j, 2j):
-    v = series.eval(complex(z), conjugate_z=True)
+    v = series.eval(complex(z)).conjugate()
     print(f"  <Phi({z}), g> = {v:+.10f}")
 
 print()

@@ -7,6 +7,11 @@ two families:
     <Phi(z), g> = exp(-|z|^2/2) sum_n conj(z)^n / sqrt(n!) <phi_n, g>
     <Psi(z), g> = exp(-|z|^2/2) sum_n conj(z)^n / sqrt(n!) <psi_n, g>
 
+Each is the complex conjugate of the ket series of g,
+<g, Phi(z)> = exp(-|z|^2/2) sum_n z^n / sqrt(n!) <g, phi_n>, which is
+what is computed and kept (:class:`PairingSeries`); the eigen relations
+read the ket series themselves.
+
 All model-bound operations here use the pseudo-bosonic ladder sequence
 alpha_n = sqrt(n); the :class:`GrowthProfile` utilities keep the general
 increasing-sequence theory available on its own.
@@ -196,26 +201,23 @@ class TransformedTestFunction:
     __call__ = values
 
 
-def _overlap_bound(m: PBModel, h, side: str
-                   ) -> Optional[Callable[[int], float]] | list:
-    """|<state_n, h>| <= |K| c^(-+n/2) ||h_(+-)|| as a function of n, by
-    Cauchy-Schwarz in the transform identities: plus for phi, minus for
-    psi.  None where rho is not real.
+def _overlap_bound(m: PBModel, hs: Sequence, side: str) -> list:
+    """|<state_n, h>| <= |K| c^(-+n/2) ||h_(+-)|| as a function of n for
+    every test function h of ``hs``, by Cauchy-Schwarz in the transform
+    identities: plus for phi, minus for psi.  A list of bounds, each None
+    where rho is not real.
 
-    ``h`` is one test function, or a sequence of them, giving a list of
-    bounds (each None where rho is not real) from one integral of
-    |h_(+-)|^2 over the hull of their transform supports, first cut at
-    edges graded toward every support's ends (see
-    :func:`quad.hull_edges`): the inversion
-    of rho and the vacuum ratio run once per node, and only h(x) differs
-    between rows.  Each norm adds its integral's own error estimate, so
-    the certificate stays an upper bound.  A norm whose integrand is not
+    One integral of |h_(+-)|^2 over the hull of their transform supports,
+    first cut at edges graded toward every support's ends (see
+    :func:`quad.hull_edges`), gives every bound: the inversion of rho and
+    the vacuum ratio run once per node, and only h(x) differs between
+    rows.  Each norm adds its integral's own error estimate, so the
+    certificate stays an upper bound.  A norm whose integrand is not
     finite at some node is a QuadratureError naming such an s nearest 0.
     A QuadratureError flags in ``failed`` the functions it is about, one
     entry per function.
     """
-    single = hasattr(h, "values")
-    hs = [h] if single else list(h)
+    hs = list(hs)
     sign, power = ("plus", -0.5) if side == "phi" else ("minus", 0.5)
 
     def integrand(s):
@@ -242,12 +244,11 @@ def _overlap_bound(m: PBModel, h, side: str
         norm_sq = integrate_line(integrand, edges[0], edges[-1],
                                  _first_edges=edges)
     except quad.RhoError:
-        return None if single else [None] * len(hs)
+        return [None] * len(hs)
     scales = abs(k_phi if side == "phi" else k_psi) * np.sqrt(
         norm_sq.value.real + norm_sq.abs_error_estimate)
-    bounds = [lambda n, scale=float(scale): scale * c ** (power * n)
-              for scale in scales]
-    return bounds[0] if single else bounds
+    return [lambda n, scale=float(scale): scale * c ** (power * n)
+            for scale in scales]
 
 
 def _series_tail(term: float, q: float, n0: int) -> float:
@@ -269,45 +270,30 @@ def _series_tail(term: float, q: float, n0: int) -> float:
 
 
 class PairingSeries:
-    """Coefficient vector <h, state_n> (or <state_n, h> where
-    ``state_in_bra``) of one test function, evaluated lazily as a
-    coherent series at any z.
+    """The ket series of one test function h on one side: the
+    coefficients <h, state_n>, n = 0..max_terms, summed lazily at any z as
 
-    The ket coefficients <h, state_n> are integrated, and the bra
-    orientation is their complex conjugate, not a second integral;
-    :meth:`conj` gives a built series in the other orientation.  ``ket``,
-    the ket coefficients and tail bound already computed for h (as
-    :func:`pairing_series` does for several functions in one integral),
-    replaces both integrals.
+        <h, Phi(z)> = exp(-|z|^2/2) sum_n z^n / sqrt(n!) <h, phi_n>
 
-    The truncation budget must absorb the tail: wherever rho is real the
-    transform-identity bounds certify it; otherwise (swanson, complex
-    shifts or alphas) the coefficients are extrapolated geometrically.
+    (Psi on the psi side).  :func:`pairing_series` builds it.  The weak
+    state acts on h as the complex conjugate, <Phi(z), h> =
+    ``eval(z).conjugate()``, and the bra coefficients <state_n, h> are
+    ``np.conj(coeffs)``.
+
+    ``bound`` maps n to a bound on |<h, state_n>| where rho is real (see
+    :func:`_overlap_bound`), and is None elsewhere.  The truncation
+    budget must absorb the tail: the bound certifies it where there is
+    one; otherwise (swanson, complex shifts or alphas) the coefficients
+    are extrapolated geometrically.
     """
 
-    def __init__(self, m: PBModel, h, side: str, *, state_in_bra: bool,
-                 max_terms: int = 60, tol: float = 1e-12,
-                 ket: Optional[tuple] = None):
-        if ket is None:
-            ket = (quad.state_overlaps(m, h, side, max_terms,
-                                       state_in_bra=False, tol=tol),
-                   _overlap_bound(m, h, side))
-        coeffs, self._bound = ket
-        self.model = m
-        self.h = h
-        self.side = side
-        self.state_in_bra = state_in_bra
-        self.max_terms = max_terms
-        self.coeffs = np.conj(coeffs) if state_in_bra else coeffs
-        self._scaled = self.coeffs / np.array(
-            [sqrt_factorial(n) for n in range(max_terms + 1)])
-
-    def conj(self) -> "PairingSeries":
-        """The same series in the other orientation, with no integral."""
-        ket = np.conj(self.coeffs) if self.state_in_bra else self.coeffs
-        return PairingSeries(self.model, self.h, self.side,
-                             state_in_bra=not self.state_in_bra,
-                             max_terms=self.max_terms, ket=(ket, self._bound))
+    def __init__(self, coeffs: np.ndarray,
+                 bound: Optional[Callable[[int], float]]):
+        self.coeffs = coeffs
+        self._bound = bound
+        self.max_terms = len(coeffs) - 1
+        self._scaled = coeffs / np.array(
+            [sqrt_factorial(n) for n in range(self.max_terms + 1)])
 
     def _tail_bound(self, z_abs: float) -> float:
         """A bound on exp(-|z|^2/2) sum_{n > max_terms} |z|^n / sqrt(n!)
@@ -332,8 +318,9 @@ class PairingSeries:
             total = _series_tail(first * last * growth, growth * z_abs, n0)
         return total * math.exp(-0.5 * z_abs * z_abs)
 
-    def eval(self, z: complex, *, conjugate_z: bool,
-             tail_tol: float = 1e-12) -> complex:
+    def eval(self, z: complex, *, tail_tol: float = 1e-12) -> complex:
+        """<h, Phi(z)> (or Psi); a ModelError where ``max_terms`` terms do
+        not certify the tail at z to ``tail_tol``."""
         z = complex(z)
         tail = self._tail_bound(abs(z))
         if not tail < tail_tol * (1.0 + float(np.max(np.abs(self.coeffs)))):
@@ -341,18 +328,17 @@ class PairingSeries:
                 f"non-convergent pairing tail within {self.max_terms} terms "
                 f"at |z| = {abs(z):.3g} (bound {tail:.3g})"
             )
-        t = np.conj(z) if conjugate_z else z
-        powers = t ** np.arange(self.max_terms + 1)
+        powers = z ** np.arange(self.max_terms + 1)
         return complex(math.exp(-0.5 * abs(z) ** 2)
                        * np.dot(powers, self._scaled))
 
 
 def weak_pairing(q: WeakStateQuery, g) -> complex:
-    """<Phi(z), g> or <Psi(z), g> for a test function g in D(R)."""
+    """<Phi(z), g> or <Psi(z), g> for a test function g in D(R): the
+    complex conjugate of g's ket series at z."""
     side = "phi" if q.side == "Phi" else "psi"
-    series = PairingSeries(q.model, g, side, state_in_bra=True,
-                           max_terms=q.max_terms)
-    return series.eval(q.z, conjugate_z=True, tail_tol=q.tail_tol)
+    series = pairing_series(q.model, [g], side, max_terms=q.max_terms)[0]
+    return series.eval(q.z, tail_tol=q.tail_tol).conjugate()
 
 
 def pairing_series(m: PBModel, hs: Sequence, side: str, *,
@@ -362,10 +348,8 @@ def pairing_series(m: PBModel, hs: Sequence, side: str, *,
     shared by all of them."""
     coeffs = quad.state_overlaps(m, hs, side, max_terms, state_in_bra=False,
                                  tol=tol)
-    bounds = _overlap_bound(m, hs, side)
-    return [PairingSeries(m, h, side, state_in_bra=False, max_terms=max_terms,
-                          ket=(row, bound))
-            for h, row, bound in zip(hs, coeffs, bounds)]
+    return [PairingSeries(row, bound)
+            for row, bound in zip(coeffs, _overlap_bound(m, hs, side))]
 
 
 # ----------------------------------------------------------------------
@@ -386,13 +370,10 @@ class EigenRelationResult:
     relative_psi: float
 
 
-def _check_series(name: str, series, max_terms: int, state_in_bra: bool):
-    """A ValueError unless every prebuilt series has ``max_terms`` terms
-    and the orientation its caller reads."""
+def _check_series(name: str, series, max_terms: int):
+    """A ValueError unless every prebuilt series has ``max_terms`` terms."""
     if any(s.max_terms != max_terms for s in series):
         raise ValueError(f"{name} must have max_terms terms")
-    if any(s.state_in_bra != state_in_bra for s in series):
-        raise ValueError(f"{name} must have state_in_bra={state_in_bra}")
 
 
 def eigen_relation_residual(m: PBModel, z, g: TestFunction,
@@ -410,8 +391,7 @@ def eigen_relation_residual(m: PBModel, z, g: TestFunction,
         series = [pairing_series(m, [g, TransformedTestFunction(m, op, g)],
                                  side, max_terms=max_terms)
                   for side, op in (("phi", "a_dag"), ("psi", "b"))]
-    _check_series("series", [s for pair in series for s in pair], max_terms,
-                  False)
+    _check_series("series", [s for pair in series for s in pair], max_terms)
 
     def at(z: complex) -> EigenRelationResult:
         z = complex(z)
@@ -419,8 +399,8 @@ def eigen_relation_residual(m: PBModel, z, g: TestFunction,
         for plain, moved in series:
             # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>
             try:
-                lhs = moved.eval(z, conjugate_z=False)
-                rhs = z * plain.eval(z, conjugate_z=False)
+                lhs = moved.eval(z)
+                rhs = z * plain.eval(z)
             except ModelError:  # the tail of this side is not certified
                 res.append((complex(math.nan, math.nan), math.nan))
                 continue
@@ -523,10 +503,12 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     swapped ordering) against the Lebesgue area measure, compared with
     <f, g>.
 
-    ``g_series`` and ``f_series`` optionally pass prebuilt series of
-    ``max_terms`` terms to reuse: (<phi_n, g>, <psi_n, g>) with
-    ``state_in_bra=True`` and (<f, phi_n>, <f, psi_n>) with
-    ``state_in_bra=False``.
+    ``f_series`` and ``g_series`` optionally pass prebuilt ket series of
+    ``max_terms`` terms to reuse (see :func:`pairing_series`), each as
+    (phi side, psi side): <f, phi_n> and <f, psi_n>, and <g, phi_n> and
+    <g, psi_n>, the same series the eigen relations read.  <Psi(z), g>
+    and <Phi(z), g> are the conjugates of g's, so the rule reads the bra
+    coefficients <state_n, g> as their conjugates.
 
     Measure bookkeeping: for alpha_n = sqrt(n) the norm factor is
     N(r)^2 = exp(-r^2), and the radial measure dlambda(r) =
@@ -557,13 +539,13 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
         raise ValueError(f"the disc rule needs n_r >= 1 and n_theta >= 1, "
                          f"not {n_r} and {n_theta}")
     f_phi, f_psi = f_series or [
-        PairingSeries(m, f, side, state_in_bra=False, max_terms=max_terms)
+        pairing_series(m, [f], side, max_terms=max_terms)[0]
         for side in ("phi", "psi")]
     g_phi, g_psi = g_series or [
-        PairingSeries(m, g, side, state_in_bra=True, max_terms=max_terms)
+        pairing_series(m, [g], side, max_terms=max_terms)[0]
         for side in ("phi", "psi")]
-    _check_series("f_series", (f_phi, f_psi), max_terms, False)
-    _check_series("g_series", (g_phi, g_psi), max_terms, True)
+    _check_series("f_series", (f_phi, f_psi), max_terms)
+    _check_series("g_series", (g_phi, g_psi), max_terms)
     reference = quad.compatibility_form(m, f, g).value
     radii = list(trace_radii) if trace_radii is not None else \
         [R * (i + 1) / 6.0 for i in range(6)]
@@ -572,7 +554,7 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     table_radii = radii if radii and radii[-1] == R else radii + [R]
     pairs = {"phi_psi": (f_phi, g_psi), "psi_phi": (f_psi, g_phi)}
     values = _disc_rule(table_radii, n_r, n_theta, max_terms,
-                        [(bra.coeffs, ket.coeffs) for bra, ket in
+                        [(fs.coeffs, np.conj(gs.coeffs)) for fs, gs in
                          pairs.values()])
     trace = [(rr, complex(v_pp), complex(v_pf))
              for rr, (v_pp, v_pf) in zip(radii, values)]
@@ -584,8 +566,8 @@ def resolution_of_identity(m: PBModel, f: TestFunction, g: TestFunction,
     # bounds both
     outside = _upper_gamma_q(max_terms, R * R) / np.array(
         [sqrt_factorial(n) ** 2 for n in range(max_terms + 1)])
-    tail = max(float(np.dot(np.abs(bra.coeffs) * np.abs(ket.coeffs), outside))
-               for bra, ket in pairs.values())
+    tail = max(float(np.dot(np.abs(fs.coeffs) * np.abs(gs.coeffs), outside))
+               for fs, gs in pairs.values())
     if tail > 0.01 * (1.0 + abs(reference)):
         import warnings
 

@@ -649,27 +649,25 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
               for b in np.linspace(im_lo, im_hi, im_n)]
 
     # one batched integral per side serves both records: the ket series
-    # of g, of g' (a^dag g on phi, b g on psi) and of f, and <state_n, g>
-    # as the conjugate of g's; each series is kept as its outcome, so a
-    # failing f leaves the eigen record standing and no record integrates
-    # again what another one already has
+    # of g, of g' (a^dag g on phi, b g on psi) and of f; each series is
+    # kept as its outcome, so a failing f leaves the eigen record standing
+    # and no record integrates again what another one already has
     phi_out, psi_out = (
         _series_outcomes(m, [[g, bc.TransformedTestFunction(m, op, g)], [f]],
                          side, p["max_terms"])
         for side, op in (("phi", "a_dag"), ("psi", "b")))
-    g_bras = [o if isinstance(o, Exception) else o.conj()
-              for o in (phi_out[0], psi_out[0])]
+    g_out = [phi_out[0], psi_out[0]]
 
     def certified(series, z: complex) -> complex:
         """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
         try:
-            return series.eval(z, conjugate_z=True)
+            return series.eval(z).conjugate()
         except model_mod.ModelError:
             return complex(np.nan, np.nan)
 
     def z_grid_tables():
-        bras = [_outcome(o) for o in g_bras]
-        pairings = [[certified(series, z) for series in bras]
+        g_kets = [_outcome(o) for o in g_out]
+        pairings = [[certified(series, z) for series in g_kets]
                     for z in z_grid]
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
                                 ["z_re", "z_im", "phi_re", "phi_im",
@@ -712,7 +710,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
         resolution = bc.resolution_of_identity(
             m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
             n_theta=p["angular_nodes"], max_terms=p["max_terms"],
-            g_series=[_outcome(o) for o in g_bras], f_series=f_series)
+            g_series=[_outcome(o) for o in g_out], f_series=f_series)
         ref = resolution.reference
         rows = [
             (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,

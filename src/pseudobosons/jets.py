@@ -40,8 +40,6 @@ import numpy as np
 __all__ = [
     "Jet",
     "JetError",
-    "get_max_order",
-    "set_max_order",
     "jet_exp",
     "jet_sinh",
     "jet_cosh",
@@ -55,24 +53,12 @@ __all__ = [
     "real_base",
 ]
 
-_MAX_ORDER = 40
+_MAX_ORDER = 40  # the order capacity of every jet
 
 
 class JetError(Exception):
     """Raised for invalid jet arithmetic (mismatched jets, singular division,
     or exceeded truncation-order capacity)."""
-
-
-def get_max_order() -> int:
-    return _MAX_ORDER
-
-
-def set_max_order(order: int) -> None:
-    """Raise or lower the global jet-order capacity (default 40)."""
-    global _MAX_ORDER
-    if order < 0:
-        raise ValueError("max order must be nonnegative")
-    _MAX_ORDER = int(order)
 
 
 def _check_order(order: int) -> int:
@@ -81,9 +67,7 @@ def _check_order(order: int) -> int:
         raise JetError("jet order must be nonnegative")
     if order > _MAX_ORDER:
         raise JetError(
-            f"jet capacity exceeded: order {order} > max {_MAX_ORDER} "
-            "(raise it with jets.set_max_order)"
-        )
+            f"jet capacity exceeded: order {order} > max {_MAX_ORDER}")
     return order
 
 

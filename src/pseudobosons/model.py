@@ -558,12 +558,8 @@ def apply_ladder(m: PBModel, which: str, f, x, order: int, *, jets=None):
         a_dag: -(conj(alpha_a) f)' + conj(beta_a) f
         b_dag: conj(alpha_b) f' + conj(beta_b) f
 
-    ``f`` may also be a sequence of such callables: their jets are then
-    stacked, the operator is applied once, and the list of the rows of
-    the result is returned, each bitwise the single-callable result.  A
-    single callable returns a Jet.  ``jets``, the prebuilt
-    ``states.GridJets`` of m on the points x, supplies alpha and beta as
-    truncations instead of evaluating them.
+    ``jets``, the prebuilt ``states.GridJets`` of m on the points x,
+    supplies alpha and beta as truncations instead of evaluating them.
     """
     try:
         op = LADDER_OPS[which]
@@ -574,17 +570,7 @@ def apply_ladder(m: PBModel, which: str, f, x, order: int, *, jets=None):
     beta = coeff("beta_" + op.pair, order)
     if op.conjugated:
         alpha, beta = alpha.conjugate(), beta.conjugate()
-    if callable(f):
-        return _ladder_on(op, alpha, beta, f(x, order + 1), order)
-    fjs = [fn(x, order + 1) for fn in f]
-    return _ladder_on(op, alpha, beta, Jet.stack(fjs), order).rows() \
-        if fjs else []
-
-
-def _ladder_on(op: LadderOp, alpha: Jet, beta: Jet, fj: Jet,
-               order: int) -> Jet:
-    """The operator with coefficient jets alpha and beta applied to the
-    jet fj, which may stack rows on their base."""
+    fj = f(x, order + 1)
     if np.shape(fj.base) != np.shape(alpha.base):
         alpha, beta = alpha.broadcast(fj.base), beta.broadcast(fj.base)
     lead = -((alpha * fj).deriv()) if op.raising else alpha * fj.deriv()

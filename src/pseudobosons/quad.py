@@ -506,13 +506,10 @@ class TestFunction:
     center: float = 0.0
     width: float = 1.0
     amplitude: complex = 1.0
-    kind: str = "bump"
 
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if self.kind != "bump":
-            raise ValueError(f"unknown test-function kind {self.kind!r}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -567,7 +564,7 @@ class TestFunction:
 
     def normalized(self) -> "TestFunction":
         return TestFunction(self.center, self.width,
-                            self.amplitude / self.l2_norm(), self.kind)
+                            self.amplitude / self.l2_norm())
 
 
 # ----------------------------------------------------------------------
@@ -709,15 +706,15 @@ def _support_of(f):
     return getattr(f, "support", None)
 
 
-def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
-                       bounds=None) -> IntegralResult:
+def compatibility_form(m, f, g, *, envelope=None,
+                       tol: float = 1e-12) -> IntegralResult:
     """<f, g> = integral of conj(f(x)) g(x) dx, conjugation on the first
     slot.
 
-    Bounds are taken from explicit ``bounds``, else from compact supports
-    carried by ``f``/``g``, else from the decay envelope (or the sampled
-    integrand when no envelope is available).  Over supports the first
-    pass is cut at their :func:`hull_edges` inside the intersection.
+    Bounds are taken from compact supports carried by ``f``/``g``, else
+    from the decay envelope (or the sampled integrand when no envelope is
+    available).  Over supports the first pass is cut at their
+    :func:`hull_edges` inside the intersection.
     """
     fv = _as_values_fn(f)
     gv = _as_values_fn(g)
@@ -726,16 +723,13 @@ def compatibility_form(m, f, g, *, envelope=None, tol: float = 1e-12,
         return np.conj(fv(xs)) * gv(xs)
 
     a = b = edges = None
-    if bounds is not None:
-        a, b = bounds
-    else:
-        supports = [s for s in (_support_of(f), _support_of(g)) if s is not None]
-        if supports:
-            a = max(s[0] for s in supports)
-            b = min(s[1] for s in supports)
-            if a >= b:
-                return IntegralResult(0.0 + 0.0j, 0.0, 0, (a, a), 0.0)
-            edges = _edges_within(supports, a, b)
+    supports = [s for s in (_support_of(f), _support_of(g)) if s is not None]
+    if supports:
+        a = max(s[0] for s in supports)
+        b = min(s[1] for s in supports)
+        if a >= b:
+            return IntegralResult(0.0 + 0.0j, 0.0, 0, (a, a), 0.0)
+        edges = _edges_within(supports, a, b)
     return integrate_line(integrand, a, b, tol=tol, envelope=envelope,
                           _first_edges=edges)
 

@@ -174,16 +174,18 @@ class StateFamily:
         """Jet of the n-th state at a point or at every point of an array.
 
         ``n`` may be a sequence of levels: one vacuum jet, one lead jet and
-        one Hermite recurrence then serve them all, and the list of their
-        jets is returned, each equal to the single-level result.  A state
-        beyond double range reads inf or nan, without a warning."""
+        one Hermite recurrence then serve them all, and they come back as
+        one stacked jet (see ``Jet.stack``), its base x broadcast along a
+        leading level axis, each row equal to the single-level result.  A
+        state beyond double range reads inf or nan, without a warning."""
         ns = [int(k) for k in np.ravel(n)]
         for k in ns:
             self._check_n(k)
         with np.errstate(over="ignore", invalid="ignore"):
             rows = self._states(ns, x, order)
-        out = [Jet(x, rows[:, i]) for i in range(len(ns))]
-        return out[0] if np.ndim(n) == 0 else out
+        if np.ndim(n) == 0:
+            return Jet(x, rows[:, 0])
+        return Jet(np.broadcast_to(x, (len(ns),) + np.shape(x)), rows)
 
     def _states(self, ns, x, order: int) -> np.ndarray:
         """Coefficients of the levels ``ns`` at x along axis 1, as in a
@@ -266,8 +268,8 @@ class GridJets:
     """The jets that the grid checks of one run read, each evaluated once
     on ``grid``: the four coefficient jets at :data:`COEFFICIENT_ORDERS`
     and, per side, the states of levels 0..n_max at :data:`STATE_ORDER`
-    from one :meth:`StateFamily.jet` call, stacked into one jet whose
-    leading axis is the level (see ``Jet.stack``).
+    as the one stacked jet of a :meth:`StateFamily.jet` call, whose
+    leading axis is the level.
 
     A check reads truncations of them, and the levels it needs as rows
     of the stacked jets.  Truncation is exact (see
@@ -295,8 +297,8 @@ class GridJets:
 
     def _side(self, side: str):
         fam = StateFamily(self.model, side, max_n=self.n_max)
-        return _outcome(lambda: Jet.stack(fam.jet(range(self.n_max + 1),
-                                                  self.grid, STATE_ORDER)))
+        return _outcome(lambda: fam.jet(range(self.n_max + 1), self.grid,
+                                        STATE_ORDER))
 
     @cached_property
     def _phi(self):
@@ -453,7 +455,7 @@ def _stacked_levels(fam: StateFamily, ns, grid, order: int,
     ``jets``.  A level whose value is not finite somewhere on the grid
     leaves no residual to compare (see :func:`refuse_non_finite_levels`)."""
     if jets is None:
-        levels = Jet.stack(fam.jet(ns, grid, order))
+        levels = fam.jet(ns, grid, order)
     else:
         jets.check(fam.model, grid)
         levels = jets.states(fam.side, ns, order)

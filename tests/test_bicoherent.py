@@ -18,12 +18,12 @@ from pseudobosons import (
     weak_pairing,
 )
 from pseudobosons.bicoherent import (
-    PairingSeries,
     TransformedTestFunction,
     _gauss_legendre,
     _overlap_bound,
     _series_tail,
     _upper_gamma_q,
+    pairing_series,
 )
 from pseudobosons.jets import sqrt_factorial
 from pseudobosons.quad import (
@@ -144,8 +144,7 @@ class TestWeakPairing:
         g = TestFunction(0.1, 1.0)
 
         def results(m):
-            series = PairingSeries(m, g, "psi", state_in_bra=True,
-                                   max_terms=20)
+            series = pairing_series(m, [g], "psi", max_terms=20)[0]
             return series.coeffs, [
                 weak_pairing(WeakStateQuery(z=0.5 - 0.2j, side=side,
                                             model=m), g)
@@ -170,6 +169,36 @@ class TestWeakPairing:
             for n in range(61)) * math.exp(-0.5 * abs(z) ** 2)
         got = weak_pairing(WeakStateQuery(z=z, side="Phi", model=bosonic), g)
         assert abs(got - math.pi ** 0.25 * classical) < 1e-12
+
+
+class TestOrientation:
+    """The bra value <Phi(z), g> is the complex conjugate of g's ket series
+    at z, as a number: the bra series summed in conj(z) with the bra
+    coefficients <phi_n, g> = conj(<g, phi_n>) rounds to the same value,
+    since conjugation commutes with every rounded product and sum."""
+
+    # the demo config's z-grid, then z = 0 and two points off it
+    Z = [complex(a, b) for a in np.linspace(-1.4, 1.4, 3)
+         for b in np.linspace(-1.4, 1.4, 3)] + [0.0, 2 - 1j, -0.3 + 2.2j]
+
+    # numpy changes its integer-power method past exponent 100
+    @pytest.mark.parametrize("max_terms", [60, 130])
+    @pytest.mark.parametrize("name", ["example2", "swanson", "raw_example1"])
+    def test_bra_value_is_the_conjugate_ket_value(self, request, name,
+                                                  max_terms):
+        m = from_expressions("1/(1+x^2)", "x + x^3/3", "1/(1+x^2)",
+                             "-2*x/(1+x^2)^2") if name == "raw_example1" \
+            else request.getfixturevalue(name)
+        g = TestFunction(0.0, 1.0)
+        roots = np.array([sqrt_factorial(n) for n in range(max_terms + 1)])
+        for side in ("phi", "psi"):
+            series = pairing_series(m, [g], side, max_terms=max_terms)[0]
+            bra_scaled = np.conj(series.coeffs) / roots
+            for z in self.Z:
+                z = complex(z)
+                want = complex(math.exp(-0.5 * abs(z) ** 2) * np.dot(
+                    np.conj(z) ** np.arange(max_terms + 1), bra_scaled))
+                assert series.eval(z).conjugate() == want, (side, z)
 
 
 class TestTailBounds:
@@ -206,22 +235,21 @@ class TestTailBounds:
         g = TestFunction(0.2, 1.0)
         for m in (bosonic, gauged):
             for side in ("phi", "psi"):
-                bound = _overlap_bound(m, g, side)
+                bound = _overlap_bound(m, [g], side)[0]
                 overlaps = state_overlaps(m, g, side, 20, state_in_bra=True)
                 for n in range(21):
                     assert abs(overlaps[n]) <= bound(n) * (1 + 1e-12)
 
     def test_no_real_rho_falls_back(self, swanson):
-        assert _overlap_bound(swanson, TestFunction(), "phi") is None
+        assert _overlap_bound(swanson, [TestFunction()], "phi")[0] is None
 
     def test_budget_exceeded_raises(self, example2):
         g = TestFunction(0.0, 1.0)
-        series = PairingSeries(example2, g, "psi", state_in_bra=True,
-                               max_terms=12)
+        series = pairing_series(example2, [g], "psi", max_terms=12)[0]
         from pseudobosons import ModelError
 
         with pytest.raises(ModelError, match="tail"):
-            series.eval(6.0, conjugate_z=True)
+            series.eval(6.0)
 
 
     def test_unfinished_tail_is_infinite(self, example2, swanson):
@@ -230,11 +258,11 @@ class TestTailBounds:
         # finished, and the bound says so on both branches
         g = TestFunction(0.0, 1.0)
         for m in (example2, swanson):
-            series = PairingSeries(m, g, "psi", state_in_bra=True)
+            series = pairing_series(m, [g], "psi")[0]
             assert series._tail_bound(38.0) == math.inf
             assert math.isfinite(series._tail_bound(1.4))
-        assert PairingSeries(example2, g, "psi", state_in_bra=True
-                             )._tail_bound(0.0) == 0.0
+        assert pairing_series(example2, [g], "psi")[0]._tail_bound(0.0) \
+            == 0.0
 
     def test_series_tail_adds_the_geometric_remainder(self):
         # t_n = t_n0 q^(n-n0) / sqrt((n0+1)...n), to 40 digits
@@ -369,17 +397,15 @@ def _disc_by_polyval(m, f, g, radius, n_r, n_theta, max_terms, ordering):
     """The resolution integral on the explicit r x theta node grid: both
     pairings by Horner's rule at every node, then the product rule."""
     bra_side, ket_side = ordering.split("_")
-    bra = PairingSeries(m, f, bra_side, state_in_bra=False,
-                        max_terms=max_terms)
-    ket = PairingSeries(m, g, ket_side, state_in_bra=True,
-                        max_terms=max_terms)
+    bra = pairing_series(m, [f], bra_side, max_terms=max_terms)[0]
+    ket = pairing_series(m, [g], ket_side, max_terms=max_terms)[0]
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     r = 0.5 * radius * (nodes + 1.0)
     wr = 0.5 * radius * weights
     z = r[:, None] * np.exp(1j * theta[None, :])
     p1 = np.polynomial.polynomial.polyval(z, bra._scaled)
-    p2 = np.polynomial.polynomial.polyval(np.conj(z), ket._scaled)
+    p2 = np.conj(np.polynomial.polynomial.polyval(z, ket._scaled))
     integrand = p1 * p2 * np.exp(-(r * r))[:, None]
     return complex((wr * r) @ integrand.sum(axis=1) * (2.0 / n_theta))
 

@@ -833,22 +833,18 @@ class TestUnifiedClosedForm:
         assert [r.verdict for r in report.records] == ["pass", "pass"]
         assert report.model["name"] == ("custom" if raw else "bosonic")
 
-    def test_every_command_within_jet_order_3(self, tmp_path, capsys):
+    def test_every_command_within_jet_order_3(self, tmp_path, capsys,
+                                              monkeypatch):
         # no CLI path needs jets above order 3, the general flavor at 40
         # levels included
         configs = [_demo_config(tmp_path, raw=True, n_max=40),
                    _demo_config(tmp_path, raw=False)]
-        old = jets.get_max_order()
-        jets.set_max_order(3)
-        try:
-            for cfg in configs:
-                for command in ("check", "states", "hamiltonian",
-                                "bicoherent"):
-                    out = tmp_path / f"{cfg.stem}-{command}"
-                    assert main([command, "--config", str(cfg), "--out",
-                                 str(out)]) == 0, (cfg.name, command)
-        finally:
-            jets.set_max_order(old)
+        monkeypatch.setattr(jets, "_MAX_ORDER", 3)
+        for cfg in configs:
+            for command in ("check", "states", "hamiltonian", "bicoherent"):
+                out = tmp_path / f"{cfg.stem}-{command}"
+                assert main([command, "--config", str(cfg), "--out",
+                             str(out)]) == 0, (cfg.name, command)
 
 
 class TestDerivedNormalization:

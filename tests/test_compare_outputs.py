@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from pseudobosons.cli import build_model, load_config
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
 compare_outputs = importlib.util.module_from_spec(_SPEC)
@@ -156,3 +158,14 @@ def test_strip_timing_at_any_depth():
     (1.0, 1.0, 0.0), (float("nan"), float("nan"), 0.0), (1.0, -2.0, 3.0)])
 def test_move(base, change, move):
     assert compare_outputs._move(base, change) == move
+
+
+@pytest.mark.parametrize("name, model, flavor", [
+    ("raw_example1", "custom", "general"),
+    ("swanson", "swanson", "constant_alpha"),
+    ("shifted_complex", "shifted", "constant_alpha"),
+])
+def test_committed_configs_build_their_models(name, model, flavor):
+    ini = _PATH.parent / "configs" / f"{name}.ini"
+    m = build_model(load_config(ini).model_spec)
+    assert (m.name, m.flavor.kind) == (model, flavor)

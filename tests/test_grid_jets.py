@@ -229,7 +229,7 @@ class TestFarBumpFailsFast:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(quad.QuadratureError, match="stalled"):
-                _overlap_bound(m, quad.TestFunction(center, 0.7), "psi")
+                _overlap_bound(m, [quad.TestFunction(center, 0.7)], "psi")
         assert sum(panels) < 1000
 
     def test_far_bump_bound_is_finite(self, all_builtins):
@@ -239,7 +239,8 @@ class TestFarBumpFailsFast:
         m = _models(all_builtins)["raw_example1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = _overlap_bound(m, quad.TestFunction(3.0, 0.7), "psi")
+            bound = _overlap_bound(m, [quad.TestFunction(3.0, 0.7)],
+                                   "psi")[0]
         assert np.isfinite(bound(0)) and bound(0) > 1e30
 
     def test_overflowing_norm_names_its_point(self, example2):
@@ -248,11 +249,13 @@ class TestFarBumpFailsFast:
             with pytest.raises(quad.QuadratureError,
                                match=r"\|h_minus\|\^2 is not finite at "
                                      r"s = 26\.8"):
-                _overlap_bound(example2, quad.TestFunction(3.5, 0.9), "psi")
+                _overlap_bound(example2, [quad.TestFunction(3.5, 0.9)],
+                               "psi")
 
     def test_near_bumps_keep_their_bounds(self, example2):
         # the bound of a bump at 2.5 still converges where |s| reaches 12
-        bound = _overlap_bound(example2, quad.TestFunction(2.5, 0.7), "psi")
+        bound = _overlap_bound(example2, [quad.TestFunction(2.5, 0.7)],
+                               "psi")[0]
         assert np.isfinite(bound(0))
 
     def test_spent_budget_reads_as_stalled(self, example2):
@@ -260,7 +263,7 @@ class TestFarBumpFailsFast:
         # factor, so the budget runs out: the error names the pass count
         # and the last passes' ratios, and flags the one function
         with pytest.raises(quad.QuadratureError) as err:
-            _overlap_bound(example2, quad.TestFunction(1.5, 2.5), "psi")
+            _overlap_bound(example2, [quad.TestFunction(1.5, 2.5)], "psi")
         found = re.fullmatch(
             r"panel budget 10000 exhausted after (\d+) passes: the worst "
             r"error estimate stayed ([\d.]+)-([\d.]+)x its acceptance "

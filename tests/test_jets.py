@@ -108,36 +108,29 @@ class TestErrors:
             q = Jet(0.0, num) / Jet(0.0, [np.nan] + [1.0] * order)
         assert np.isnan(q.coeffs).all()
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
+        Jet.constant(1.0, 0.0, 40)
         with pytest.raises(JetError, match="capacity"):
-            Jet.constant(1.0, 0.0, jets.get_max_order() + 1)
-
-    def test_capacity_configurable(self):
-        old = jets.get_max_order()
-        try:
-            jets.set_max_order(old + 5)
-            Jet.constant(1.0, 0.0, old + 5)
-        finally:
-            jets.set_max_order(old)
+            Jet.constant(1.0, 0.0, 41)
+        monkeypatch.setattr(jets, "_MAX_ORDER", 3)
+        with pytest.raises(JetError, match=r"order 4 > max 3"):
+            Jet.constant(1.0, 0.0, 4)
 
     def test_deriv_needs_order(self):
         with pytest.raises(JetError):
             Jet(0.0, [1.0]).deriv()
 
-    def test_lowered_capacity_checked_wherever_an_order_is_requested(self):
+    def test_lowered_capacity_checked_wherever_an_order_is_requested(
+            self, monkeypatch):
         jet = Jet(0.0, [1.0, 2.0, 3.0])
-        old = jets.get_max_order()
-        try:
-            jets.set_max_order(2)
-            for make in (lambda: Jet(0.0, np.ones(4)),
-                         lambda: Jet(np.zeros(5), np.ones((4, 5))),
-                         lambda: Jet.constant(1.0, 0.0, 3),
-                         lambda: Jet.variable(np.zeros(5), 3),
-                         lambda: jet.antideriv(0.0)):
-                with pytest.raises(JetError, match="capacity"):
-                    make()
-        finally:
-            jets.set_max_order(old)
+        monkeypatch.setattr(jets, "_MAX_ORDER", 2)
+        for make in (lambda: Jet(0.0, np.ones(4)),
+                     lambda: Jet(np.zeros(5), np.ones((4, 5))),
+                     lambda: Jet.constant(1.0, 0.0, 3),
+                     lambda: Jet.variable(np.zeros(5), 3),
+                     lambda: jet.antideriv(0.0)):
+            with pytest.raises(JetError, match="capacity"):
+                make()
 
     @pytest.mark.parametrize("order", [-1, -2])
     def test_negative_truncation(self, order):

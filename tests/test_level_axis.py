@@ -165,7 +165,6 @@ class TestStackedMatchesLoops:
         assert eigen_residual(example2, "H", [], GRID) == []
         assert hsusy_shift_check(example2, [], GRID) == []
         assert commutator_residual(example2, [], GRID) == []
-        assert apply_ladder(example2, "a", [], GRID, 0) == []
 
 
 class TestNoLoopPerLevel:

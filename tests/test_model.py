@@ -304,9 +304,10 @@ class TestOperandSequences:
               m.phi_vacuum_jet]
         for op in LADDER_OPS:
             for order in (0, 1):
-                many = apply_ladder(m, op, fs, xs, order)
-                assert isinstance(many, list) and len(many) == len(fs)
-                for f, got in zip(fs, many):
+                stacked = Jet.stack([f(xs, order + 1) for f in fs])
+                many = apply_ladder(m, op, lambda *_: stacked, xs, order)
+                assert many.base.shape == (len(fs), len(xs))
+                for f, got in zip(fs, many.rows()):
                     one = apply_ladder(m, op, f, xs, order)
                     assert isinstance(one, Jet)
                     assert np.array_equal(got.coeffs, one.coeffs), \

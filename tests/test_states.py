@@ -78,11 +78,13 @@ class TestRecursion:
             got = pi_sigma_recursive(example2, "sigma", 1, x, 0).value
             assert abs(got - 2 * math.sinh(x)) < 1e-13
 
-    def test_capacity_error(self, example1):
-        from pseudobosons.jets import JetError, get_max_order
+    def test_capacity_error(self, example1, monkeypatch):
+        from pseudobosons import jets
 
-        with pytest.raises(JetError, match="capacity"):
-            pi_sigma_recursive(example1, "pi", get_max_order() + 1, 0.0, 0)
+        monkeypatch.setattr(jets, "_MAX_ORDER", 3)
+        pi_sigma_recursive(example1, "pi", 3, 0.0, 0)
+        with pytest.raises(jets.JetError, match="capacity"):
+            pi_sigma_recursive(example1, "pi", 4, 0.0, 0)
 
 
 def _unified_models():
@@ -382,7 +384,8 @@ class TestLevelSequences:
                         assert np.array_equal(
                             h.coeffs, jet_hermite(u, k).coeffs), \
                             (name, side, order, k)
-                    for k, j in zip(levels, fam.jet(levels, xs, order)):
+                    for k, j in zip(levels,
+                                    fam.jet(levels, xs, order).rows()):
                         assert np.array_equal(
                             j.coeffs, fam.jet(k, xs, order).coeffs), \
                             (name, side, order, k)
@@ -393,7 +396,8 @@ class TestLevelSequences:
         fam = StateFamily(example1, "phi", max_n=3)
         assert isinstance(fam.jet(2, 0.3, 1), Jet)
         assert isinstance(jet_hermite(Jet.variable(0.3, 1), 2), Jet)
-        assert fam.jet([], np.zeros(3), 1) == []
+        empty = fam.jet([], np.zeros(3), 1)
+        assert empty.base.shape == (0, 3) and empty.coeffs.shape == (2, 0, 3)
 
     def test_sequence_levels_are_range_checked(self, example1):
         fam = StateFamily(example1, "phi", max_n=3)
