@@ -31,7 +31,7 @@ print("== weak pairings over a z-grid (sinh model) ==")
 m2 = pb.build_builtin("example2")
 series = pairing_series(m2, [g], "phi")[0]  # the ket series <g, phi_n>
 for z in (0.0, 1.0, 1 + 1j, 2j):
-    v = series.eval(complex(z)).conjugate()
+    v = series.bra(complex(z))
     print(f"  <Phi({z}), g> = {v:+.10f}")
 
 print()

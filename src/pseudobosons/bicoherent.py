@@ -277,8 +277,8 @@ class PairingSeries:
 
     (Psi on the psi side).  :func:`pairing_series` builds it.  The weak
     state acts on h as the complex conjugate, <Phi(z), h> =
-    ``eval(z).conjugate()``, and the bra coefficients <state_n, h> are
-    ``np.conj(coeffs)``.
+    ``eval(z).conjugate()`` (:meth:`bra`), and the bra coefficients
+    <state_n, h> are ``np.conj(coeffs)``.
 
     ``bound`` maps n to a bound on |<h, state_n>| where rho is real (see
     :func:`_overlap_bound`), and is None elsewhere.  The truncation
@@ -332,13 +332,18 @@ class PairingSeries:
         return complex(math.exp(-0.5 * abs(z) ** 2)
                        * np.dot(powers, self._scaled))
 
+    def bra(self, z: complex, *, tail_tol: float = 1e-12) -> complex:
+        """<Phi(z), h> (or Psi): the conjugate of :meth:`eval`, a zero part
+        reading +0.0 (conjugating a real value leaves -0.0)."""
+        return self.eval(z, tail_tol=tail_tol).conjugate() + 0j
+
 
 def weak_pairing(q: WeakStateQuery, g) -> complex:
     """<Phi(z), g> or <Psi(z), g> for a test function g in D(R): the
     complex conjugate of g's ket series at z."""
     side = "phi" if q.side == "Phi" else "psi"
     series = pairing_series(q.model, [g], side, max_terms=q.max_terms)[0]
-    return series.eval(q.z, tail_tol=q.tail_tol).conjugate()
+    return series.bra(q.z, tail_tol=q.tail_tol)
 
 
 def pairing_series(m: PBModel, hs: Sequence, side: str, *,

@@ -5,7 +5,10 @@ the two families), ``bicoherent`` (weak-pairing tables, eigen-relation
 residuals, resolution-of-identity comparison), ``hamiltonian``
 (coefficient tables plus printed-formula cross-checks).
 
-Configs are INI files; see the schema in the package README.  Exit
+Configs are INI files read through one table, :data:`SCHEMA`, which
+gives each key of each section its parser, default and constraint (see
+the package README).  Every command validates the whole config, so a
+value one command does not read is still a config error for it.  Exit
 status: 0 all checks pass, 1 check failures (report still written) or a
 ``states`` or ``hamiltonian`` table the model cannot give (the ``states``
 tables before it still written), 2 config errors.
@@ -23,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -187,100 +190,151 @@ def _real(value: complex, what: str) -> float:
     return value.real
 
 
-def _number(values, key: str, default, kind=float):
-    """``values[key]`` (or ``default``) as ``kind``; a ConfigError if not."""
-    raw = values.get(key, default)
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{key} = {raw!r} is not a valid {kind.__name__}") from None
+class Key(NamedTuple):
+    """One config key.  ``parse`` reads its text, or ``default`` where the
+    key is absent (None: it stays absent), and raises ValueError where it
+    cannot; ``check`` says what is wrong with the value, or None.  A
+    ``tolerance`` is multiplied by the run's tolerance scale first."""
+    parse: Callable
+    default: object = None
+    check: Optional[Callable] = None
+    tolerance: bool = False
 
 
-# the [bicoherent] keys that _bicoherent_params reads
-BICOHERENT_KEYS = ("z_re", "z_im", "bump_center", "bump_width", "bump2_center",
-                   "bump2_width", "resolution_radius", "radial_nodes",
-                   "angular_nodes", "max_terms", "tolerance_eigen",
-                   "tolerance_resolution")
+def _finite(value: float) -> Optional[str]:
+    return None if math.isfinite(value) else f"= {value} must be finite"
 
 
-# the keys each section may hold, where an unknown one (a typo) is refused
-# rather than ignored.  A [model] with a builtin passes its keys to
-# build_builtin, which refuses unknown parameters, and [tolerances] keys are
-# checked as they are read.  [run] is not checked yet: the benchmark's
-# configs still carry a [run] jobs key (ROADMAP, benchmark housekeeping).
-KNOWN_KEYS = {
-    "grid": ("lo", "hi", "points"),
-    "output": ("dir",),
-    "bicoherent": BICOHERENT_KEYS,
-    "model": ("alpha_a", "beta_a", "alpha_b", "beta_b", "name"),
+def _positive(value: float) -> Optional[str]:
+    return _finite(value) or (
+        None if value > 0 else f"= {value} must be positive")
+
+
+def _count(least: int) -> Callable:
+    return lambda n: None if n >= least else \
+        f"count must be >= {least}, not {n}"
+
+
+def _z_range(text: str) -> tuple:
+    """``lo hi count``, with finite ends."""
+    lo, hi, n = text.split()
+    lo, hi, n = float(lo), float(hi), int(n)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(text)
+    return lo, hi, n
+
+
+def _z_points(z: tuple) -> Optional[str]:
+    return _count(1)(z[2])
+
+
+def _check_names(text: str) -> list:
+    return [c for c in text.replace(",", " ").split() if c]
+
+
+def _known_checks(names: list) -> Optional[str]:
+    unknown = [c for c in names if c not in CHECK_ORDER]
+    return f"has unknown checks {unknown}; known: {CHECK_ORDER}" \
+        if unknown else None
+
+
+# what a value its parser refuses should have been
+_EXPECTED = {float: "a valid float", int: "a valid int",
+             _z_range: "'lo hi count' with finite ends"}
+
+# section -> key -> Key: every key a section may hold.  An unknown key
+# (a typo) is refused rather than ignored, except in [run]: the
+# benchmark's configs still write [run] jobs (ROADMAP, benchmark
+# housekeeping).  A [model] with a builtin skips its keys here and passes
+# them to build_builtin, which refuses unknown parameters.
+SCHEMA = {
+    "model": {key: Key(str) for key in
+              ("alpha_a", "beta_a", "alpha_b", "beta_b", "name")},
+    "grid": {
+        "lo": Key(float, -4.0, _finite),
+        "hi": Key(float, 4.0, _finite),
+        "points": Key(int, 201, _count(2)),
+    },
+    "run": {
+        "n_max": Key(int, 10, _count(0)),
+        "checks": Key(_check_names, " ".join(CHECK_ORDER), _known_checks),
+        "seed": Key(int, 20240901),
+    },
+    "tolerances": {name: Key(float, tol, _positive, tolerance=True)
+                   for name, tol in DEFAULT_TOLERANCES.items()},
+    "output": {"dir": Key(Path, "out")},
+    "bicoherent": {
+        "z_re": Key(_z_range, "-1.4 1.4 3", _z_points),
+        "z_im": Key(_z_range, "-1.4 1.4 3", _z_points),
+        "bump_center": Key(float, 0.0, _finite),
+        "bump_width": Key(float, 1.0, _positive),
+        "bump2_center": Key(float, 0.2, _finite),
+        "bump2_width": Key(float, 0.8, _positive),
+        "resolution_radius": Key(float, 6.0, _positive),
+        "radial_nodes": Key(int, 96, _count(1)),
+        "angular_nodes": Key(int, 0, _count(0)),  # 0: the rule's default
+        "max_terms": Key(int, 60, _count(0)),
+        "tolerance_eigen": Key(float, 1e-8, _positive, tolerance=True),
+        "tolerance_resolution": Key(float, 1e-3, _positive, tolerance=True),
+    },
 }
 
 
-def _refuse_unknown_keys(cp: configparser.ConfigParser) -> None:
-    """A ConfigError naming the first key of a section in
-    :data:`KNOWN_KEYS` that the section does not know."""
-    for section, known in KNOWN_KEYS.items():
-        keys = list(cp[section]) if section in cp else []
-        if section == "model" and "builtin" in keys:
+def _read_section(cp: configparser.ConfigParser, section: str,
+                  tol_scale: float) -> dict:
+    """The values of ``section`` read through :data:`SCHEMA`; a
+    ConfigError naming the section and the key of the first one wrong."""
+    keys = SCHEMA[section]
+    given = cp[section] if section in cp else {}
+    unknown = [k for k in given if k not in keys]
+    if unknown and section != "run":
+        raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                          f"known: {', '.join(keys)}")
+    values = {}
+    for key, spec in keys.items():
+        raw = given.get(key, spec.default)
+        if raw is None:
             continue
-        unknown = [k for k in keys if k not in known]
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
-                              f"known: {', '.join(known)}")
+        try:
+            value = spec.parse(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not "
+                              f"{_EXPECTED[spec.parse]}") from None
+        if spec.tolerance:
+            value *= tol_scale
+        wrong = spec.check and spec.check(value)
+        if wrong:
+            raise ConfigError(f"[{section}] {key} {wrong}")
+        values[key] = value
+    return values
 
 
 def load_config(path: Path, *, out_override=None,
                 tol_scale: float = 1.0) -> RunConfig:
+    """The run configuration at ``path``, every section checked, whatever
+    the command; ``tol_scale`` multiplies every tolerance."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
     if "model" not in cp:
         raise ConfigError("config needs a [model] section")
-    _refuse_unknown_keys(cp)
-    model_spec = dict(cp["model"])
-
-    grid = cp["grid"] if "grid" in cp else {}
-    lo = _number(grid, "lo", -4.0)
-    hi = _number(grid, "hi", 4.0)
-    points = _number(grid, "points", 201, int)
-    if points < 2:
-        raise ConfigError("grid points must be >= 2")
-    if not lo < hi:
-        raise ConfigError("grid lo must be < hi")
-
-    run = cp["run"] if "run" in cp else {}
-    n_max = _number(run, "n_max", 10, int)
-    if n_max < 0:
-        raise ConfigError("run n_max must be >= 0")
-    seed = _number(run, "seed", 20240901, int)
-    raw_checks = run.get("checks", " ".join(CHECK_ORDER))
-    checks = [c for c in raw_checks.replace(",", " ").split() if c]
-    unknown = [c for c in checks if c not in CHECK_ORDER]
+    unknown = [s for s in cp.sections() if s not in SCHEMA]
     if unknown:
-        raise ConfigError(f"unknown checks {unknown}; known: {CHECK_ORDER}")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    if "tolerances" in cp:
-        for key in cp["tolerances"]:
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            tolerances[key] = _number(cp["tolerances"], key, None)
-    if tol_scale != 1.0:
-        tolerances = {k: v * tol_scale for k, v in tolerances.items()}
-    if any(v <= 0 for v in tolerances.values()):
-        raise ConfigError("tolerances must be positive")
-
-    out_dir = Path(out_override) if out_override else \
-        Path(cp["output"].get("dir", "out")) if "output" in cp else Path("out")
-
-    bico = dict(cp["bicoherent"]) if "bicoherent" in cp else {}
-
+        raise ConfigError(f"unknown section [{unknown[0]}]; "
+                          f"known: {', '.join(SCHEMA)}")
+    builtin = "builtin" in cp["model"]
+    sec = {s: _read_section(cp, s, tol_scale) for s in SCHEMA
+           if not (s == "model" and builtin)}
+    grid, run = sec["grid"], sec["run"]
+    if not grid["lo"] < grid["hi"]:
+        raise ConfigError("[grid] lo must be < hi")
     return RunConfig(
-        model_spec=model_spec, n_max=n_max, grid_lo=lo, grid_hi=hi,
-        grid_points=points, checks=checks, tolerances=tolerances, seed=seed,
-        out_dir=out_dir, bicoherent=bico,
+        model_spec=dict(cp["model"]) if builtin else sec["model"],
+        n_max=run["n_max"], grid_lo=grid["lo"], grid_hi=grid["hi"],
+        grid_points=grid["points"], checks=run["checks"],
+        tolerances=sec["tolerances"], seed=run["seed"],
+        out_dir=Path(out_override) if out_override else sec["output"]["dir"],
+        bicoherent=sec["bicoherent"],
     )
 
 
@@ -537,61 +591,6 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
     return paths
 
 
-def _bicoherent_params(cfg: RunConfig) -> dict:
-    """The ``[bicoherent]`` settings; every float is finite, the widths
-    and the resolution radius are > 0, and anything else is a
-    ConfigError naming its key."""
-    bico = cfg.bicoherent
-
-    def finite(key, default):
-        value = _number(bico, key, default)
-        if not math.isfinite(value):
-            raise ConfigError(f"bicoherent {key} = {value} must be finite")
-        return value
-
-    def positive(key, default):
-        value = finite(key, default)
-        if not value > 0:
-            raise ConfigError(f"bicoherent {key} = {value} must be > 0")
-        return value
-
-    def triple(key, default):
-        raw = bico.get(key, default)
-        try:
-            lo, hi, n = raw.split()
-            lo, hi, n = float(lo), float(hi), int(n)
-        except ValueError:
-            raise ConfigError(
-                f"bicoherent {key} = {raw!r} needs 'lo hi count'") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"bicoherent {key} = {raw!r} needs finite ends")
-        if n < 1:
-            raise ConfigError(f"bicoherent {key} count must be >= 1")
-        return lo, hi, n
-
-    def count(key, default, least):
-        value = _number(bico, key, default, int)
-        if value < least:
-            raise ConfigError(f"bicoherent {key} count must be >= {least}, "
-                              f"not {value}")
-        return value
-
-    return {
-        "z_re": triple("z_re", "-1.4 1.4 3"),
-        "z_im": triple("z_im", "-1.4 1.4 3"),
-        "bump_center": finite("bump_center", 0.0),
-        "bump_width": positive("bump_width", 1.0),
-        "bump2_center": finite("bump2_center", 0.2),
-        "bump2_width": positive("bump2_width", 0.8),
-        "resolution_radius": positive("resolution_radius", 6.0),
-        "radial_nodes": count("radial_nodes", 96, 1),
-        "angular_nodes": count("angular_nodes", 0, 0) or None,  # 0: default
-        "max_terms": count("max_terms", 60, 0),
-        "tolerance_eigen": finite("tolerance_eigen", 1e-8),
-        "tolerance_resolution": finite("tolerance_resolution", 1e-3),
-    }
-
-
 def _series_outcomes(m, groups: list, side: str, max_terms: int) -> list:
     """The ket series of every test function in ``groups`` (a list of
     lists) on one side, in order, each a ``PairingSeries`` or the
@@ -634,7 +633,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     """Weak-pairing tables over a z-grid, eigen-relation residuals, and
     the resolution-of-identity comparison with its radius trace."""
     start = time.perf_counter()
-    p = _bicoherent_params(cfg)
+    p = cfg.bicoherent
     m = build_model(cfg.model_spec)
     echo = _model_echo(m)
     g = quad.TestFunction(center=p["bump_center"], width=p["bump_width"])
@@ -661,7 +660,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     def certified(series, z: complex) -> complex:
         """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
         try:
-            return series.eval(z).conjugate()
+            return series.bra(z)
         except model_mod.ModelError:
             return complex(np.nan, np.nan)
 
@@ -709,7 +708,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
         f_series = [_outcome(side[2]) for side in (phi_out, psi_out)]
         resolution = bc.resolution_of_identity(
             m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
-            n_theta=p["angular_nodes"], max_terms=p["max_terms"],
+            n_theta=p["angular_nodes"] or None, max_terms=p["max_terms"],
             g_series=[_outcome(o) for o in g_out], f_series=f_series)
         ref = resolution.reference
         rows = [

@@ -148,7 +148,9 @@ class Jet:
 
     def rows(self) -> list:
         """The jets of the rows of a stacked jet, as :meth:`stack` took
-        them."""
+        them; none where it has no rows."""
+        if self.coeffs.shape[1] == 0:
+            return []
         base = self.base[0]
         return [Jet(base, self.coeffs[:, i])
                 for i in range(self.coeffs.shape[1])]

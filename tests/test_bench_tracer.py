@@ -108,7 +108,16 @@ def test_workload_configs_load(bench_run, tmp_path, workload):
     demo = BENCH.parent / "demos" / "example_run.ini"
     for seed in (1, 13):
         path = tmp_path / f"{workload}-{seed}.ini"
-        write_config(WORKLOADS[workload], seed, demo, tmp_path, path)
+        written = write_config(WORKLOADS[workload], seed, demo, tmp_path,
+                               path)["bicoherent"]
         cfg = cli.load_config(path)
         cli.build_model(cfg.model_spec)
-        cli._bicoherent_params(cfg)
+        # [bicoherent] is parsed at load, the written values as numbers
+        bico = cfg.bicoherent
+        assert bico["z_re"] == bico["z_im"] == (-1.4, 1.4, 3)
+        for key in ("radial_nodes", "max_terms"):
+            assert type(bico[key]) is int and bico[key] == int(written[key])
+        for key in ("bump_center", "bump_width", "bump2_center",
+                    "bump2_width", "resolution_radius"):
+            assert type(bico[key]) is float
+            assert bico[key] == float(written[key])

@@ -200,6 +200,22 @@ class TestOrientation:
                     np.conj(z) ** np.arange(max_terms + 1), bra_scaled))
                 assert series.eval(z).conjugate() == want, (side, z)
 
+    @pytest.mark.parametrize("name", ["example2", "bosonic"])
+    def test_real_value_has_a_positive_zero_imaginary_part(self, request,
+                                                           name):
+        # on a real model at real z the ket value is real; its conjugate
+        # would carry -0.0, which a printed value shows as -0.0000j
+        m = request.getfixturevalue(name)
+        g = TestFunction(0.0, 1.0)
+        for side, state in (("phi", "Phi"), ("psi", "Psi")):
+            series = pairing_series(m, [g], side)[0]
+            for z in (0.0, 1.0, -0.7):
+                for value in (series.bra(z), weak_pairing(
+                        WeakStateQuery(z=z, side=state, model=m), g)):
+                    assert value.imag == 0.0, (side, z)
+                    assert math.copysign(1.0, value.imag) == 1.0, (side, z)
+                    assert f"{value:+.4f}".endswith("+0.0000j")
+
 
 class TestTailBounds:
     def test_example2_bound_soundness(self, example2):

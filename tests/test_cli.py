@@ -10,11 +10,10 @@ import pytest
 from childproc import run_cli
 from pseudobosons import StateFamily, build_builtin, jets
 from pseudobosons.cli import (
-    BICOHERENT_KEYS,
     BLOCKED_BY,
     CHECK_ORDER,
     ConfigError,
-    _bicoherent_params,
+    SCHEMA,
     _fmt,
     build_model,
     cmd_bicoherent,
@@ -148,19 +147,28 @@ class TestConfig:
 
     def test_known_keys_load(self, tmp_path):
         # every key of the demo INI, a raw model with a name, and each
-        # [bicoherent] key that _bicoherent_params reads
-        assert load_config(DEMO_INI).bicoherent["max_terms"] == "60"
-        bico = "".join(f"{k} = {v}\n" for k, v in
-                       zip(BICOHERENT_KEYS, ["-1 1 3", "-1 1 3", "0", "1",
-                                             "0.2", "0.8", "6", "96", "0",
-                                             "60", "1e-8", "1e-3"]))
+        # [bicoherent] key, parsed at load
+        assert load_config(DEMO_INI).bicoherent["max_terms"] == 60
+        given = ["-1 1 3", "-1 1 3", "0", "1", "0.2", "0.8", "6", "96", "0",
+                 "60", "1e-8", "1e-3"]
+        bico = "".join(f"{k} = {v}\n"
+                       for k, v in zip(SCHEMA["bicoherent"], given))
         cfg = load_config(write_config(
             tmp_path, "[model]\nname = mine\nalpha_a = 1\nbeta_a = x\n"
                       "alpha_b = 1\nbeta_b = 0\n"
                       "[grid]\nlo = -1\nhi = 1\npoints = 5\n"
                       "[output]\ndir = o\n[bicoherent]\n" + bico))
-        assert set(_bicoherent_params(cfg)) == set(BICOHERENT_KEYS)
-        assert _bicoherent_params(cfg)["max_terms"] == 60
+        assert cfg.bicoherent == {
+            "z_re": (-1.0, 1.0, 3), "z_im": (-1.0, 1.0, 3),
+            "bump_center": 0.0, "bump_width": 1.0, "bump2_center": 0.2,
+            "bump2_width": 0.8, "resolution_radius": 6.0,
+            "radial_nodes": 96, "angular_nodes": 0, "max_terms": 60,
+            "tolerance_eigen": 1e-8, "tolerance_resolution": 1e-3}
+        for key, value in cfg.bicoherent.items():
+            assert type(value) is type(load_config(DEMO_INI)
+                                       .bicoherent[key]), key
+        assert [type(v) for v in cfg.bicoherent["z_re"]] == [float, float,
+                                                             int]
 
     def test_tol_scale(self, tmp_path):
         cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n")
@@ -1025,3 +1033,69 @@ def test_nonfinite_or_nonpositive_bicoherent_value(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and value in err, err
     assert not (tmp_path / "out").exists()
+
+
+class TestOneSchema:
+    """Every command reads the whole config through one table, so a value
+    that one command does not use is still refused by all of them."""
+
+    @pytest.mark.parametrize("command", ["check", "states", "hamiltonian",
+                                         "bicoherent"])
+    def test_every_command_refuses_a_bad_bicoherent_value(
+            self, tmp_path, capsys, command):
+        body = DEMO_INI.read_text().replace("bump_width = 1.0",
+                                            "bump_width = -1")
+        assert "bump_width = -1\n" in body
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: [bicoherent] bump_width = -1.0 must be positive"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("[grid]\nlo = -inf\n", "[grid] lo = -inf must be finite"),
+        ("[grid]\nlo = 2\nhi = 1\n", "[grid] lo must be < hi"),
+        ("[run]\nchecks = eigen ladr\n",
+         "[run] checks has unknown checks ['ladr']"),
+        ("[tolerances]\nladr = 1\n", "unknown key 'ladr' in [tolerances]"),
+        ("[bicoherent]\ntolerance_eigen = 0\n",
+         "[bicoherent] tolerance_eigen = 0.0 must be positive"),
+        ("[bicoherant]\nmax_terms = 5\n", "unknown section [bicoherant]"),
+    ], ids=["infinite_end", "empty_grid", "unknown_check", "tolerance_key",
+            "zero_tolerance", "unknown_section"])
+    def test_message_names_the_section(self, tmp_path, body, message):
+        cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n" + body)
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert str(err.value).startswith(message), str(err.value)
+
+    def test_run_keeps_unknown_keys(self, tmp_path):
+        # the benchmark's configs write [run] jobs
+        cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n"
+                                     "[run]\njobs = 1\n")
+        assert load_config(cfg).n_max == 10
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_tol_scale_reaches_the_bicoherent_tolerances(
+            self, tmp_path, capsys, monkeypatch, via):
+        # the demo INI takes the [bicoherent] defaults 1e-8 and 1e-3
+        args = ["bicoherent", "--config", str(DEMO_INI),
+                "--out", str(tmp_path)]
+        if via == "flag":
+            args += ["--tol-scale", "10"]
+        else:
+            monkeypatch.setenv("PSEUDOBOSONS_TOL_SCALE", "10")
+        assert main(args) == 0
+        report = json.loads((tmp_path / "bicoherent_report.json").read_text())
+        assert {c["name"]: c["tolerance"] for c in report["checks"]} == {
+            "bicoherent_eigen_relations": 10 * 1e-8,
+            "bicoherent_resolution": 10 * 1e-3}
+
+    def test_tol_scale_is_checked_after_scaling(self, tmp_path):
+        cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n")
+        with pytest.raises(ConfigError,
+                           match=r"\[tolerances\] conditions = 0.0 must be "
+                                 "positive"):
+            load_config(cfg, tol_scale=0.0)

@@ -399,6 +399,12 @@ class TestLevelSequences:
         empty = fam.jet([], np.zeros(3), 1)
         assert empty.base.shape == (0, 3) and empty.coeffs.shape == (2, 0, 3)
 
+    def test_rows_of_no_levels(self, example1):
+        fam = StateFamily(example1, "phi", max_n=3)
+        assert fam.jet([], np.zeros(3), 1).rows() == []
+        [row] = fam.jet([2], np.zeros(3), 1).rows()
+        assert np.array_equal(row.coeffs, fam.jet(2, np.zeros(3), 1).coeffs)
+
     def test_sequence_levels_are_range_checked(self, example1):
         fam = StateFamily(example1, "phi", max_n=3)
         with pytest.raises(ModelError, match="max_n"):
