@@ -8,10 +8,16 @@ residuals, resolution-of-identity comparison), ``hamiltonian``
 Configs are INI files read through one table, :data:`SCHEMA`, which
 gives each key of each section its parser, default and constraint (see
 the package README).  Every command validates the whole config, so a
-value one command does not read is still a config error for it.  Exit
-status: 0 all checks pass, 1 check failures (report still written) or a
-``states`` or ``hamiltonian`` table the model cannot give (the ``states``
-tables before it still written), 2 config errors.
+value one command does not read is still a config error for it.
+
+Every record a command computes gets its verdict from one rule,
+:func:`_record`: a check returns its deviation, its detail and, where it
+has one, the certified error of that deviation, and raises only where it
+cannot measure.
+
+Exit status: 0 all checks pass, 1 check failures (report still written)
+or a ``states`` or ``hamiltonian`` table the model cannot give (the
+``states`` tables before it still written), 2 config errors.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ DEFAULT_TOLERANCES = {
     "hsusy": 1e-6,
     "hamiltonian_crosscheck": 1e-12,
 }
+
+# the verdicts that fail a report and block the checks that need them
+FAILING = frozenset({"fail", "blocked", "error"})
 
 # checks that cannot run once an upstream one has failed
 BLOCKED_BY = {
@@ -131,32 +140,38 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def _record(name: str, digest: str, metric, tol: float,
-            detail: dict) -> CheckRecord:
-    """A computed check: skipped without a metric, else pass or fail."""
-    if metric is None:
-        return CheckRecord(name, digest, None, tol, "skipped", detail)
-    metric = float(metric)
-    return CheckRecord(name, digest, metric, tol,
-                       "pass" if metric <= tol else "fail", detail)
-
-
-def _guarded_record(name: str, digest: str, tol: float,
-                    compute: Callable[[], tuple]) -> CheckRecord:
-    """The record of ``compute() -> (metric, detail)``; an exception becomes
-    an ``error`` record carrying ``Type: message`` and the command goes on."""
+def _record(name: str, digest: str, tol: float,
+            compute: Callable[[], tuple]) -> CheckRecord:
+    """The record of ``compute() -> (metric, detail[, error])``: a
+    deviation, its detail and, where it has one, the certified error of
+    that deviation (0 otherwise).  An exception is an ``error`` record
+    carrying ``Type: message``, and the command goes on; no metric is
+    ``skipped``; a metric within ``tol`` passes; one above it by no more
+    than its own error cannot tell a fail from noise and is an ``error``
+    that keeps its metric and detail; anything else (nan too) fails."""
     try:
-        metric, detail = compute()
+        metric, detail, *err = compute()
     except Exception as exc:  # report the failure, keep going
         return CheckRecord(name, digest, None, tol, "error",
                            {"error": f"{type(exc).__name__}: {exc}"})
-    return _record(name, digest, metric, tol, detail)
+    if metric is None:
+        return CheckRecord(name, digest, None, tol, "skipped", detail)
+    metric, err = float(metric), float(err[0]) if err else 0.0
+    if metric <= tol:
+        verdict = "pass"
+    elif metric <= tol + err:
+        verdict, detail = "error", {**detail, "error": (
+            f"precision-limited: deviation {metric:.3g} exceeds the "
+            f"tolerance {tol:.3g} by no more than its own error {err:.3g}")}
+    else:
+        verdict = "fail"
+    return CheckRecord(name, digest, metric, tol, verdict, detail)
 
 
 def _report(echo: dict, records: list, start: float) -> VerificationReport:
-    """The report of one command: it fails if any record failed, was
-    blocked or raised."""
-    bad = any(r.verdict in ("fail", "blocked", "error") for r in records)
+    """The report of one command: it fails if any record has a
+    :data:`FAILING` verdict."""
+    bad = any(r.verdict in FAILING for r in records)
     return VerificationReport(echo, records, "fail" if bad else "pass",
                               time.perf_counter() - start)
 
@@ -258,7 +273,8 @@ SCHEMA = {
     "run": {
         "n_max": Key(int, 10, _count(0)),
         "checks": Key(_check_names, " ".join(CHECK_ORDER), _known_checks),
-        "seed": Key(int, 20240901),
+        "seed": Key(int, 20240901,
+                    lambda n: None if n >= 0 else f"= {n} must be >= 0"),
     },
     "tolerances": {name: Key(float, tol, _positive, tolerance=True)
                    for name, tol in DEFAULT_TOLERANCES.items()},
@@ -419,7 +435,14 @@ def _worst(residuals) -> float:
 
 
 def _check_commutator(m, cfg, jets):
+    """The worst commutator residual over the random bumps; bumps that
+    are all 0 at every grid point leave nothing measured, which is an
+    error and not a pass."""
     bumps = _random_bumps(cfg)
+    if not any(np.any(bump.values(jets.grid)) for bump in bumps):
+        raise model_mod.ModelError(
+            f"none of the {len(bumps)} test functions is nonzero at any of "
+            f"the {jets.grid.size} grid points")
     return _worst(stats.sup_abs for stats in model_mod.commutator_residual(
         m, [bump.jet for bump in bumps], jets.grid, jets=jets)), \
         {"bumps": len(bumps)}
@@ -437,24 +460,18 @@ def _check_normalization(m, cfg, jets):
 
 
 def _check_biorthonormality(m, cfg, jets):
-    """The Gram matrix's deviation from the identity.  A deviation above
-    the tolerance by no more than the Gram's own error, its largest error
-    estimate or the roundoff floor of its largest entry mass, cannot tell
-    a fail from noise, and is an error."""
+    """The Gram matrix's deviation from the identity, certified to its
+    largest error estimate or the roundoff floor of its largest entry
+    mass, whichever is larger."""
     _, dev, res = quad.biorthonormality_matrix(m, cfg.n_max,
                                                return_integral=True)
     estimate = float(np.max(res.abs_error_estimate))
     mass = float(np.max(res.abs_mass))
-    err = max(estimate, quad.ROUNDOFF_FLOOR * mass)
-    tol = cfg.tolerances["biorthonormality"]
-    if tol < dev <= tol + err:
-        raise quad.QuadratureError(
-            f"precision-limited: deviation {dev:.3g} exceeds the tolerance "
-            f"{tol:.3g} by no more than the Gram's own error {err:.3g}")
     return dev, {"matrix_size": cfg.n_max + 1,
                  "max_abs_error_estimate": estimate,
                  "max_entry_mass": mass,
-                 "quad_panels": res.panels_used}
+                 "quad_panels": res.panels_used}, \
+        max(estimate, quad.ROUNDOFF_FLOOR * mass)
 
 
 def _check_ladder(m, cfg, jets):
@@ -516,32 +533,21 @@ def cmd_check(cfg: RunConfig) -> VerificationReport:
     echo = _model_echo(m)
     # the grid checks read one evaluation of the model's jets on the grid
     jets = states.GridJets(m, cfg.grid, cfg.n_max)
-    selected = [c for c in CHECK_ORDER if c in cfg.checks]
-    outcome: dict[str, str] = {}
-    records: list[CheckRecord] = []
-
-    def digest_for(name):
-        return _digest({
+    records: dict[str, CheckRecord] = {}
+    # one pass: every prerequisite comes earlier in CHECK_ORDER
+    for name in (c for c in CHECK_ORDER if c in cfg.checks):
+        pre, tol = BLOCKED_BY.get(name), cfg.tolerances[name]
+        digest = _digest({
             "check": name, "model": echo, "n_max": cfg.n_max, "seed": cfg.seed,
             "grid": [cfg.grid_lo, cfg.grid_hi, cfg.grid_points],
-            "tolerance": cfg.tolerances[name],
-        })
-
-    # one pass: every prerequisite comes earlier in CHECK_ORDER
-    for name in selected:
-        pre = BLOCKED_BY.get(name)
-        if pre is not None and outcome.get(pre) in ("fail", "blocked",
-                                                    "error"):
-            rec = CheckRecord(name, digest_for(name), None,
-                              cfg.tolerances[name], "blocked",
-                              {"blocked_by": pre})
+            "tolerance": tol})
+        if pre in records and records[pre].verdict in FAILING:
+            records[name] = CheckRecord(name, digest, None, tol, "blocked",
+                                        {"blocked_by": pre})
         else:
-            rec = _guarded_record(name, digest_for(name),
-                                  cfg.tolerances[name],
-                                  lambda: CHECK_FUNCS[name](m, cfg, jets))
-        records.append(rec)
-        outcome[name] = rec.verdict
-    return _report(echo, records, start)
+            records[name] = _record(name, digest, tol,
+                                    lambda: CHECK_FUNCS[name](m, cfg, jets))
+    return _report(echo, list(records.values()), start)
 
 
 # ----------------------------------------------------------------------
@@ -594,39 +600,29 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
 def _series_outcomes(m, groups: list, side: str, max_terms: int) -> list:
     """The ket series of every test function in ``groups`` (a list of
     lists) on one side, in order, each a ``PairingSeries`` or the
-    exception its integrals raised, kept as a value for every record that
-    reads it.  All functions share one batched integral pair; where that
-    raises, a group holding a function the error flags as failed keeps
-    that error, and every other group is integrated once on its own, so
-    one failing function fails only its own group and is not integrated
-    twice."""
+    exception its integrals raised, kept by :func:`states.keep_outcome`.
+    All functions share one batched integral pair; where that raises, a
+    group the error flags keeps that error without integrating again, and
+    every other group is integrated on its own."""
+    def series(hs):
+        return states.keep_outcome(
+            lambda: bc.pairing_series(m, hs, side, max_terms=max_terms))
+
     flat = [h for grp in groups for h in grp]
-    try:
-        return bc.pairing_series(m, flat, side, max_terms=max_terms)
-    except Exception as exc:  # each group below meets its own error
-        batch_error = exc
+    batch = series(flat)
+    if not isinstance(batch, Exception):
+        return batch
     # one flag per function, where the error says which functions failed
-    failed = getattr(batch_error, "failed", None)
+    failed = getattr(batch, "failed", None)
     if np.shape(failed) != (len(flat),):
         failed = np.zeros(len(flat), dtype=bool)
     out = []
     for grp in groups:
-        start = len(out)
-        if failed[start:start + len(grp)].any():
-            out.extend([batch_error] * len(grp))
-            continue
-        try:
-            out.extend(bc.pairing_series(m, grp, side, max_terms=max_terms))
-        except Exception as exc:  # a record reports it
-            out.extend([exc] * len(grp))
+        kept = batch if failed[len(out):len(out) + len(grp)].any() \
+            else series(grp)
+        out.extend([kept] * len(grp) if isinstance(kept, Exception)
+                   else kept)
     return out
-
-
-def _outcome(value):
-    """A value kept by :func:`_series_outcomes`; its exception is raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
@@ -665,7 +661,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
             return complex(np.nan, np.nan)
 
     def z_grid_tables():
-        g_kets = [_outcome(o) for o in g_out]
+        g_kets = [states.read_outcome(o) for o in g_out]
         pairings = [[certified(series, z) for series in g_kets]
                     for z in z_grid]
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
@@ -677,7 +673,7 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
         eigen = bc.eigen_relation_residual(
             m, z_grid, g, max_terms=p["max_terms"],
-            series=[[_outcome(o) for o in side[:2]]
+            series=[[states.read_outcome(o) for o in side[:2]]
                     for side in (phi_out, psi_out)])
         rows = [(z.real, z.imag, abs(res.residual_phi), abs(res.residual_psi),
                  res.relative_phi, res.relative_psi)
@@ -705,11 +701,13 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
     def resolution_record():
         # f's series before g's, so the first failing one is reported
-        f_series = [_outcome(side[2]) for side in (phi_out, psi_out)]
+        f_series = [states.read_outcome(side[2])
+                    for side in (phi_out, psi_out)]
         resolution = bc.resolution_of_identity(
             m, f, g, R=p["resolution_radius"], n_r=p["radial_nodes"],
             n_theta=p["angular_nodes"] or None, max_terms=p["max_terms"],
-            g_series=[_outcome(o) for o in g_out], f_series=f_series)
+            g_series=[states.read_outcome(o) for o in g_out],
+            f_series=f_series)
         ref = resolution.reference
         rows = [
             (rr, vpp.real, vpp.imag, vpf.real, vpf.imag, ref.real, ref.imag,
@@ -729,22 +727,23 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
 
     # the pairing table and eigen relations share the z-grid tail checks
     records = [
-        _guarded_record("bicoherent_eigen_relations",
-                        _digest({"model": echo,
-                                 "z": [[z.real, z.imag] for z in z_grid]}),
-                        p["tolerance_eigen"], z_grid_tables),
-        _guarded_record("bicoherent_resolution",
-                        _digest({"model": echo, "R": p["resolution_radius"]}),
-                        p["tolerance_resolution"], resolution_record),
+        _record("bicoherent_eigen_relations",
+                _digest({"model": echo,
+                         "z": [[z.real, z.imag] for z in z_grid]}),
+                p["tolerance_eigen"], z_grid_tables),
+        _record("bicoherent_resolution",
+                _digest({"model": echo, "R": p["resolution_radius"]}),
+                p["tolerance_resolution"], resolution_record),
     ]
     return _report(echo, records, start), paths
 
 
 def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
     """Coefficient tables of H and H^dag plus the printed-formula
-    cross-check when one exists for the model.  Coefficients the model
-    cannot give on the grid (a pole on it) are a ModelError naming the
-    side and the point, and no table is written."""
+    cross-check when one exists for the model, a record like those of
+    ``check``.  Coefficients the model cannot give on the grid (a pole on
+    it) are a ModelError naming the side and the point, and no table is
+    written."""
     start = time.perf_counter()
     m = build_model(cfg.model_spec)
     echo = _model_echo(m)
@@ -765,9 +764,9 @@ def cmd_hamiltonian(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
             header.extend([f"{tag}_re", f"{tag}_im"])
     path = _write_csv(cfg.out_dir / "hamiltonian.csv", header, zip(*cols))
 
-    metric, detail = _check_hamiltonian_crosscheck(m, cfg, jets)
-    rec = _record("hamiltonian_crosscheck", _digest(echo), metric,
-                  cfg.tolerances["hamiltonian_crosscheck"], detail)
+    rec = _record("hamiltonian_crosscheck", _digest(echo),
+                  cfg.tolerances["hamiltonian_crosscheck"],
+                  lambda: _check_hamiltonian_crosscheck(m, cfg, jets))
     return _report(echo, [rec], start), [path]
 
 

@@ -495,6 +495,9 @@ class ConditionReport:
 
         r1 = alpha_a alpha_b' - alpha_a' alpha_b
         r2 = alpha_a beta_b' + alpha_b beta_a' - 1 - alpha_a alpha_b''
+
+    They pass where both sups are at most ``tol``, the rule the CLI's
+    records apply.
     """
 
     grid: np.ndarray
@@ -541,7 +544,7 @@ def check_pb_conditions(m: PBModel, grid, tol: float = 1e-10, *,
     m1 = float(np.max(np.abs(r1)))
     m2 = float(np.max(np.abs(r2)))
     return ConditionReport(grid, r1, r2, m1, m2, tol,
-                           passed=(m1 < tol and m2 < tol))
+                           passed=(m1 <= tol and m2 <= tol))
 
 
 def apply_ladder(m: PBModel, which: str, f, x, order: int, *, jets=None):

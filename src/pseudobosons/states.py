@@ -249,7 +249,7 @@ COEFFICIENT_ORDERS = {"alpha_a": 1, "beta_a": 1, "alpha_b": 2, "beta_b": 1}
 STATE_ORDER = 2  # H and the partner product ab are second order
 
 
-def _outcome(compute):
+def keep_outcome(compute):
     """compute() or the exception it raised, kept as a value."""
     try:
         return compute()
@@ -257,7 +257,8 @@ def _outcome(compute):
         return exc
 
 
-def _read(outcome):
+def read_outcome(outcome):
+    """A value kept by :func:`keep_outcome`, or its exception raised."""
     if isinstance(outcome, Exception):
         raise outcome.with_traceback(None)
     return outcome
@@ -290,15 +291,15 @@ class GridJets:
 
     @cached_property
     def _coefficients(self) -> dict:
-        return {name: _outcome(lambda name=name, order=order:
-                               self.model.coefficient(name).eval_jet(
-                                   self.grid, order))
+        return {name: keep_outcome(lambda name=name, order=order:
+                                   self.model.coefficient(name).eval_jet(
+                                       self.grid, order))
                 for name, order in COEFFICIENT_ORDERS.items()}
 
     def _side(self, side: str):
         fam = StateFamily(self.model, side, max_n=self.n_max)
-        return _outcome(lambda: fam.jet(range(self.n_max + 1), self.grid,
-                                        STATE_ORDER))
+        return keep_outcome(lambda: fam.jet(range(self.n_max + 1),
+                                            self.grid, STATE_ORDER))
 
     @cached_property
     def _phi(self):
@@ -310,7 +311,7 @@ class GridJets:
 
     def coefficient(self, name: str, order: int) -> Jet:
         """The jet of coefficient ``name`` on the grid at ``order``."""
-        return _read(self._coefficients[name]).truncate(order)
+        return read_outcome(self._coefficients[name]).truncate(order)
 
     def states(self, side: str, ns, order: int) -> Jet:
         """The stacked jet of levels ``ns`` of ``side`` ('phi' or 'psi')
@@ -319,7 +320,7 @@ class GridJets:
         for k in ns:
             if not 0 <= k <= self.n_max:
                 raise ModelError(f"n = {k} outside 0..max_n = {self.n_max}")
-        levels = _read(self._phi if side == "phi" else self._psi)
+        levels = read_outcome(self._phi if side == "phi" else self._psi)
         return levels.truncate(order).take(ns)
 
 
@@ -375,10 +376,7 @@ def vacuum_pairing(m: PBModel) -> quad.IntegralResult:
     """<psi_0, phi_0> of the unnormalized vacua with its error estimate,
     integrated once per model (``PBModel.pairing_outcome``); one that
     diverges re-raises the model's stored ModelError."""
-    outcome = m.pairing_outcome
-    if isinstance(outcome, ModelError):
-        raise outcome.with_traceback(None)
-    return outcome
+    return read_outcome(m.pairing_outcome)
 
 
 def fix_normalization(m: PBModel) -> complex:

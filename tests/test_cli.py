@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from childproc import run_cli
-from pseudobosons import StateFamily, build_builtin, jets
+from pseudobosons import StateFamily, build_builtin, jets, spectral
 from pseudobosons.cli import (
     BLOCKED_BY,
     CHECK_ORDER,
     ConfigError,
     SCHEMA,
     _fmt,
+    _record,
     build_model,
     cmd_bicoherent,
     cmd_check,
@@ -510,6 +511,40 @@ class TestCmdBicoherent:
             assert math.isnan(row["abs_psi"]) != at_zero
 
 
+class TestVerdictRule:
+    """One rule gives every computed record its verdict."""
+
+    @pytest.mark.parametrize("measured, verdict", [
+        ((1e-8, {}), "pass"),
+        ((1e-8, {}, 1e-8), "pass"),
+        ((1.5e-8, {"n": 1}, 1e-8), "error"),
+        ((2e-8, {"n": 1}, 1e-8), "error"),
+        ((2.5e-8, {}, 1e-8), "fail"),
+        ((1.5e-8, {}), "fail"),
+        ((float("nan"), {}, 1e-8), "fail"),
+        ((None, {"note": "nothing to measure"}), "skipped"),
+    ])
+    def test_outcomes(self, measured, verdict):
+        rec = _record("stub", "d", 1e-8, lambda: measured)
+        assert rec.verdict == verdict
+        assert (rec.metric is None) == (measured[0] is None)
+        assert measured[1].items() <= rec.detail.items()
+
+    def test_precision_limited_text(self):
+        rec = _record("stub", "d", 1e-8, lambda: (1.5e-8, {"n": 1}, 1e-8))
+        assert rec.metric == 1.5e-8
+        assert rec.detail == {"n": 1, "error": (
+            "precision-limited: deviation 1.5e-08 exceeds the tolerance "
+            "1e-08 by no more than its own error 1e-08")}
+
+    def test_exception_is_an_error_record(self):
+        def compute():
+            raise ValueError("no measure")
+        rec = _record("stub", "d", 1e-8, compute)
+        assert (rec.verdict, rec.metric) == ("error", None)
+        assert rec.detail == {"error": "ValueError: no measure"}
+
+
 class TestBiorthonormalityDetail:
     @staticmethod
     def _gram_record(tmp_path, n_max):
@@ -529,13 +564,19 @@ class TestBiorthonormalityDetail:
         rec = self._gram_record(tmp_path, 60)
         assert rec.verdict == "error"
         found = re.fullmatch(
-            r"QuadratureError: precision-limited: deviation (\S+) exceeds "
-            r"the tolerance 1e-08 by no more than the Gram's own error "
+            r"precision-limited: deviation (\S+) exceeds "
+            r"the tolerance 1e-08 by no more than its own error "
             r"(\S+)", rec.detail["error"])
         assert found, rec.detail
         dev, err = map(float, found.groups())
         assert 1e-8 < dev < 1e-7
         assert dev < err <= 1e-5  # below the roundoff floor of the mass
+        # the record keeps its metric and the Gram's detail
+        assert 1e-8 < rec.metric < 1e-7
+        assert found.group(1) == f"{rec.metric:.3g}"
+        assert rec.detail["matrix_size"] == 61
+        assert {"max_abs_error_estimate", "max_entry_mass",
+                "quad_panels"} <= rec.detail.keys()
 
     def test_level_50_passes(self, tmp_path):
         rec = self._gram_record(tmp_path, 50)
@@ -577,6 +618,23 @@ class TestCmdHamiltonian:
             (tmp_path / "out" / "hamiltonian_report.json").read_text())
         assert doc["checks"][0]["verdict"] == "skipped"
 
+    def test_crosscheck_error_is_a_record(self, tmp_path, capsys,
+                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("no printed operator")
+        monkeypatch.setattr(spectral, "printed_hamiltonian_crosscheck",
+                            broken)
+        body = ("[model]\nbuiltin = example1\n"
+                "[grid]\nlo = -3\nhi = 3\npoints = 61\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["hamiltonian", "--config", str(cfg)]) == 1
+        doc = json.loads(
+            (tmp_path / "out" / "hamiltonian_report.json").read_text())
+        assert doc["overall"] == "fail"
+        assert [(c["verdict"], c["detail"]) for c in doc["checks"]] == [
+            ("error", {"error": "ValueError: no printed operator"})]
+
 
 class TestNoVacuousPass:
     """A check passes only if it looked at the model."""
@@ -592,6 +650,32 @@ class TestNoVacuousPass:
         assert rec.metric is None
         assert "n_max >= 1" in rec.detail["note"]
         assert report.overall == "pass"
+
+    # beta_a = x + 0.3 x^2 breaks [a, b] = 1
+    RAW_DEFECT = ("[model]\nalpha_a = 1\nbeta_a = x + 0.3*x^2\n"
+                  "alpha_b = 1\nbeta_b = x\n")
+
+    @pytest.mark.parametrize("model, grid, verdict", [
+        (RAW_DEFECT, "lo = -4\nhi = 4\npoints = 2\n", "error"),
+        (RAW_DEFECT, "lo = -4\nhi = 4\npoints = 3\n", "fail"),
+        ("[model]\nbuiltin = bosonic\n", "lo = 1e200\nhi = 2e200\n",
+         "error"),
+    ], ids=["two_points", "three_points", "far_out"])
+    def test_commutator_that_sees_no_bump_is_an_error(self, tmp_path, model,
+                                                      grid, verdict):
+        # on two grid points at +-4, or far from 0, every random bump is 0
+        # at every grid point, and the check has measured nothing
+        body = (model + "[grid]\n" + grid + "[run]\nchecks = commutator\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        rec, = cmd_check(load_config(write_config(tmp_path, body))).records
+        assert rec.verdict == verdict, rec
+        if verdict == "error":
+            assert rec.metric is None
+            assert rec.detail["error"].startswith(
+                "ModelError: none of the 5 test functions is nonzero at "
+                "any of the ")
+        else:
+            assert rec.metric > rec.tolerance
 
     @pytest.mark.parametrize("key, value", [("z_re", "-1 1 0"),
                                             ("z_im", "-1 1 -2")])
@@ -1070,6 +1154,18 @@ class TestOneSchema:
         with pytest.raises(ConfigError) as err:
             load_config(cfg)
         assert str(err.value).startswith(message), str(err.value)
+
+    @pytest.mark.parametrize("command", ["check", "states", "hamiltonian",
+                                         "bicoherent"])
+    def test_every_command_refuses_a_negative_seed(self, tmp_path, capsys,
+                                                   command):
+        cfg = write_config(tmp_path, "[model]\nbuiltin = bosonic\n"
+                                     "[run]\nseed = -5\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: [run] seed = -5 must be >= 0"]
+        assert not out.exists()
 
     def test_run_keeps_unknown_keys(self, tmp_path):
         # the benchmark's configs write [run] jobs

@@ -164,6 +164,7 @@ def test_move(base, change, move):
     ("raw_example1", "custom", "general"),
     ("swanson", "swanson", "constant_alpha"),
     ("shifted_complex", "shifted", "constant_alpha"),
+    ("gram_limit", "example2", "proportional"),
 ])
 def test_committed_configs_build_their_models(name, model, flavor):
     ini = _PATH.parent / "configs" / f"{name}.ini"

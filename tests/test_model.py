@@ -88,6 +88,14 @@ class TestConditions:
             rep = check_pb_conditions(m, grid, tol=1e-10)
             assert rep.passed, (name, rep.max_abs1, rep.max_abs2)
 
+    def test_residual_at_the_tolerance_passes(self):
+        # the rule of the CLI's records: a metric equal to its tolerance
+        # passes
+        m = build_builtin("example1")
+        grid = np.linspace(-3, 3, 61)
+        rep = check_pb_conditions(m, grid)
+        assert check_pb_conditions(m, grid, tol=rep.max_abs).passed
+
     def test_broken_model_residual_one(self):
         rep = check_pb_conditions(broken_model(), np.linspace(0.5, 3, 11))
         assert np.allclose(rep.residual1, 1.0)
