@@ -29,6 +29,7 @@ import operator
 
 import numpy as np
 
+from . import quad
 from .jets import (
     Jet,
     JetError,
@@ -226,69 +227,117 @@ class Deriv(FunctionExpr):
         return self.arg.eval_jet(x, order + 1).deriv()
 
 
+# the extra knots of every Antideriv table: the dyadic seeds of one
+# integral over [-2^60, 2^60] (159 knots), 1/4 apart on [-1, 1], four
+# to an octave out to 16 and one to an octave beyond
+_LATTICE = quad._seed_breakpoints(-2.0**60, 2.0**60)
+
+
 class Antideriv(FunctionExpr):
     """Antiderivative with value 0 at x = 0, evaluated by adaptive
     quadrature.
 
-    Each call builds its own table: the sorted unique points together
-    with 0 cut the line into segments, all of them are integrated in one
+    Each call builds its own table: the sorted unique points, 0, and the
+    knots of a fixed lattice (``_LATTICE``) that lie between them and
+    0 cut the line into segments, all of them are integrated in one
     vector-valued quadrature, and cumulative sums run outward from 0.
-    Each segment is mapped to t in [0, 1], and the first pass is one
-    15-point Kronrod panel over [0, 1]; a panel is bisected only where
-    some segment misses its share of the tolerance.  The requested points
-    already cut the line, so splitting [0, 1] into dyadic seed panels
-    first would quadruple the evaluations of a smooth call.  No
-    state is kept between calls, so a value depends only on the set of
-    points requested with it, not on their order, on duplicates or on
-    earlier calls.
+    Only the requested points are read from the table.  Each segment is
+    mapped to t in [0, 1], and the first pass is one 15-point Kronrod
+    panel over [0, 1]; a panel is bisected only where some segment misses
+    its share of the tolerance.  The lattice keeps every segment within a
+    quarter of [-1, 1] or of an octave out to 16, and within one octave
+    beyond, so the first pass of a smooth argument converges however far
+    apart the points are; the knots already cut the line, so splitting
+    [0, 1] into dyadic seed panels as well would quadruple the
+    evaluations.  No state is kept between calls, so
+    a value depends only on the set of points requested with it, not on
+    their order, on duplicates or on earlier calls.
+
+    The grammar gives a node one argument.  An internal node may take
+    several, ``Antideriv(f, g, ...)``: they share the segment table and
+    the quadrature (one component per segment and argument), so one pass
+    serves them all, as the two vacua of a general model do.  The node's
+    value is the antiderivative of its first argument, and
+    :meth:`value_at` and :meth:`jets` give every argument's.
     """
 
-    __slots__ = ("arg",)
+    __slots__ = ("args",)
 
-    def __init__(self, arg: FunctionExpr):
-        self.arg = arg
+    def __init__(self, *args: FunctionExpr):
+        self.args = args
+
+    @property
+    def arg(self) -> FunctionExpr:
+        return self.args[0]
 
     def value_at(self, x):
-        """Values at a float (a complex) or at every point of an array."""
-        from . import quad  # deferred: quad imports nothing back
-
+        """Values at a float (a complex) or at every point of an array;
+        for several arguments, one such value per argument along a new
+        leading axis."""
         xs = real_base(x)
         finite = np.isfinite(xs)
         if not finite.all():
             raise ExpressionDomainError("non-finite point", self,
                                         float(xs[~finite].flat[0]))
-        knots, where = np.unique(np.append(xs.ravel(), 0.0),
-                                 return_inverse=True)
+        points = np.unique(np.append(xs.ravel(), 0.0))
+        inside = (_LATTICE > points[0]) & (_LATTICE < points[-1])
+        knots = np.union1d(points, _LATTICE[inside])
         lo, width = knots[:-1], np.diff(knots)
-        values = np.zeros(knots.size, dtype=np.complex128)
+        values = np.zeros((len(self.args), knots.size), dtype=np.complex128)
         if lo.size:
-            # segment k is t -> lo_k + width_k t on [0, 1]
+            # segment k is t -> lo_k + width_k t on [0, 1]; component
+            # i * len(lo) + k is argument i on segment k
+            def segments(t):
+                at = lo + width * t[:, None]
+                return np.concatenate([f.eval_values(at) * width
+                                       for f in self.args], axis=1)
+
             try:
                 inc = quad.integrate_line(
-                    lambda t: self.arg.eval_values(lo + width * t[:, None])
-                    * width, 0.0, 1.0, tol=1e-13, _first_edges=(0.0, 1.0)
-                ).value
+                    segments, 0.0, 1.0, tol=1e-13, _first_edges=(0.0, 1.0)
+                ).value.reshape(len(self.args), lo.size)
             except quad.QuadratureError as exc:
-                k = int(np.argmax(np.broadcast_to(exc.error_estimate,
-                                                  lo.shape)))
-                # the requested end of the worst segment: away from 0
-                bad = knots[k + 1] if knots[k] >= 0.0 else knots[k]
-                raise ExpressionDomainError(
-                    f"antiderivative does not converge ({exc})", self,
-                    float(bad)) from exc
+                raise self._diverged(exc, points, knots) from exc
             zero = int(np.searchsorted(knots, 0.0))
-            values[zero + 1:] = np.cumsum(inc[zero:])
-            values[:zero] = -np.cumsum(inc[:zero][::-1])[::-1]
-        out = values[where[:-1]].reshape(xs.shape)
-        return complex(out) if xs.ndim == 0 else out
+            values[:, zero + 1:] = np.cumsum(inc[:, zero:], axis=1)
+            values[:, :zero] = -np.cumsum(inc[:, :zero][:, ::-1],
+                                          axis=1)[:, ::-1]
+        out = values[:, np.searchsorted(knots, xs)]
+        if len(self.args) == 1:
+            out = out[0]
+        return complex(out) if out.ndim == 0 else out
+
+    def _diverged(self, exc, points, knots) -> ExpressionDomainError:
+        """The domain error of a quadrature that raised ``exc``: it names
+        the argument and the segment with the worst error estimate, and
+        the requested point nearest that segment on its side away from 0
+        (at or beyond its outer end, which may be a lattice knot)."""
+        segments = knots.size - 1
+        i, k = divmod(int(np.argmax(np.broadcast_to(
+            exc.error_estimate, (len(self.args) * segments,)))), segments)
+        if knots[k] >= 0.0:
+            bad = points[np.searchsorted(points, knots[k + 1])]
+        else:
+            bad = points[np.searchsorted(points, knots[k], "right") - 1]
+        node = self if len(self.args) == 1 else Antideriv(self.args[i])
+        return ExpressionDomainError(
+            f"antiderivative does not converge ({exc})", node, float(bad))
+
+    def jets(self, x, order: int, which=None) -> list:
+        """The jets at x of the antiderivatives of the arguments at the
+        indices ``which`` (default: all), from one :meth:`value_at`."""
+        values = self.value_at(x)
+        if len(self.args) == 1:
+            values = [values]
+        out = []
+        for i in range(len(self.args)) if which is None else which:
+            v = quad.real_if_exact(values[i])
+            out.append(Jet(x, v[np.newaxis]) if order == 0 else
+                       self.args[i].eval_jet(x, order - 1).antideriv(v))
+        return out
 
     def eval_jet(self, x, order):
-        from . import quad  # deferred, as in value_at
-
-        v = quad.real_if_exact(self.value_at(x))
-        if order == 0:
-            return Jet(x, v[np.newaxis])
-        return self.arg.eval_jet(x, order - 1).antideriv(v)
+        return self.jets(x, order, (0,))[0]
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +553,8 @@ def _print(e: FunctionExpr, parent_prec: int) -> str:
         return "x"
     if isinstance(e, Call):
         return f"{e.func}({_print(e.arg, 0)})"
-    if isinstance(e, Antideriv):
-        return f"antideriv({_print(e.arg, 0)})"
+    if isinstance(e, Antideriv):  # several arguments: diagnostics only
+        return f"antideriv({', '.join(_print(a, 0) for a in e.args)})"
     if isinstance(e, Deriv):
         return f"deriv({_print(e.arg, 0)})"
     if isinstance(e, Pow):
@@ -539,6 +588,9 @@ def same_structure(a: FunctionExpr, b: FunctionExpr) -> bool:
                 and same_structure(a.base_expr, b.base_expr))
     if isinstance(a, Call):
         return a.func == b.func and same_structure(a.arg, b.arg)
-    if isinstance(a, (Antideriv, Deriv)):
+    if isinstance(a, Antideriv):
+        return len(a.args) == len(b.args) and all(
+            map(same_structure, a.args, b.args))
+    if isinstance(a, Deriv):
         return same_structure(a.arg, b.arg)
     return False

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import expressions as ex
 from .expressions import FunctionExpr, parse_expr
-from .jets import Jet, JetError
+from .jets import Jet, JetError, jet_exp, real_base
 
 __all__ = [
     "ModelError",
@@ -203,6 +203,11 @@ class PBModel:
         the per-level derivative amplifies such residue factorially by the
         time it reaches the value slot.  The Hermite closed form needs u
         only to the requested order, where the residue stays at eps.
+
+        The general flavor evaluates each coefficient once: alpha_y (the
+        alpha of the other pair) at order + 1, whose truncation enters
+        theta, since truncation is exact; the jet is bitwise that of the
+        quotient above written out with theta_jet.
         """
         # sigma is pi with the pairs a and b swapped, then conjugated
         flavor = self.flavor
@@ -216,10 +221,13 @@ class PBModel:
             # real alpha: conjugation is a no-op
             return rho * (1.0 / flavor.ratio) if side == "pi" else rho
         x_pair, y_pair = ("a", "b") if side == "pi" else ("b", "a")
+        ax = self.coefficient("alpha_" + x_pair).eval_jet(x, order)
         ay = self.coefficient("alpha_" + y_pair).eval_jet(x, order + 1)
-        lead = (self.theta_jet(x, order)
-                / self.coefficient("alpha_" + x_pair).eval_jet(x, order)
-                - ay.deriv())
+        aa, ab = (ax, ay.truncate(order)) if side == "pi" \
+            else (ay.truncate(order), ax)
+        theta = (aa * self.beta_b.eval_jet(x, order)
+                 + ab * self.beta_a.eval_jet(x, order))
+        lead = theta / ax - ay.deriv()
         return lead.conjugate() if side == "sigma" else lead
 
     def damp_jet(self, side: str, x, order: int) -> Jet:
@@ -231,45 +239,100 @@ class PBModel:
 
     # -- vacua -----------------------------------------------------------
 
-    def _vacuum(self, side: str) -> tuple[FunctionExpr, bool]:
-        """The unnormalized vacuum of ``side`` as (expression, conjugated):
-        the kernel of its annihilating operator (a for phi, b^dag for psi).
+    def _closed_vacuum(self, side: str) -> Optional[FunctionExpr]:
+        """The registered closed form of the vacuum of ``side``, if any."""
+        if side not in VACUUM_KILLER:
+            raise ModelError(f"side must be 'phi' or 'psi', not {side!r}")
+        return self.vacuum_phi if side == "phi" else self.vacuum_psi
+
+    def _joint_sides(self) -> list:
+        """The sides without a closed-form vacuum, in the order phi, psi."""
+        return [s for s in VACUUM_KILLER if self._closed_vacuum(s) is None]
+
+    def _exponent_jets(self, x, order: int, sides) -> dict:
+        """side -> the jet at x of g = -antideriv(beta/alpha) of the pair
+        of its annihilator, for each of ``sides`` without a closed form.
+
+        The ratios of all :meth:`_joint_sides` are one joint ``Antideriv``
+        whichever sides are asked for, so a side's exponent does not
+        depend on its caller and a caller that needs both pays for one
+        quadrature."""
+        joint = self._joint_sides()
+        wanted = [joint.index(s) for s in sides if s in joint]
+        if not wanted:
+            return {}
+        pairs = [LADDER_OPS[VACUUM_KILLER[s]].pair for s in joint]
+        exponent = ex.Antideriv(*(
+            ex.BinOp("/", self.coefficient("beta_" + p),
+                     self.coefficient("alpha_" + p)) for p in pairs))
+        return {joint[i]: 0.0 - jet for i, jet in
+                zip(wanted, exponent.jets(x, order, wanted))}
+
+    def vacuum_jets(self, x, order: int, sides=("phi", "psi")) -> list:
+        """The jets at x of the unnormalized vacua of ``sides``: the
+        kernels of their annihilating operators (a for phi, b^dag for psi).
 
         Built-ins register explicit closed forms (vacuum_psi evaluates to
         psi_0 directly).  Otherwise both annihilators have the lowering
-        form alpha f' + beta f, whose kernel is exp(-antideriv(beta/alpha))
-        with the constant fixed by F(0) = 0; the conjugated pair of b^dag
-        conjugates the result, since x is real."""
-        if side not in VACUUM_KILLER:
-            raise ModelError(f"side must be 'phi' or 'psi', not {side!r}")
-        closed = self.vacuum_phi if side == "phi" else self.vacuum_psi
-        if closed is not None:
-            return closed, False
-        op = LADDER_OPS[VACUUM_KILLER[side]]
-        ratio = ex.BinOp("/", self.coefficient("beta_" + op.pair),
-                         self.coefficient("alpha_" + op.pair))
-        return _exp_of_neg(ex.Antideriv(ratio)), op.conjugated
+        form alpha f' + beta f, whose kernel is exp(g),
+        g = -antideriv(beta/alpha), with the constant fixed by g(0) = 0;
+        the conjugated pair of b^dag conjugates the result, since x is
+        real.  The exponents of both sides come from one quadrature (see
+        :meth:`_exponent_jets`), so a side asked for alone is bitwise the
+        same side asked for with the other."""
+        closed = list(map(self._closed_vacuum, sides))
+        if None not in closed:
+            return [expr.eval_jet(x, order) for expr in closed]
+        exponents = self._exponent_jets(x, order, sides)
+        out = []
+        for side, expr in zip(sides, closed):
+            if expr is not None:
+                out.append(expr.eval_jet(x, order))
+                continue
+            vac = jet_exp(exponents[side])
+            out.append(vac.conjugate()
+                       if LADDER_OPS[VACUUM_KILLER[side]].conjugated else vac)
+        return out
+
+    def joint_vacuum_jets(self, x, order: int) -> dict:
+        """side -> the jet at x of its vacuum, for each side without a
+        closed form: the vacua of one quadrature, for a caller that needs
+        both families on the same points."""
+        sides = self._joint_sides()
+        return dict(zip(sides, self.vacuum_jets(x, order, sides))) \
+            if sides else {}
 
     def vacuum_jet(self, side: str, x, order: int) -> Jet:
-        expr, conjugated = self._vacuum(side)
-        vac = expr.eval_jet(x, order)
-        return vac.conjugate() if conjugated else vac
+        closed = self._closed_vacuum(side)
+        if closed is not None:  # the common case, without the lists
+            return closed.eval_jet(x, order)
+        return self.vacuum_jets(x, order, (side,))[0]
 
     def vacuum_values(self, side: str, xs) -> np.ndarray:
-        expr, conjugated = self._vacuum(side)
-        vals = expr.eval_values(xs)
-        return np.conj(vals) if conjugated else vals
+        return self.vacuum_jet(side, real_base(xs), 0).value
+
+    def log_abs_vacua(self, xs, sides=("phi", "psi")) -> list:
+        """log|vacuum| of each of ``sides`` on a float array.  A vacuum
+        exp(g) is never formed: log|exp(g)| = Re g, so a vacuum beyond
+        double range has a finite log and no numpy overflow warning.
+        Another closed form that vanishes reads -inf."""
+        xs = real_base(xs)
+        closed = list(map(self._closed_vacuum, sides))
+        if None in closed:
+            exponents = self._exponent_jets(xs, 0, sides)
+        out = []
+        for side, expr in zip(sides, closed):
+            if expr is None:
+                out.append(exponents[side].value.real)
+            elif isinstance(expr, ex.Call) and expr.func == "exp":
+                out.append(expr.arg.eval_values(xs).real)
+            else:
+                with np.errstate(divide="ignore"):
+                    out.append(np.log(np.abs(expr.eval_values(xs))))
+        return out
 
     def log_abs_vacuum_values(self, side: str, xs) -> np.ndarray:
-        """log|vacuum| on a float array.  A vacuum exp(g) is never formed:
-        log|exp(g)| = Re g, so a vacuum beyond double range has a finite
-        log and no numpy overflow warning.  Another closed form that
-        vanishes reads -inf."""
-        expr, _ = self._vacuum(side)
-        if isinstance(expr, ex.Call) and expr.func == "exp":
-            return expr.arg.eval_values(xs).real
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(expr.eval_values(xs)))
+        return self.log_abs_vacua(xs, (side,))[0]
 
     phi_vacuum_jet = partialmethod(vacuum_jet, "phi")
     psi_vacuum_jet = partialmethod(vacuum_jet, "psi")

@@ -714,13 +714,20 @@ def compatibility_form(m, f, g, *, envelope=None,
     Bounds are taken from compact supports carried by ``f``/``g``, else
     from the decay envelope (or the sampled integrand when no envelope is
     available).  Over supports the first pass is cut at their
-    :func:`hull_edges` inside the intersection.
+    :func:`hull_edges` inside the intersection.  ``g`` may be None where
+    ``f`` maps points to both value lists (f(x), g(x)) at once, as the
+    two vacua of a model are evaluated together.
     """
-    fv = _as_values_fn(f)
-    gv = _as_values_fn(g)
+    if g is None:
+        def integrand(xs):
+            fx, gx = f(xs)
+            return np.conj(fx) * gx
+    else:
+        fv = _as_values_fn(f)
+        gv = _as_values_fn(g)
 
-    def integrand(xs):
-        return np.conj(fv(xs)) * gv(xs)
+        def integrand(xs):
+            return np.conj(fv(xs)) * gv(xs)
 
     a = b = edges = None
     supports = [s for s in (_support_of(f), _support_of(g)) if s is not None]
@@ -818,18 +825,18 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
     appends its IntegralResult (per-entry error estimates, panels).  The
     psi side carries the model's normalization product.  The integrand
     is given by its factors, the psi and phi rows, so no
-    (npts, (N+1)^2) product is formed.  The line is truncated by
+    (npts, (N+1)^2) product is formed, and the vacua of both families
+    are one evaluation per node batch.  The line is truncated by
     pair_envelope(m, 2N), searched from L = 1 like any other integral:
     one probe call covers every cut up to L = 8."""
-    from .states import StateFamily, pair_envelope
-
-    phi = StateFamily(m, "phi", max_n=N)
-    psi = StateFamily(m, "psi", max_n=N)
+    from .states import pair_envelope, shared_families
 
     def integrand(xs):
         # where a level leaves double range the integral is refused at
         # the first such node (see integrate_line), so no warning is due
         with np.errstate(over="ignore", invalid="ignore"):
+            vacua = m.joint_vacuum_jets(xs, 0)
+            phi, psi = shared_families(m, N, lambda: vacua)
             return psi.values_all(xs).T, phi.values_all(xs).T
 
     res = integrate_line(integrand, None, None, tol=tol,

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -200,7 +200,7 @@ class StateFamily:
         scales = np.array([as_number(self.normalization
                                      * (math.sqrt(2.0) * s) ** k)
                            for k in ns])
-        vac = vacuum(self.model, self.side, x, order).coeffs[:, None]
+        vac = self._vacuum(x, order).coeffs[:, None]
         u = y.coeffs.astype(np.result_type(y.coeffs, scales, vac),
                             copy=False)
         rows = hermite_coeffs(ns, u) if order \
@@ -210,6 +210,9 @@ class StateFamily:
             return _mul_coeffs(rows, vac)
         rows *= vac
         return rows
+
+    def _vacuum(self, x, order: int) -> Jet:
+        return self.model.vacuum_jet(self.side, x, order)
 
     def jet_fn(self, n: int) -> Callable[[float, int], Jet]:
         self._check_n(n)
@@ -231,6 +234,29 @@ class StateFamily:
 
     def values(self, n: int, xs) -> np.ndarray:
         return self.values_fn(n)(np.asarray(xs, dtype=float))
+
+
+@dataclass
+class _SharedVacuum(StateFamily):
+    """A family that reads its vacuum jet, on the points where it is
+    evaluated, from ``vacua()``: the ``PBModel.joint_vacuum_jets`` that a
+    caller needing both families on the same points evaluates once.  A
+    side with a closed-form vacuum, which that dict lacks, evaluates its
+    own."""
+
+    vacua: Callable[[], dict] = field(kw_only=True)
+
+    def _vacuum(self, x, order: int) -> Jet:
+        if getattr(self.model, "vacuum_" + self.side) is not None:
+            return super()._vacuum(x, order)
+        return self.vacua()[self.side].truncate(order)
+
+
+def shared_families(m: PBModel, max_n: int, vacua: Callable[[], dict]):
+    """The phi and psi families of m up to ``max_n``, both reading their
+    vacuum jets from ``vacua()`` (see :class:`_SharedVacuum`)."""
+    return tuple(_SharedVacuum(m, side, max_n, vacua=vacua)
+                 for side in ("phi", "psi"))
 
 
 def eval_state(fam: StateFamily, n: int, x: float, order: int) -> Jet:
@@ -277,7 +303,10 @@ class GridJets:
     :mod:`pseudobosons.jets`), so it gets bitwise the jets it would
     evaluate itself.  Each group is evaluated on first read and kept with
     its outcome: one that raised re-raises the same error on every read,
-    per coefficient and per side, as the check's own evaluation would."""
+    per coefficient and per side, as the check's own evaluation would.
+    The vacua of the sides without a closed form are one joint
+    evaluation that both sides read, as each side's own evaluation makes
+    it (see ``PBModel.vacuum_jets``)."""
 
     model: PBModel
     grid: np.ndarray
@@ -296,8 +325,14 @@ class GridJets:
                                        self.grid, order))
                 for name, order in COEFFICIENT_ORDERS.items()}
 
+    @cached_property
+    def _vacua(self):
+        return keep_outcome(lambda: self.model.joint_vacuum_jets(
+            self.grid, STATE_ORDER))
+
     def _side(self, side: str):
-        fam = StateFamily(self.model, side, max_n=self.n_max)
+        fam = _SharedVacuum(self.model, side, self.n_max,
+                            vacua=lambda: read_outcome(self._vacua))
         return keep_outcome(lambda: fam.jet(range(self.n_max + 1),
                                             self.grid, STATE_ORDER))
 
@@ -335,15 +370,16 @@ def pair_envelope(m: PBModel, degree: int) -> Callable:
 
     It maps an array of points to an array of bounds, formed in log space,
     log|phi_0| + log|psi_0| + degree log max(1, 2|y|) from the model's
-    log|vacuum|, and exponentiated once: a high degree can neither
-    overflow the power nor meet an underflowed vacuum as inf * 0, and a
-    growing vacuum (one that does not pair) reads inf without a warning."""
+    log|vacuum| of both sides (one joint evaluation), and exponentiated
+    once: a high degree can neither overflow the power nor meet an
+    underflowed vacuum as inf * 0, and a growing vacuum (one that does
+    not pair) reads inf without a warning."""
     _hermite_scale(m, "pi")  # a kappa of 0 or not finite fails here
 
     def envelope(xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        log_env = (m.log_abs_vacuum_values("phi", xs)
-                   + m.log_abs_vacuum_values("psi", xs))
+        log_phi, log_psi = m.log_abs_vacua(xs)
+        log_env = log_phi + log_psi
         if degree:
             y = _hermite_argument(m, "pi", xs, 0)[1].value
             log_env += degree * np.log(np.maximum(1.0, 2.0 * np.abs(y)))
@@ -361,9 +397,13 @@ def integrate_vacuum_pairing(m: PBModel):
     IntegralResult, or, where the pairing diverges (the vacua are not
     compatible), the ModelError saying so, returned and not raised.
     ``PBModel.pairing_outcome`` stores this; everything else reads it
-    through :func:`vacuum_pairing`."""
+    through :func:`vacuum_pairing`.  Its integrand evaluates both vacua
+    at once."""
+    def vacua(xs):
+        return [v.value for v in m.vacuum_jets(xs, 0, ("psi", "phi"))]
+
     try:
-        return compatibility_form(m, m.psi_vacuum_values, m.phi_vacuum_values,
+        return compatibility_form(m, vacua, None,
                                   envelope=pair_envelope(m, 0),
                                   tol=PAIRING_TOL)
     except quad.QuadratureError as exc:

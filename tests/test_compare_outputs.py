@@ -127,6 +127,30 @@ def test_changed_shape_fails(monkeypatch, tmp_path, capsys, base, change,
         f"#   mismatched: {what}"]
 
 
+@pytest.mark.parametrize("base, change, path", [
+    ("deviation 1e-07", "deviation 2e-07", "/checks/0/detail/error"),
+    (True, False, "/checks/0/detail/error"),
+    (None, "diverges", "/checks/0/detail/error"),
+    ("a note", 1.0, "/checks/0/detail/error"),
+])
+def test_changed_text_fails_and_is_named(monkeypatch, tmp_path, capsys,
+                                         base, change, path):
+    # a report whose only change is a text: the verdicts and the other
+    # numbers are the same on both sides
+    def side(text):
+        report = _report("error", 3e-8, 1.0)
+        report["checks"][0]["detail"]["error"] = text
+        return lambda command: {"report.json": json.dumps(report)}
+
+    _stub(monkeypatch, {"base": side(base), "change": side(change)})
+    assert _main(tmp_path) == 1
+    lines = _lines_of(capsys.readouterr().out, "check")
+    assert lines[0].startswith("# a.ini check: differs; report number "
+                               "moved 0 ")
+    assert f"#   text changed: report.json:{path}" in lines[1:]
+    assert not [ln for ln in lines if "verdict changed" in ln]
+
+
 def test_configs_of_one_name_and_a_reused_work_dir(monkeypatch, tmp_path,
                                                    capsys):
     # the base writes stale.csv only on its first run: a second run into

@@ -160,6 +160,23 @@ class TestEvaluation:
         assert isinstance(err.value.__cause__, QuadratureError)
         assert err.value.__cause__.best_value is not None
 
+    @pytest.mark.parametrize("src, xs, named", [
+        ("antideriv(1/(x-0.6))", 2.0, 2.0),
+        ("antideriv(1/(x+0.6))", -2.0, -2.0),
+        ("antideriv(1/(x-0.6))", [-3.0, 0.1, 5.0, 2.0], 2.0),
+        ("antideriv(1/(x+0.6))", [3.0, -0.1, -5.0, -2.0], -2.0),
+    ])
+    def test_antideriv_pole_between_lattice_knots_names_a_point(
+            self, src, xs, named):
+        # the pole cuts the segment between the knots 0.5 and 0.75 (or
+        # -0.75 and -0.5): the error names the nearest requested point
+        # beyond it, not a knot
+        tree = parse_expr(src)
+        with pytest.raises(ExpressionDomainError) as err:
+            tree.value_at(np.asarray(xs))
+        assert err.value.x == named
+        assert err.value.node is tree
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_antideriv_rejects_non_finite_points(self, bad):
         tree = parse_expr("antideriv(1/(1+x^2))")

@@ -20,11 +20,13 @@ command it prints:
   residuals at the rounding floor moves by its own size when the last
   bits of its inputs do);
 * whether the outputs are byte-identical apart from the timing;
+* every report text (a string, bool or null) that changed or is given
+  on one side only, other than a verdict;
 * every file written, and every report number given, on one side only,
   and every CSV whose header or row count changed.
 
-It exits with status 1 when any verdict changed or any of the last
-happened, and 0 otherwise.
+It exits with status 1 when any verdict or text changed or any of the
+last happened, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -67,16 +69,20 @@ def strip_timing(doc):
     return doc
 
 
-def _numbers(doc, path=""):
-    """(path, number) for every int or float leaf of a JSON document."""
+def _leaves(doc, path=""):
+    """(path, value) for every leaf of a JSON document."""
     if isinstance(doc, dict):
         for k, v in doc.items():
-            yield from _numbers(v, f"{path}/{k}")
+            yield from _leaves(v, f"{path}/{k}")
     elif isinstance(doc, list):
         for i, v in enumerate(doc):
-            yield from _numbers(v, f"{path}/{i}")
-    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        yield path, float(doc)
+            yield from _leaves(v, f"{path}/{i}")
+    else:
+        yield path, doc
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _verdicts(doc) -> dict:
@@ -94,20 +100,35 @@ def _move(a: float, b: float) -> float:
     return abs(a - b)
 
 
+def _texts(doc) -> dict:
+    """path -> value of every string, bool or null leaf of a report but
+    its verdicts (see :func:`_verdicts`)."""
+    verdicts = {"/overall"} | {f"/checks/{i}/verdict"
+                               for i in range(len(doc.get("checks", [])))}
+    return {path: v for path, v in _leaves(doc)
+            if not _is_number(v) and path not in verdicts}
+
+
 def compare_reports(base: dict, change: dict) -> dict:
-    """Changed verdicts, the largest move of a report number, and the
-    paths of the numbers given on one side only."""
+    """Changed verdicts, the largest move of a report number, the paths
+    of the numbers given on one side only, and the paths of the texts
+    that changed or are given on one side only."""
     vb, vc = _verdicts(base), _verdicts(change)
     changed = [(k, vb.get(k), vc.get(k)) for k in sorted(set(vb) | set(vc))
                if vb.get(k) != vc.get(k)]
-    nb, nc = dict(_numbers(base)), dict(_numbers(change))
+    tb, tc = _texts(base), _texts(change)
+    missing = object()  # a null leaf is a text, not an absent one
+    texts = sorted(p for p in tb.keys() | tc.keys()
+                   if tb.get(p, missing) != tc.get(p, missing))
+    nb, nc = ({p: float(v) for p, v in _leaves(doc) if _is_number(v)}
+              for doc in (base, change))
     worst = (0.0, 0.0, None)  # (move, move / max(1, |base|), path)
     for path in nb.keys() & nc.keys():
         move = _move(nb[path], nc[path])
         if move > worst[0] or math.isnan(move):
             worst = (move, move / max(1.0, abs(nb[path])), path)
     return {"verdicts": changed, "number": worst,
-            "one_sided": sorted(nb.keys() ^ nc.keys())}
+            "one_sided": sorted(nb.keys() ^ nc.keys()), "texts": texts}
 
 
 def _read_csv(path: Path) -> tuple[list, list]:
@@ -141,7 +162,7 @@ def compare_dirs(base: Path, change: Path) -> dict:
     files = sorted({p.name for p in base.iterdir()}
                    | {p.name for p in change.iterdir()})
     result = {"verdicts": [], "number": (0.0, 0.0, None),
-              "csv": (0.0, 0.0, None), "mismatched": [],
+              "csv": (0.0, 0.0, None), "mismatched": [], "texts": [],
               "identical": True}
     for name in files:
         pb, pc = base / name, change / name
@@ -161,6 +182,7 @@ def compare_dirs(base: Path, change: Path) -> dict:
             result["verdicts"] += rep["verdicts"]
             result["mismatched"] += [f"{name}:{path} given on one side only"
                                      for path in rep["one_sided"]]
+            result["texts"] += [f"{name}:{path}" for path in rep["texts"]]
             if rep["number"][0] > result["number"][0] \
                     or math.isnan(rep["number"][0]):
                 result["number"] = rep["number"][:2] + (
@@ -219,9 +241,12 @@ def main(argv=None) -> int:
                         f"at {column}, at most {cabs:.3g} absolute")
                 for what, vb, vc in res["verdicts"]:
                     print(f"#   verdict changed: {what}: {vb} -> {vc}")
+                for what in res["texts"]:
+                    print(f"#   text changed: {what}")
                 for what in res["mismatched"]:
                     print(f"#   mismatched: {what}")
-                bad |= bool(res["verdicts"] or res["mismatched"])
+                bad |= bool(res["verdicts"] or res["texts"]
+                            or res["mismatched"])
     return 1 if bad else 0
 
 
