@@ -462,15 +462,21 @@ def _check_normalization(m, cfg, jets):
 def _check_biorthonormality(m, cfg, jets):
     """The Gram matrix's deviation from the identity, certified to its
     largest error estimate or the roundoff floor of its largest entry
-    mass, whichever is larger."""
+    mass, whichever is larger.  The detail names the route: the Gauss-
+    Hermite rules with their node counts and largest difference, or the
+    adaptive integral with its panels."""
     _, dev, res = quad.biorthonormality_matrix(m, cfg.n_max,
                                                return_integral=True)
     estimate = float(np.max(res.abs_error_estimate))
     mass = float(np.max(res.abs_mass))
-    return dev, {"matrix_size": cfg.n_max + 1,
+    if isinstance(res, quad.GaussHermiteResult):
+        route, work = "gauss_hermite", {"nodes": list(res.nodes),
+                                        "rule_difference": res.rule_difference}
+    else:
+        route, work = "adaptive", {"quad_panels": res.panels_used}
+    return dev, {"matrix_size": cfg.n_max + 1, "route": route,
                  "max_abs_error_estimate": estimate,
-                 "max_entry_mass": mass,
-                 "quad_panels": res.panels_used}, \
+                 "max_entry_mass": mass, **work}, \
         max(estimate, quad.ROUNDOFF_FLOOR * mass)
 
 

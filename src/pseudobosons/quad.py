@@ -4,8 +4,10 @@ Everything that integrates lives here: an adaptive Gauss-Kronrod line
 integrator over finite or truncated-infinite intervals, compactly
 supported bump test functions, harmonic-oscillator eigenfunctions, rho
 and its monotone inverse, the compatibility form <f, g> = integral of
-conj(f) g, biorthonormality matrices, the plus/minus transforms that map
-test functions to the oscillator picture, and quasi-basis partial sums.
+conj(f) g, biorthonormality matrices (on Gauss-Hermite rules in the
+oscillator variable where that is certified), the plus/minus transforms
+that map test functions to the oscillator picture, and quasi-basis
+partial sums.
 
 rho is derived, not registered: rho = c u, with u the lead of the pi
 recursion and c = 1/kappa_pi, so rho' = 1/alpha_b and rho/sqrt(2c) is the
@@ -48,6 +50,7 @@ __all__ = [
     "rho_invert",
     "compatibility_form",
     "biorthonormality_matrix",
+    "GaussHermiteResult",
     "transform_pm",
     "transform_identity_factors",
     "quasi_basis_sum",
@@ -820,13 +823,34 @@ def _edges_within(supports, lo: float, hi: float) -> np.ndarray:
 def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
                             return_integral: bool = False):
     """(N+1) x (N+1) Gram matrix G[m, n] = <psi_m, phi_n> and its maximum
-    deviation from the identity, as one vector-valued integral whose
-    entries each keep the absolute tolerance ``tol``; ``return_integral``
-    appends its IntegralResult (per-entry error estimates, panels).  The
-    psi side carries the model's normalization product.  The integrand
-    is given by its factors, the psi and phi rows, so no
-    (npts, (N+1)^2) product is formed, and the vacua of both families
-    are one evaluation per node batch.  The line is truncated by
+    deviation from the identity, each entry to the absolute tolerance
+    ``tol``; ``return_integral`` appends the result of the route that
+    computed it.  The psi side carries the model's normalization product.
+
+    Where rho is real, t = rho / sqrt(2c) turns every pair integrand into
+    a polynomial of degree m + n <= 2N times e^{-t^2}, which a Gauss-
+    Hermite rule of more than N nodes integrates exactly: the first route
+    (see :func:`_gauss_hermite_gram`) evaluates the model's own families
+    on two such rules, and its result is a :class:`GaussHermiteResult`.
+    It runs only where it is certified: a real rho, a vacuum density that
+    is e^{-t^2} at every node, finite values, and every entry's rule
+    difference and roundoff floor within ``tol``.  Everywhere else the
+    Gram is one adaptive vector-valued integral over the line (see
+    :func:`_adaptive_gram`), and the result is its IntegralResult."""
+    res = _gauss_hermite_gram(m, N, tol)
+    if res is None:
+        res = _adaptive_gram(m, N, tol)
+    G = res.value.reshape(N + 1, N + 1)
+    dev = float(np.max(np.abs(G - np.eye(N + 1))))
+    return (G, dev, res) if return_integral else (G, dev)
+
+
+def _adaptive_gram(m, N: int, tol: float = 1e-12) -> IntegralResult:
+    """The Gram entries <psi_m, phi_n>, component m (N+1) + n, as one
+    vector-valued integral whose entries each keep the absolute tolerance
+    ``tol``.  The integrand is given by its factors, the psi and phi
+    rows, so no (npts, (N+1)^2) product is formed, and the vacua of both
+    families are one evaluation per node batch.  The line is truncated by
     pair_envelope(m, 2N), searched from L = 1 like any other integral:
     one probe call covers every cut up to L = 8."""
     from .states import pair_envelope, shared_families
@@ -839,11 +863,142 @@ def biorthonormality_matrix(m, N: int, *, tol: float = 1e-12,
             phi, psi = shared_families(m, N, lambda: vacua)
             return psi.values_all(xs).T, phi.values_all(xs).T
 
-    res = integrate_line(integrand, None, None, tol=tol,
-                         envelope=pair_envelope(m, 2 * N))
-    G = res.value.reshape(N + 1, N + 1)
-    dev = float(np.max(np.abs(G - np.eye(N + 1))))
-    return (G, dev, res) if return_integral else (G, dev)
+    return integrate_line(integrand, None, None, tol=tol,
+                          envelope=pair_envelope(m, 2 * N))
+
+
+@dataclass
+class GaussHermiteResult:
+    """The Gram entries on the larger of two Gauss-Hermite rules, as
+    (entries,) arrays in the layout of an IntegralResult: ``value``,
+    ``abs_error_estimate`` (per entry, the larger of the two rules'
+    difference and the roundoff floor of its mass) and ``abs_mass`` (the
+    larger rule's sum of |integrand|).  ``nodes`` gives both rule sizes
+    and ``rule_difference`` the largest difference of an entry."""
+
+    value: np.ndarray
+    abs_error_estimate: np.ndarray
+    abs_mass: np.ndarray
+    nodes: tuple[int, int]
+    rule_difference: float
+
+
+# the Gram's two Gauss-Hermite rules have N + 9 and N + 33 nodes: each is
+# exact to degree 2N + 17 or more, so on a certified model they differ
+# only by rounding
+_GRAM_RULE_EXTRA = (9, 33)
+
+# log|conj(psi_0) phi_0 alpha_b| + t^2 may spread over the nodes by this
+# many eps of its size, the sum of the magnitudes of its terms
+_DENSITY_EPS = 16
+
+
+def _gauss_hermite(*sizes) -> list:
+    """(t, w e^{t^2}) of the Gauss-Hermite rule of weight e^{-t^2} with K
+    nodes, for each K of ``sizes``.  The nodes are the eigenvalues of the
+    symmetric Jacobi matrix, whose off-diagonal is sqrt(k/2) (Golub and
+    Welsch, Math. Comp. 23 (1969) 221), each polished by one Newton step
+    on the normalized recurrence h_k = H_k / sqrt(2^k k!), with
+    h_K' = sqrt(2K) h_{K-1}.  The weights are w = sqrt(pi) / (K h_{K-1}^2),
+    carried as w e^{t^2} = sqrt(pi) / (K (h_{K-1} e^{-t^2/2})^2), which
+    stays in double range where w does not; h_{K-1} at the polished node
+    is its first-order Taylor value from the unpolished one.  One
+    recurrence (:func:`hermite_value`) over every rule's nodes gives the
+    levels K-2, K-1 and K that all of this reads."""
+    guesses = [np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1.0, k)),
+                                          1), UPLO="U") for k in sizes]
+    out, start = [], 0
+    # past K of about 700, h_{K-1} leaves double range at the outer nodes,
+    # which then read inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = hermite_value([k + d for k in sizes for d in (-2, -1, 0)],
+                             np.concatenate(guesses))
+        for i, (k, t) in enumerate(zip(sizes, guesses)):
+            below, prev, top = rows[3 * i:3 * i + 3, start:start + k]
+            start += k
+            step = -top / (math.sqrt(2.0 * k) * prev)
+            t = t + step
+            prev = prev + step * math.sqrt(2.0 * (k - 1)) * below
+            out.append((t, math.sqrt(math.pi)
+                        / (k * (prev * np.exp(-0.5 * t * t)) ** 2)))
+    return out
+
+
+def _has_real_rho(m) -> bool:
+    """Whether the flavor of m makes rho = c u real: a proportional model,
+    or constant real alphas and a real k."""
+    flavor = m.flavor
+    if flavor.kind == "constant_alpha":
+        return not any(complex(v).imag for v in
+                       (flavor.alpha_a, flavor.alpha_b, flavor.k))
+    return flavor.kind in ("equal_alpha", "proportional")
+
+
+def _density_is_gaussian(m, x: np.ndarray, t: np.ndarray,
+                         alpha_b: np.ndarray) -> bool:
+    """Whether conj(psi_0) phi_0 alpha_b at the points x, where
+    rho / sqrt(2c) = t, is a constant times e^{-t^2}: its log plus t^2
+    spreads by no more than :data:`_DENSITY_EPS` eps of its size."""
+    with np.errstate(divide="ignore"):
+        terms = [*m.log_abs_vacua(x), np.log(np.abs(alpha_b)), t * t]
+    size = np.max(sum(np.abs(v) for v in terms))
+    log_density = sum(terms)
+    return bool(np.ptp(log_density)
+                <= _DENSITY_EPS * np.finfo(float).eps * size)
+
+
+def _gauss_hermite_gram(m, N: int, tol: float):
+    """The :class:`GaussHermiteResult` of the Gram entries, or None where
+    this route is not certified.
+
+    With sigma = sqrt(2c) and x = rho^-1(sigma t), dx = sigma alpha_b dt,
+    so <psi_m, phi_n> = sum_i w_i e^{t_i^2} sigma alpha_b(x_i)
+    conj(psi_m(x_i)) phi_n(x_i) on a Gauss-Hermite rule (t_i, w_i), exact
+    once it has more than N nodes.  The families are the model's own,
+    evaluated at the x_i; nothing here is a closed-form Hermite Gram.
+    The route is certified where rho is real and inverts (see
+    :func:`_has_real_rho`), alpha_b is real and positive at every node,
+    the vacuum density is e^{-t^2} there (see
+    :func:`_density_is_gaussian`), every value is finite, and every
+    entry's max(|G_K1 - G_K2|, ROUNDOFF_FLOOR * mass) is at most
+    ``tol``."""
+    from .states import shared_families
+
+    if not _has_real_rho(m):
+        return None
+    sizes = tuple(N + extra for extra in _GRAM_RULE_EXTRA)
+    rules = _gauss_hermite(*sizes)
+    t = np.concatenate([r[0] for r in rules])
+    if not np.isfinite(t).all():
+        return None
+    try:
+        sigma = math.sqrt(2.0 * _rho_scale(m))
+        x = rho_invert_values(m, sigma * t)
+    except RhoError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_b = m.alpha_b.eval_values(x)
+        # certified first, so a model whose density fails evaluates no family
+        if not (np.isrealobj(alpha_b) and np.all(alpha_b > 0.0)
+                and _density_is_gaussian(m, x, t, alpha_b)):
+            return None
+        vacua = m.joint_vacuum_jets(x, 0)
+        phi, psi = shared_families(m, N, lambda: vacua)
+        a, b = psi.values_all(x).T, phi.values_all(x).T
+        w = np.concatenate([r[1] for r in rules]) * sigma * alpha_b
+    if not (np.isfinite(w).all() and np.isfinite(a).all()
+            and np.isfinite(b).all()):
+        return None
+    first, second = slice(0, sizes[0]), slice(sizes[0], None)
+    g1, g2 = ((np.conj(a[part]).T * w[part]) @ b[part]
+              for part in (first, second))
+    mass = (np.abs(a[second]).T * w[second]) @ np.abs(b[second])
+    diff = np.abs(g1 - g2)
+    err = np.maximum(diff, ROUNDOFF_FLOOR * mass)
+    if not np.all(err <= tol):
+        return None
+    return GaussHermiteResult(g2.ravel().astype(complex), err.ravel(),
+                              mass.ravel(), sizes, float(np.max(diff)))
 
 
 # ----------------------------------------------------------------------

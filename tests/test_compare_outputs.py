@@ -92,9 +92,44 @@ def test_changed_verdict_fails_and_moves_are_reported(monkeypatch, tmp_path,
             f"# a.ini {command}: differs; report number moved 0.5 (0.25 of "
             "max(1, |base|)) at report.json:/checks/0/metric; CSV moved 0.05 "
             "of its column's max at t.csv:v, at most 0.2 absolute")
-        assert lines[1:] == ["#   verdict changed: overall: pass -> fail",
+        assert lines[1:] == ["#   metric moved 0.5 (0.25 of max(1, |base|)) "
+                             "at report.json:/checks/0/metric",
+                             "#   verdict changed: overall: pass -> fail",
                              "#   verdict changed: record ladder: pass -> "
                              "fail"]
+
+
+def test_metric_move_is_not_hidden_by_a_counter(monkeypatch, tmp_path,
+                                                capsys):
+    # a detail counter moves by 48 and the metric by 1e-14: the head line
+    # names the counter, and the metric's move has a line of its own
+    def side(metric, panels):
+        report = _report("pass", metric, 1.0)
+        report["checks"].insert(0, {"name": "commutator", "metric": 2e-9,
+                                    "verdict": "pass", "detail": {}})
+        report["checks"][1]["detail"] = {"quad_panels": panels}
+        return lambda command: {"report.json": json.dumps(report)}
+
+    _stub(monkeypatch, {"base": side(1.8e-15, 96),
+                        "change": side(1.18e-14, 48)})
+    assert _main(tmp_path) == 0
+    lines = _lines_of(capsys.readouterr().out, "check")
+    assert "report number moved 48 (0.5 of max(1, |base|)) at " \
+        "report.json:/checks/1/detail/quad_panels" in lines[0]
+    assert lines[1:] == ["#   metric moved 1e-14 (1e-14 of max(1, |base|)) "
+                         "at report.json:/checks/1/metric"]
+
+
+def test_no_metric_line_where_no_metric_moved(monkeypatch, tmp_path,
+                                              capsys):
+    def side(panels):
+        report = _report("pass", 1e-15, 1.0)
+        report["checks"][0]["detail"] = {"quad_panels": panels}
+        return lambda command: {"report.json": json.dumps(report)}
+
+    _stub(monkeypatch, {"base": side(96), "change": side(48)})
+    assert _main(tmp_path) == 0
+    assert _lines_of(capsys.readouterr().out, "check")[1:] == []
 
 
 def test_exit_status_and_one_sided_files(monkeypatch, tmp_path, capsys):
@@ -189,6 +224,7 @@ def test_move(base, change, move):
     ("swanson", "swanson", "constant_alpha"),
     ("shifted_complex", "shifted", "constant_alpha"),
     ("gram_limit", "example2", "proportional"),
+    ("gram_n200", "bosonic", "constant_alpha"),
 ])
 def test_committed_configs_build_their_models(name, model, flavor):
     ini = _PATH.parent / "configs" / f"{name}.ini"

@@ -162,9 +162,9 @@ def _counting_truncate(monkeypatch) -> list:
 
 
 class TestGramCutFromThePairing:
-    """The Gram search, which no longer starts at the vacuum pairing's
-    cut, cuts where a one-doubling search from L = 1 does, and never
-    inside the pairing's cut."""
+    """The adaptive Gram's search, which no longer starts at the vacuum
+    pairing's cut, cuts where a one-doubling search from L = 1 does, and
+    never inside the pairing's cut."""
 
     @pytest.mark.parametrize("N", [4, 8, 20])
     def test_same_cut_as_from_one(self, all_builtins, N):
@@ -175,8 +175,7 @@ class TestGramCutFromThePairing:
                 return float(np.abs(env(np.array([x])))[0])
 
             want = tuple(_scalar_cut(probe, 1e-12, sign) for sign in (-1, 1))
-            _, _, res = quad.biorthonormality_matrix(m, N,
-                                                     return_integral=True)
+            res = quad._adaptive_gram(m, N)
             assert res.truncation_bounds == want, (name, N)
             # the pairing's own envelope is degree 0, never above this one
             start_at = m.pairing_outcome.truncation_bounds

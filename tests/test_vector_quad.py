@@ -276,12 +276,21 @@ class TestOverlapsAndGram:
         assert res.abs_error_estimate.shape == (25,)
         assert res.panels_used > 0
 
-    def test_check_reports_gram_error_and_panels(self, tmp_path):
+    def test_check_reports_gram_error_and_route(self, tmp_path):
+        # the demo's n_max = 8 Gram on the rules of 17 and 41 nodes: its
+        # error is the rule difference or the roundoff floor of the mass
         cfg = load_config(DEMO_INI, out_override=tmp_path)
         rec = next(r for r in cmd_check(cfg).records
                    if r.name == "biorthonormality")
-        assert 0.0 < rec.detail["max_abs_error_estimate"] <= 1e-8
-        assert rec.detail["quad_panels"] > 0
+        detail = rec.detail
+        assert (detail["route"], detail["nodes"]) == ("gauss_hermite",
+                                                      [17, 41])
+        assert 0.0 <= detail["rule_difference"] \
+            <= detail["max_abs_error_estimate"] <= 1e-12
+        assert detail["max_abs_error_estimate"] == max(
+            detail["rule_difference"],
+            quad.ROUNDOFF_FLOOR * detail["max_entry_mass"])
+        assert "quad_panels" not in detail
 
 
 def _count_calls(monkeypatch, name: str) -> list:

@@ -15,6 +15,8 @@ command it prints:
   verdict, or the command's exit status;
 * the largest absolute move of any number in the reports, with that move
   over max(1, |base|);
+* on a line of its own, where a record's metric moved, the largest such
+  move, so that a moved counter of a detail does not hide it;
 * the largest move of any CSV entry over the largest |entry| of its
   column in the base, and the largest absolute move of one (a column of
   residuals at the rounding floor moves by its own size when the last
@@ -122,13 +124,24 @@ def compare_reports(base: dict, change: dict) -> dict:
                    if tb.get(p, missing) != tc.get(p, missing))
     nb, nc = ({p: float(v) for p, v in _leaves(doc) if _is_number(v)}
               for doc in (base, change))
-    worst = (0.0, 0.0, None)  # (move, move / max(1, |base|), path)
-    for path in nb.keys() & nc.keys():
+    both = nb.keys() & nc.keys()
+    metrics = {f"/checks/{i}/metric"
+               for i in range(len(base.get("checks", [])))} & both
+    return {"verdicts": changed, "number": _largest_move(nb, nc, both),
+            "metric": _largest_move(nb, nc, metrics),
+            "one_sided": sorted(nb.keys() ^ nc.keys()), "texts": texts}
+
+
+def _largest_move(nb: dict, nc: dict, paths) -> tuple:
+    """(move, move / max(1, |base|), path) of the largest move between
+    the numbers ``nb`` and ``nc`` at any of ``paths`` (nan the largest),
+    or (0, 0, None) where none moved."""
+    worst = (0.0, 0.0, None)
+    for path in paths:
         move = _move(nb[path], nc[path])
         if move > worst[0] or math.isnan(move):
             worst = (move, move / max(1.0, abs(nb[path])), path)
-    return {"verdicts": changed, "number": worst,
-            "one_sided": sorted(nb.keys() ^ nc.keys()), "texts": texts}
+    return worst
 
 
 def _read_csv(path: Path) -> tuple[list, list]:
@@ -162,8 +175,8 @@ def compare_dirs(base: Path, change: Path) -> dict:
     files = sorted({p.name for p in base.iterdir()}
                    | {p.name for p in change.iterdir()})
     result = {"verdicts": [], "number": (0.0, 0.0, None),
-              "csv": (0.0, 0.0, None), "mismatched": [], "texts": [],
-              "identical": True}
+              "metric": (0.0, 0.0, None), "csv": (0.0, 0.0, None),
+              "mismatched": [], "texts": [], "identical": True}
     for name in files:
         pb, pc = base / name, change / name
         if not (pb.exists() and pc.exists()):
@@ -183,10 +196,9 @@ def compare_dirs(base: Path, change: Path) -> dict:
             result["mismatched"] += [f"{name}:{path} given on one side only"
                                      for path in rep["one_sided"]]
             result["texts"] += [f"{name}:{path}" for path in rep["texts"]]
-            if rep["number"][0] > result["number"][0] \
-                    or math.isnan(rep["number"][0]):
-                result["number"] = rep["number"][:2] + (
-                    f"{name}:{rep['number'][2]}",)
+            for key in ("number", "metric"):
+                if rep[key][0] > result[key][0] or math.isnan(rep[key][0]):
+                    result[key] = rep[key][:2] + (f"{name}:{rep[key][2]}",)
             result["identical"] &= db == dc
         elif name.endswith(".csv"):
             moved = compare_csv(pb, pc)
@@ -239,6 +251,10 @@ def main(argv=None) -> int:
                         f"({rel:.3g} of max(1, |base|)) at {where}; "
                         f"CSV moved {cmove:.3g} of its column's max "
                         f"at {column}, at most {cabs:.3g} absolute")
+                move, rel, where = res["metric"]
+                if where is not None:
+                    print(f"#   metric moved {move:.3g} ({rel:.3g} of "
+                          f"max(1, |base|)) at {where}")
                 for what, vb, vc in res["verdicts"]:
                     print(f"#   verdict changed: {what}: {vb} -> {vc}")
                 for what in res["texts"]:
