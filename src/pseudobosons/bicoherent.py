@@ -19,6 +19,7 @@ increasing-sequence theory available on its own.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -39,6 +40,7 @@ __all__ = [
     "TransformedTestFunction",
     "PairingSeries",
     "pairing_series",
+    "overlap_bounds",
     "weak_pairing",
     "EigenRelationResult",
     "eigen_relation_residual",
@@ -199,54 +201,80 @@ class TransformedTestFunction:
     __call__ = values
 
 
-def _overlap_bound(m: PBModel, hs: Sequence, side: str) -> list:
-    """|<state_n, h>| <= |K| c^(-+n/2) ||h_(+-)|| as a function of n for
-    every test function h of ``hs``, by Cauchy-Schwarz in the transform
-    identities: plus for phi, minus for psi.  A list of bounds, each None
-    where rho is not real.
+# the transform that bounds each side's overlaps, and the power of c in n
+_SIDE_TRANSFORM = {"phi": ("plus", -0.5), "psi": ("minus", 0.5)}
 
-    One integral of |h_(+-)|^2 over the hull of their transform supports,
-    first cut at edges graded toward every support's ends (see
-    :func:`quad.hull_edges`), gives every bound: the inversion of rho and
-    the vacuum ratio run once per node, and only h(x) differs between
-    rows.  Each norm adds its integral's own error estimate, so the
-    certificate stays an upper bound.  A norm whose integrand is not
-    finite at some node is a QuadratureError naming such an s nearest 0.
-    A QuadratureError flags in ``failed`` the functions it is about, one
-    entry per function.
+
+def overlap_bounds(m: PBModel, pairs: Sequence) -> list:
+    """|<state_n, h>| <= |K| c^(-+n/2) ||h_(+-)|| as a function of n for
+    every (side, h) of ``pairs``, by Cauchy-Schwarz in the transform
+    identities: plus for phi, minus for psi.  A list of bounds, one per
+    pair, each None where rho is not real.
+
+    One vector integral over s, one component |h_(+-)|^2 per pair, over
+    the hull of the transform supports, first cut at edges graded toward
+    every support's ends (see :func:`quad.hull_edges`), gives every
+    bound.  Per node batch rho is inverted once, each distinct test
+    function is evaluated once, and the vacuum ratios of both sides come
+    from one vacuum evaluation (see :func:`quad.transform_factors`); only
+    the products differ between components, so a component is bitwise
+    the integrand of its pair alone.  Each norm adds its integral's own
+    error estimate, so the certificate stays an upper bound.  A norm
+    whose integrand is not finite at some node is a QuadratureError
+    naming, for each sign that meets one, such an s nearest 0.  A
+    QuadratureError flags in ``failed`` the pairs it is about, one entry
+    per pair.
     """
-    hs = list(hs)
-    sign, power = ("plus", -0.5) if side == "phi" else ("minus", 0.5)
+    pairs = list(pairs)
+    if any(side not in _SIDE_TRANSFORM for side, _ in pairs):
+        raise ModelError("each side must be 'phi' or 'psi'")
+    funcs = list({id(h): h for _, h in pairs}.values())
+    ids = [id(h) for h in funcs]
+    col_h = [ids.index(id(h)) for _, h in pairs]
+    signs = list(dict.fromkeys(_SIDE_TRANSFORM[side][0] for side, _ in pairs))
+    col_r = np.array([signs.index(_SIDE_TRANSFORM[side][0])
+                      for side, _ in pairs])
 
     def integrand(s):
         # far from 0 the transform factor leaves double range; such a norm
         # is refused where it is first seen, not refined to the budget
         with np.errstate(over="ignore", invalid="ignore"):
-            x, r = quad.transform_factor(m, sign, s)
-            hx = np.stack([f.values(x) for f in hs], axis=-1)
-            vals = np.abs(hx * r[:, None]) ** 2
+            x, factors = quad.transform_factors(m, signs, s)
+            hx = np.stack([h.values(x) for h in funcs], axis=-1)[:, col_h]
+            vals = np.abs(hx * np.stack(factors, axis=-1)[:, col_r]) ** 2
         not_finite = ~np.isfinite(vals)
-        bad = not_finite.any(axis=1)
-        if bad.any():
-            # a row fails where its own h is nonzero, not where 0 meets
-            # the overflowing factor outside its support
+        if not_finite.any():
+            # a component fails where its own h is nonzero, not where 0
+            # meets the overflowing factor outside its support
+            bad = [(sign, not_finite[:, col_r == k].any(axis=1))
+                   for k, sign in enumerate(signs)]
             raise quad.QuadratureError(
-                f"|h_{sign}|^2 is not finite at s = "
-                f"{s[bad][np.argmin(np.abs(s[bad]))]:.6g}",
+                "; ".join(f"|h_{sign}|^2 is not finite at s = "
+                          f"{s[rows][np.argmin(np.abs(s[rows]))]:.6g}"
+                          for sign, rows in bad if rows.any()),
                 failed=(not_finite & (hx != 0)).any(axis=0))
         return vals
 
     try:
         k_phi, k_psi, c = quad.transform_identity_factors(m)
-        edges = quad.hull_edges([quad.transform_support(m, f) for f in hs])
+        edges = quad.hull_edges([quad.transform_support(m, h) for h in
+                                 {h.support: h for h in funcs}.values()])
         norm_sq = integrate_line(integrand, edges[0], edges[-1],
                                  _first_edges=edges)
     except quad.RhoError:
-        return [None] * len(hs)
-    scales = abs(k_phi if side == "phi" else k_psi) * np.sqrt(
-        norm_sq.value.real + norm_sq.abs_error_estimate)
-    return [lambda n, scale=float(scale): scale * c ** (power * n)
-            for scale in scales]
+        return [None] * len(pairs)
+    ks = np.array([abs(k_phi if side == "phi" else k_psi)
+                   for side, _ in pairs])
+    scales = ks * np.sqrt(norm_sq.value.real + norm_sq.abs_error_estimate)
+    return [lambda n, scale=float(scale), power=_SIDE_TRANSFORM[side][1]:
+            scale * c ** (power * n)
+            for (side, _), scale in zip(pairs, scales)]
+
+
+def _overlap_bound(m: PBModel, hs: Sequence, side: str) -> list:
+    """The bounds of :func:`overlap_bounds` for the test functions ``hs``
+    on one side, one per function."""
+    return overlap_bounds(m, [(side, h) for h in hs])
 
 
 def _series_tail(term: float, q: float, n0: int) -> float:
@@ -276,10 +304,12 @@ class PairingSeries:
     (Psi on the psi side).  :func:`pairing_series` builds it.  The weak
     state acts on h as the complex conjugate, <Phi(z), h> =
     ``eval(z).conjugate()`` (:meth:`bra`), and the bra coefficients
-    <state_n, h> are ``np.conj(coeffs)``.
+    <state_n, h> are ``np.conj(coeffs)``.  :meth:`values` sums the series
+    at every z of a sequence in one call, each value bitwise that of
+    :meth:`eval`.
 
     ``bound`` maps n to a bound on |<h, state_n>| where rho is real (see
-    :func:`_overlap_bound`), and is None elsewhere.  The truncation
+    :func:`overlap_bounds`), and is None elsewhere.  The truncation
     budget must absorb the tail: the bound certifies it where there is
     one; otherwise (swanson, complex shifts or alphas) the coefficients
     are extrapolated geometrically.
@@ -292,6 +322,8 @@ class PairingSeries:
         self.max_terms = len(coeffs) - 1
         self._scaled = coeffs / np.array(
             [sqrt_factorial(n) for n in range(self.max_terms + 1)])
+        # the scale of the tail tolerance, 1 + max|<h, state_n>|
+        self._tail_scale = 1.0 + float(np.max(np.abs(coeffs)))
 
     def _tail_bound(self, z_abs: float) -> float:
         """A bound on exp(-|z|^2/2) sum_{n > max_terms} |z|^n / sqrt(n!)
@@ -316,19 +348,39 @@ class PairingSeries:
             total = _series_tail(first * last * growth, growth * z_abs, n0)
         return total * math.exp(-0.5 * z_abs * z_abs)
 
+    def _sums(self, zs: list, weights: list) -> np.ndarray:
+        """weight * sum_n z^n <h, state_n> / sqrt(n!) for every z of
+        ``zs`` (Python complex numbers) and its weight: the powers are one
+        array power, and each sum is the dot product :meth:`eval` has
+        always taken, so every entry is bitwise its value at that z."""
+        powers = np.array(zs, dtype=complex)[:, None] \
+            ** np.arange(self.max_terms + 1)
+        return np.array(weights) * np.array(
+            [np.dot(row, self._scaled) for row in powers])
+
     def eval(self, z: complex, *, tail_tol: float = 1e-12) -> complex:
         """<h, Phi(z)> (or Psi); a ModelError where ``max_terms`` terms do
         not certify the tail at z to ``tail_tol``."""
         z = complex(z)
         tail = self._tail_bound(abs(z))
-        if not tail < tail_tol * (1.0 + float(np.max(np.abs(self.coeffs)))):
+        if not tail < tail_tol * self._tail_scale:
             raise ModelError(
                 f"non-convergent pairing tail within {self.max_terms} terms "
                 f"at |z| = {abs(z):.3g} (bound {tail:.3g})"
             )
-        powers = z ** np.arange(self.max_terms + 1)
-        return complex(math.exp(-0.5 * abs(z) ** 2)
-                       * np.dot(powers, self._scaled))
+        return complex(self._sums([z], [math.exp(-0.5 * abs(z) ** 2)])[0])
+
+    def values(self, zs, *, tail_tol: float = 1e-12) -> np.ndarray:
+        """:meth:`eval` at every z of the sequence ``zs``, as one complex
+        array, nan where ``max_terms`` terms do not certify the tail: the
+        tail is bounded once per distinct |z|, and each value is bitwise
+        that of :meth:`eval`."""
+        zs = [complex(z) for z in zs]
+        z_abs = [abs(z) for z in zs]
+        certified = {a: self._tail_bound(a) < tail_tol * self._tail_scale
+                     for a in set(z_abs)}
+        return self._sums(zs, [math.exp(-0.5 * a ** 2) if certified[a]
+                               else math.nan for a in z_abs])
 
     def bra(self, z: complex, *, tail_tol: float = 1e-12) -> complex:
         """<Phi(z), h> (or Psi): the conjugate of :meth:`eval`, a zero part
@@ -386,33 +438,36 @@ def eigen_relation_residual(m: PBModel, z, g: TestFunction,
     ket series <g, state_n> and <g', state_n>, with g' = a^dag g on the
     phi side and b g on the psi side, are built once per call, one
     batched integral per side, unless ``series`` passes them prebuilt as
-    ((g, a^dag g) on phi, (g, b g) on psi).  Each z and each side stands
-    on its own: a side whose pairing tails ``max_terms`` terms cannot
-    certify at z reads nan there, and the other entries are
+    ((g, a^dag g) on phi, (g, b g) on psi).  Each series is summed at
+    every z in one call (see :meth:`PairingSeries.values`), so a sequence
+    gives bitwise the residuals of its points one by one.  Each z and
+    each side stands on its own: a side whose pairing tails ``max_terms``
+    terms cannot certify at z reads nan there, and the other entries are
     unaffected."""
     if series is None:
         series = [pairing_series(m, [g, TransformedTestFunction(m, op, g)],
                                  side, max_terms=max_terms)
                   for side, op in (("phi", "a_dag"), ("psi", "b"))]
     _check_series("series", [s for pair in series for s in pair], max_terms)
+    zs = [complex(zz) for zz in np.ravel(z)]
+    # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>, at each z
+    sums = [(plain.values(zs), moved.values(zs)) for plain, moved in series]
 
-    def at(z: complex) -> EigenRelationResult:
-        z = complex(z)
+    def at(i: int) -> EigenRelationResult:
         res = []
-        for plain, moved in series:
-            # <h, Phi(z)> = exp(-|z|^2/2) sum z^n / sqrt(n!) <h, phi_n>
-            try:
-                lhs = moved.eval(z)
-                rhs = z * plain.eval(z)
-            except ModelError:  # the tail of this side is not certified
+        for plains, moveds in sums:
+            lhs, plain = complex(moveds[i]), complex(plains[i])
+            if cmath.isnan(lhs) or cmath.isnan(plain):
+                # the tail of this side is not certified at z
                 res.append((complex(math.nan, math.nan), math.nan))
                 continue
+            rhs = zs[i] * plain
             res.append((lhs - rhs,
                         abs(lhs - rhs) / abs(rhs) if rhs != 0 else math.nan))
         (r_phi, rel_phi), (r_psi, rel_psi) = res
-        return EigenRelationResult(z, r_phi, r_psi, rel_phi, rel_psi)
+        return EigenRelationResult(zs[i], r_phi, r_psi, rel_phi, rel_psi)
 
-    return at(z) if np.ndim(z) == 0 else [at(zz) for zz in z]
+    return at(0) if np.ndim(z) == 0 else [at(i) for i in range(len(zs))]
 
 
 # ----------------------------------------------------------------------
@@ -447,18 +502,35 @@ def _upper_gamma_q(n_max: int, x: float) -> np.ndarray:
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of n points on [-1, 1]: the
-    eigenvalues of the symmetric Jacobi matrix (Golub and Welsch, Math.
-    Comp. 23 (1969)), polished by one Newton step on the three-term
-    recurrence, and the weights 2 / ((1 - x^2) P_n'(x)^2)."""
-    j = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), 1),
-                           UPLO="U")
+    """Gauss-Legendre nodes and weights of n points on [-1, 1].
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix J (Golub
+    and Welsch, Math. Comp. 23 (1969)), whose zero diagonal makes J^2 two
+    tridiagonal blocks, on the even and on the odd indices; either holds
+    the squared positive nodes, and for odd n the even one also holds the
+    node 0.  So the odd block, of n // 2 rows, gives the positive nodes
+    x_k = sqrt(lambda_k), mirrored and joined by 0 for odd n, in a
+    quarter of the full solve's work.  Each node is polished by one
+    Newton step on the three-term recurrence, and the weights
+    2 / ((1 - x^2) P_n'(x)^2) read P_n' carried to the polished node to
+    first order, with P_n'' = (2 x P_n' - n (n + 1) P_n) / (1 - x^2)."""
+    b = np.arange(1.0, n) / np.sqrt(4.0 * np.arange(1.0, n) ** 2 - 1.0)
+    # J^2 on the odd indices 1, 3, ...: b_{2k-1}^2 + b_{2k}^2 on the
+    # diagonal (b_j couples j-1 and j, b_n = 0) and b_{2k} b_{2k+1} beside
+    sq = np.append(b, 0.0) ** 2
+    odd = np.diag(sq[0:n - 1:2] + sq[1::2][:n // 2])
+    if n > 3:
+        odd += np.diag(b[1:n - 2:2] * b[2:n - 1:2][:n // 2 - 1], 1)
+    half = np.sqrt(np.linalg.eigvalsh(odd, UPLO="U"))
+    x = np.concatenate([-half[::-1], [0.0] * (n % 2), half])
     p_prev, p = np.ones_like(x), x
     for k in range(1, n):
         p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
     slope = n * (p_prev - x * p) / (1.0 - x * x)  # P_n'(x)
-    x = x - p / slope
+    step = p / slope
+    # P_n' at the polished node, to first order in the step
+    slope -= step * (2.0 * x * slope - n * (n + 1) * p) / (1.0 - x * x)
+    x = x - step
     return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 

@@ -603,32 +603,63 @@ def cmd_states(cfg: RunConfig) -> list[Path]:
     return paths
 
 
-def _series_outcomes(m, groups: list, side: str, max_terms: int) -> list:
-    """The ket series of every test function in ``groups`` (a list of
-    lists) on one side, in order, each a ``PairingSeries`` or the
-    exception its integrals raised, kept by :func:`states.keep_outcome`.
-    All functions share one batched integral pair; where that raises, a
-    group the error flags keeps that error without integrating again, and
-    every other group is integrated on its own."""
-    def series(hs):
-        return states.keep_outcome(
-            lambda: bc.pairing_series(m, hs, side, max_terms=max_terms))
-
-    flat = [h for grp in groups for h in grp]
-    batch = series(flat)
+def _outcomes(compute, groups: list) -> list:
+    """compute(items) over the items of every group in ``groups`` (a list
+    of lists) in one call: one result per item, in order, or the
+    exception the call raised, kept by :func:`states.keep_outcome`.
+    Where that call raises, a group the error flags (``failed``, one
+    entry per item) keeps that error without computing again, and every
+    other group is computed on its own."""
+    flat = [item for grp in groups for item in grp]
+    if not flat:
+        return []
+    batch = states.keep_outcome(lambda: compute(flat))
     if not isinstance(batch, Exception):
-        return batch
-    # one flag per function, where the error says which functions failed
+        return list(batch)
     failed = getattr(batch, "failed", None)
     if np.shape(failed) != (len(flat),):
         failed = np.zeros(len(flat), dtype=bool)
     out = []
     for grp in groups:
         kept = batch if failed[len(out):len(out) + len(grp)].any() \
-            else series(grp)
+            else states.keep_outcome(lambda: compute(grp))
         out.extend([kept] * len(grp) if isinstance(kept, Exception)
                    else kept)
     return out
+
+
+def _series_outcomes(m, groups: dict, max_terms: int) -> dict:
+    """side -> the ket series of every test function in ``groups[side]``
+    (a list of lists), in order, each a ``PairingSeries`` or the exception
+    its integrals raised.  The coefficients are one batched integral per
+    side, and the tail bounds one integral over every (side, function)
+    whose coefficients were computed (see :func:`bc.overlap_bounds`).
+    Where one of them raises, each (side, group) that the error flags
+    keeps it and every other one is integrated again on its own (see
+    :func:`_outcomes`): a failing function takes down neither another
+    group nor its own series on the other side."""
+    rows = {side: _outcomes(
+        lambda hs, side=side: quad.state_overlaps(
+            m, hs, side, max_terms, state_in_bra=False), grps)
+        for side, grps in groups.items()}
+    units = []  # each (side, group) with coefficients, as (side, h) pairs
+    for side, grps in groups.items():
+        side_rows = iter(rows[side])
+        for grp in grps:
+            # a group's functions share one outcome
+            if not isinstance([next(side_rows) for _ in grp][0], Exception):
+                units.append([(side, h) for h in grp])
+    bounds = iter(_outcomes(lambda pairs: bc.overlap_bounds(m, pairs),
+                            units))
+
+    def series(row):
+        if isinstance(row, Exception):
+            return row
+        bound = next(bounds)
+        return bound if isinstance(bound, Exception) \
+            else bc.PairingSeries(row, bound)
+
+    return {side: [series(row) for row in rows[side]] for side in groups}
 
 
 def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
@@ -649,27 +680,22 @@ def cmd_bicoherent(cfg: RunConfig) -> tuple[VerificationReport, list[Path]]:
               for a in np.linspace(re_lo, re_hi, re_n)
               for b in np.linspace(im_lo, im_hi, im_n)]
 
-    # one batched integral per side serves both records: the ket series
-    # of g, of g' (a^dag g on phi, b g on psi) and of f; each series is
-    # kept as its outcome, so a failing f leaves the eigen record standing
-    # and no record integrates again what another one already has
-    phi_out, psi_out = (
-        _series_outcomes(m, [[g, bc.TransformedTestFunction(m, op, g)], [f]],
-                         side, p["max_terms"])
-        for side, op in (("phi", "a_dag"), ("psi", "b")))
+    # one batched coefficient integral per side and one bound integral
+    # for both serve both records: the ket series of g, of g' (a^dag g on
+    # phi, b g on psi) and of f; each series is kept as its outcome, so a
+    # failing f leaves the eigen record standing and no record integrates
+    # again what another one already has
+    phi_out, psi_out = _series_outcomes(
+        m, {side: [[g, bc.TransformedTestFunction(m, op, g)], [f]]
+            for side, op in (("phi", "a_dag"), ("psi", "b"))},
+        p["max_terms"]).values()
     g_out = [phi_out[0], psi_out[0]]
 
-    def certified(series, z: complex) -> complex:
-        """<Phi(z), g> or <Psi(z), g>; nan where the tail is not certified."""
-        try:
-            return series.bra(z)
-        except model_mod.ModelError:
-            return complex(np.nan, np.nan)
-
     def z_grid_tables():
-        g_kets = [states.read_outcome(o) for o in g_out]
-        pairings = [[certified(series, z) for series in g_kets]
-                    for z in z_grid]
+        # <Phi(z), g> and <Psi(z), g> at every z, nan where the tail is
+        # not certified
+        pairings = list(zip(*(np.conj(states.read_outcome(o).values(z_grid))
+                              for o in g_out)))
         paths.append(_write_csv(cfg.out_dir / "pairings.csv",
                                 ["z_re", "z_im", "phi_re", "phi_im",
                                  "psi_re", "psi_im"],

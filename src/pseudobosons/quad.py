@@ -270,6 +270,7 @@ def _budget_message(max_panels: int, excess: list) -> str:
 
 
 def _seed_breakpoints(a: float, b: float) -> np.ndarray:
+    a, b = float(a), float(b)
     pts = {a, b}
     if a < 0.0 < b:
         pts.add(0.0)
@@ -280,15 +281,15 @@ def _seed_breakpoints(a: float, b: float) -> np.ndarray:
             if a < s < b:
                 pts.add(s)
         v *= 2.0
-    pts = sorted(pts)
-    # split any short central span so the first pass sees some structure
-    out = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        chunks = 4 if hi - lo <= 16.0 else 1
-        edges = np.linspace(lo, hi, chunks + 1)
-        out.extend(edges[:-1])
-    out.append(pts[-1])
-    return np.asarray(out)
+    pts = np.array(sorted(pts))
+    lo, hi = pts[:-1], pts[1:]
+    # split any short central span so the first pass sees some structure:
+    # the first edges of np.linspace(lo, hi, chunks + 1), by its own
+    # arithmetic k * ((hi - lo) / chunks) + lo, for all spans at once
+    chunks = np.where(hi - lo <= 16.0, 4, 1)
+    k = np.arange(4.0)
+    edges = k * ((hi - lo) / chunks)[:, None] + lo[:, None]
+    return np.append(edges[k < chunks[:, None]], pts[-1])
 
 
 def _truncate(probe, tol: float, signs: tuple) -> dict:
@@ -803,8 +804,9 @@ def hull_edges(supports) -> np.ndarray:
     passes, each evaluating every row, walking toward the ends.  Past
     j = 6 the bump is below 1e-13 of its peak e^-1 (it is e^-32.3 at
     t = 1 - 2^-6), so the depth is a property of the bump, not of any
-    one integral."""
-    ends = np.asarray(supports, dtype=float)
+    one integral.  A support given more than once is cut once."""
+    ends = np.array(sorted(set(map(
+        tuple, np.asarray(supports, dtype=float).tolist()))))
     steps = 2.0 ** -np.arange(2, 8)
     widths = (ends[:, 1] - ends[:, 0])[:, None] * steps
     return np.unique(np.concatenate(
@@ -1005,34 +1007,46 @@ def _gauss_hermite_gram(m, N: int, tol: float):
 # Transforms to the oscillator picture
 # ----------------------------------------------------------------------
 
-def _vacuum_ratio(m, sign: str, x: np.ndarray, s: np.ndarray,
-                  c: float) -> np.ndarray:
+# the vacuum each transform's factor carries: phi_0 for plus, psi_0 for minus
+_SIGN_SIDE = {"plus": "phi", "minus": "psi"}
+
+
+def _vacuum_ratio(m, sign: str, x: np.ndarray, s: np.ndarray, c: float,
+                  vacuum: np.ndarray) -> np.ndarray:
     """R_phi e^{-s^2/2} (plus) or R_psi e^{+s^2/2} (minus) at the points x,
-    not yet normalized: R_phi = phi_0 e^{y^2}, y = rho/sqrt(2c), and
+    not yet normalized, from the values ``vacuum`` of phi_0 (plus) or
+    psi_0 (minus) there: R_phi = phi_0 e^{y^2}, y = rho/sqrt(2c), and
     R_psi = conj(psi_0) alpha_b.  The plus side takes one exp, so that an
     underflowing phi_0 never meets an overflowing e^{y^2}."""
     if sign == "minus":
-        return (np.conj(m.psi_vacuum_values(x)) * m.alpha_b.eval_values(x)
+        return (np.conj(vacuum) * m.alpha_b.eval_values(x)
                 * np.exp(0.5 * s * s))
-    if sign == "plus":
-        y = _real_rho(m, x) / math.sqrt(2.0 * c)
-        return m.phi_vacuum_values(x) * np.exp(y * y - 0.5 * s * s)
-    raise ValueError("sign must be 'plus' or 'minus'")
+    y = _real_rho(m, x) / math.sqrt(2.0 * c)
+    return vacuum * np.exp(y * y - 0.5 * s * s)
 
 
-def transform_factor(m, sign: str, s) -> tuple[np.ndarray, np.ndarray]:
-    """The points x = x(s) and the factor r(s) of a transform,
-    h_(sign)(s) = h(x) r(s) (see :func:`transform_pm`): the inversion of
-    rho and the vacuum ratio, which every test function shares."""
+def transform_factors(m, signs, s) -> tuple[np.ndarray, list]:
+    """The points x = x(s) and, for each sign of ``signs``, the factor r(s)
+    of its transform, h_(sign)(s) = h(x) r(s) (see :func:`transform_pm`):
+    one inversion of rho and one :meth:`PBModel.vacuum_jets` call serve
+    every sign and every test function, and each factor is bitwise the
+    one of its sign alone."""
+    if not set(signs) <= _SIGN_SIDE.keys():
+        raise ValueError("sign must be 'plus' or 'minus'")
     c = _rho_scale(m)
     s = np.asarray(s, dtype=float)
     x = rho_invert_values(m, math.sqrt(2.0 * c) * s)
     # one batch with the anchor x = 0, where s = 0 leaves the bare ratio
-    r = _vacuum_ratio(m, sign, np.append(x, 0.0), np.append(s, 0.0), c)
-    r = (r[:-1] / r[-1]).reshape(x.shape)
-    if sign == "plus":
-        r = np.conj(m.alpha_a.eval_values(x) * r)
-    return x, r
+    xa, sa = np.append(x, 0.0), np.append(s, 0.0)
+    vacua = m.vacuum_jets(xa, 0, [_SIGN_SIDE[sign] for sign in signs])
+    factors = []
+    for sign, vac in zip(signs, vacua):
+        r = _vacuum_ratio(m, sign, xa, sa, c, vac.value)
+        r = (r[:-1] / r[-1]).reshape(x.shape)
+        if sign == "plus":
+            r = np.conj(m.alpha_a.eval_values(x) * r)
+        factors.append(r)
+    return x, factors
 
 
 def transform_pm(m, h, sign: str, s) -> np.ndarray:
@@ -1049,7 +1063,7 @@ def transform_pm(m, h, sign: str, s) -> np.ndarray:
     are 1 on the proportional builtins, where these are the standard
     transforms (for the sinh model, c = 2, alpha_a(x) = 1/sqrt(1+s^2)).
     """
-    x, r = transform_factor(m, sign, s)
+    x, (r,) = transform_factors(m, (sign,), s)
     return _as_values_fn(h)(x) * r
 
 
@@ -1076,8 +1090,10 @@ def transform_identity_factors(m) -> tuple[complex, complex, float]:
     c = _rho_scale(m)
     x0 = np.zeros(1)
     _rho_slope(m, x0)  # RhoError unless rho is real and increasing at 0
-    r_phi0, r_psi0 = (complex(_vacuum_ratio(m, sign, x0, x0, c)[0])
-                      for sign in ("plus", "minus"))
+    # both vacua from one evaluation at x = 0
+    r_phi0, r_psi0 = (complex(_vacuum_ratio(m, sign, x0, x0, c, vac.value)[0])
+                      for sign, vac in zip(("plus", "minus"),
+                                           m.vacuum_jets(x0, 0)))
     # N_phi = 1 and conj(N_psi) = norm_product
     k_phi = r_phi0 * math.pi ** 0.25 * math.sqrt(2.0 / c)
     k_psi = m.norm_product * r_psi0 * math.pi ** 0.25 * math.sqrt(2.0 * c)

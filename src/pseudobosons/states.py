@@ -197,9 +197,8 @@ class StateFamily:
         exactly real, so a real one is the real part of the complex one;
         the rows run complex only where y, a constant or the vacuum is."""
         s, y = _hermite_argument(self.model, self._poly_side, x, order)
-        scales = np.array([as_number(self.normalization
-                                     * (math.sqrt(2.0) * s) ** k)
-                           for k in ns])
+        norm, step = self.normalization, math.sqrt(2.0) * s
+        scales = np.array([as_number(norm * step ** k) for k in ns])
         vac = self._vacuum(x, order).coeffs[:, None]
         u = y.coeffs.astype(np.result_type(y.coeffs, scales, vac),
                             copy=False)

@@ -487,7 +487,7 @@ class TestDiscreteParseval:
                           <= 1e-12 * want[live]), radius
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 96])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 20, 95, 96, 97, 128])
 def test_gauss_legendre_rule(n):
     """Nodes and weights of the disc's radial rule against roots of P_n
     polished by Newton's method in 40-digit arithmetic."""

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,35 @@ def test_configs_of_one_name_and_a_reused_work_dir(monkeypatch, tmp_path,
 def test_strip_timing_at_any_depth():
     doc = {"timing_seconds": 1, "a": [{"timing_seconds": 2, "b": 3}]}
     assert compare_outputs.strip_timing(doc) == {"a": [{"b": 3}]}
+
+
+def test_residual_column_is_rated_against_its_file(monkeypatch, tmp_path,
+                                                  capsys):
+    # a 5e-19 move in a column of residuals near 1e-17 is a last-bit move
+    # of its inputs, rated against the file's largest entry; a 1e-10 move
+    # in an O(1) column is still rated against that column
+    rows = ["0.5,1e-17,1", "-1.4,7e-18,0.75"]
+    base = "z,abs_psi,rel\n" + "\n".join(rows) + "\n"
+    residual = base.replace("1e-17", "1.05e-17")
+    _stub(monkeypatch, {"base": lambda command: {"t.csv": base},
+                        "change": lambda command: {"t.csv": residual}})
+    assert _main(tmp_path) == 0
+    head = _lines_of(capsys.readouterr().out, "check")[0]
+    found = re.search(r"CSV moved (\S+) of its file's max at t\.csv:abs_psi,"
+                      r" at most (\S+) absolute", head)
+    assert found, head
+    assert float(found[1]) < 1e-13
+    assert float(found[2]) == pytest.approx(5e-19, rel=1e-6)
+
+    moved = base.replace(",1\n", ",1.0000000001\n")
+    _stub(monkeypatch, {"base": lambda command: {"t.csv": base},
+                        "change": lambda command: {"t.csv": moved}})
+    assert _main(tmp_path) == 0
+    head = _lines_of(capsys.readouterr().out, "check")[0]
+    found = re.search(r"CSV moved (\S+) of its column's max at t\.csv:rel,",
+                      head)
+    assert found, head
+    assert float(found[1]) == pytest.approx(1e-10, rel=1e-5)
 
 
 @pytest.mark.parametrize("base, change, move", [

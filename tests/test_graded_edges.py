@@ -31,6 +31,41 @@ class TestHullEdges:
                 # a batch starts no coarser than each member alone
                 assert np.isin(hull_edges([(lo, hi)]), edges).all()
 
+    def test_a_repeated_support_is_cut_once(self):
+        supports = self.SUPPORTS[:3]
+        assert np.array_equal(hull_edges(supports + supports[::-1]),
+                              hull_edges(supports))
+
+    @staticmethod
+    def _seeds_span_by_span(a, b):
+        """The seeds as one np.linspace per span between the dyadic
+        points: the reference the vectorized spans must equal bitwise."""
+        pts = {a, b}
+        if a < 0.0 < b:
+            pts.add(0.0)
+        v = 1.0
+        while v < max(abs(a), abs(b)):
+            pts.update(s for s in (v, -v) if a < s < b)
+            v *= 2.0
+        pts = sorted(pts)
+        out = []
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            out.extend(np.linspace(lo, hi, 5 if hi - lo <= 16.0 else 2)[:-1])
+        return np.asarray(out + [pts[-1]])
+
+    def test_seeds_equal_one_linspace_per_span(self):
+        rng = np.random.default_rng(7)
+        ends = [(-2.0 ** 60, 2.0 ** 60), (0.0, 1.0), (-4.0, 4.0),
+                (3.0, 3.5), (-100.0, -0.5), (-1e-3, 2e-3)]
+        for scale in (1e-3, 1.0, 30.0, 1e6):
+            ends += [tuple(np.sort(rng.normal(size=2) * scale))
+                     for _ in range(200)]
+        for a, b in ends:
+            want = self._seeds_span_by_span(a, b)
+            got = quad._seed_breakpoints(a, b)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_one_support(self):
         edges = hull_edges([(-1.0, 1.0)])
         assert np.array_equal(edges, np.union1d(

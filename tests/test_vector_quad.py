@@ -426,8 +426,8 @@ class TestBatchedOverlaps:
 class TestSeriesBuiltOnce:
     def test_cmd_bicoherent_integrates_once_per_side(self, tmp_path,
                                                     monkeypatch):
-        # one state integral and one bound integral per side, the vacuum
-        # pairing and the <f, g> reference: 2 and 6 calls
+        # one state integral per side, one bound integral for both sides,
+        # the vacuum pairing and the <f, g> reference: 2 and 5 calls
         overlaps = _count_calls(monkeypatch, "state_overlaps")
         integrals = _count_calls(monkeypatch, "integrate_line")
         cfg = load_config(DEMO_INI, out_override=tmp_path)
@@ -435,7 +435,7 @@ class TestSeriesBuiltOnce:
             overlaps.clear()
             integrals.clear()
             report = cmd_bicoherent(cfg)[0]
-            assert (len(overlaps), len(integrals)) == (2, 6)
+            assert (len(overlaps), len(integrals)) == (2, 5)
             assert report.overall == "pass"
         rec = report.records[1]
         assert rec.name == "bicoherent_resolution"
@@ -458,11 +458,12 @@ class TestSeriesBuiltOnce:
 
     def test_failed_batch_integrates_each_group_once(self, tmp_path,
                                                      monkeypatch):
-        # f at 3.4 on raw example1: its psi-side norm stalls, so the psi
-        # batch {g, g', f} raises and flags f alone as failed; f keeps
-        # that error, {g, g'} is integrated once on its own, and every
-        # record reads those outcomes: 3 state integrals and 3 bound
-        # integrals, where integrating f again made 4 and 4, and
+        # f at 3.4 on raw example1: its psi-side norm stalls, so the one
+        # bound integral over both sides raises and flags (psi, f) alone;
+        # f's psi series keeps that error, no state integral runs again,
+        # and each other (side, group) bound is integrated once on its
+        # own: 2 state integrals and 4 bound integrals, where one batch
+        # per side made 3 and 3, integrating f again 4 and 4, and
         # rebuilding per record 8 and 8
         body = re.sub(r"^# (alpha_[ab]|beta_[ab]) ", r"\1 ",
                       DEMO_INI.read_text(encoding="utf-8").replace(
@@ -472,9 +473,9 @@ class TestSeriesBuiltOnce:
         ini = tmp_path / "far.ini"
         ini.write_text(body, encoding="utf-8")
         overlaps = _count_calls(monkeypatch, "state_overlaps")
-        bounds = _count_calls(monkeypatch, "_overlap_bound")
+        bounds = _count_calls(monkeypatch, "overlap_bounds")
         report = cmd_bicoherent(load_config(ini, out_override=tmp_path))[0]
-        assert (len(overlaps), len(bounds)) == (3, 3)
+        assert (len(overlaps), len(bounds)) == (2, 4)
         assert [r.verdict for r in report.records] == ["pass", "error"]
         assert "stalled at the integrand's rounding noise" in \
             report.records[1].detail["error"]

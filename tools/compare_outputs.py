@@ -18,9 +18,10 @@ command it prints:
 * on a line of its own, where a record's metric moved, the largest such
   move, so that a moved counter of a detail does not hide it;
 * the largest move of any CSV entry over the largest |entry| of its
-  column in the base, and the largest absolute move of one (a column of
-  residuals at the rounding floor moves by its own size when the last
-  bits of its inputs do);
+  column in the base, or of its file where every base entry of the
+  column lies below 1e-12 of that (a column of residuals at the rounding
+  floor moves by its own size when the last bits of its inputs do), the
+  scale it used, and the largest absolute move of one;
 * whether the outputs are byte-identical apart from the timing;
 * every report text (a string, bool or null) that changed or is given
   on one side only, other than a verdict;
@@ -150,24 +151,38 @@ def _read_csv(path: Path) -> tuple[list, list]:
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
 
 
+# a CSV column whose base entries all lie below this fraction of its
+# file's largest |entry| holds residuals at the rounding floor
+FLOOR_FRACTION = 1e-12
+
+
 def compare_csv(base: Path, change: Path):
-    """(largest move over its column's largest |base entry|, largest
-    absolute move, the column of the first), or None where the header or
-    the row count changed."""
+    """(largest move over its scale, largest absolute move, the column of
+    the first, the name of its scale), or None where the header or the
+    row count changed.  A column's scale is its largest |base entry|
+    ("column's"), or, where every base entry of the column lies below
+    ``FLOOR_FRACTION`` of the largest finite |base entry| of the file,
+    that file maximum ("file's"): a column of residuals at the rounding
+    floor moves by its own size when the last bits of its inputs do."""
     hb, rb = _read_csv(base)
     hc, rc = _read_csv(change)
     if hb != hc or len(rb) != len(rc):
         return None
-    worst, largest = (0.0, None), 0.0
+    file_max = max((abs(v) for row in rb for v in row if math.isfinite(v)),
+                   default=0.0)
+    worst, largest = (0.0, None, "column's"), 0.0
     for j, name in enumerate(hb):
         col = [row[j] for row in rb]
         scale = max((abs(v) for v in col if not math.isnan(v)), default=0.0)
+        kind = "column's"
+        if scale < FLOOR_FRACTION * file_max:
+            scale, kind = file_max, "file's"
         for a, b in zip(col, (row[j] for row in rc)):
             move = _move(a, b)
             largest = max(largest, move)
             if move / (scale or 1.0) > worst[0] or math.isnan(move):
-                worst = (move / (scale or 1.0), name)
-    return worst[0], largest, worst[1]
+                worst = (move / (scale or 1.0), name, kind)
+    return worst[0], largest, worst[1], worst[2]
 
 
 def compare_dirs(base: Path, change: Path) -> dict:
@@ -175,7 +190,8 @@ def compare_dirs(base: Path, change: Path) -> dict:
     files = sorted({p.name for p in base.iterdir()}
                    | {p.name for p in change.iterdir()})
     result = {"verdicts": [], "number": (0.0, 0.0, None),
-              "metric": (0.0, 0.0, None), "csv": (0.0, 0.0, None),
+              "metric": (0.0, 0.0, None),
+              "csv": (0.0, 0.0, None, "column's"),
               "mismatched": [], "texts": [], "identical": True}
     for name in files:
         pb, pc = base / name, change / name
@@ -207,11 +223,13 @@ def compare_dirs(base: Path, change: Path) -> dict:
                 result["mismatched"].append(
                     f"{name} changed header or row count")
                 continue
-            move, largest, column = moved
+            move, largest, column, scale = moved
             if move > result["csv"][0] or math.isnan(move):
-                result["csv"] = (move, result["csv"][1], f"{name}:{column}")
+                result["csv"] = (move, result["csv"][1], f"{name}:{column}",
+                                 scale)
             result["csv"] = (result["csv"][0],
-                             max(result["csv"][1], largest), result["csv"][2])
+                             max(result["csv"][1], largest),
+                             *result["csv"][2:])
         else:
             result["identical"] &= pb.read_bytes() == pc.read_bytes()
     return result
@@ -244,12 +262,12 @@ def main(argv=None) -> int:
                                 dirs[side])
                 res = compare_dirs(dirs["base"], dirs["change"])
                 move, rel, where = res["number"]
-                cmove, cabs, column = res["csv"]
+                cmove, cabs, column, scale = res["csv"]
                 print(f"# {ini.name} {command}: "
                       + ("identical" if res["identical"] else "differs")
                       + f"; report number moved {move:.3g} "
                         f"({rel:.3g} of max(1, |base|)) at {where}; "
-                        f"CSV moved {cmove:.3g} of its column's max "
+                        f"CSV moved {cmove:.3g} of its {scale} max "
                         f"at {column}, at most {cabs:.3g} absolute")
                 move, rel, where = res["metric"]
                 if where is not None:
